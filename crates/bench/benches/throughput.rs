@@ -34,11 +34,7 @@
 //! per-sample committed-instructions rate (how noisy this cell was on this
 //! host), and IPC as a sanity anchor. A trailing `matrix` row times one
 //! full serial sweep and one `--jobs N` sweep through the production
-//! `run_matrix_parallel` executor, and a `service_mode` row times the
-//! sweep daemon: one cold query against a warm burst of memoized repeats
-//! of the same matrix over TCP loopback. With `--gate`, a warm speedup
-//! below 50× (or any warm miss) fails the run — the ratio is
-//! host-independent, so it gates without a baseline entry.
+//! `run_matrix_parallel` executor.
 //!
 //! **Re-blessing the baseline**: after an intentional performance change
 //! (or on new hardware), run `cargo bench -p smt-bench --bench throughput`
@@ -50,7 +46,6 @@ use std::time::Instant;
 
 use smt_core::{FetchEngineKind, FetchPolicy, SimBuilder, Simulator};
 use smt_experiments::{run_matrix_parallel, Jobs, RunLength};
-use smt_serve::{Client, MatrixRequest, Server};
 use smt_workloads::Workload;
 
 /// Seed shared with the experiment suite (results are deterministic).
@@ -163,68 +158,6 @@ fn time_cell(
     }
 }
 
-/// Sweep-as-a-service timing: one cold query (every cell simulated on the
-/// daemon) against a burst of warm repeats of the same matrix (pure memo
-/// hits), both over TCP loopback through the real client/daemon path.
-struct ServiceResult {
-    cells: usize,
-    cold_secs: f64,
-    warm_secs_per_query: f64,
-    /// `cold_secs / warm_secs_per_query` — how much a memoized repeat
-    /// query beats recomputation. Host-relative, so it gates on the ratio
-    /// rather than on absolute wall time.
-    warm_speedup: f64,
-    /// Hit fraction across the warm burst (must be 1.0).
-    warm_hit_rate: f64,
-}
-
-/// Warm repeats averaged per query (one burst, best-effort amortization of
-/// connection and protocol overhead into the per-query figure).
-const WARM_QUERIES: u32 = 10;
-
-fn time_service(workloads: &[Workload], len: RunLength, jobs: Jobs) -> ServiceResult {
-    let server = Server::bind("127.0.0.1:0", jobs).expect("bind daemon");
-    let addr = server.addr().to_string();
-    let mut client = Client::connect(&addr).expect("connect to daemon");
-    let req = MatrixRequest {
-        workloads: workloads.iter().map(|w| w.name().to_string()).collect(),
-        engines: FetchEngineKind::all()
-            .iter()
-            .map(|e| e.to_string())
-            .collect(),
-        policies: vec!["ICOUNT.1.8".to_string(), "ICOUNT.2.8".to_string()],
-        // Offset the warmup so these cells' content hashes are private to
-        // the bench (the per-cell timing above runs outside the memo path,
-        // but keys must not collide with any other daemon user's).
-        warmup_cycles: len.warmup_cycles + 1,
-        measure_cycles: len.measure_cycles,
-        jobs: None,
-    };
-
-    let start = Instant::now();
-    let cold = client.submit(&req).expect("cold query");
-    let cold_secs = start.elapsed().as_secs_f64().max(1e-12);
-    assert_eq!(cold.summary.cells, req.cells());
-
-    let mut hits = 0usize;
-    let start = Instant::now();
-    for _ in 0..WARM_QUERIES {
-        let job = client.submit(&req).expect("warm query");
-        hits += job.hits();
-    }
-    let warm_secs_per_query = (start.elapsed().as_secs_f64() / f64::from(WARM_QUERIES)).max(1e-12);
-    drop(client);
-    server.shutdown();
-
-    ServiceResult {
-        cells: req.cells(),
-        cold_secs,
-        warm_secs_per_query,
-        warm_speedup: cold_secs / warm_secs_per_query,
-        warm_hit_rate: hits as f64 / (req.cells() as f64 * f64::from(WARM_QUERIES)),
-    }
-}
-
 /// Renders the report. Each cell sits on its own line with a fixed key
 /// order, which is all the baseline parser below relies on.
 fn render_json(
@@ -233,7 +166,6 @@ fn render_json(
     jobs: Jobs,
     serial_secs: f64,
     parallel_secs: f64,
-    service: &ServiceResult,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -262,22 +194,11 @@ fn render_json(
     let _ = writeln!(
         s,
         "  \"matrix\": {{\"cells\": {}, \"serial_secs\": {:.3}, \"jobs\": {}, \
-         \"parallel_secs\": {:.3}}},",
+         \"parallel_secs\": {:.3}}}",
         cells.len(),
         serial_secs,
         jobs.get(),
         parallel_secs
-    );
-    let _ = writeln!(
-        s,
-        "  \"service_mode\": {{\"cells\": {}, \"cold_secs\": {:.3}, \
-         \"warm_queries\": {WARM_QUERIES}, \"warm_secs_per_query\": {:.6}, \
-         \"warm_speedup\": {:.1}, \"warm_hit_rate\": {:.4}}}",
-        service.cells,
-        service.cold_secs,
-        service.warm_secs_per_query,
-        service.warm_speedup,
-        service.warm_hit_rate
     );
     s.push_str("}\n");
     s
@@ -455,23 +376,7 @@ fn main() {
         o.jobs.get()
     );
 
-    // Sweep-as-a-service: one cold query, then a warm burst of the same
-    // matrix through the daemon's memo cache. The ratio is the product
-    // being measured — it must clear 50× on any host (cold pays for real
-    // simulation, warm pays for TCP round-trips and cache lookups only).
-    let service = time_service(&workloads, len, o.jobs);
-    println!(
-        "service: {} cells, cold {:.3} s, warm {:.6} s/query over {} repeats \
-         ({:.0}x speedup, hit rate {:.2})",
-        service.cells,
-        service.cold_secs,
-        service.warm_secs_per_query,
-        WARM_QUERIES,
-        service.warm_speedup,
-        service.warm_hit_rate
-    );
-
-    let json = render_json(len, &cells, o.jobs, serial_secs, parallel_secs, &service);
+    let json = render_json(len, &cells, o.jobs, serial_secs, parallel_secs);
     let out = resolve(&o.out);
     std::fs::write(&out, &json).expect("write BENCH_SIM.json");
     println!("wrote {}", out.display());
@@ -491,18 +396,6 @@ fn main() {
             }
             Err(e) => println!("baseline check skipped: cannot read {path}: {e}"),
         }
-    }
-    // The service-mode gate is a host-independent ratio, so it needs no
-    // baseline file: a warm (memoized) query must beat cold recomputation
-    // by at least 50x, and the warm burst must be pure hits.
-    const SERVICE_SPEEDUP_FLOOR: f64 = 50.0;
-    if service.warm_speedup < SERVICE_SPEEDUP_FLOOR || service.warm_hit_rate < 1.0 {
-        println!(
-            "service gate: warm speedup {:.1}x (floor {SERVICE_SPEEDUP_FLOOR}x), \
-             hit rate {:.2} (must be 1.00)",
-            service.warm_speedup, service.warm_hit_rate
-        );
-        gate_failed = true;
     }
     if o.gate && gate_failed {
         std::process::exit(1);

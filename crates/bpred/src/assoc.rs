@@ -1,7 +1,7 @@
 //! A generic set-associative table with true-LRU replacement, shared by the
 //! BTB, the FTB and the stream predictor.
 
-use smt_isa::{snap_mismatch, Diagnostic, Snap, SnapReader, SnapWriter};
+use smt_isa::{Diagnostic, Presized};
 
 /// One way of a set.
 #[derive(Clone, Debug)]
@@ -18,7 +18,7 @@ struct Way<E> {
 /// since index/tag splits differ between structures.
 #[derive(Clone, Debug)]
 pub struct SetAssoc<E> {
-    sets: Vec<Vec<Way<E>>>,
+    sets: Vec<Presized<Vec<Way<E>>>>,
     ways: usize,
     tick: u64,
     lookups: u64,
@@ -60,7 +60,7 @@ impl<E> SetAssoc<E> {
             ));
         }
         Ok(SetAssoc {
-            sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(),
+            sets: (0..num_sets).map(|_| Presized::vec(ways)).collect(),
             ways,
             tick: 0,
             lookups: 0,
@@ -160,58 +160,6 @@ impl<E> SetAssoc<E> {
     }
 }
 
-impl<E: Snap> SetAssoc<E> {
-    /// Serializes the full table contents and LRU/statistics state.
-    ///
-    /// Geometry (set count, associativity) is *not* written: it is derived
-    /// from configuration at construction time and checked on load.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.tick);
-        w.u64(self.lookups);
-        w.u64(self.hits);
-        for set in &self.sets {
-            w.usize(set.len());
-            for way in set {
-                w.u64(way.tag);
-                w.u64(way.lru);
-                way.entry.save(w);
-            }
-        }
-    }
-
-    /// Restores table contents saved by [`SetAssoc::save_state`] into a table
-    /// of identical geometry, preserving per-set capacity.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if a set's stored occupancy exceeds this table's associativity
-    /// (geometry mismatch) or the byte stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.tick = r.u64()?;
-        self.lookups = r.u64()?;
-        self.hits = r.u64()?;
-        let ways = self.ways;
-        for set in &mut self.sets {
-            let n = r.usize()?;
-            if n > ways {
-                return Err(snap_mismatch(
-                    "set-assoc occupancy",
-                    format!("snapshot holds {n} ways but the table has {ways}"),
-                ));
-            }
-            set.clear();
-            for _ in 0..n {
-                set.push(Way {
-                    tag: r.u64()?,
-                    lru: r.u64()?,
-                    entry: E::load(r)?,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,35 +240,6 @@ mod tests {
         t.lookup(0, 1);
         t.lookup(0, 2);
         assert_eq!(t.stats(), (2, 1));
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_contents_and_lru() {
-        let mut t: SetAssoc<u32> = SetAssoc::new(8, 4).unwrap();
-        for tag in 0..4 {
-            t.insert(0, tag, tag as u32);
-        }
-        t.lookup(0, 2);
-        t.insert(1, 9, 90);
-
-        let mut w = SnapWriter::new();
-        t.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh: SetAssoc<u32> = SetAssoc::new(8, 4).unwrap();
-        let mut r = SnapReader::new(&bytes);
-        fresh.load_state(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(fresh.stats(), t.stats());
-        assert_eq!(fresh.peek(0, 2), Some(&2));
-        assert_eq!(fresh.peek(1, 9), Some(&90));
-        // LRU state survives: evicting from set 0 must pick the same victim.
-        assert_eq!(fresh.insert(0, 77, 77), t.insert(0, 77, 77));
-
-        // Geometry mismatch (fewer ways than stored) is a diagnostic.
-        let mut narrow: SetAssoc<u32> = SetAssoc::new(4, 2).unwrap();
-        let err = narrow.load_state(&mut SnapReader::new(&bytes)).unwrap_err();
-        assert_eq!(err.code, "E0018");
     }
 
     #[test]

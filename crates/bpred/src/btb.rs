@@ -1,7 +1,7 @@
 //! Branch target buffer (Lee & Smith, 1984) — the classical fetch unit's
 //! target store.
 
-use smt_isa::{Addr, BranchKind, Diagnostic, Snap, SnapReader, SnapWriter};
+use smt_isa::{Addr, BranchKind, Diagnostic};
 
 use crate::assoc::SetAssoc;
 
@@ -12,20 +12,6 @@ pub struct BtbEntry {
     pub target: Addr,
     /// Branch flavour, as discovered at resolve time (drives RAS usage).
     pub kind: BranchKind,
-}
-
-impl Snap for BtbEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        self.target.save(w);
-        self.kind.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(BtbEntry {
-            target: Addr::load(r)?,
-            kind: BranchKind::load(r)?,
-        })
-    }
 }
 
 /// A set-associative branch target buffer, indexed and tagged by branch PC.
@@ -95,20 +81,6 @@ impl Btb {
     /// Approximate hardware budget in bytes (tag + target + kind ≈ 12 B).
     pub fn budget_bytes(&self) -> usize {
         self.entries() * 12
-    }
-
-    /// Serializes the table contents and statistics.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.table.save_state(w);
-    }
-
-    /// Restores state saved by [`Btb::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on geometry mismatch or a malformed byte stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.table.load_state(r)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Saturating counters — the basic state element of direction predictors.
 
-use smt_isa::{snap_mismatch, Diagnostic, Snap, SnapReader, SnapWriter};
+use smt_isa::Diagnostic;
 
 /// A 2-bit saturating counter.
 ///
@@ -53,23 +53,6 @@ impl TwoBit {
 impl Default for TwoBit {
     fn default() -> Self {
         TwoBit::WEAK_T
-    }
-}
-
-impl Snap for TwoBit {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u8(self.0);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        let state = r.u8()?;
-        if state > 3 {
-            return Err(snap_mismatch(
-                "two-bit counter",
-                format!("state {state} out of range 0..=3"),
-            ));
-        }
-        Ok(TwoBit(state))
     }
 }
 
@@ -172,37 +155,6 @@ impl CounterTable {
     pub fn storage_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
     }
-
-    /// Serializes the packed counter words.
-    ///
-    /// The entry count is written first and checked on load so a snapshot
-    /// taken under one geometry cannot silently restore into another.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.entries);
-        for word in &self.words {
-            w.u64(*word);
-        }
-    }
-
-    /// Restores counter state saved by [`CounterTable::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the stored entry count differs from this table's or the
-    /// byte stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        let entries = r.usize()?;
-        if entries != self.entries {
-            return Err(snap_mismatch(
-                "counter-table size",
-                format!("snapshot has {entries} entries, table has {}", self.entries),
-            ));
-        }
-        for word in &mut self.words {
-            *word = r.u64()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -291,37 +243,6 @@ mod tests {
         assert!(t.get(1).taken());
         // Index 2 wraps onto 0.
         assert_eq!(t.get(2), t.get(0));
-    }
-
-    #[test]
-    fn snapshot_round_trip_restores_every_counter() {
-        let mut t = CounterTable::new(64).unwrap();
-        t.update(5, false);
-        t.update(5, false);
-        t.update(40, true);
-        let mut w = SnapWriter::new();
-        t.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = CounterTable::new(64).unwrap();
-        let mut r = SnapReader::new(&bytes);
-        fresh.load_state(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        for i in 0..64 {
-            assert_eq!(fresh.get(i), t.get(i), "counter {i}");
-        }
-
-        let mut wrong = CounterTable::new(32).unwrap();
-        let err = wrong.load_state(&mut SnapReader::new(&bytes)).unwrap_err();
-        assert_eq!(err.code, "E0018");
-
-        let mut c = SnapWriter::new();
-        TwoBit::STRONG_T.save(&mut c);
-        c.u8(7); // invalid counter state
-        let counter_bytes = c.into_bytes();
-        let mut r = SnapReader::new(&counter_bytes);
-        assert_eq!(TwoBit::load(&mut r).unwrap(), TwoBit::STRONG_T);
-        assert_eq!(TwoBit::load(&mut r).unwrap_err().code, "E0018");
     }
 
     #[test]

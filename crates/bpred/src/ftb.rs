@@ -9,7 +9,7 @@
 //! paper §3.3). If an embedded branch is finally taken, the fetch was a
 //! misfetch; retraining splits the block.
 
-use smt_isa::{Addr, BranchKind, Diagnostic, Snap, SnapReader, SnapWriter};
+use smt_isa::{Addr, BranchKind, Diagnostic};
 
 use crate::assoc::SetAssoc;
 use crate::counters::TwoBit;
@@ -35,36 +35,6 @@ struct FtbEntry {
     /// weakened when it falls through; a dead entry is invalidated so the
     /// block can re-form at its longer extent.
     strength: TwoBit,
-}
-
-impl Snap for FtbEnd {
-    fn save(&self, w: &mut SnapWriter) {
-        self.kind.save(w);
-        self.target.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(FtbEnd {
-            kind: BranchKind::load(r)?,
-            target: Addr::load(r)?,
-        })
-    }
-}
-
-impl Snap for FtbEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.len);
-        self.end.save(w);
-        self.strength.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(FtbEntry {
-            len: r.u32()?,
-            end: Option::<FtbEnd>::load(r)?,
-            strength: TwoBit::load(r)?,
-        })
-    }
 }
 
 /// The prediction an FTB hit yields.
@@ -239,23 +209,6 @@ impl Ftb {
     /// Approximate hardware budget in bytes (tag + target + len + state ≈ 13 B).
     pub fn budget_bytes(&self) -> usize {
         self.entries() * 13
-    }
-
-    /// Serializes the table contents and misfetch-training count.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.table.save_state(w);
-        w.u64(self.misfetch_trains);
-    }
-
-    /// Restores state saved by [`Ftb::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on geometry mismatch or a malformed byte stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.table.load_state(r)?;
-        self.misfetch_trains = r.u64()?;
-        Ok(())
     }
 }
 

@@ -1,6 +1,6 @@
 //! The gshare conditional-branch direction predictor (McFarling, 1993).
 
-use smt_isa::{Addr, Diagnostic, SnapReader, SnapWriter};
+use smt_isa::{Addr, Diagnostic};
 
 use crate::counters::{CounterTable, TwoBit};
 use crate::history::GlobalHistory;
@@ -79,25 +79,6 @@ impl Gshare {
     pub fn budget_bytes(&self) -> usize {
         self.table.len() / 4
     }
-
-    /// Serializes the counter table and accuracy statistics.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.table.save_state(w);
-        w.u64(self.predictions);
-        w.u64(self.correct);
-    }
-
-    /// Restores state saved by [`Gshare::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on geometry mismatch or a malformed byte stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.table.load_state(r)?;
-        self.predictions = r.u64()?;
-        self.correct = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -165,29 +146,6 @@ mod tests {
         let g = Gshare::hpca2004();
         assert_eq!(g.entries(), 65536);
         assert_eq!(g.budget_bytes(), 16 * 1024);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_counters_and_stats() {
-        use smt_isa::{SnapReader, SnapWriter};
-        let mut g = Gshare::new(256).unwrap();
-        let h = hist(0b1011_0110, 10);
-        for i in 0..40u64 {
-            let pc = Addr::new(0x100 + (i % 7) * 4);
-            let _ = g.predict(pc, h);
-            g.update(pc, h, i % 3 == 0);
-        }
-        let mut w = SnapWriter::new();
-        g.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = Gshare::new(256).unwrap();
-        fresh.load_state(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(fresh.stats(), g.stats());
-        for i in 0..7u64 {
-            let pc = Addr::new(0x100 + i * 4);
-            assert_eq!(fresh.counter(pc, h), g.counter(pc, h));
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The gskew conditional-branch direction predictor
 //! (Michaud, Seznec & Uhlig, ISCA 1997).
 
-use smt_isa::{Addr, Diagnostic, SnapReader, SnapWriter};
+use smt_isa::{Addr, Diagnostic};
 
 use crate::counters::{CounterTable, TwoBit};
 use crate::history::GlobalHistory;
@@ -199,29 +199,6 @@ impl Gskew {
     /// Hardware budget in bytes (2 bits per entry).
     pub fn budget_bytes(&self) -> usize {
         self.entries() / 4
-    }
-
-    /// Serializes all three counter banks and accuracy statistics.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for bank in &self.banks {
-            bank.save_state(w);
-        }
-        w.u64(self.predictions);
-        w.u64(self.correct);
-    }
-
-    /// Restores state saved by [`Gskew::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on geometry mismatch or a malformed byte stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        for bank in &mut self.banks {
-            bank.load_state(r)?;
-        }
-        self.predictions = r.u64()?;
-        self.correct = r.u64()?;
-        Ok(())
     }
 }
 

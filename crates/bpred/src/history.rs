@@ -6,8 +6,6 @@
 //! be restored on a misprediction; [`GlobalHistory`] is a plain value type,
 //! so a checkpoint is just a copy.
 
-use smt_isa::{snap_mismatch, Diagnostic, Snap, SnapReader, SnapWriter};
-
 /// A global branch-history register of up to 64 bits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct GlobalHistory {
@@ -60,63 +58,9 @@ impl GlobalHistory {
     }
 }
 
-impl Snap for GlobalHistory {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.bits);
-        w.u32(self.len);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        let bits = r.u64()?;
-        let len = r.u32()?;
-        if !(1..=64).contains(&len) {
-            return Err(snap_mismatch(
-                "global history",
-                format!("history length {len} out of range 1..=64"),
-            ));
-        }
-        let mask = if len == 64 {
-            u64::MAX
-        } else {
-            (1u64 << len) - 1
-        };
-        if bits & !mask != 0 {
-            return Err(snap_mismatch(
-                "global history",
-                format!("history bits {bits:#x} exceed the {len}-bit register"),
-            ));
-        }
-        Ok(GlobalHistory { bits, len })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_round_trip_and_validation() {
-        let mut h = GlobalHistory::new(12);
-        h.push(true);
-        h.push(false);
-        h.push(true);
-        let mut w = SnapWriter::new();
-        h.save(&mut w);
-        let back = GlobalHistory::load(&mut SnapReader::new(&w.into_bytes())).unwrap();
-        assert_eq!(back, h);
-
-        let mut bad = SnapWriter::new();
-        bad.u64(0xFF); // bits exceed a 4-bit register
-        bad.u32(4);
-        let err = GlobalHistory::load(&mut SnapReader::new(&bad.into_bytes())).unwrap_err();
-        assert_eq!(err.code, "E0018");
-
-        let mut zero = SnapWriter::new();
-        zero.u64(0);
-        zero.u32(0);
-        let err = GlobalHistory::load(&mut SnapReader::new(&zero.into_bytes())).unwrap_err();
-        assert_eq!(err.code, "E0018");
-    }
 
     #[test]
     fn push_shifts_and_masks() {

@@ -1,6 +1,6 @@
 //! Return address stack with low-cost misspeculation repair.
 
-use smt_isa::{snap_mismatch, Addr, Diagnostic, Snap, SnapReader, SnapWriter};
+use smt_isa::{Addr, Diagnostic};
 
 /// A circular return-address stack, one per hardware thread (Table 3 marks
 /// the 64-entry RAS as replicated per thread).
@@ -28,22 +28,6 @@ pub struct RasCheckpoint {
     top: usize,
     depth: usize,
     top_value: Addr,
-}
-
-impl Snap for RasCheckpoint {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.top);
-        w.usize(self.depth);
-        self.top_value.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(RasCheckpoint {
-            top: r.usize()?,
-            depth: r.usize()?,
-            top_value: Addr::load(r)?,
-        })
-    }
 }
 
 impl ReturnStack {
@@ -138,54 +122,6 @@ impl ReturnStack {
     pub fn stats(&self) -> (u64, u64) {
         (self.pushes, self.pops)
     }
-
-    /// Serializes every entry (stale circular slots included, so a restored
-    /// stack re-snapshots byte-identically) plus top/depth and statistics.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.entries.len());
-        for e in &self.entries {
-            e.save(w);
-        }
-        w.usize(self.top);
-        w.usize(self.depth);
-        w.u64(self.pushes);
-        w.u64(self.pops);
-    }
-
-    /// Restores state saved by [`ReturnStack::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the stored capacity differs from this stack's, the stored
-    /// indices are out of range, or the byte stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        let cap = r.usize()?;
-        if cap != self.entries.len() {
-            return Err(snap_mismatch(
-                "ras capacity",
-                format!(
-                    "snapshot has {cap} entries, stack has {}",
-                    self.entries.len()
-                ),
-            ));
-        }
-        for e in &mut self.entries {
-            *e = Addr::load(r)?;
-        }
-        let top = r.usize()?;
-        let depth = r.usize()?;
-        if top >= cap || depth > cap {
-            return Err(snap_mismatch(
-                "ras cursor",
-                format!("top {top} / depth {depth} out of range for capacity {cap}"),
-            ));
-        }
-        self.top = top;
-        self.depth = depth;
-        self.pushes = r.u64()?;
-        self.pops = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -252,44 +188,6 @@ mod tests {
         s.restore(ckpt);
         assert_eq!(s.peek(), Some(Addr::new(0x42)));
         assert_eq!(s.depth(), 1);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_stack_and_checkpoints() {
-        let mut s = ReturnStack::new(4).unwrap();
-        for i in 1..=6u64 {
-            s.push(Addr::new(i * 0x10)); // wraps: stale slots retained
-        }
-        let _ = s.pop();
-        let ckpt = s.checkpoint();
-
-        let mut w = SnapWriter::new();
-        s.save_state(&mut w);
-        ckpt.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = ReturnStack::new(4).unwrap();
-        let mut r = SnapReader::new(&bytes);
-        fresh.load_state(&mut r).unwrap();
-        let ckpt_back = RasCheckpoint::load(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(ckpt_back, ckpt);
-        assert_eq!(fresh.stats(), s.stats());
-        assert_eq!(fresh.depth(), s.depth());
-        // Identical pop sequence, including stale-slot behaviour.
-        for _ in 0..5 {
-            assert_eq!(fresh.pop(), s.pop());
-        }
-        // Re-snapshot is byte-identical (stale slots serialized too).
-        let mut w2 = SnapWriter::new();
-        fresh.save_state(&mut w2);
-        let mut w3 = SnapWriter::new();
-        s.save_state(&mut w3);
-        assert_eq!(w2.into_bytes(), w3.into_bytes());
-
-        let mut wrong = ReturnStack::new(8).unwrap();
-        let err = wrong.load_state(&mut SnapReader::new(&bytes)).unwrap_err();
-        assert_eq!(err.code, "E0018");
     }
 
     #[test]

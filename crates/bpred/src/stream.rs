@@ -14,7 +14,7 @@
 //! (Depth-Older-Last-Current = 16-2-4-10). The second level is allocated
 //! only when the first level mispredicts, and wins on a hit.
 
-use smt_isa::{snap_mismatch, Addr, BranchKind, Diagnostic, Snap, SnapReader, SnapWriter};
+use smt_isa::{Addr, BranchKind, Diagnostic};
 
 use crate::assoc::SetAssoc;
 use crate::counters::TwoBit;
@@ -107,30 +107,6 @@ impl Default for StreamPath {
     }
 }
 
-impl Snap for StreamPath {
-    fn save(&self, w: &mut SnapWriter) {
-        for v in &self.ring {
-            w.u32(*v);
-        }
-        w.u8(self.pos);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        let mut ring = [0u32; MAX_DEPTH];
-        for v in &mut ring {
-            *v = r.u32()?;
-        }
-        let pos = r.u8()?;
-        if pos as usize >= MAX_DEPTH {
-            return Err(snap_mismatch(
-                "stream path",
-                format!("ring position {pos} out of range 0..{MAX_DEPTH}"),
-            ));
-        }
-        Ok(StreamPath { ring, pos })
-    }
-}
-
 /// The taken branch ending a stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamEnd {
@@ -149,36 +125,6 @@ struct StreamEntry {
     end: Option<StreamEnd>,
     /// Replacement hysteresis.
     hyst: TwoBit,
-}
-
-impl Snap for StreamEnd {
-    fn save(&self, w: &mut SnapWriter) {
-        self.kind.save(w);
-        self.target.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(StreamEnd {
-            kind: BranchKind::load(r)?,
-            target: Addr::load(r)?,
-        })
-    }
-}
-
-impl Snap for StreamEntry {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.len);
-        self.end.save(w);
-        self.hyst.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(StreamEntry {
-            len: r.u32()?,
-            end: Option::<StreamEnd>::load(r)?,
-            hyst: TwoBit::load(r)?,
-        })
-    }
 }
 
 /// The prediction a stream-table hit yields.
@@ -392,28 +338,6 @@ impl StreamPredictor {
     pub fn budget_bytes(&self) -> usize {
         (self.l1.num_sets() * self.l1.ways() + self.l2.num_sets() * self.l2.ways()) * 13
     }
-
-    /// Serializes both table levels and the L2 allocation count.
-    ///
-    /// DOLC parameters and the stream cap are configuration, not state, and
-    /// are not written.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.l1.save_state(w);
-        self.l2.save_state(w);
-        w.u64(self.l2_allocs);
-    }
-
-    /// Restores state saved by [`StreamPredictor::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on geometry mismatch or a malformed byte stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.l1.load_state(r)?;
-        self.l2.load_state(r)?;
-        self.l2_allocs = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -535,36 +459,6 @@ mod tests {
             p1.dolc_hash(Addr::new(0x4000), dolc),
             p2.dolc_hash(Addr::new(0x4000), dolc)
         );
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_both_levels_and_path() {
-        let mut sp = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64).unwrap();
-        let mut path = StreamPath::new();
-        for i in 0..20u64 {
-            path.push(Addr::new(0x1000 + i * 52));
-            sp.train(
-                Addr::new(0x1000 + (i % 5) * 0x40),
-                &path,
-                obs(8 + (i % 3) as u32, 0x2000 + i * 4),
-            );
-        }
-        let mut w = SnapWriter::new();
-        sp.save_state(&mut w);
-        path.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64).unwrap();
-        let mut r = SnapReader::new(&bytes);
-        fresh.load_state(&mut r).unwrap();
-        let path_back = StreamPath::load(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(path_back, path);
-        assert_eq!(fresh.stats(), sp.stats());
-        for i in 0..5u64 {
-            let start = Addr::new(0x1000 + i * 0x40);
-            assert_eq!(fresh.predict(start, &path), sp.predict(start, &path));
-        }
     }
 
     #[test]

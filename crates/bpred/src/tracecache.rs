@@ -14,9 +14,7 @@
 //! of its conditional branches so that lookups can select the way whose
 //! directions agree with the current multiple-branch prediction.
 
-use smt_isa::{
-    load_vec_into, save_vec, Addr, BranchKind, Diagnostic, Snap, SnapReader, SnapWriter,
-};
+use smt_isa::{Addr, BranchKind, Diagnostic};
 
 use crate::assoc::SetAssoc;
 
@@ -69,44 +67,6 @@ impl Trace {
     /// Panics if the trace is empty.
     pub fn start(&self) -> Addr {
         self.segments[0].start
-    }
-}
-
-impl Snap for TraceSegment {
-    fn save(&self, w: &mut SnapWriter) {
-        self.start.save(w);
-        w.u32(self.len);
-        self.end_kind.save(w);
-        w.bool(self.end_taken);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(TraceSegment {
-            start: Addr::load(r)?,
-            len: r.u32()?,
-            end_kind: Option::<BranchKind>::load(r)?,
-            end_taken: r.bool()?,
-        })
-    }
-}
-
-impl Snap for Trace {
-    fn save(&self, w: &mut SnapWriter) {
-        save_vec(w, &self.segments);
-        save_vec(w, &self.cond_dirs);
-        self.next_pc.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        let mut segments = Vec::new();
-        load_vec_into(r, &mut segments)?;
-        let mut cond_dirs = Vec::new();
-        load_vec_into(r, &mut cond_dirs)?;
-        Ok(Trace {
-            segments,
-            cond_dirs,
-            next_pc: Addr::load(r)?,
-        })
     }
 }
 
@@ -204,30 +164,6 @@ impl TraceCache {
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.lookups, self.hits, self.fills)
     }
-
-    /// Serializes the stored traces and hit/fill statistics.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.table.save_state(w);
-        w.u64(self.hits);
-        w.u64(self.lookups);
-        w.u64(self.fills);
-    }
-
-    /// Restores state saved by [`TraceCache::save_state`] in place.
-    ///
-    /// Trace payloads own heap storage, so restoring a trace cache may
-    /// allocate; only the resumed simulation loop is allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on geometry mismatch or a malformed byte stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.table.load_state(r)?;
-        self.hits = r.u64()?;
-        self.lookups = r.u64()?;
-        self.fills = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -304,28 +240,6 @@ mod tests {
         assert!(tc.lookup(Addr::new(0x1000), &[true, false]).is_none());
         let (_, _, fills) = tc.stats();
         assert_eq!(fills, 0);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_traces() {
-        let mut tc = TraceCache::new(64, 4).unwrap();
-        tc.fill(two_segment_trace());
-        let _ = tc.lookup(Addr::new(0x1000), &[true, false]);
-        let _ = tc.lookup(Addr::new(0x5000), &[]);
-
-        let mut w = SnapWriter::new();
-        tc.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = TraceCache::new(64, 4).unwrap();
-        let mut r = SnapReader::new(&bytes);
-        fresh.load_state(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(fresh.stats(), tc.stats());
-        assert_eq!(
-            fresh.lookup(Addr::new(0x1000), &[true, false]),
-            Some(two_segment_trace())
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The baseline gshare+BTB front-end: one basic block per cycle.
 
 use smt_bpred::{Btb, GlobalHistory, Gshare};
-use smt_isa::{Addr, Diagnostic, DynInst, SnapReader, SnapWriter, ThreadId};
+use smt_isa::{Addr, Diagnostic, DynInst, ThreadId};
 use smt_workloads::Program;
 
 use crate::config::{FetchEngineKind, SimConfig};
@@ -34,22 +34,6 @@ impl GshareBtb {
             gshare: Gshare::new(p.gshare_entries).map_err(scoped)?,
             btb: Btb::new(p.btb_entries, p.btb_ways).map_err(scoped)?,
         })
-    }
-
-    /// Serializes the predictor tables (gshare counters, BTB contents).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.gshare.save_state(w);
-        self.btb.save_state(w);
-    }
-
-    /// Restores state saved by [`GshareBtb::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on table-geometry mismatch or a malformed stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.gshare.load_state(r)?;
-        self.btb.load_state(r)
     }
 }
 

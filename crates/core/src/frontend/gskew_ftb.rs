@@ -2,9 +2,7 @@
 //! never-taken branches.
 
 use smt_bpred::{Ftb, GlobalHistory, Gskew, ObservedEnd};
-use smt_isa::{
-    Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, SnapReader, SnapWriter, ThreadId,
-};
+use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
 use smt_workloads::Program;
 
 use crate::config::{FetchEngineKind, SimConfig};
@@ -37,22 +35,6 @@ impl GskewFtb {
             gskew: Gskew::new(p.gskew_entries_per_bank).map_err(scoped)?,
             ftb: Ftb::new(p.ftb_entries, p.ftb_ways, cfg.max_ftb_block).map_err(scoped)?,
         })
-    }
-
-    /// Serializes the predictor tables (gskew banks, FTB contents).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.gskew.save_state(w);
-        self.ftb.save_state(w);
-    }
-
-    /// Restores state saved by [`GskewFtb::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on table-geometry mismatch or a malformed stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.gskew.load_state(r)?;
-        self.ftb.load_state(r)
     }
 }
 

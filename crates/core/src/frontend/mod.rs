@@ -38,10 +38,7 @@ pub use trace_cache::{TraceCache, TraceFillBuffer};
 use smt_bpred::{
     Btb, GlobalHistory, Gshare, ObservedStream, RasCheckpoint, ReturnStack, StreamPath,
 };
-use smt_isa::{
-    Addr, BranchKind, Cycle, Diagnostic, DynInst, EndBranch, FetchBlock, Snap, SnapReader,
-    SnapWriter, ThreadId,
-};
+use smt_isa::{Addr, BranchKind, Cycle, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
 use smt_workloads::Program;
 
 use std::collections::VecDeque;
@@ -75,29 +72,6 @@ impl SpecState {
             stream_start: entry,
         }
     }
-
-    /// Serializes the speculative registers (history, RAS, path, stream
-    /// start).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.hist.save(w);
-        self.ras.save_state(w);
-        self.path.save(w);
-        self.stream_start.save(w);
-    }
-
-    /// Restores state saved by [`SpecState::save_state`] in place,
-    /// preserving the RAS's allocated capacity.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the RAS capacity differs or the stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.hist = GlobalHistory::load(r)?;
-        self.ras.load_state(r)?;
-        self.path = StreamPath::load(r)?;
-        self.stream_start = Addr::load(r)?;
-        Ok(())
-    }
 }
 
 /// Checkpoints captured when a block is predicted, used to repair the
@@ -124,23 +98,6 @@ impl BlockMeta {
             path: spec.path,
             stream_start: spec.stream_start,
         }
-    }
-}
-
-impl Snap for BlockMeta {
-    fn save(&self, w: &mut SnapWriter) {
-        self.hist.save(w);
-        self.ras.save(w);
-        self.path.save(w);
-        self.stream_start.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(BlockMeta {
-            hist: GlobalHistory::load(r)?,
-            ras: RasCheckpoint::load(r)?,
-            path: StreamPath::load(r)?,
-            stream_start: Addr::load(r)?,
-        })
     }
 }
 
@@ -172,27 +129,6 @@ pub struct BranchInfo {
     pub decode_redirect: bool,
 }
 
-impl Snap for BranchInfo {
-    fn save(&self, w: &mut SnapWriter) {
-        self.block_start.save(w);
-        w.bool(self.is_end);
-        w.bool(self.spec_taken);
-        self.spec_next.save(w);
-        w.bool(self.mispredicted);
-        w.bool(self.decode_redirect);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(BranchInfo {
-            block_start: Addr::load(r)?,
-            is_end: r.bool()?,
-            spec_taken: r.bool()?,
-            spec_next: Addr::load(r)?,
-            mispredicted: r.bool()?,
-            decode_redirect: r.bool()?,
-        })
-    }
-}
-
 /// A predicted fetch block plus its recovery metadata. `Copy` so the FTQ and
 /// fetch stage move blocks by value, allocation-free.
 #[derive(Clone, Copy, Debug)]
@@ -205,21 +141,6 @@ pub struct PredictedBlock {
     /// stage may consume them in one cycle without I-cache accesses (the
     /// trace cache stores the instructions itself).
     pub trace_group: Option<u64>,
-}
-
-impl Snap for PredictedBlock {
-    fn save(&self, w: &mut SnapWriter) {
-        self.block.save(w);
-        self.meta.save(w);
-        self.trace_group.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(PredictedBlock {
-            block: FetchBlock::load(r)?,
-            meta: BlockMeta::load(r)?,
-            trace_group: Option::<u64>::load(r)?,
-        })
-    }
 }
 
 /// The contract between a fetch engine and the pipeline.
@@ -577,60 +498,6 @@ impl AnyFrontEnd {
     /// [`AnyFrontEnd::build`] for configurations that are not known-good.
     pub fn hpca2004(kind: FetchEngineKind, cfg: &SimConfig) -> Self {
         AnyFrontEnd::build(kind, cfg).expect("Table 3 geometry is valid") // lint:allow(no-panic): documented-panic preset; Table 3 geometry is valid
-    }
-
-    /// The stable one-byte snapshot tag for each engine (never renumbered).
-    pub fn snapshot_tag(kind: FetchEngineKind) -> u8 {
-        match kind {
-            FetchEngineKind::GshareBtb => 0,
-            FetchEngineKind::GskewFtb => 1,
-            FetchEngineKind::Stream => 2,
-            FetchEngineKind::TraceCache => 3,
-        }
-    }
-
-    /// The engine kind for a snapshot tag written by
-    /// [`AnyFrontEnd::snapshot_tag`].
-    ///
-    /// # Errors
-    ///
-    /// `E0018` for an unknown tag.
-    pub fn kind_from_snapshot_tag(tag: u8) -> Result<FetchEngineKind, Diagnostic> {
-        match tag {
-            0 => Ok(FetchEngineKind::GshareBtb),
-            1 => Ok(FetchEngineKind::GskewFtb),
-            2 => Ok(FetchEngineKind::Stream),
-            3 => Ok(FetchEngineKind::TraceCache),
-            t => Err(smt_isa::snap_mismatch(
-                "engine tag",
-                format!("unknown fetch-engine tag {t}"),
-            )),
-        }
-    }
-
-    /// Serializes the engine's predictor tables and statistics.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            AnyFrontEnd::GshareBtb(e) => e.save_state(w),
-            AnyFrontEnd::GskewFtb(e) => e.save_state(w),
-            AnyFrontEnd::Stream(e) => e.save_state(w),
-            AnyFrontEnd::TraceCache(e) => e.save_state(w),
-        }
-    }
-
-    /// Restores state saved by [`AnyFrontEnd::save_state`] in place,
-    /// preserving every table's configuration-derived geometry.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on any geometry mismatch or malformed stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        match self {
-            AnyFrontEnd::GshareBtb(e) => e.load_state(r),
-            AnyFrontEnd::GskewFtb(e) => e.load_state(r),
-            AnyFrontEnd::Stream(e) => e.load_state(r),
-            AnyFrontEnd::TraceCache(e) => e.load_state(r),
-        }
     }
 }
 

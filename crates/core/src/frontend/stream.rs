@@ -2,9 +2,7 @@
 //! direction predictor.
 
 use smt_bpred::{GlobalHistory, ObservedStream, StreamPath, StreamPredictor};
-use smt_isa::{
-    Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, SnapReader, SnapWriter, ThreadId,
-};
+use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
 use smt_workloads::Program;
 
 use crate::config::{FetchEngineKind, SimConfig};
@@ -42,20 +40,6 @@ impl Stream {
             )
             .map_err(scoped)?,
         })
-    }
-
-    /// Serializes both cascade levels of the stream predictor.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.predictor.save_state(w);
-    }
-
-    /// Restores state saved by [`Stream::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on table-geometry mismatch or a malformed stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.predictor.load_state(r)
     }
 }
 

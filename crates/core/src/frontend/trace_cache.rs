@@ -2,10 +2,7 @@
 //! a gshare+BTB core fetch unit, with a commit-side fill unit.
 
 use smt_bpred::{Btb, GlobalHistory, Gshare, Trace, TraceCache as TraceStore, TraceSegment};
-use smt_isa::{
-    Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, InstClass, Snap, SnapReader,
-    SnapWriter, ThreadId,
-};
+use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, InstClass, ThreadId};
 use smt_workloads::Program;
 
 use std::collections::VecDeque;
@@ -39,41 +36,6 @@ impl TraceFillBuffer {
     /// Whether the buffer holds nothing.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Serializes the buffered instructions and close-condition counters.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.entries.len());
-        for (pc, class, taken, next_pc) in &self.entries {
-            pc.save(w);
-            class.save(w);
-            w.bool(*taken);
-            next_pc.save(w);
-        }
-        w.u64(self.start_hist);
-        w.u32(self.taken_branches);
-    }
-
-    /// Restores state saved by [`TraceFillBuffer::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the byte stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        let n = r.usize()?;
-        self.entries.clear();
-        self.entries
-            .reserve(n.saturating_sub(self.entries.capacity()));
-        for _ in 0..n {
-            let pc = Addr::load(r)?;
-            let class = InstClass::load(r)?;
-            let taken = r.bool()?;
-            let next_pc = Addr::load(r)?;
-            self.entries.push((pc, class, taken, next_pc));
-        }
-        self.start_hist = r.u64()?;
-        self.taken_branches = r.u32()?;
-        Ok(())
     }
 }
 
@@ -115,30 +77,6 @@ impl TraceCache {
             btb: Btb::new(p.btb_entries, p.btb_ways).map_err(scoped)?,
             next_group: 1,
         })
-    }
-
-    /// Serializes the trace store, both gshare instances, the BTB, and the
-    /// group-id counter.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.tc.save_state(w);
-        self.multi.save_state(w);
-        self.gshare.save_state(w);
-        self.btb.save_state(w);
-        w.u64(self.next_group);
-    }
-
-    /// Restores state saved by [`TraceCache::save_state`] in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on table-geometry mismatch or a malformed stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.tc.load_state(r)?;
-        self.multi.load_state(r)?;
-        self.gshare.load_state(r)?;
-        self.btb.load_state(r)?;
-        self.next_group = r.u64()?;
-        Ok(())
     }
 
     /// Trace prediction: way-select by the multiple-branch direction

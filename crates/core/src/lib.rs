@@ -35,17 +35,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cellkey;
 mod config;
 mod frontend;
 mod metrics;
 mod pipeline;
 mod sim;
-mod snapshot;
 mod thread;
 mod window;
 
-pub use cellkey::CellKey;
 pub use config::{
     FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, PredictorConfig, SimConfig,
 };
@@ -57,6 +54,5 @@ pub use metrics::StallBreakdown;
 pub use metrics::{FetchDistribution, SimStats};
 pub use sim::{BuildError, SimBuilder, Simulator};
 pub use smt_isa::{has_errors, Diagnostic, Severity};
-pub use snapshot::{config_hash, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use thread::ThreadState;
 pub use window::{InFlightCtl, PhysReg, Window};

@@ -1,13 +1,7 @@
 //! Simulation statistics: the paper's two headline metrics plus the
 //! distributions quoted in §3.1/§3.2.
 
-use smt_isa::{snap_mismatch, Diagnostic, Snap, SnapReader, SnapWriter, MAX_THREADS};
-
-/// Marks the start of the per-reason skip-counter section in serialized
-/// [`SimStats`] (ASCII "SKIP"). Snapshots written before the event-driven
-/// scheduler lack the section; the tag turns a silent field-offset drift
-/// into an explicit `E0018` diagnostic.
-const SKIP_SECTION_TAG: u32 = 0x534b_4950;
+use smt_isa::MAX_THREADS;
 
 /// Histogram of instructions delivered per fetch cycle (0 ..= 16).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -51,39 +45,6 @@ impl FetchDistribution {
             return 0.0;
         }
         self.buckets.get(n as usize).copied().unwrap_or(0) as f64 / total as f64
-    }
-
-    /// Serializes the histogram (bucket count prefix, then the buckets).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.buckets.len());
-        for b in &self.buckets {
-            w.u64(*b);
-        }
-    }
-
-    /// Restores a histogram saved by [`FetchDistribution::save_state`] in
-    /// place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the stored bucket count differs from this histogram's
-    /// (the fetch width is configuration-derived) or the stream is
-    /// malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        let n = r.usize()?;
-        if n != self.buckets.len() {
-            return Err(snap_mismatch(
-                "fetch-distribution width",
-                format!(
-                    "snapshot has {n} buckets, histogram has {}",
-                    self.buckets.len()
-                ),
-            ));
-        }
-        for b in &mut self.buckets {
-            *b = r.u64()?;
-        }
-        Ok(())
     }
 }
 
@@ -133,44 +94,13 @@ impl StallBreakdown {
     pub fn stalled(&self, tid: usize) -> u64 {
         self.total(tid) - self.residual[tid]
     }
-
-    /// Serializes every bucket array, in declaration order.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for arr in [
-            &self.icache_miss,
-            &self.bank_conflict,
-            &self.fetch_starved,
-            &self.rob_full,
-            &self.issue_width,
-            &self.dcache_miss,
-            &self.residual,
-        ] {
-            arr.save(w);
-        }
-    }
-
-    /// Restores a breakdown saved by [`StallBreakdown::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the byte stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.icache_miss = Snap::load(r)?;
-        self.bank_conflict = Snap::load(r)?;
-        self.fetch_starved = Snap::load(r)?;
-        self.rob_full = Snap::load(r)?;
-        self.issue_width = Snap::load(r)?;
-        self.dcache_miss = Snap::load(r)?;
-        self.residual = Snap::load(r)?;
-        Ok(())
-    }
 }
 
 /// Aggregated statistics of one simulation run.
 ///
 /// Passive data record (public fields by design); produced by the simulator,
 /// consumed by the experiment harness. Every field is an integer counter, so
-/// equality is exact — the determinism tests compare whole snapshots with
+/// equality is exact — the determinism tests compare whole `SimStats` values with
 /// `==` to assert that reruns (serial or on different sweep workers) are
 /// bit-identical.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -281,70 +211,6 @@ impl SimStats {
         }
         self.fetched_wrong_path as f64 / self.fetched as f64
     }
-
-    /// Serializes every counter, in declaration order.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.cycles);
-        w.u64(self.fetch_cycles);
-        w.u64(self.fetched);
-        w.u64(self.fetched_wrong_path);
-        self.committed.save(w);
-        w.u64(self.squashed);
-        w.u64(self.cond_branches);
-        w.u64(self.cond_mispredicts);
-        w.u64(self.control_mispredicts);
-        w.u64(self.blocks_predicted);
-        w.u64(self.fetch_buffer_stalls);
-        w.u64(self.bank_conflicts);
-        self.distribution.save_state(w);
-        w.u64(self.hist_mismatches);
-        w.u64(self.flushes);
-        self.stalls.save_state(w);
-        w.u32(SKIP_SECTION_TAG);
-        w.u64(self.skip_mem_wait);
-        w.u64(self.skip_issue_wait);
-        w.u64(self.skip_ftq_wait);
-        w.u64(self.skip_policy_idle);
-    }
-
-    /// Restores statistics saved by [`SimStats::save_state`] in place,
-    /// preserving the histogram's configuration-derived width.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the histogram width differs or the stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.cycles = r.u64()?;
-        self.fetch_cycles = r.u64()?;
-        self.fetched = r.u64()?;
-        self.fetched_wrong_path = r.u64()?;
-        self.committed = Snap::load(r)?;
-        self.squashed = r.u64()?;
-        self.cond_branches = r.u64()?;
-        self.cond_mispredicts = r.u64()?;
-        self.control_mispredicts = r.u64()?;
-        self.blocks_predicted = r.u64()?;
-        self.fetch_buffer_stalls = r.u64()?;
-        self.bank_conflicts = r.u64()?;
-        self.distribution.load_state(r)?;
-        self.hist_mismatches = r.u64()?;
-        self.flushes = r.u64()?;
-        self.stalls.load_state(r)?;
-        let tag = r.u32()?;
-        if tag != SKIP_SECTION_TAG {
-            return Err(snap_mismatch(
-                "skip counters",
-                format!(
-                    "expected skip-counter section tag {SKIP_SECTION_TAG:#010x}, found {tag:#010x}"
-                ),
-            ));
-        }
-        self.skip_mem_wait = r.u64()?;
-        self.skip_issue_wait = r.u64()?;
-        self.skip_ftq_wait = r.u64()?;
-        self.skip_policy_idle = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -392,63 +258,6 @@ mod tests {
         let mut d = FetchDistribution::new(8);
         d.record(12); // clamped into the top bucket
         assert!((d.frac_exactly(8) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_round_trip_is_exact() {
-        let mut s = SimStats::new(8);
-        s.cycles = 123;
-        s.fetch_cycles = 99;
-        s.fetched = 456;
-        s.committed[0] = 7;
-        s.committed[3] = 11;
-        s.distribution.record(4);
-        s.distribution.record(8);
-        s.stalls.icache_miss[1] = 17;
-        s.stalls.residual[0] = 106;
-        s.skip_mem_wait = 2;
-        s.skip_issue_wait = 3;
-        s.skip_ftq_wait = 5;
-        s.skip_policy_idle = 7;
-        assert_eq!(s.skipped_cycles(), 17);
-        let mut w = SnapWriter::new();
-        s.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = SimStats::new(8);
-        let mut r = SnapReader::new(&bytes);
-        fresh.load_state(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(fresh, s, "integer stats must restore bit-exactly");
-
-        // A histogram built for a different fetch width is a geometry error.
-        let mut wrong = SimStats::new(16);
-        let err = wrong.load_state(&mut SnapReader::new(&bytes)).unwrap_err();
-        assert_eq!(err.code, "E0018");
-    }
-
-    #[test]
-    fn missing_skip_section_is_a_mismatch() {
-        // A pre-scheduler stream that ends at the stall breakdown (as v1
-        // snapshots did, modulo the old single `ff_cycles` word) must fail
-        // with an explicit diagnostic, not a misaligned read.
-        let s = SimStats::new(8);
-        let mut w = SnapWriter::new();
-        s.save_state(&mut w);
-        let mut bytes = w.into_bytes();
-        let tail = bytes.len() - 4 * 8; // keep the (corrupted) tag word
-        bytes.truncate(tail);
-        let tag_at = bytes.len() - 4;
-        bytes[tag_at..].copy_from_slice(&0xdead_beef_u32.to_le_bytes());
-
-        let err = SimStats::new(8)
-            .load_state(&mut SnapReader::new(&bytes))
-            .unwrap_err();
-        assert_eq!(err.code, "E0018");
-        assert!(
-            format!("{err}").contains("skip counters"),
-            "diagnostic names the skip-counter section: {err}"
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 // built, these are genuine internal invariants, not input errors.
 // lint:allow-file(no-panic): stage-protocol invariants; violations must abort the simulation
 
-use smt_isa::{RegClass, MAX_THREADS};
+use smt_isa::{Presized, RegClass, MAX_THREADS};
 
 use super::sched::EventHorizon;
 use super::{IqEntry, PipelineCtx, PipelineStage, STALL_ROB_FULL};
@@ -91,13 +91,13 @@ impl PipelineStage for RenameStage {
 pub(crate) struct DispatchStage {
     /// Reusable scratch holding the entries kept in the latch this cycle
     /// (stalled or not yet aged). Capacity never grows past the latch bound.
-    scratch: Vec<super::LatchEntry>,
+    scratch: Presized<Vec<super::LatchEntry>>,
 }
 
 impl DispatchStage {
     pub(crate) fn new(decode_width: usize) -> Self {
         DispatchStage {
-            scratch: Vec::with_capacity(decode_width),
+            scratch: Presized::vec(decode_width),
         }
     }
 }
@@ -223,7 +223,7 @@ impl PipelineStage for DispatchStage {
     /// other stages acting, so dispatch reports no self-scheduled events.
     fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
         let mut stalled = [false; MAX_THREADS];
-        for e in &ctx.rename_latch {
+        for e in ctx.rename_latch.iter() {
             if stalled[e.tid] {
                 continue;
             }

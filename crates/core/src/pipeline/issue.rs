@@ -8,7 +8,7 @@
 // built, these are genuine internal invariants, not input errors.
 // lint:allow-file(no-panic): stage-protocol invariants; violations must abort the simulation
 
-use smt_isa::InstClass;
+use smt_isa::{InstClass, Presized};
 use smt_mem::DataOutcome;
 
 use crate::config::LongLatencyAction;
@@ -23,13 +23,13 @@ use super::{PipelineCtx, PipelineStage, LONG_LATENCY, STALL_ISSUE_WIDTH};
 pub(crate) struct IssueStage {
     /// Threads whose long-latency load requested a FLUSH this cycle,
     /// processed after all queues issue (the flush mutates queues).
-    pending_flushes: Vec<(usize, u64)>,
+    pending_flushes: Presized<Vec<(usize, u64)>>,
 }
 
 impl IssueStage {
     pub(crate) fn new(fu_ls: usize) -> Self {
         IssueStage {
-            pending_flushes: Vec::with_capacity(fu_ls),
+            pending_flushes: Presized::vec(fu_ls),
         }
     }
 }
@@ -42,7 +42,7 @@ impl PipelineStage for IssueStage {
         // Take/restore rather than drain-by-value so the buffer keeps its
         // capacity across cycles (flush_after_load never requests flushes).
         let mut flushes = std::mem::take(&mut self.pending_flushes);
-        for &(tid, load_seq) in &flushes {
+        for &(tid, load_seq) in flushes.iter() {
             flush_after_load(ctx, tid, load_seq);
         }
         flushes.clear();
@@ -60,7 +60,7 @@ impl PipelineStage for IssueStage {
         debug_assert!(self.pending_flushes.is_empty(), "flushes drain every tick");
         let now = ctx.cycle;
         for queue in [&ctx.iq_int, &ctx.iq_ls, &ctx.iq_fp] {
-            for e in queue {
+            for e in queue.iter() {
                 let mut ready = e.entered + 1;
                 for &p in e.src_phys.iter().flatten() {
                     ready = ready.max(ctx.ready_at[p as usize]);

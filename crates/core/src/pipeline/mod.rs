@@ -29,7 +29,7 @@ pub(crate) mod sched;
 
 use std::collections::VecDeque;
 
-use smt_isa::{Addr, Cycle, InstClass, MAX_THREADS};
+use smt_isa::{Addr, Cycle, InstClass, Presized, MAX_THREADS};
 use smt_mem::MemoryHierarchy;
 
 use crate::config::{LongLatencyAction, PolicyKind, SimConfig};
@@ -182,16 +182,16 @@ pub(crate) struct PipelineCtx {
     pub(crate) threads: Vec<ThreadState>,
     pub(crate) mem: MemoryHierarchy,
     pub(crate) cycle: Cycle,
-    pub(crate) fetch_buffer: VecDeque<LatchEntry>,
-    pub(crate) decode_latch: VecDeque<LatchEntry>,
-    pub(crate) rename_latch: VecDeque<LatchEntry>,
-    pub(crate) iq_int: Vec<IqEntry>,
-    pub(crate) iq_ls: Vec<IqEntry>,
-    pub(crate) iq_fp: Vec<IqEntry>,
+    pub(crate) fetch_buffer: Presized<VecDeque<LatchEntry>>,
+    pub(crate) decode_latch: Presized<VecDeque<LatchEntry>>,
+    pub(crate) rename_latch: Presized<VecDeque<LatchEntry>>,
+    pub(crate) iq_int: Presized<Vec<IqEntry>>,
+    pub(crate) iq_ls: Presized<Vec<IqEntry>>,
+    pub(crate) iq_fp: Presized<Vec<IqEntry>>,
     /// Cycle at which statistics were last reset (for warmup exclusion).
     pub(crate) stats_since: Cycle,
-    pub(crate) free_int: Vec<PhysReg>,
-    pub(crate) free_fp: Vec<PhysReg>,
+    pub(crate) free_int: Presized<Vec<PhysReg>>,
+    pub(crate) free_fp: Presized<Vec<PhysReg>>,
     /// Cycle at which each physical register's value is ready.
     pub(crate) ready_at: Vec<Cycle>,
     pub(crate) rob_occ: u32,

@@ -24,11 +24,10 @@
 // (enough registers for the initial maps); inputs are validated first.
 // lint:allow-file(no-panic): construction-time invariants; inputs are validated first
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use smt_bpred::ReturnStack;
-use smt_isa::{ArchReg, Cycle, Diagnostic, MAX_THREADS};
+use smt_isa::{ArchReg, Cycle, Diagnostic, Presized, MAX_THREADS};
 use smt_mem::MemoryHierarchy;
 use smt_workloads::Program;
 
@@ -256,15 +255,15 @@ impl Simulator {
             mem,
             threads,
             cycle: 0,
-            fetch_buffer: VecDeque::with_capacity(cfg.fetch_buffer as usize),
-            decode_latch: VecDeque::with_capacity(decode_width),
-            rename_latch: VecDeque::with_capacity(decode_width),
-            iq_int: Vec::with_capacity(cfg.iq_int as usize),
-            iq_ls: Vec::with_capacity(cfg.iq_ls as usize),
-            iq_fp: Vec::with_capacity(cfg.iq_fp as usize),
+            fetch_buffer: Presized::deque(cfg.fetch_buffer as usize),
+            decode_latch: Presized::deque(decode_width),
+            rename_latch: Presized::deque(decode_width),
+            iq_int: Presized::vec(cfg.iq_int as usize),
+            iq_ls: Presized::vec(cfg.iq_ls as usize),
+            iq_fp: Presized::vec(cfg.iq_fp as usize),
             stats_since: 0,
-            free_int,
-            free_fp,
+            free_int: free_int.into(),
+            free_fp: free_fp.into(),
             ready_at,
             rob_occ: 0,
             preissue: [0; MAX_THREADS],

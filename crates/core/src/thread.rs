@@ -5,9 +5,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use smt_bpred::StreamPath;
-use smt_isa::{
-    snap_mismatch, Addr, Cycle, Diagnostic, InstIdx, Snap, SnapReader, SnapWriter, ThreadId,
-};
+use smt_isa::{Addr, Cycle, InstIdx, Presized, ThreadId};
 use smt_workloads::{Program, Walker};
 
 use crate::frontend::{BlockMeta, PredictedBlock, SpecState, TraceFillBuffer};
@@ -32,7 +30,7 @@ pub struct ThreadState {
     /// intermediate scratch copy); fetch consumes strictly from the head,
     /// so only the head block can be partially delivered and a single
     /// [`ftq_consumed`](ThreadState::ftq_consumed) counter tracks it.
-    pub ftq: VecDeque<PredictedBlock>,
+    pub ftq: Presized<VecDeque<PredictedBlock>>,
     /// Instructions already delivered from the FTQ head block (blocks
     /// longer than the fetch width span several cycles). Reset to zero
     /// whenever the head is popped or the FTQ is cleared.
@@ -68,7 +66,7 @@ pub struct ThreadState {
     pub mem_stall_until: Option<Cycle>,
     /// Completion times of outstanding long-latency data misses (the
     /// MISSCOUNT metric); expired entries are drained lazily.
-    pub outstanding_misses: Vec<Cycle>,
+    pub outstanding_misses: Presized<Vec<Cycle>>,
     /// Block checkpoints for in-flight instructions carrying a
     /// [`BranchInfo`], indexed by `seq & meta_mask`. The capacity exceeds
     /// the window bound, and window sequence numbers are contiguous, so a
@@ -96,7 +94,7 @@ impl ThreadState {
             next_fetch_pc: entry,
             diverged: false,
             iblock_until: None,
-            ftq: VecDeque::new(),
+            ftq: Presized::default(),
             ftq_consumed: 0,
             window: Window::new(),
             next_seq: 0,
@@ -109,7 +107,7 @@ impl ThreadState {
             commit_hist_end: 0,
             trace_fill: TraceFillBuffer::default(),
             mem_stall_until: None,
-            outstanding_misses: Vec::new(),
+            outstanding_misses: Presized::default(),
             meta_ring: Vec::new(),
             meta_mask: 0,
         }
@@ -172,100 +170,6 @@ impl ThreadState {
     pub fn fetch_eligible(&self, now: Cycle) -> bool {
         !self.ftq.is_empty() && self.iblock_until.is_none_or(|r| r <= now)
     }
-
-    /// Serializes every per-thread field in declaration order. The thread
-    /// id and the program are configuration inputs, not state, and are not
-    /// written; the checkpoint ring is written whole (stale slots included)
-    /// so a restored thread re-snapshots byte-identically.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.walker.save_state(w);
-        self.spec.save_state(w);
-        self.next_fetch_pc.save(w);
-        w.bool(self.diverged);
-        self.iblock_until.save(w);
-        crate::snapshot::save_deque(w, &self.ftq);
-        w.u32(self.ftq_consumed);
-        self.window.save_state(w);
-        w.u64(self.next_seq);
-        smt_isa::save_vec(w, &self.rename_map);
-        self.pending_redirect.save(w);
-        self.cpath.save(w);
-        self.commit_stream_start.save(w);
-        w.u32(self.commit_stream_len);
-        w.u64(self.commit_hist);
-        w.u64(self.commit_hist_end);
-        self.trace_fill.save_state(w);
-        self.mem_stall_until.save(w);
-        smt_isa::save_vec(w, &self.outstanding_misses);
-        w.usize(self.meta_ring.len());
-        for m in &self.meta_ring {
-            m.save(w);
-        }
-        w.u64(self.meta_mask);
-    }
-
-    /// Restores state saved by [`ThreadState::save_state`] in place,
-    /// preserving every queue's pre-sized capacity.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the stored queue occupancies exceed this thread's
-    /// pre-sized capacities, the rename-map or checkpoint-ring geometry
-    /// differs, or the byte stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.walker.load_state(r)?;
-        self.spec.load_state(r)?;
-        self.next_fetch_pc = Addr::load(r)?;
-        self.diverged = r.bool()?;
-        self.iblock_until = Snap::load(r)?;
-        crate::snapshot::load_deque_into(r, &mut self.ftq, "thread ftq")?;
-        self.ftq_consumed = r.u32()?;
-        self.window.load_state(r)?;
-        self.next_seq = r.u64()?;
-        let renames = r.usize()?;
-        if renames != self.rename_map.len() {
-            return Err(snap_mismatch(
-                "rename map",
-                format!(
-                    "snapshot maps {renames} architectural registers, this build maps {}",
-                    self.rename_map.len()
-                ),
-            ));
-        }
-        for p in &mut self.rename_map {
-            *p = r.u32()?;
-        }
-        self.pending_redirect = Snap::load(r)?;
-        self.cpath = StreamPath::load(r)?;
-        self.commit_stream_start = Addr::load(r)?;
-        self.commit_stream_len = r.u32()?;
-        self.commit_hist = r.u64()?;
-        self.commit_hist_end = r.u64()?;
-        self.trace_fill.load_state(r)?;
-        self.mem_stall_until = Snap::load(r)?;
-        smt_isa::load_vec_into(r, &mut self.outstanding_misses)?;
-        let ring = r.usize()?;
-        if ring != self.meta_ring.len() {
-            return Err(snap_mismatch(
-                "checkpoint ring",
-                format!(
-                    "snapshot ring has {ring} slots, this thread's has {}",
-                    self.meta_ring.len()
-                ),
-            ));
-        }
-        for m in &mut self.meta_ring {
-            *m = crate::frontend::BlockMeta::load(r)?;
-        }
-        let mask = r.u64()?;
-        if mask != self.meta_mask {
-            return Err(snap_mismatch(
-                "checkpoint ring mask",
-                format!("snapshot mask {mask:#x} differs from {:#x}", self.meta_mask),
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +219,7 @@ mod tests {
     #[test]
     fn iblock_gates_eligibility() {
         let mut t = thread();
-        t.ftq.push_back(crate::frontend::PredictedBlock {
+        let block = crate::frontend::PredictedBlock {
             block: smt_isa::FetchBlock {
                 thread: 0,
                 start: t.program().entry(),
@@ -326,7 +230,8 @@ mod tests {
             },
             meta: crate::frontend::BlockMeta::capture(&t.spec),
             trace_group: None,
-        });
+        };
+        t.ftq.push_back(block);
         t.ftq_consumed = 1;
         assert_eq!(t.ftq.front().unwrap().block.len - t.ftq_consumed, 3);
         assert!(t.fetch_eligible(0));

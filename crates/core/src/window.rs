@@ -30,10 +30,7 @@
 
 use std::collections::VecDeque;
 
-use smt_isa::{
-    inst_idx, snap_mismatch, Addr, Cycle, Diagnostic, DynInst, InstClass, InstIdx, Snap,
-    SnapReader, SnapWriter,
-};
+use smt_isa::{inst_idx, Addr, Cycle, DynInst, InstClass, InstIdx, Presized};
 
 use crate::frontend::BranchInfo;
 
@@ -54,10 +51,6 @@ const IS_BRANCH: u8 = 1 << 4;
 const HAS_BINFO: u8 = 1 << 5;
 /// Classification bit: the attached `BranchInfo` has `decode_redirect`.
 const DECODE_REDIRECT: u8 = 1 << 6;
-
-/// Mask of all defined flag bits (snapshot validation).
-const FLAG_BITS: u8 =
-    DISPATCHED | ISSUED | WRONG_PATH | IS_LOAD | IS_BRANCH | HAS_BINFO | DECODE_REDIRECT;
 
 /// Hot per-instruction bookkeeping: everything the issue/commit/squash
 /// scans need, and nothing else.
@@ -167,42 +160,6 @@ impl InFlightCtl {
     }
 }
 
-impl Snap for InFlightCtl {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.seq);
-        w.u64(self.fetched_at);
-        w.u64(self.done_at);
-        self.phys_dest.save(w);
-        self.prev_phys.save(w);
-        self.src_phys.save(w);
-        w.u8(self.flags);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        let seq = r.u64()?;
-        let fetched_at = r.u64()?;
-        let done_at = r.u64()?;
-        let phys_dest = Snap::load(r)?;
-        let prev_phys = Snap::load(r)?;
-        let src_phys = Snap::load(r)?;
-        let flags = r.u8()?;
-        if flags & !FLAG_BITS != 0 {
-            return Err(snap_mismatch(
-                "window flags",
-                format!("undefined flag bits {flags:#04x}"),
-            ));
-        }
-        Ok(InFlightCtl {
-            seq,
-            fetched_at,
-            done_at,
-            phys_dest,
-            prev_phys,
-            src_phys,
-            flags,
-        })
-    }
-}
-
 /// Deterministic placeholder filling fresh payload-ring slots; never read.
 const PAYLOAD_FILL: DynInst = DynInst {
     thread: 0,
@@ -217,11 +174,6 @@ const PAYLOAD_FILL: DynInst = DynInst {
     wrong_path: false,
 };
 
-/// Tag guarding the window's structure-of-arrays snapshot section
-/// (`"SOAW"` in ASCII): a stream that drifted out of sync fails here with
-/// a named diagnostic instead of misparsing columns as control words.
-const WINDOW_SECTION_TAG: u32 = 0x534f_4157;
-
 /// The in-flight instruction window, structure-of-arrays layout.
 ///
 /// See the module docs for the layout and the index-safety argument. The
@@ -229,7 +181,7 @@ const WINDOW_SECTION_TAG: u32 = 0x534f_4157;
 /// pushes and pops never allocate.
 #[derive(Clone, Debug, Default)]
 pub struct Window {
-    ctl: VecDeque<InFlightCtl>,
+    ctl: Presized<VecDeque<InFlightCtl>>,
     payload: Vec<DynInst>,
     binfo: Vec<Option<BranchInfo>>,
     mask: u64,
@@ -373,84 +325,6 @@ impl Window {
             _ => 0,
         }
     }
-
-    /// Serializes the live window as a tagged structure-of-arrays section:
-    /// the section tag, the occupancy, each live instruction's control
-    /// entry + payload + branch record (stale ring slots are never
-    /// written), and the ring mask as a geometry check.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u32(WINDOW_SECTION_TAG);
-        w.usize(self.ctl.len());
-        for c in &self.ctl {
-            c.save(w);
-            self.payload[self.slot(c.seq)].save(w);
-            self.binfo[self.slot(c.seq)].save(w);
-        }
-        w.u64(self.mask);
-    }
-
-    /// Restores a window saved by [`Window::save_state`] in place,
-    /// preserving the pre-sized capacities.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the section tag is wrong, the stored occupancy exceeds
-    /// this window's capacity, the stored sequence numbers are not
-    /// contiguous, the ring geometry differs, or the stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        let tag = r.u32()?;
-        if tag != WINDOW_SECTION_TAG {
-            return Err(snap_mismatch(
-                "window section",
-                format!("expected tag {WINDOW_SECTION_TAG:#010x}, found {tag:#010x}"),
-            ));
-        }
-        let len = r.usize()?;
-        if len > self.ctl.capacity() {
-            return Err(snap_mismatch(
-                "window occupancy",
-                format!(
-                    "snapshot holds {len} in-flight instructions, capacity is {}",
-                    self.ctl.capacity()
-                ),
-            ));
-        }
-        self.ctl.clear();
-        for i in 0..len {
-            let ctl = InFlightCtl::load(r)?;
-            let di = DynInst::load(r)?;
-            let binfo: Option<BranchInfo> = Snap::load(r)?;
-            if let Some(prev) = self.ctl.back() {
-                if prev.seq + 1 != ctl.seq {
-                    return Err(snap_mismatch(
-                        "window contiguity",
-                        format!(
-                            "entry {i} has seq {} after {} — window seqs must be contiguous",
-                            ctl.seq, prev.seq
-                        ),
-                    ));
-                }
-            }
-            if ctl.has_binfo() != binfo.is_some() {
-                return Err(snap_mismatch(
-                    "window binfo column",
-                    format!("entry {i} flag/column disagreement on the branch record"),
-                ));
-            }
-            let slot = self.slot(ctl.seq);
-            self.payload[slot] = di;
-            self.binfo[slot] = binfo;
-            self.ctl.push_back(ctl);
-        }
-        let mask = r.u64()?;
-        if mask != self.mask {
-            return Err(snap_mismatch(
-                "window ring mask",
-                format!("snapshot mask {mask:#x} differs from {:#x}", self.mask),
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -535,48 +409,6 @@ mod tests {
         c.done_at = 3;
         assert!(!c.completed(2));
         assert!(c.completed(3));
-    }
-
-    #[test]
-    fn snapshot_round_trips_and_validates() {
-        let mut w = Window::new();
-        w.presize(8);
-        for s in 0..5 {
-            push_seq(&mut w, s);
-        }
-        w.pop_front();
-        let mut sw = SnapWriter::new();
-        w.save_state(&mut sw);
-        let bytes = sw.into_bytes();
-
-        let mut fresh = Window::new();
-        fresh.presize(8);
-        let mut r = SnapReader::new(&bytes);
-        fresh.load_state(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(fresh.len(), 4);
-        assert_eq!(fresh.front().unwrap().seq, 1);
-        assert_eq!(fresh.di(2).pc, Addr::new(0x1008));
-
-        // A re-save of the restored window is byte-identical.
-        let mut sw2 = SnapWriter::new();
-        fresh.save_state(&mut sw2);
-        assert_eq!(sw2.into_bytes(), bytes);
-
-        // Wrong geometry is a diagnostic, not a panic.
-        let mut tiny = Window::new();
-        tiny.presize(1);
-        let err = tiny.load_state(&mut SnapReader::new(&bytes)).unwrap_err();
-        assert_eq!(err.code, "E0018");
-
-        // A corrupted tag is a diagnostic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        let mut fresh2 = Window::new();
-        fresh2.presize(8);
-        let err = fresh2.load_state(&mut SnapReader::new(&bad)).unwrap_err();
-        assert_eq!(err.code, "E0018");
-        assert!(err.message.contains("tag"));
     }
 
     #[test]

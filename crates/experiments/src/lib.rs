@@ -43,26 +43,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chunked;
 pub mod figures;
-pub mod memo;
 pub mod report;
 pub mod runner;
 pub mod sweep;
 
-pub use chunked::{chunk_lengths, run_chunked, ChunkedRun};
 pub use figures::{all, Experiment};
-pub use memo::{
-    cell_key, decode_result, encode_result, memo_snapshot, run_matrix_sweep_memoized, run_memoized,
-    run_memoized_with_config, set_memo_dir, warm_snapshot, BoundedCache, CacheCounters,
-    CacheOutcome, CacheSnapshot, OnCell,
-};
 pub use report::{
     render_grouped_bars, render_markdown, render_stall_breakdown, render_sweep_stats, render_table,
     Metric,
 };
 pub use runner::{
     preflight, preflight_default, run, run_matrix, run_matrix_parallel, run_matrix_sweep,
-    warm_start_enabled, RunLength, RunResult, EXP_SEED,
+    RunLength, RunResult, EXP_SEED,
 };
 pub use sweep::{report_level, sweep_cells, sweep_indexed, CellStat, Jobs, JobsError, Sweep};

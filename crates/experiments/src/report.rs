@@ -1,7 +1,6 @@
 //! Text rendering of experiment results: aligned tables and ASCII bar
 //! charts shaped like the paper's grouped-bar figures.
 
-use crate::memo::CacheOutcome;
 use crate::runner::RunResult;
 use crate::sweep::CellStat;
 
@@ -129,15 +128,10 @@ pub fn render_sweep_stats(title: &str, stats: &[CellStat]) -> String {
             } else {
                 format!("{:.1}", s.skipped as f64 / s.sim_cycles as f64 * 100.0)
             };
-            let cache = match s.cache {
-                None => "-".to_string(),
-                Some(outcome) => outcome.to_string(),
-            };
             vec![
                 s.label.clone(),
                 s.sim_cycles.to_string(),
                 skip_rate,
-                cache,
                 format!("{:.1}", s.wall.as_secs_f64() * 1e3),
                 s.worker.to_string(),
             ]
@@ -149,7 +143,7 @@ pub fn render_sweep_stats(title: &str, stats: &[CellStat]) -> String {
     let total_wall: f64 = stats.iter().map(|s| s.wall.as_secs_f64()).sum();
     let mut out = format!("{title}: sweep of {} cells\n", stats.len());
     out.push_str(&render_table(
-        &["cell", "sim-cycles", "skip %", "cache", "wall ms", "worker"],
+        &["cell", "sim-cycles", "skip %", "wall ms", "worker"],
         &rows,
     ));
     out.push_str(&format!(
@@ -157,22 +151,6 @@ pub fn render_sweep_stats(title: &str, stats: &[CellStat]) -> String {
         workers.len(),
         total_wall * 1e3
     ));
-    let hits = stats
-        .iter()
-        .filter(|s| s.cache == Some(CacheOutcome::Hit))
-        .count();
-    let misses = stats
-        .iter()
-        .filter(|s| s.cache == Some(CacheOutcome::Miss))
-        .count();
-    if hits + misses > 0 {
-        let memo = crate::memo::memo_snapshot();
-        out.push_str(&format!(
-            "memo cache: {hits} hit(s), {misses} miss(es) this job; \
-             {} entr(ies) held (cap {}), {} evicted lifetime\n",
-            memo.len, memo.cap, memo.counters.evictions
-        ));
-    }
     out
 }
 
@@ -335,7 +313,6 @@ mod tests {
             worker,
             sim_cycles: 10_000,
             skipped: 2_500,
-            cache: None,
             wall: Duration::from_millis(ms),
         };
         let s = render_sweep_stats(
@@ -355,38 +332,6 @@ mod tests {
         assert!(s.contains("10000"));
         assert!(s.contains("skip %"), "missing skip-rate column:\n{s}");
         assert!(s.contains("25.0"), "missing skip rate value:\n{s}");
-        assert!(s.contains("cache"), "missing cache column:\n{s}");
-        assert!(
-            !s.contains("memo cache:"),
-            "no cache footer for uncached sweeps:\n{s}"
-        );
-    }
-
-    #[test]
-    fn sweep_stats_surface_cache_outcomes() {
-        let stat = |index: usize, cache: Option<CacheOutcome>| CellStat {
-            index,
-            label: format!("cell-{index}"),
-            worker: 0,
-            sim_cycles: 10_000,
-            skipped: 0,
-            cache,
-            wall: Duration::from_millis(index as u64 + 1),
-        };
-        let s = render_sweep_stats(
-            "memoized",
-            &[
-                stat(0, Some(CacheOutcome::Hit)),
-                stat(1, Some(CacheOutcome::Hit)),
-                stat(2, Some(CacheOutcome::Miss)),
-            ],
-        );
-        assert!(s.contains("hit"), "{s}");
-        assert!(s.contains("miss"), "{s}");
-        assert!(
-            s.contains("memo cache: 2 hit(s), 1 miss(es) this job"),
-            "missing per-job cache footer:\n{s}"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use smt_core::{CellKey, FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats, Simulator};
+use smt_core::{FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats, Simulator};
 use smt_workloads::{Program, Workload};
 
 use crate::sweep::{sweep_cells, Jobs, Sweep};
@@ -127,53 +127,14 @@ impl RunResult {
 /// The seed every experiment uses (reproducibility).
 pub const EXP_SEED: u64 = 2004;
 
-/// Whether the warm-start snapshot cache is enabled (`SMT_WARM_START` set
-/// to anything but `0`). The sweep service ([`crate::memo`]) enables it
-/// unconditionally, independent of this knob.
-///
-/// Warm starting caches the simulator state right after the warmup phase
-/// (statistics already reset) and restores it on the next run of the same
-/// `(workload, engine, config, warmup)` cell instead of re-simulating the
-/// warmup. The cache is the bounded, [`CellKey`]-keyed warm cache in
-/// [`crate::memo`] (one key type, one hash, shared with the result memo
-/// cache). Restoring resumes byte-identically — the snapshot round-trip
-/// tests pin this — so results are unchanged; only repeated-warmup time is
-/// saved (e.g. sweeping many measurement lengths over one configuration).
-pub fn warm_start_enabled() -> bool {
-    std::env::var_os("SMT_WARM_START").is_some_and(|v| v != "0")
-}
-
-/// The warm cache's key for one cell: the [`CellKey::warmup_scope`]
-/// projection — measured length zeroed, because the warmed state does not
-/// depend on it.
-fn warm_key(workload: &Workload, engine: FetchEngineKind, cfg: &SimConfig, warmup: u64) -> CellKey {
-    CellKey::new(cfg, engine, workload.name(), EXP_SEED, warmup, 0)
-}
-
-/// Builds a simulator warmed past `len.warmup_cycles` with statistics
-/// reset, ready for the measurement phase.
-///
-/// With `warm` set, consults the process-wide snapshot cache first: a hit
-/// restores the warmed state instead of re-simulating the warmup, a miss
-/// simulates it once and populates the cache. Cache problems (a poisoned
-/// lock, a restore rejection) silently fall back to the cold path — the
-/// cache is a pure accelerator and can never change results.
+/// Builds a simulator warmed past `warmup_cycles` with statistics reset,
+/// ready for the measurement phase.
 fn warmed_simulator(
     programs: Vec<Arc<Program>>,
-    workload: &Workload,
     engine: FetchEngineKind,
     cfg: &SimConfig,
     warmup_cycles: u64,
-    warm: bool,
 ) -> Simulator {
-    let key = warm_key(workload, engine, cfg, warmup_cycles);
-    if warm {
-        if let Some(snap) = crate::memo::warm_get(&key) {
-            if let Ok(sim) = Simulator::restore(programs.clone(), cfg.clone(), &snap) {
-                return sim;
-            }
-        }
-    }
     let mut sim = SimBuilder::new_shared(programs)
         .fetch_engine(engine)
         .config(cfg.clone())
@@ -181,20 +142,16 @@ fn warmed_simulator(
         .expect("1..=8 threads and a validated config"); // lint:allow(no-panic): validated config with 1..=8 threads
     sim.run_cycles(warmup_cycles);
     sim.reset_stats();
-    if warm {
-        crate::memo::warm_store(key, sim.snapshot());
-    }
     sim
 }
 
-/// The shared body of [`run`] / [`run_with_config`]: preflight, warm up
-/// (through the cache when `warm` is set), measure, report.
+/// The shared body of [`run`] / [`run_with_config`]: preflight, warm up,
+/// measure, report.
 fn run_measured(
     workload: &Workload,
     engine: FetchEngineKind,
     cfg: SimConfig,
     len: RunLength,
-    warm: bool,
 ) -> RunResult {
     let policy = cfg.fetch_policy;
     preflight(&cfg, workload.num_threads());
@@ -203,7 +160,7 @@ fn run_measured(
     let programs = workload
         .programs_shared(EXP_SEED)
         .expect("table 2 workloads always build"); // lint:allow(no-panic): table 2 workloads are compiled-in and always build
-    let mut sim = warmed_simulator(programs, workload, engine, &cfg, len.warmup_cycles, warm);
+    let mut sim = warmed_simulator(programs, engine, &cfg, len.warmup_cycles);
     // Borrowed stats: sweeps summarize each cell without copying SimStats.
     let stats = sim.run_cycles(len.measure_cycles);
     report_stalls(workload, engine, policy, stats);
@@ -270,7 +227,7 @@ pub fn run(
         fetch_policy: policy,
         ..SimConfig::default()
     };
-    run_measured(workload, engine, cfg, len, warm_start_enabled())
+    run_measured(workload, engine, cfg, len)
 }
 
 /// Runs one configuration with a fully custom [`smt_core::SimConfig`].
@@ -284,20 +241,7 @@ pub fn run_with_config(
     cfg: smt_core::SimConfig,
     len: RunLength,
 ) -> RunResult {
-    run_measured(workload, engine, cfg, len, warm_start_enabled())
-}
-
-/// [`run_with_config`] with the warm-start cache unconditionally enabled:
-/// the memoized-service path ([`crate::memo`]), where snapshots live for
-/// the daemon's lifetime so even cold cells skip re-warming. Identical
-/// results either way (the warm cache is transparent).
-pub(crate) fn run_with_config_warm(
-    workload: &Workload,
-    engine: FetchEngineKind,
-    cfg: smt_core::SimConfig,
-    len: RunLength,
-) -> RunResult {
-    run_measured(workload, engine, cfg, len, true)
+    run_measured(workload, engine, cfg, len)
 }
 
 /// Runs the full cross product `workloads × policies × engines`, serially.
@@ -458,45 +402,6 @@ mod tests {
         assert_eq!(sweep.stats[0].label, "2_MIX gshare+BTB ICOUNT.1.8");
         assert_eq!(sweep.stats[0].sim_cycles, RunLength::SMOKE.measure_cycles);
         assert_eq!(sweep.stats[0].worker, 0);
-    }
-
-    #[test]
-    fn warm_start_cache_is_transparent() {
-        // One distinct cell for this test: GskewFtb + BRCOUNT is used by no
-        // other runner test, so the first warm run is a provable cache miss.
-        let w = Workload::mix2();
-        let cfg = SimConfig {
-            fetch_policy: FetchPolicy::br_count(1, 8),
-            ..SimConfig::default()
-        };
-        let cold = run_measured(
-            &w,
-            FetchEngineKind::GskewFtb,
-            cfg.clone(),
-            RunLength::SMOKE,
-            false,
-        );
-        let miss = run_measured(
-            &w,
-            FetchEngineKind::GskewFtb,
-            cfg.clone(),
-            RunLength::SMOKE,
-            true,
-        );
-        let key = warm_key(
-            &w,
-            FetchEngineKind::GskewFtb,
-            &cfg,
-            RunLength::SMOKE.warmup_cycles,
-        );
-        assert!(
-            crate::memo::warm_get(&key).is_some(),
-            "warm run populated the cache"
-        );
-        assert_eq!(key.measure_cycles, 0, "warm keys use the warmup scope");
-        let hit = run_measured(&w, FetchEngineKind::GskewFtb, cfg, RunLength::SMOKE, true);
-        assert_eq!(cold, miss, "cache miss path is bit-identical to cold");
-        assert_eq!(cold, hit, "cache hit path is bit-identical to cold");
     }
 
     #[test]

@@ -195,9 +195,6 @@ pub struct CellStat {
     /// [`sweep_cells`] has no view into the result type, so simulation
     /// sweeps post-fill this from their results).
     pub skipped: u64,
-    /// Whether the memo cache served this cell (`None` for sweeps that
-    /// bypass the cache; post-filled like `skipped`).
-    pub cache: Option<crate::memo::CacheOutcome>,
     /// Wall-clock time the cell took on its worker.
     pub wall: Duration,
 }
@@ -294,7 +291,6 @@ where
                 worker,
                 sim_cycles,
                 skipped: 0,
-                cache: None,
                 wall,
             });
         }

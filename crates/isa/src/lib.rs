@@ -37,17 +37,15 @@ mod addr;
 mod block;
 mod diag;
 mod inst;
+mod presized;
 mod reg;
-mod snap;
 
 pub use addr::{Addr, INST_BYTES};
 pub use block::{EndBranch, FetchBlock};
 pub use diag::{has_errors, Diagnostic, Severity};
 pub use inst::{BranchKind, DynInst, InstClass, MemAccess, StaticInst, StaticInstId};
+pub use presized::Presized;
 pub use reg::{ArchReg, RegClass, NUM_ARCH_FP, NUM_ARCH_INT};
-pub use snap::{
-    load_vec_into, save_vec, snap_mismatch, Snap, SnapReader, SnapWriter, SNAP_ERROR_CODE,
-};
 
 /// Identifier of a hardware thread context (0-based).
 ///

@@ -20,22 +20,19 @@
 //!   per file (to a fixpoint, so aliases of aliases are caught) and every
 //!   occurrence of the alias is flagged.
 //! * **`no-wall-clock`** — `SystemTime::now`, `Instant::now` and
-//!   `thread_rng` are banned in the simulation crates, the experiment
-//!   harness *and* the sweep daemon ([`CLOCK_CRATES`]): all time comes
-//!   from the simulated clock, all randomness from the seeded workload RNG
-//!   stream. The audited exceptions are the sweep executor's per-cell
-//!   harness timer and the daemon's per-job `SUMMARY` timer.
+//!   `thread_rng` are banned in the simulation crates and the experiment
+//!   harness ([`CLOCK_CRATES`]): all time comes from the simulated clock,
+//!   all randomness from the seeded workload RNG stream. The audited
+//!   exception is the sweep executor's per-cell harness timer.
 //! * **`no-env-in-core`** — `std::env` reads are banned in the simulation
-//!   crates ([`SIM_CRATES`]): config structs are the only legal input. This
-//!   is a precondition for content-hash memoization of run results — a
-//!   result keyed by (config, seed, code version) is only sound if nothing
-//!   else can influence it.
+//!   crates ([`SIM_CRATES`]): config structs are the only legal input, so
+//!   a result is a function of (config, seed, code version) and nothing
+//!   else.
 //! * **`no-nondeterministic-threading`** — raw `std::thread` primitives
 //!   (`spawn`, `scope`, `Builder`, `current`, `ThreadId`) and
 //!   `available_parallelism` are banned outside the audited sweep executor
-//!   and the sweep daemon's listener ([`SERVE_LISTENER`], whose threads
-//!   only pump protocol bytes); all simulation parallelism goes through
-//!   the executor so parallel == serial stays provable.
+//!   ([`SWEEP_EXECUTOR`]); all simulation parallelism goes through the
+//!   executor so parallel == serial stays provable.
 //!   (The simulator's own `smt_isa::ThreadId` — a hardware context index —
 //!   is unaffected: only the `thread::`-qualified path is matched.)
 //! * **`no-lossy-cast`** — `as` casts to integer types narrower than 64
@@ -107,20 +104,11 @@ use lexer::{lex, Token, TokenKind};
 pub const SIM_CRATES: [&str; 5] = ["isa", "workloads", "bpred", "mem", "core"];
 
 /// Crates subject to the `no-wall-clock` rule: the simulation crates plus
-/// the experiment harness and the sweep daemon, whose results must also be
-/// pure functions of the seed. (The sweep executor's per-cell harness timer
-/// and the daemon's per-job `SUMMARY` timer are the audited
-/// `lint:allow(no-wall-clock)` exceptions; timing otherwise lives only in
+/// the experiment harness, whose results must also be pure functions of the
+/// seed. (The sweep executor's per-cell harness timer is the audited
+/// `lint:allow(no-wall-clock)` exception; timing otherwise lives only in
 /// `smt-bench`.)
-pub const CLOCK_CRATES: [&str; 7] = [
-    "isa",
-    "workloads",
-    "bpred",
-    "mem",
-    "core",
-    "experiments",
-    "serve",
-];
+pub const CLOCK_CRATES: [&str; 6] = ["isa", "workloads", "bpred", "mem", "core", "experiments"];
 
 /// The cycle-loop composition root, subject to the `no-alloc-in-step` rule
 /// together with every pipeline stage module (see [`is_hot_path`]).
@@ -151,17 +139,10 @@ pub const MODULE_SIZE_DIR: &str = "crates/core/src/";
 /// Advisory ceiling on non-test lines per module under [`MODULE_SIZE_DIR`].
 pub const MODULE_SIZE_LIMIT: usize = 800;
 
-/// The audited parallel executor: together with [`SERVE_LISTENER`], the
-/// only file allowed to touch raw `std::thread` primitives (each use
-/// carries a line-level, ledger-pinned escape).
+/// The audited parallel executor: the only file allowed to touch raw
+/// `std::thread` primitives (each use carries a line-level, ledger-pinned
+/// escape).
 pub const SWEEP_EXECUTOR: &str = "crates/experiments/src/sweep.rs";
-
-/// The sweep daemon's listener: the only file besides [`SWEEP_EXECUTOR`]
-/// allowed raw `std::thread` primitives (accept loop + one protocol-pump
-/// thread per connection; all simulation stays inside the executor), and
-/// the home of the daemon's one audited wall-clock read (the per-job
-/// `SUMMARY` timer).
-pub const SERVE_LISTENER: &str = "crates/serve/src/server.rs";
 
 /// Whether `path` is in the pipeline hot path whose steady-state cycle loop
 /// must not allocate: the composition root (`sim.rs`), every stage module

@@ -1,6 +1,6 @@
 //! A set-associative cache tag model with LRU replacement and banking.
 
-use smt_isa::{snap_mismatch, Addr, Diagnostic, SnapReader, SnapWriter};
+use smt_isa::{Addr, Diagnostic};
 
 /// Configuration of one cache level.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -266,55 +266,6 @@ impl Cache {
     /// Statistics since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Serializes every tag-array line plus LRU tick and statistics.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.lines.len());
-        for l in &self.lines {
-            w.u64(l.tag);
-            w.u64(l.lru);
-            w.bool(l.valid);
-            w.bool(l.dirty);
-        }
-        w.u64(self.tick);
-        w.u64(self.stats.accesses);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.fills);
-        w.u64(self.stats.writebacks);
-    }
-
-    /// Restores state saved by [`Cache::save_state`] into a cache of
-    /// identical geometry, in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the stored line count differs from this cache's or the
-    /// byte stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        let n = r.usize()?;
-        if n != self.lines.len() {
-            return Err(snap_mismatch(
-                "cache geometry",
-                format!(
-                    "snapshot has {n} lines, cache {} has {}",
-                    self.cfg.name,
-                    self.lines.len()
-                ),
-            ));
-        }
-        for l in &mut self.lines {
-            l.tag = r.u64()?;
-            l.lru = r.u64()?;
-            l.valid = r.bool()?;
-            l.dirty = r.bool()?;
-        }
-        self.tick = r.u64()?;
-        self.stats.accesses = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.fills = r.u64()?;
-        self.stats.writebacks = r.u64()?;
-        Ok(())
     }
 }
 

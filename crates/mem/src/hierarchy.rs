@@ -1,7 +1,7 @@
 //! The full memory hierarchy of Table 3: split 32 KB L1s, unified 1 MB L2,
 //! 100-cycle main memory, TLBs and per-cache MSHR files.
 
-use smt_isa::{Addr, Cycle, Diagnostic, SnapReader, SnapWriter};
+use smt_isa::{Addr, Cycle, Diagnostic};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::mshr::{MshrFile, MshrOutcome};
@@ -231,36 +231,6 @@ impl MemoryHierarchy {
     pub fn l1d(&self) -> &Cache {
         &self.l1d
     }
-
-    /// Serializes every component of the hierarchy (caches, MSHR files,
-    /// TLBs). The memory latency is configuration, not state.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.l2.save_state(w);
-        self.imshr.save_state(w);
-        self.dmshr.save_state(w);
-        self.itlb.save_state(w);
-        self.dtlb.save_state(w);
-    }
-
-    /// Restores state saved by [`MemoryHierarchy::save_state`] into a
-    /// hierarchy of identical geometry, in place.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` on any component geometry mismatch or a malformed byte
-    /// stream.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        self.l1i.load_state(r)?;
-        self.l1d.load_state(r)?;
-        self.l2.load_state(r)?;
-        self.imshr.load_state(r)?;
-        self.dmshr.load_state(r)?;
-        self.itlb.load_state(r)?;
-        self.dtlb.load_state(r)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -383,57 +353,6 @@ mod tests {
             panic!()
         };
         assert!(ready - t0 >= 100, "thrashed line must pay memory latency");
-    }
-
-    #[test]
-    fn snapshot_round_trip_resumes_identically() {
-        let mut h = hier();
-        // Warm the hierarchy with a mixed access pattern, leaving misses
-        // in flight at snapshot time.
-        for i in 0..200u64 {
-            let _ = h.fetch(Addr::new(0x40_0000 + (i % 37) * 64), i * 3);
-            let _ = h.load(Addr::new(0x80_0000 + (i % 53) * 64), i * 3 + 1);
-            if i % 7 == 0 {
-                h.store(Addr::new(0xa0_0000 + i * 64), i * 3 + 2);
-            }
-        }
-        let mut w = SnapWriter::new();
-        h.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = hier();
-        let mut r = SnapReader::new(&bytes);
-        fresh.load_state(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(fresh.cache_stats(), h.cache_stats());
-        assert_eq!(fresh.tlb_stats(), h.tlb_stats());
-        // Both copies behave identically from here, including pending-miss
-        // merging and LRU decisions.
-        for i in 0..300u64 {
-            let now = 600 + i * 2;
-            assert_eq!(
-                fresh.fetch(Addr::new(0x40_0000 + (i % 41) * 64), now),
-                h.fetch(Addr::new(0x40_0000 + (i % 41) * 64), now),
-            );
-            assert_eq!(
-                fresh.load(Addr::new(0x80_0000 + (i % 59) * 64), now),
-                h.load(Addr::new(0x80_0000 + (i % 59) * 64), now),
-            );
-        }
-        assert_eq!(fresh.cache_stats(), h.cache_stats());
-
-        // A geometry mismatch (different thread count → MSHR capacity) is a
-        // diagnostic, not silent corruption.
-        let mut tiny = MemoryHierarchy::new(MemoryConfig {
-            l1i: CacheConfig {
-                size_bytes: 1024,
-                ..CacheConfig::l1i_hpca2004()
-            },
-            ..MemoryConfig::hpca2004(2)
-        })
-        .unwrap();
-        let err = tiny.load_state(&mut SnapReader::new(&bytes)).unwrap_err();
-        assert_eq!(err.code, "E0018");
     }
 
     #[test]

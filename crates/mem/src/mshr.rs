@@ -1,6 +1,6 @@
 //! Miss status holding registers: bounded outstanding-miss tracking.
 
-use smt_isa::{snap_mismatch, Addr, Cycle, Diagnostic, Snap, SnapReader, SnapWriter};
+use smt_isa::{Addr, Cycle, Diagnostic, Presized};
 
 /// A file of MSHRs for one cache.
 ///
@@ -12,7 +12,7 @@ use smt_isa::{snap_mismatch, Addr, Cycle, Diagnostic, Snap, SnapReader, SnapWrit
 /// partition it.
 #[derive(Clone, Debug)]
 pub struct MshrFile {
-    slots: Vec<(Addr, Cycle)>, // (line address, ready cycle)
+    slots: Presized<Vec<(Addr, Cycle)>>, // (line address, ready cycle)
     capacity: usize,
     line_bytes: u64,
     merges: u64,
@@ -56,7 +56,7 @@ impl MshrFile {
             ));
         }
         Ok(MshrFile {
-            slots: Vec::with_capacity(capacity),
+            slots: Presized::vec(capacity),
             capacity,
             line_bytes,
             merges: 0,
@@ -123,48 +123,6 @@ impl MshrFile {
     /// Capacity in entries.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Serializes the outstanding-miss slots and counters.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.slots.len());
-        for (line, ready) in &self.slots {
-            line.save(w);
-            w.u64(*ready);
-        }
-        w.u64(self.merges);
-        w.u64(self.allocs);
-        w.u64(self.full_stalls);
-    }
-
-    /// Restores state saved by [`MshrFile::save_state`] in place, preserving
-    /// the file's capacity.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the stored slot count exceeds this file's capacity or the
-    /// byte stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        let n = r.usize()?;
-        if n > self.capacity {
-            return Err(snap_mismatch(
-                "mshr occupancy",
-                format!(
-                    "snapshot holds {n} slots but the file has {}",
-                    self.capacity
-                ),
-            ));
-        }
-        self.slots.clear();
-        for _ in 0..n {
-            let line = Addr::load(r)?;
-            let ready = r.u64()?;
-            self.slots.push((line, ready));
-        }
-        self.merges = r.u64()?;
-        self.allocs = r.u64()?;
-        self.full_stalls = r.u64()?;
-        Ok(())
     }
 }
 

@@ -1,6 +1,6 @@
 //! Translation lookaside buffers.
 
-use smt_isa::{snap_mismatch, Addr, Diagnostic, SnapReader, SnapWriter};
+use smt_isa::{Addr, Diagnostic, Presized};
 
 /// Configuration of one TLB.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +39,7 @@ impl TlbConfig {
 /// fixed page-walk penalty.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: Vec<(u64, u64)>, // (page number, lru)
+    entries: Presized<Vec<(u64, u64)>>, // (page number, lru)
     capacity: usize,
     page_bytes: u64,
     miss_penalty: u64,
@@ -82,7 +82,7 @@ impl Tlb {
             ));
         }
         Ok(Tlb {
-            entries: Vec::with_capacity(capacity),
+            entries: Presized::vec(capacity),
             capacity,
             page_bytes,
             miss_penalty,
@@ -145,48 +145,6 @@ impl Tlb {
     /// `(accesses, misses)` counts.
     pub fn stats(&self) -> (u64, u64) {
         (self.accesses, self.misses)
-    }
-
-    /// Serializes the resident pages, LRU tick and counters.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.entries.len());
-        for (page, lru) in &self.entries {
-            w.u64(*page);
-            w.u64(*lru);
-        }
-        w.u64(self.tick);
-        w.u64(self.accesses);
-        w.u64(self.misses);
-    }
-
-    /// Restores state saved by [`Tlb::save_state`] in place, preserving the
-    /// TLB's capacity.
-    ///
-    /// # Errors
-    ///
-    /// `E0018` if the stored entry count exceeds this TLB's capacity or the
-    /// byte stream is malformed.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        let n = r.usize()?;
-        if n > self.capacity {
-            return Err(snap_mismatch(
-                "tlb occupancy",
-                format!(
-                    "snapshot holds {n} entries but the TLB has {}",
-                    self.capacity
-                ),
-            ));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let page = r.u64()?;
-            let lru = r.u64()?;
-            self.entries.push((page, lru));
-        }
-        self.tick = r.u64()?;
-        self.accesses = r.u64()?;
-        self.misses = r.u64()?;
-        Ok(())
     }
 }
 

@@ -17,10 +17,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use smt_isa::{
-    snap_mismatch, Addr, BranchKind, Diagnostic, DynInst, InstClass, MemAccess, Snap, SnapReader,
-    SnapWriter, ThreadId,
-};
+use smt_isa::{Addr, BranchKind, DynInst, InstClass, MemAccess, Presized, ThreadId};
 
 use crate::behavior::Behavior;
 use crate::program::Program;
@@ -49,47 +46,6 @@ enum StackOp {
     None,
     Pushed,
     Popped(Addr),
-}
-
-impl Snap for StackOp {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            StackOp::None => w.u8(0),
-            StackOp::Pushed => w.u8(1),
-            StackOp::Popped(a) => {
-                w.u8(2);
-                w.addr(*a);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        match r.u8()? {
-            0 => Ok(StackOp::None),
-            1 => Ok(StackOp::Pushed),
-            2 => Ok(StackOp::Popped(r.addr()?)),
-            b => Err(snap_mismatch(
-                "walker.undo.stack_op",
-                format!("invalid StackOp tag {b}"),
-            )),
-        }
-    }
-}
-
-impl Snap for UndoRecord {
-    fn save(&self, w: &mut SnapWriter) {
-        w.addr(self.pc_before);
-        w.u32(self.static_id);
-        w.u64(self.path_hist_before);
-        self.stack_op.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, Diagnostic> {
-        Ok(UndoRecord {
-            pc_before: r.addr()?,
-            static_id: r.u32()?,
-            path_hist_before: r.u64()?,
-            stack_op: StackOp::load(r)?,
-        })
-    }
 }
 
 /// Fixed-capacity inline ring of the last [`UNDO_DEPTH`] undo records.
@@ -150,34 +106,6 @@ impl UndoRing {
         self.len -= 1;
         Some(self.buf[(self.head + self.len) & MASK])
     }
-
-    /// Serializes the full ring — every slot plus the cursors — so that a
-    /// restored walker re-snapshots byte-identically to the original
-    /// (dead slots included; see DESIGN.md §13).
-    fn save_state(&self, w: &mut SnapWriter) {
-        for rec in &self.buf {
-            rec.save(w);
-        }
-        w.usize(self.head);
-        w.usize(self.len);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        for rec in self.buf.iter_mut() {
-            *rec = UndoRecord::load(r)?;
-        }
-        let head = r.usize()?;
-        let len = r.usize()?;
-        if head >= UNDO_DEPTH || len > UNDO_DEPTH {
-            return Err(snap_mismatch(
-                "walker.undo",
-                format!("undo cursors out of range (head {head}, len {len}, depth {UNDO_DEPTH})"),
-            ));
-        }
-        self.head = head;
-        self.len = len;
-        Ok(())
-    }
 }
 
 impl fmt::Debug for UndoRing {
@@ -199,7 +127,7 @@ pub struct Walker {
     thread: ThreadId,
     pc: Addr,
     counters: Vec<u64>,
-    ret_stack: Vec<Addr>,
+    ret_stack: Presized<Vec<Addr>>,
     produced: u64,
     /// Architectural conditional-outcome history (most recent in bit 0);
     /// the input of `BranchBehavior::Correlated` generators.
@@ -226,7 +154,7 @@ impl Walker {
             counters: vec![0; n],
             // Pre-sized to the hard depth bound: a call can never grow the
             // stack mid-simulation (the steady-state loop is allocation-free).
-            ret_stack: Vec::with_capacity(MAX_CALL_DEPTH),
+            ret_stack: Presized::vec(MAX_CALL_DEPTH),
             produced: 0,
             path_hist: 0,
             undo: UndoRing::new(),
@@ -541,65 +469,6 @@ impl Walker {
             next_pc,
             wrong_path: true,
         }
-    }
-
-    /// Serializes the walker's architectural state (PC, occurrence
-    /// counters, call stack, path history, produced count, and the complete
-    /// undo ring) into `w` in the snapshot format (DESIGN.md §13).
-    ///
-    /// The program itself is *not* serialized: it is immutable, derived from
-    /// the workload seed, and re-supplied at restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.addr(self.pc);
-        smt_isa::save_vec(w, &self.counters);
-        smt_isa::save_vec(w, &self.ret_stack);
-        w.u64(self.produced);
-        w.u64(self.path_hist);
-        self.undo.save_state(w);
-    }
-
-    /// Restores state written by [`Walker::save_state`] in place, keeping
-    /// every existing allocation (the zero-allocation steady state must
-    /// survive a restore).
-    ///
-    /// Fails with an `E0018` diagnostic if the snapshot's geometry does not
-    /// match this walker's program (wrong counter-table length, call stack
-    /// deeper than the hard bound, or a PC outside the program).
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), Diagnostic> {
-        let pc = r.addr()?;
-        if !self.program.contains(pc) {
-            return Err(snap_mismatch(
-                "walker.pc",
-                format!("restored pc {pc} is outside the program"),
-            ));
-        }
-        let mut counters = std::mem::take(&mut self.counters);
-        smt_isa::load_vec_into(r, &mut counters)?;
-        if counters.len() != self.program.len() {
-            return Err(snap_mismatch(
-                "walker.counters",
-                format!(
-                    "snapshot has {} occurrence counters, program has {} instructions",
-                    counters.len(),
-                    self.program.len()
-                ),
-            ));
-        }
-        self.counters = counters;
-        smt_isa::load_vec_into(r, &mut self.ret_stack)?;
-        if self.ret_stack.len() > MAX_CALL_DEPTH {
-            return Err(snap_mismatch(
-                "walker.ret_stack",
-                format!(
-                    "restored call stack depth {} exceeds bound {MAX_CALL_DEPTH}",
-                    self.ret_stack.len()
-                ),
-            ));
-        }
-        self.pc = pc;
-        self.produced = r.u64()?;
-        self.path_hist = r.u64()?;
-        self.undo.load_state(r)
     }
 
     /// Runs the walker forward `n` instructions, returning summary dynamic
@@ -933,65 +802,6 @@ mod tests {
         let wp_nt = w.wrong_path(pc, false, Addr::NULL);
         assert!(!wp_nt.taken);
         assert_eq!(wp_nt.next_pc, pc.add_insts(1));
-    }
-
-    #[test]
-    fn snapshot_round_trip_resumes_identically() {
-        let prog = std::sync::Arc::new(
-            ProgramBuilder::new(BenchmarkProfile::by_name("vortex").unwrap())
-                .seed(21)
-                .build(),
-        );
-        let mut w = Walker::new(prog.clone(), 0);
-        for _ in 0..7_777 {
-            let _ = w.next_inst();
-        }
-        let mut buf = SnapWriter::new();
-        w.save_state(&mut buf);
-        let bytes = buf.into_bytes();
-
-        // The original continues; a fresh walker restores and must follow.
-        let mut restored = Walker::new(prog, 0);
-        let mut r = SnapReader::new(&bytes);
-        restored.load_state(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(restored.pc(), w.pc());
-        assert_eq!(restored.produced(), w.produced());
-        assert_eq!(restored.call_depth(), w.call_depth());
-        for i in 0..5_000 {
-            assert_eq!(restored.next_inst(), w.next_inst(), "inst {i}");
-        }
-        // Rollback across the restore boundary works (the undo ring was
-        // carried over in full).
-        restored.rollback(1_500);
-        w.rollback(1_500);
-        for i in 0..1_500 {
-            assert_eq!(restored.next_inst(), w.next_inst(), "replay {i}");
-        }
-        // Re-snapshotting the restored walker is byte-identical.
-        let mut again = SnapWriter::new();
-        restored.save_state(&mut again);
-        let mut orig = SnapWriter::new();
-        w.save_state(&mut orig);
-        assert_eq!(again.into_bytes(), orig.into_bytes());
-    }
-
-    #[test]
-    fn snapshot_geometry_mismatch_is_a_diagnostic() {
-        let mut w = walker("gzip", 1);
-        let _ = w.measure(100);
-        let mut buf = SnapWriter::new();
-        w.save_state(&mut buf);
-        let bytes = buf.into_bytes();
-        // A different program (different length) rejects the snapshot.
-        let mut other = walker("mcf", 1);
-        let mut r = SnapReader::new(&bytes);
-        let err = other.load_state(&mut r).unwrap_err();
-        assert_eq!(err.code, "E0018");
-        // Truncated bytes reject too.
-        let mut target = walker("gzip", 1);
-        let mut r = SnapReader::new(&bytes[..bytes.len() / 2]);
-        assert_eq!(target.load_state(&mut r).unwrap_err().code, "E0018");
     }
 
     #[test]

@@ -14,10 +14,7 @@
 //! * [`core`] — the SMT out-of-order pipeline with decoupled 1.X / 2.X fetch
 //!   architectures and the ICOUNT fetch policy;
 //! * [`experiments`] — runners that regenerate every table and figure of the
-//!   paper's evaluation;
-//! * [`serve`] — the sweep daemon: a persistent service that memoizes
-//!   finished results by content hash, so repeated figure regenerations
-//!   cost milliseconds.
+//!   paper's evaluation.
 //!
 //! # Quickstart
 //!
@@ -45,5 +42,4 @@ pub use smt_core as core;
 pub use smt_experiments as experiments;
 pub use smt_isa as isa;
 pub use smt_mem as mem;
-pub use smt_serve as serve;
 pub use smt_workloads as workloads;

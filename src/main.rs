@@ -18,7 +18,9 @@
 
 use std::process::ExitCode;
 
-use smtfetch::core::{FetchEngineKind, FetchPolicy, SimBuilder, SimStats};
+use smtfetch::core::{
+    FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, SimBuilder, SimConfig, SimStats,
+};
 use smtfetch::workloads::{Workload, WorkloadClass};
 
 #[derive(Debug)]
@@ -155,21 +157,46 @@ fn resolve_workload(name: &str) -> Result<Workload, String> {
         .map_err(|e| format!("{e} (Table 2 names: 2_ILP, 2_MEM, 2_MIX, 4_ILP, 4_MEM, 4_MIX, 6_ILP, 6_MIX, 8_ILP, 8_MIX)"))
 }
 
-fn build_policy(o: &Options) -> Result<FetchPolicy, String> {
-    let mut p = match o.policy_kind.as_str() {
-        "icount" => FetchPolicy::icount(o.threads_per_cycle, o.width),
-        "rr" | "roundrobin" => FetchPolicy::round_robin(o.threads_per_cycle, o.width),
-        "brcount" => FetchPolicy::br_count(o.threads_per_cycle, o.width),
-        "misscount" => FetchPolicy::miss_count(o.threads_per_cycle, o.width),
+/// Builds the fetch policy and checks it with the configuration validator
+/// for a `threads`-context workload. The policy is assembled field by field
+/// rather than through `FetchPolicy::icount` and friends, whose asserts
+/// would panic on a bad `-n` or `--width` before the validator could
+/// reject it with a diagnostic (`E0004`).
+fn build_policy(o: &Options, threads: usize) -> Result<FetchPolicy, String> {
+    let kind = match o.policy_kind.as_str() {
+        "icount" => PolicyKind::Icount,
+        "rr" | "roundrobin" => PolicyKind::RoundRobin,
+        "brcount" => PolicyKind::BrCount,
+        "misscount" => PolicyKind::MissCount,
         other => return Err(format!("unknown policy `{other}`")),
     };
+    let mut policy = FetchPolicy {
+        kind,
+        threads_per_cycle: o.threads_per_cycle,
+        width: o.width,
+        long_latency: LongLatencyAction::None,
+    };
     if o.stall {
-        p = p.with_stall();
+        policy = policy.with_stall();
     }
     if o.flush {
-        p = p.with_flush();
+        policy = policy.with_flush();
     }
-    Ok(p)
+    let cfg = SimConfig {
+        fetch_policy: policy,
+        ..SimConfig::default()
+    };
+    let errors: Vec<String> = cfg
+        .validate_for_threads(threads)
+        .iter()
+        .filter(|d| d.is_error())
+        .map(ToString::to_string)
+        .collect();
+    if errors.is_empty() {
+        Ok(policy)
+    } else {
+        Err(format!("invalid fetch policy:\n  {}", errors.join("\n  ")))
+    }
 }
 
 fn simulate(
@@ -228,7 +255,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let policy = match build_policy(&o) {
+    let policy = match build_policy(&o, w.num_threads()) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");

@@ -189,53 +189,35 @@ fn event_skip_heavy_steady_state_is_allocation_free() {
     }
 }
 
-/// Checkpoint/restore must hand back a simulator that re-enters the
-/// zero-allocation steady state. `Simulator::restore` rebuilds the machine
-/// and overwrites state **in place** (every pre-sized buffer keeps its
-/// allocation; loads only check geometry), so once warmed, a restored
-/// simulator's cycle loop allocates exactly as much as the original: zero.
-/// Snapshotting and restoring themselves may allocate freely — only the
-/// resumed loop is under the gate.
+/// Forking a warmed simulator with `clone()` must hand back one that is
+/// already in the zero-allocation steady state: the clone's cycle loop
+/// allocates exactly as much as the original's, zero. The clone itself may
+/// allocate freely — only the forked loop is under the gate.
 #[test]
-fn restored_steady_state_is_allocation_free() {
-    use smtfetch::core::Simulator;
+fn cloned_steady_state_is_allocation_free() {
     for engine in [
         FetchEngineKind::GshareBtb,
         FetchEngineKind::GskewFtb,
         FetchEngineKind::Stream,
     ] {
         let policy = FetchPolicy::icount(2, 8);
-        let programs = Workload::mix2()
-            .programs_shared(2004)
-            .expect("table 2 workloads always build");
-        let cfg = smtfetch::core::SimConfig {
-            fetch_policy: policy,
-            ..smtfetch::core::SimConfig::default()
-        };
-        let mut sim = SimBuilder::new_shared(programs.clone())
-            .fetch_engine(engine)
-            .config(cfg.clone())
-            .build()
-            .expect("valid configuration");
+        let mut sim = build(engine, policy);
         sim.run_cycles(WARMUP_CYCLES);
-        // Snapshot + restore are allowed to allocate; the gate starts after.
-        let snap = sim.snapshot();
+        let mut fork = sim.clone();
         drop(sim);
-        let mut resumed =
-            Simulator::restore(programs, cfg, &snap).expect("snapshot restores cleanly");
-        let committed_before = resumed.stats().total_committed();
+        let committed_before = fork.stats().total_committed();
         let before = allocations_so_far();
-        resumed.run_cycles(MEASURE_CYCLES);
+        fork.run_cycles(MEASURE_CYCLES);
         let allocated = allocations_so_far() - before;
         assert_eq!(
             allocated, 0,
             "{engine} under {policy}: {allocated} heap allocations in \
-             {MEASURE_CYCLES} post-restore cycles (a restored simulator must \
+             {MEASURE_CYCLES} cycles of a cloned simulator (a fork must \
              re-enter the allocation-free steady state)"
         );
         assert!(
-            resumed.stats().total_committed() > committed_before,
-            "{engine} under {policy}: no instructions committed after restore"
+            fork.stats().total_committed() > committed_before,
+            "{engine} under {policy}: no instructions committed after the fork"
         );
     }
 }

@@ -18,7 +18,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use smtfetch::core::{FetchEngineKind, FetchPolicy};
+use smtfetch::core::{FetchEngineKind, FetchPolicy, SimBuilder, SimStats, Simulator};
 use smtfetch::experiments::{run_matrix, run_matrix_parallel, Jobs, RunLength, RunResult};
 use smtfetch::workloads::Workload;
 
@@ -220,7 +220,6 @@ fn normalize_skips(stats: &mut smtfetch::core::SimStats) -> u64 {
 /// the original semantics.
 #[test]
 fn optimized_step_matches_run_cycles_same_seed() {
-    use smtfetch::core::SimBuilder;
     const CYCLES: u64 = 6_000;
     let mut total_skipped = 0;
     for engine in FetchEngineKind::all() {
@@ -268,7 +267,6 @@ fn optimized_step_matches_run_cycles_same_seed() {
 /// queues and leaves whole-machine idle windows).
 #[test]
 fn fast_forward_matches_stepping_under_long_latency_policies() {
-    use smtfetch::core::SimBuilder;
     const CYCLES: u64 = 12_000;
     for (policy, min_skip) in [
         (FetchPolicy::icount(1, 8).with_stall(), 0),
@@ -298,56 +296,47 @@ fn fast_forward_matches_stepping_under_long_latency_policies() {
     }
 }
 
-/// Checkpoint/resume equivalence contract over the Figure 5 matrix: every
-/// engine × `ICOUNT.{1,2}.8` cell, split into N ∈ {2, 4, 8} chunks executed
-/// in parallel from checkpoints, is **byte-identical** to the monolithic
-/// run. `run_chunked` verifies every chunk boundary internally (each
-/// chunk's end snapshot must equal the next chunk's start checkpoint); on
-/// top of that this test compares the final statistics and the final
-/// whole-machine snapshot against an independently-run monolithic
-/// simulator, so a silent no-op chunking cannot pass.
+/// Splits `total` cycles into `chunks` near-equal pieces, front-loading the
+/// remainder so lengths differ by at most one cycle.
+fn chunk_lengths(total: u64, chunks: u64) -> impl Iterator<Item = u64> {
+    (0..chunks).map(move |i| total / chunks + u64::from(i < total % chunks))
+}
+
+/// Runs `sim` for `total` cycles as `chunks` consecutive `run_cycles` calls,
+/// then `tail` more cycles in one call.
+fn run_in_chunks(mut sim: Simulator, total: u64, chunks: u64, tail: u64) -> SimStats {
+    for len in chunk_lengths(total, chunks) {
+        sim.run_cycles(len);
+    }
+    sim.run_cycles(tail).clone()
+}
+
+/// Chunked-execution contract over the Figure 5 matrix: every engine ×
+/// `ICOUNT.{1,2}.8` cell, run as N ∈ {2, 3, 4, 5, 7, 8} consecutive
+/// `run_cycles` chunks, gives statistics equal to the monolithic run — at
+/// the end of the chunks and again after a shared tail, so state a chunk
+/// boundary corrupted without touching the counters still shows.
 #[test]
 fn chunked_execution_matches_monolithic_for_figure5_matrix() {
-    use smtfetch::core::{SimBuilder, SimConfig};
-    use smtfetch::experiments::run_chunked;
     const CYCLES: u64 = 6_000;
+    const TAIL: u64 = 500;
     let programs = Workload::ilp2().programs_shared(2004).expect("programs");
     for engine in FetchEngineKind::all() {
         for policy in [FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)] {
-            let cfg = SimConfig {
-                fetch_policy: policy,
-                ..SimConfig::default()
+            let fresh = || {
+                SimBuilder::new_shared(programs.clone())
+                    .fetch_engine(engine)
+                    .fetch_policy(policy)
+                    .build()
+                    .expect("valid configuration")
             };
-            let mut mono = SimBuilder::new_shared(programs.clone())
-                .fetch_engine(engine)
-                .config(cfg.clone())
-                .build()
-                .expect("valid configuration");
-            mono.run_cycles(CYCLES);
-            let mono_snapshot = mono.snapshot();
-            for chunks in [2usize, 4, 8] {
-                let chunked = run_chunked(
-                    &programs,
-                    engine,
-                    &cfg,
-                    CYCLES,
-                    chunks,
-                    Jobs::new(4).expect("valid worker count"),
-                )
-                .unwrap_or_else(|e| {
-                    panic!("{engine} × {policy} chunks={chunks}: boundary diverged: {e}")
-                });
+            let mono = run_in_chunks(fresh(), CYCLES, 1, TAIL);
+            for chunks in [2, 3, 4, 5, 7, 8] {
                 assert_eq!(
-                    &chunked.stats,
-                    mono.stats(),
+                    run_in_chunks(fresh(), CYCLES, chunks, TAIL),
+                    mono,
                     "{engine} × {policy} chunks={chunks}: stats diverged"
                 );
-                assert_eq!(
-                    chunked.final_snapshot, mono_snapshot,
-                    "{engine} × {policy} chunks={chunks}: final state diverged"
-                );
-                assert_eq!(chunked.verified_boundaries, chunks);
-                assert_eq!(chunked.chunk_cycles.iter().sum::<u64>(), CYCLES);
             }
         }
     }
@@ -358,51 +347,33 @@ fn chunked_execution_matches_monolithic_for_figure5_matrix() {
 /// so odd chunk counts over a non-round horizon are all but guaranteed to
 /// cut skip windows mid-flight. The scheduler must clamp the skip at the
 /// boundary and re-derive the identical classification (and stall charges)
-/// on resume, so chunked stats and the final whole-machine snapshot stay
-/// byte-identical to the monolithic run.
+/// on the next call, so chunked stats stay equal to the monolithic run.
 #[test]
 fn chunk_boundary_mid_skip_matches_monolithic() {
-    use smtfetch::core::{SimBuilder, SimConfig};
-    use smtfetch::experiments::run_chunked;
     const CYCLES: u64 = 9_001; // prime-ish horizon: boundaries avoid round cycles
+    const TAIL: u64 = 500;
     let programs = Workload::mem2().programs_shared(2004).expect("programs");
     for policy in [
         FetchPolicy::icount(2, 8).with_stall(),
         FetchPolicy::icount(2, 8).with_flush(),
         FetchPolicy::round_robin(2, 8).with_stall(),
     ] {
-        let cfg = SimConfig {
-            fetch_policy: policy,
-            ..SimConfig::default()
+        let fresh = || {
+            SimBuilder::new_shared(programs.clone())
+                .fetch_policy(policy)
+                .build()
+                .expect("valid configuration")
         };
-        let mut mono = SimBuilder::new_shared(programs.clone())
-            .config(cfg.clone())
-            .build()
-            .expect("valid configuration");
-        mono.run_cycles(CYCLES);
+        let mono = run_in_chunks(fresh(), CYCLES, 1, TAIL);
         assert!(
-            mono.stats().skipped_cycles() > 0,
+            mono.skipped_cycles() > 0,
             "{policy}: the scheduler never engaged, boundaries cannot land mid-skip"
         );
-        let mono_snapshot = mono.snapshot();
-        for chunks in [3usize, 5, 7] {
-            let chunked = run_chunked(
-                &programs,
-                FetchEngineKind::GshareBtb,
-                &cfg,
-                CYCLES,
-                chunks,
-                Jobs::new(3).expect("valid worker count"),
-            )
-            .unwrap_or_else(|e| panic!("{policy} chunks={chunks}: boundary diverged: {e}"));
+        for chunks in [2, 3, 4, 5, 7, 8] {
             assert_eq!(
-                &chunked.stats,
-                mono.stats(),
+                run_in_chunks(fresh(), CYCLES, chunks, TAIL),
+                mono,
                 "{policy} chunks={chunks}: stats diverged"
-            );
-            assert_eq!(
-                chunked.final_snapshot, mono_snapshot,
-                "{policy} chunks={chunks}: final state diverged"
             );
         }
     }

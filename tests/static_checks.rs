@@ -14,7 +14,7 @@
 
 use smt_lint::{
     check_deps, check_file, check_workspace, workspace_escapes, Rule, HOT_PATH_FILE,
-    MODULE_SIZE_LIMIT, SERVE_LISTENER, STATS_FILE, SWEEP_EXECUTOR,
+    MODULE_SIZE_LIMIT, STATS_FILE, SWEEP_EXECUTOR,
 };
 use smtfetch::core::{FetchPolicy, SimConfig};
 use smtfetch::isa::MAX_THREADS;
@@ -59,12 +59,12 @@ fn linter_detects_seeded_violations() {
         "seeded alias not flagged: {v:?}"
     );
 
-    // Wall-clock time in a simulation crate, and in the sweep daemon
-    // (which joined CLOCK_CRATES so served results stay seed-pure).
+    // Wall-clock time in a simulation crate, and in the experiment harness
+    // (which is in CLOCK_CRATES so its results stay seed-pure).
     let seeded_clock = "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n";
     let v = check_file("crates/mem/src/fake.rs", seeded_clock);
     assert!(v.iter().any(|x| x.rule == Rule::NoWallClock), "{v:?}");
-    let v = check_file("crates/serve/src/fake.rs", seeded_clock);
+    let v = check_file("crates/experiments/src/fake.rs", seeded_clock);
     assert!(v.iter().any(|x| x.rule == Rule::NoWallClock), "{v:?}");
 
     // An environment read in a simulation crate.
@@ -125,13 +125,11 @@ fn linter_detects_seeded_violations() {
 /// (path, rule) and the justification text are what the audit reviews.
 ///
 /// Notable invariants the ledger encodes:
-/// * the only `no-wall-clock` escapes are the sweep executor's harness
-///   timer and the daemon's per-job `SUMMARY` timer;
+/// * the only `no-wall-clock` escape is the sweep executor's harness
+///   timer;
 /// * the only `no-env-in-core` escape is commit's debug-only stderr tracing;
 /// * every `no-nondeterministic-threading` escape is inside the sweep
-///   executor or the daemon's listener — the executor is the only place
-///   simulation work runs in parallel; the listener's threads pump
-///   protocol bytes only;
+///   executor — the only place simulation work runs in parallel;
 /// * every hot-path `no-alloc-in-step` escape is construction-time work:
 ///   the two copies in `Simulator::new` and the two column allocations in
 ///   `Window::presize`.
@@ -464,24 +462,6 @@ fn escape_ledger_is_pinned() {
             "entries checked non-empty before LRU eviction",
         ),
         (
-            "crates/serve/src/server.rs",
-            "no-nondeterministic-threading",
-            false,
-            "the daemon's accept loop; moves protocol bytes only, all simulation runs inside the audited sweep executor",
-        ),
-        (
-            "crates/serve/src/server.rs",
-            "no-nondeterministic-threading",
-            false,
-            "one protocol-pump thread per client connection; cell results are computed by the audited sweep executor, so which thread serves a client cannot affect any result",
-        ),
-        (
-            "crates/serve/src/server.rs",
-            "no-wall-clock",
-            false,
-            "job wall-time for the SUMMARY observability line; results never see it",
-        ),
-        (
             "crates/workloads/src/builder.rs",
             "no-lossy-cast",
             false,
@@ -570,9 +550,8 @@ fn escape_ledger_is_pinned() {
     for e in &ledger {
         if e.rule == Some(Rule::NoWallClock) || e.rule == Some(Rule::NoNondeterministicThreading) {
             assert!(
-                e.path == SWEEP_EXECUTOR || e.path == SERVE_LISTENER,
-                "clock/threading escape at {} — confined to the sweep \
-                 executor and the daemon listener",
+                e.path == SWEEP_EXECUTOR,
+                "clock/threading escape at {} — confined to the sweep executor",
                 e.path
             );
         }
