@@ -5,10 +5,16 @@
 //! number of timed samples, then prints the minimum and mean sample time
 //! (minimum first — it is the least noisy estimator for CPU-bound code).
 //! Wall-clock time is confined to this crate by design; the simulation
-//! crates themselves are forbidden from reading clocks (see `smt-lint`).
+//! crates themselves are forbidden from reading clocks (`crates/clippy.toml`).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The library-only bans; the `benches/` binaries may panic on bad input.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::cast_possible_truncation
+)]
 
 use std::time::{Duration, Instant};
 

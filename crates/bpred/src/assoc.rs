@@ -83,9 +83,14 @@ impl<E> SetAssoc<E> {
         self.sets.len() as u64 - 1
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "masked to the set count")]
+    fn set_index(&self, set: u64) -> usize {
+        (set & self.set_mask()) as usize
+    }
+
     fn set_of(&mut self, set: u64) -> &mut Vec<Way<E>> {
-        let mask = self.sets.len() as u64 - 1;
-        &mut self.sets[(set & mask) as usize]
+        let i = self.set_index(set);
+        &mut self.sets[i]
     }
 
     /// Looks up `(set, tag)`, updating LRU and hit statistics on hit.
@@ -93,8 +98,8 @@ impl<E> SetAssoc<E> {
         self.lookups += 1;
         self.tick += 1;
         let tick = self.tick;
-        let mask = self.sets.len() as u64 - 1;
-        let ways = &mut self.sets[(set & mask) as usize];
+        let i = self.set_index(set);
+        let ways = &mut self.sets[i];
         match ways.iter_mut().find(|w| w.tag == tag) {
             Some(w) => {
                 w.lru = tick;
@@ -107,8 +112,7 @@ impl<E> SetAssoc<E> {
 
     /// Looks up `(set, tag)` without touching LRU or statistics.
     pub fn peek(&self, set: u64, tag: u64) -> Option<&E> {
-        let mask = self.sets.len() as u64 - 1;
-        self.sets[(set & mask) as usize]
+        self.sets[self.set_index(set)]
             .iter()
             .find(|w| w.tag == tag)
             .map(|w| &w.entry)
@@ -136,10 +140,11 @@ impl<E> SetAssoc<E> {
             });
             return None;
         }
+        #[expect(clippy::expect_used, reason = "ways.len() == cap > 0, so never empty")]
         let victim = ways
             .iter_mut()
             .min_by_key(|w| w.lru)
-            .expect("set is non-empty: ways.len() == cap > 0"); // lint:allow(no-panic): ways.len() == cap > 0, so the set is never empty
+            .expect("set is non-empty: ways.len() == cap > 0");
         let old_tag = victim.tag;
         victim.tag = tag;
         victim.lru = tick;
@@ -194,8 +199,8 @@ mod tests {
     #[test]
     fn lru_victim_is_least_recently_used() {
         let mut t: SetAssoc<u32> = SetAssoc::new(8, 4).unwrap(); // 2 sets × 4 ways
-        for tag in 0..4 {
-            t.insert(0, tag, tag as u32);
+        for tag in 0..4u32 {
+            t.insert(0, tag.into(), tag);
         }
         // Touch tags 0, 2, 3 — tag 1 becomes LRU.
         t.lookup(0, 0);

@@ -41,8 +41,9 @@ impl Btb {
     }
 
     /// The paper's configuration: 2K entries, 4-way associative.
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Btb::new(2048, 4).expect("preset geometry is valid") // lint:allow(no-panic): preset geometry is valid by construction
+        Btb::new(2048, 4).expect("preset geometry is valid")
     }
 
     fn set_and_tag(&self, pc: Addr) -> (u64, u64) {

@@ -110,19 +110,23 @@ impl CounterTable {
         self.entries == 0
     }
 
+    /// The packed slot of `index` (wrapped into range).
+    #[expect(clippy::cast_possible_truncation, reason = "masked to the entry count")]
+    fn slot(&self, index: u64) -> usize {
+        (index & self.mask) as usize
+    }
+
     /// The counter at `index` (wrapped into range).
     pub fn get(&self, index: u64) -> TwoBit {
-        let i = (index & self.mask) as usize;
-        // lint:allow(no-lossy-cast): masked to two bits, cannot truncate
+        let i = self.slot(index);
         TwoBit(((self.words[i >> 5] >> ((i & 31) * 2)) & 0b11) as u8)
     }
 
     /// Trains the counter at `index` (wrapped into range).
     pub fn update(&mut self, index: u64, taken: bool) {
-        let i = (index & self.mask) as usize;
+        let i = self.slot(index);
         let shift = (i & 31) * 2;
         let word = &mut self.words[i >> 5];
-        // lint:allow(no-lossy-cast): masked to two bits, cannot truncate
         let state = ((*word >> shift) & 0b11) as u8;
         let next = if taken {
             (state + 1).min(3)
@@ -140,7 +144,7 @@ impl CounterTable {
     /// bits. `set(i, trained(get(i)))` is exactly [`CounterTable::update`]
     /// as long as the table was not touched between the read and the write.
     pub fn set(&mut self, index: u64, state: TwoBit) {
-        let i = (index & self.mask) as usize;
+        let i = self.slot(index);
         let shift = (i & 31) * 2;
         let word = &mut self.words[i >> 5];
         *word = (*word & !(0b11 << shift)) | (u64::from(state.state()) << shift);

@@ -97,8 +97,9 @@ impl Ftb {
     }
 
     /// The paper's configuration: 2K entries, 4-way, 16-instruction blocks.
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Ftb::new(2048, 4, 16).expect("preset geometry is valid") // lint:allow(no-panic): preset geometry is valid by construction
+        Ftb::new(2048, 4, 16).expect("preset geometry is valid")
     }
 
     /// Maximum block length in instructions.

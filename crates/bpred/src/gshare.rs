@@ -32,8 +32,9 @@ impl Gshare {
     }
 
     /// The paper's configuration: 64K entries (16-bit index), 16-bit history.
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Gshare::new(64 * 1024).expect("preset geometry is valid") // lint:allow(no-panic): preset geometry is valid by construction
+        Gshare::new(64 * 1024).expect("preset geometry is valid")
     }
 
     fn index(&self, pc: Addr, history: GlobalHistory) -> u64 {

@@ -88,14 +88,15 @@ impl Gskew {
     }
 
     /// The paper's configuration: 3 banks of 32K entries, 15-bit history.
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Gskew::new(32 * 1024).expect("preset geometry is valid") // lint:allow(no-panic): preset geometry is valid by construction
+        Gskew::new(32 * 1024).expect("preset geometry is valid")
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "bank < BANKS = 3")]
     fn index(&self, bank: usize, pc: Addr, history: GlobalHistory) -> u64 {
         let x = (pc.raw() >> 2) ^ (history.bits() << 17) ^ SALTS[bank];
         // splitmix64 finalizer for avalanche.
-        // lint:allow(no-lossy-cast): bank < BANKS = 3, fits any width
         let mut z = x.wrapping_add(SALTS[bank].rotate_left(bank as u32 * 21));
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -30,7 +30,6 @@
 //! # let _ = pred;
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assoc;

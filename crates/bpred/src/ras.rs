@@ -55,8 +55,9 @@ impl ReturnStack {
     }
 
     /// The paper's configuration: 64 entries.
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        ReturnStack::new(64).expect("preset geometry is valid") // lint:allow(no-panic): preset geometry is valid by construction
+        ReturnStack::new(64).expect("preset geometry is valid")
     }
 
     /// Capacity in entries.

@@ -66,10 +66,12 @@ impl StreamPath {
     }
 
     /// Records the start of a (speculatively) emitted stream.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "MAX_DEPTH = 16 fits u8; deliberate 32-bit path compression"
+    )]
     pub fn push(&mut self, start: Addr) {
-        // lint:allow(no-lossy-cast): MAX_DEPTH = 16 fits u8
         self.pos = (self.pos + 1) % MAX_DEPTH as u8;
-        // lint:allow(no-lossy-cast): deliberate 32-bit path compression
         self.ring[self.pos as usize] = (start.raw() >> 2) as u32;
     }
 
@@ -92,8 +94,9 @@ impl StreamPath {
         let mut shift = dolc.current_bits;
         h ^= (self.recent(0) as u64 & mask(dolc.last_bits)) << (shift % 54);
         shift += dolc.last_bits;
-        // lint:allow(no-lossy-cast): MAX_DEPTH = 16 fits u32
-        for i in 1..dolc.depth.min(MAX_DEPTH as u32) {
+        #[expect(clippy::cast_possible_truncation, reason = "MAX_DEPTH = 16 fits u32")]
+        let depth = dolc.depth.min(MAX_DEPTH as u32);
+        for i in 1..depth {
             h ^= (self.recent(i as usize) as u64 & mask(dolc.older_bits)) << (shift % 54);
             shift += dolc.older_bits;
         }
@@ -200,8 +203,8 @@ impl StreamPredictor {
 
     /// The paper's configuration: 1K-entry + 4K-entry, both 4-way,
     /// DOLC 16-2-4-10, with streams capped at 64 instructions.
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        // lint:allow(no-panic): preset geometry is valid by construction
         StreamPredictor::new(1024, 4096, 4, Dolc::HPCA2004, 64).expect("preset geometry is valid")
     }
 

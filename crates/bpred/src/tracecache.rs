@@ -102,8 +102,9 @@ impl TraceCache {
     /// A typical configuration comparable to the paper-era literature:
     /// 512 trace lines of up to 16 instructions (≈ 32 KB of instruction
     /// storage), 4-way associative.
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn typical() -> Self {
-        TraceCache::new(512, 4).expect("preset geometry is valid") // lint:allow(no-panic): preset geometry is valid by construction
+        TraceCache::new(512, 4).expect("preset geometry is valid")
     }
 
     fn set_and_tag(&self, start: Addr, dirs: &[bool]) -> (u64, u64) {

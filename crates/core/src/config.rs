@@ -583,7 +583,7 @@ impl SimConfig {
         }
 
         // --- Register files vs. thread count (E0007, W0102). ---
-        // lint:allow(no-lossy-cast): threads ≤ MAX_THREADS = 8
+        #[expect(clippy::cast_possible_truncation, reason = "threads ≤ MAX_THREADS = 8")]
         let threads = threads.max(1) as u32;
         let (need_int, need_fp) = (
             threads * u32::from(NUM_ARCH_INT),
@@ -737,7 +737,7 @@ impl Default for SimConfig {
 #[cfg(test)]
 // The validator tests mutate one field of the Table 3 default at a
 // time; reassignment after `default()` is the point.
-#[allow(clippy::field_reassign_with_default)]
+#[expect(clippy::field_reassign_with_default, reason = "one-field mutations")]
 mod tests {
     use super::*;
 

@@ -79,7 +79,8 @@ impl FrontEnd for GshareBtb {
             self.gshare.update(di.pc, hist, di.taken);
         }
         if di.taken {
-            let kind = di.class.branch_kind().expect("branch"); // lint:allow(no-panic): update only sees branch-class instructions
+            #[expect(clippy::expect_used, reason = "update only sees branches")]
+            let kind = di.class.branch_kind().expect("branch");
             self.btb.record_taken(di.pc, di.next_pc, kind);
         }
     }

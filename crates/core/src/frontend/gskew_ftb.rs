@@ -125,7 +125,8 @@ impl FrontEnd for GskewFtb {
             self.gskew.update_with(&probe, di.taken);
         }
         if di.taken {
-            let kind = di.class.branch_kind().expect("branch"); // lint:allow(no-panic): update only sees branch-class instructions
+            #[expect(clippy::expect_used, reason = "update only sees branches")]
+            let kind = di.class.branch_kind().expect("branch");
             self.ftb.record_taken(
                 info.block_start,
                 ObservedEnd {

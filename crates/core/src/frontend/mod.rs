@@ -148,7 +148,7 @@ pub struct PredictedBlock {
 /// Determinism obligations: every hook must be a pure function of the
 /// engine's own tables plus its arguments — no wall-clock reads, no ambient
 /// randomness, no global state — so seeded runs stay bit-reproducible
-/// (enforced workspace-wide by `smt-lint`).
+/// (the simulation crates' clippy lints ban clocks, env reads and threads).
 ///
 /// What each hook may observe and mutate:
 ///
@@ -199,7 +199,7 @@ pub trait FrontEnd {
     ///
     /// The default emits exactly one block; multi-block engines (the trace
     /// cache) override it.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "writes straight into the FTQ")]
     fn predict_blocks_into(
         &mut self,
         thread: ThreadId,
@@ -319,7 +319,8 @@ pub(crate) fn classic_block(
     match program.first_branch_at_or_after(pc, max) {
         Some((dist, inst)) => {
             let end_pc = inst.addr;
-            let kind = inst.class.branch_kind().expect("scan returns branches"); // lint:allow(no-panic): the program scan returns only branches
+            #[expect(clippy::expect_used, reason = "the program scan returns only branches")]
+            let kind = inst.class.branch_kind().expect("scan returns branches");
             let (taken, target) = match kind {
                 BranchKind::Cond => {
                     let t = gshare.predict(end_pc, spec.hist);
@@ -348,7 +349,7 @@ pub(crate) fn classic_block(
                 }
                 BranchKind::Return => (true, spec.ras.pop()),
             };
-            // lint:allow(no-lossy-cast): dist < the BTB block-scan cap
+            #[expect(clippy::cast_possible_truncation, reason = "dist < the BTB scan cap")]
             let len = (dist + 1) as u32;
             let fall = pc.add_insts(len as u64);
             let next = if taken && !target.is_null() {
@@ -370,7 +371,7 @@ pub(crate) fn classic_block(
                 next_fetch: next,
             }
         }
-        // lint:allow(no-lossy-cast): max is the per-block fetch budget ≤ 16
+        #[expect(clippy::cast_possible_truncation, reason = "max ≤ fetch budget ≤ 16")]
         None => sequential_block(thread, pc, max as u32),
     }
 }
@@ -446,11 +447,12 @@ pub static FRONT_ENDS: [FrontEndEntry; 4] = [
 ];
 
 /// Looks up the registry entry for `kind` (every kind is registered).
+#[expect(clippy::expect_used, reason = "registry is total over FetchEngineKind")]
 pub(crate) fn registry_entry(kind: FetchEngineKind) -> &'static FrontEndEntry {
     FRONT_ENDS
         .iter()
         .find(|e| e.kind == kind)
-        .expect("every FetchEngineKind is registered") // lint:allow(no-panic): the registry is compiled-in and total over FetchEngineKind
+        .expect("every FetchEngineKind is registered")
 }
 
 /// Maps a construction diagnostic into the `predictor.` config namespace.
@@ -496,8 +498,9 @@ impl AnyFrontEnd {
     ///
     /// Panics if `cfg` has invalid predictor geometry; prefer
     /// [`AnyFrontEnd::build`] for configurations that are not known-good.
+    #[expect(clippy::expect_used, reason = "Table 3 geometry is valid")]
     pub fn hpca2004(kind: FetchEngineKind, cfg: &SimConfig) -> Self {
-        AnyFrontEnd::build(kind, cfg).expect("Table 3 geometry is valid") // lint:allow(no-panic): documented-panic preset; Table 3 geometry is valid
+        AnyFrontEnd::build(kind, cfg).expect("Table 3 geometry is valid")
     }
 }
 

@@ -82,7 +82,7 @@ impl TraceCache {
     /// Trace prediction: way-select by the multiple-branch direction
     /// vector; on a hit emit the trace's segments, on a miss fall back to
     /// the core fetch unit. Appends to `out`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the predict_blocks_into hook")]
     fn predict_trace(
         &mut self,
         thread: ThreadId,
@@ -216,7 +216,8 @@ impl FrontEnd for TraceCache {
             self.gshare.update(di.pc, hist, di.taken);
         }
         if di.taken {
-            let kind = di.class.branch_kind().expect("branch"); // lint:allow(no-panic): update only sees branch-class instructions
+            #[expect(clippy::expect_used, reason = "update only sees branches")]
+            let kind = di.class.branch_kind().expect("branch");
             self.btb.record_taken(di.pc, di.next_pc, kind);
         }
     }
@@ -267,7 +268,8 @@ impl FrontEnd for TraceCache {
                 debug_assert_eq!(next_pc, pc.add_insts(1), "trace segment contiguity");
             }
         }
-        let next_pc = fill.entries.last().expect("non-empty").3; // lint:allow(no-panic): fill buffer checked non-empty before sealing
+        #[expect(clippy::expect_used, reason = "fill buffer checked non-empty")]
+        let next_pc = fill.entries.last().expect("non-empty").3;
         let start = fill.entries[0].0;
         let start_hist = fill.start_hist;
         fill.entries.clear();

@@ -5,7 +5,10 @@
 // protocol itself guarantees (e.g. "caller checked" FTQ heads, rename maps
 // populated at dispatch). Construction is fallible and validated; once
 // built, these are genuine internal invariants, not input errors.
-// lint:allow-file(no-panic): stage-protocol invariants; violations must abort the simulation
+#![expect(
+    clippy::expect_used,
+    reason = "stage-protocol invariants; violations must abort the simulation"
+)]
 
 use smt_bpred::ObservedStream;
 use smt_isa::{InstClass, RegClass};
@@ -25,7 +28,8 @@ impl PipelineStage for CommitStage {
         let now = ctx.cycle;
         let n = ctx.threads.len();
         let mut budget = ctx.cfg.commit_width;
-        let start = (ctx.cycle as usize) % n;
+        #[expect(clippy::cast_possible_truncation, reason = "remainder < n, a usize")]
+        let start = (ctx.cycle % n as u64) as usize;
         // Only the trace cache's fill unit consumes committed instructions;
         // skip the per-instruction buffer shuffle entirely for the others.
         let trace_fill_active = matches!(ctx.frontend, crate::frontend::AnyFrontEnd::TraceCache(_));
@@ -96,21 +100,6 @@ impl PipelineStage for CommitStage {
                                 let mask = (1u64 << bits) - 1;
                                 if meta_hist.bits() & mask != ctx.threads[tid].commit_hist & mask {
                                     ctx.stats.hist_mismatches += 1;
-                                    // Counter check first: the env lookup
-                                    // (which may allocate) then runs at most
-                                    // six times per measurement window.
-                                    if ctx.stats.hist_mismatches <= 6
-                                        // lint:allow(no-env-in-core): debug-only stderr tracing; results never see it
-                                        && std::env::var_os("SMT_DEBUG_HIST").is_some()
-                                    {
-                                        eprintln!(
-                                            "hist mismatch @cycle {} t{} pc {} ckpt {:016b} arch {:016b} taken {} spec_taken {}",
-                                            now, tid, di.pc,
-                                            meta_hist.bits() & mask,
-                                            ctx.threads[tid].commit_hist & mask,
-                                            di.taken, info.spec_taken
-                                        );
-                                    }
                                 }
                             }
                         }

@@ -6,7 +6,10 @@
 // protocol itself guarantees (e.g. "caller checked" FTQ heads, rename maps
 // populated at dispatch). Construction is fallible and validated; once
 // built, these are genuine internal invariants, not input errors.
-// lint:allow-file(no-panic): stage-protocol invariants; violations must abort the simulation
+#![expect(
+    clippy::expect_used,
+    reason = "stage-protocol invariants; violations must abort the simulation"
+)]
 
 use smt_isa::{InstClass, Presized};
 use smt_mem::DataOutcome;

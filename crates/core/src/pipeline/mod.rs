@@ -14,12 +14,6 @@
 //! severity wins) or to the idle/overlap residual, so the buckets plus the
 //! residual always sum to total cycles per thread.
 
-// The pipeline stages use `expect` to assert invariants that the stage
-// protocol itself guarantees (e.g. "caller checked" FTQ heads, rename maps
-// populated at dispatch). Construction is fallible and validated; once
-// built, these are genuine internal invariants, not input errors.
-// lint:allow-file(no-panic): stage-protocol invariants; violations must abort the simulation
-
 pub(crate) mod commit;
 pub(crate) mod decode_rename;
 pub(crate) mod fetch;
@@ -289,7 +283,8 @@ impl PipelineCtx {
         if n == 1 {
             return Priorities { tids, len: 1 };
         }
-        let rot = (self.cycle as usize) % n;
+        #[expect(clippy::cast_possible_truncation, reason = "remainder < n, a usize")]
+        let rot = (self.cycle % n as u64) as usize;
         let now = self.cycle;
         let pack = |metric: u64, t: usize| {
             debug_assert!(metric < 1 << 48);
@@ -356,55 +351,6 @@ impl PipelineCtx {
     #[inline]
     pub(crate) fn note_stall(&mut self, tid: usize, bit: u8) {
         self.stall_flags[tid] |= bit;
-    }
-
-    /// Prints a debugging snapshot of the pipeline (backs the simulator's
-    /// `dump_state`; not part of the stable API).
-    pub(crate) fn dump(&self) {
-        println!(
-            "cycle {} rob_occ {} fb {} dl {} rl {} iq {}/{}/{} free {}/{}",
-            self.cycle,
-            self.rob_occ,
-            self.fetch_buffer.len(),
-            self.decode_latch.len(),
-            self.rename_latch.len(),
-            self.iq_int.len(),
-            self.iq_ls.len(),
-            self.iq_fp.len(),
-            self.free_int.len(),
-            self.free_fp.len()
-        );
-        for th in &self.threads {
-            println!("t{}: window {} pending {:?} diverged {} iblock {:?} ftq {} next_pc {} walker_pc {}",
-                th.id, th.window.len(), th.pending_redirect, th.diverged, th.iblock_until,
-                th.ftq.len(), th.next_fetch_pc, th.walker.pc());
-            if let Some(h) = th.window.front() {
-                println!(
-                    "   head: seq {} {} dispatched {} issued {} done {} wp {}",
-                    h.seq,
-                    th.window.di(h.seq),
-                    h.dispatched(),
-                    h.issued(),
-                    h.done_at,
-                    h.wrong_path()
-                );
-            }
-            if let Some(seq) = th.pending_redirect {
-                if let Some(ctl) = th.window.ctl(seq) {
-                    println!(
-                        "   redirect: seq {} {} dispatched {} issued {} done {} srcs {:?}",
-                        ctl.seq,
-                        th.window.di(seq),
-                        ctl.dispatched(),
-                        ctl.issued(),
-                        ctl.done_at,
-                        ctl.src_phys
-                    );
-                } else {
-                    println!("   redirect inst MISSING");
-                }
-            }
-        }
     }
 }
 

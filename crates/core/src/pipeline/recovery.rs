@@ -7,7 +7,10 @@
 // protocol itself guarantees (e.g. "caller checked" FTQ heads, rename maps
 // populated at dispatch). Construction is fallible and validated; once
 // built, these are genuine internal invariants, not input errors.
-// lint:allow-file(no-panic): stage-protocol invariants; violations must abort the simulation
+#![expect(
+    clippy::expect_used,
+    reason = "stage-protocol invariants; violations must abort the simulation"
+)]
 
 use smt_isa::{inst_idx, RegClass};
 
@@ -168,9 +171,11 @@ pub(crate) fn flush_after_load(ctx: &mut PipelineCtx, tid: usize, load_seq: u64)
             None => return,
         };
         let start = (load_seq + 1).max(head);
+        #[expect(clippy::cast_possible_truncation, reason = "start - head ≤ window len")]
+        let skip = (start - head) as usize;
         th.window
             .iter()
-            .skip((start - head) as usize)
+            .skip(skip)
             .find(|c| c.has_binfo())
             .map(|c| (c.seq, *th.meta(c.seq)))
     };

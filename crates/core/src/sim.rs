@@ -20,10 +20,6 @@
 //! shared `PipelineCtx`, owns the stage structs, and ticks them in reverse
 //! pipeline order every [`Simulator::step`].
 
-// Construction asserts a handful of internal invariants with `expect`
-// (enough registers for the initial maps); inputs are validated first.
-// lint:allow-file(no-panic): construction-time invariants; inputs are validated first
-
 use std::sync::Arc;
 
 use smt_bpred::ReturnStack;
@@ -224,8 +220,9 @@ impl Simulator {
         // Architect the initial register mappings.
         for th in &mut threads {
             th.presize(cfg.ftq_depth as usize, window_cap);
-            th.spec.ras = ras.clone(); // lint:allow(no-alloc-in-step): seeded RAS template copy, once per simulator construction
-            th.rename_map = (0..ArchReg::flat_count())
+            th.spec.ras = ras.clone();
+            #[expect(clippy::expect_used, reason = "validated config has enough registers")]
+            let rename_map = (0..ArchReg::flat_count())
                 .map(|flat| {
                     if flat < smt_isa::NUM_ARCH_INT as usize {
                         free_int
@@ -236,11 +233,12 @@ impl Simulator {
                     }
                 })
                 .collect();
+            th.rename_map = rename_map;
         }
 
         // The configured per-thread I-MSHR count is a floor: the Table 3
         // machine provisions one outstanding fetch miss per context.
-        let mut mem_cfg = cfg.mem.clone(); // lint:allow(no-alloc-in-step): memory-config copy, once per simulator construction
+        let mut mem_cfg = cfg.mem.clone();
         mem_cfg.i_mshrs = mem_cfg.i_mshrs.max(n);
         let mem = MemoryHierarchy::new(mem_cfg).map_err(|d| BuildError::InvalidConfig(vec![d]))?;
 
@@ -374,13 +372,6 @@ impl Simulator {
         attribute_stalls(ctx);
         ctx.cycle += 1;
         ctx.stats.cycles = ctx.cycle - ctx.stats_since;
-    }
-
-    /// Prints a debugging snapshot of the pipeline (intended for examples
-    /// and interactive debugging, not part of the stable API).
-    #[doc(hidden)]
-    pub fn dump_state(&self) {
-        self.ctx.dump();
     }
 }
 

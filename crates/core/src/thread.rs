@@ -38,7 +38,7 @@ pub struct ThreadState {
     /// In-flight instructions in fetch order (front = oldest),
     /// structure-of-arrays: hot control entries scanned by
     /// issue/commit/squash, payload and branch-record columns indexed by
-    /// `seq & mask` (see [`crate::window`]).
+    /// `seq & mask` (see [`Window`]).
     pub window: Window,
     /// Sequence number for the next fetched instruction.
     pub next_seq: u64,
@@ -134,15 +134,22 @@ impl ThreadState {
     /// The block checkpoint recorded for in-flight instruction `seq`.
     ///
     /// Valid only for sequence numbers of window instructions carrying a
-    /// [`BranchInfo`] (fetch records a checkpoint exactly when it attaches
-    /// one), or an instruction popped from the window this same cycle.
+    /// [`BranchInfo`](crate::BranchInfo) (fetch records a checkpoint exactly
+    /// when it attaches one), or an instruction popped from the window this
+    /// same cycle.
     pub fn meta(&self, seq: u64) -> &BlockMeta {
-        &self.meta_ring[(seq & self.meta_mask) as usize]
+        &self.meta_ring[self.meta_slot(seq)]
+    }
+
+    #[expect(clippy::cast_possible_truncation, reason = "masked to the ring size")]
+    fn meta_slot(&self, seq: u64) -> usize {
+        (seq & self.meta_mask) as usize
     }
 
     /// Records the block checkpoint for in-flight instruction `seq`.
     pub fn set_meta(&mut self, seq: u64, meta: &BlockMeta) {
-        self.meta_ring[(seq & self.meta_mask) as usize] = *meta;
+        let slot = self.meta_slot(seq);
+        self.meta_ring[slot] = *meta;
     }
 
     /// Records the checkpoint for `seq` straight from the FTQ head's
@@ -150,9 +157,10 @@ impl ThreadState {
     /// value moves FTQ → ring once instead of via a stack copy of the
     /// whole entry.
     pub fn set_meta_from_ftq_head(&mut self, seq: u64) {
-        // lint:allow(no-panic): the fetch stage checked the FTQ head exists
+        #[expect(clippy::expect_used, reason = "fetch checked the FTQ head exists")]
         let meta = self.ftq.front().expect("fetch consumes the head").meta;
-        self.meta_ring[(seq & self.meta_mask) as usize] = meta;
+        let slot = self.meta_slot(seq);
+        self.meta_ring[slot] = meta;
     }
 
     /// Number of long-latency misses still outstanding at `now`.

@@ -200,13 +200,12 @@ impl Window {
     pub fn presize(&mut self, window_cap: usize) {
         self.ctl.reserve(window_cap);
         let cap = (window_cap + 1).next_power_of_two();
-        // lint:allow(no-alloc-in-step): column allocation, once per simulator construction
         self.payload = vec![PAYLOAD_FILL; cap];
-        // lint:allow(no-alloc-in-step): column allocation, once per simulator construction
         self.binfo = vec![None; cap];
         self.mask = cap as u64 - 1;
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "masked to the ring size")]
     fn slot(&self, seq: u64) -> usize {
         (seq & self.mask) as usize
     }
@@ -241,13 +240,14 @@ impl Window {
     /// The window is contiguous in `seq`, so this is O(1).
     pub fn ctl(&self, seq: u64) -> Option<&InFlightCtl> {
         let head = self.ctl.front()?.seq;
-        self.ctl.get((seq.checked_sub(head)?) as usize)
+        self.ctl.get(usize::try_from(seq.checked_sub(head)?).ok()?)
     }
 
     /// Mutable variant of [`Window::ctl`].
     pub fn ctl_mut(&mut self, seq: u64) -> Option<&mut InFlightCtl> {
         let head = self.ctl.front()?.seq;
-        self.ctl.get_mut((seq.checked_sub(head)?) as usize)
+        self.ctl
+            .get_mut(usize::try_from(seq.checked_sub(head)?).ok()?)
     }
 
     /// The payload of instruction `seq`.
@@ -282,7 +282,7 @@ impl Window {
     pub fn payload_slots(&mut self, start_seq: u64, n: usize) -> (&mut [DynInst], &mut [DynInst]) {
         let cap = self.payload.len();
         debug_assert!(n <= cap, "payload_slots asked for {n} of {cap} slots");
-        let s = (start_seq & self.mask) as usize;
+        let s = self.slot(start_seq);
         let (head, tail) = self.payload.split_at_mut(s);
         let first = n.min(cap - s);
         (&mut tail[..first], &mut head[..n - first])

@@ -90,10 +90,11 @@ pub fn table1(jobs: Jobs) -> Experiment {
         |i| profiles[i].name.to_string(),
         |i| {
             let p = &profiles[i];
+            #[expect(clippy::expect_used, reason = "compiled-in profile names build")]
             let progs = Workload::custom("solo", WorkloadClass::Ilp, &[p.name])
-                .expect("valid name") // lint:allow(no-panic): compiled-in profile names are valid
+                .expect("valid name")
                 .programs(EXP_SEED)
-                .expect("valid"); // lint:allow(no-panic): single-benchmark workloads always build
+                .expect("valid");
             let mut w = Walker::new(progs[0].clone(), 0);
             let _ = w.measure(20_000);
             w.measure(300_000)
@@ -374,11 +375,12 @@ pub fn superscalar(len: RunLength, jobs: Jobs) -> Experiment {
     // One cell per (benchmark, engine), benchmark outermost — the same
     // stable order the serial loop produced.
     let profiles = BenchmarkProfile::all();
+    #[expect(clippy::expect_used, reason = "compiled-in profile names are valid")]
     let workloads: Vec<Workload> = profiles
         .iter()
         .map(|p| {
             Workload::custom("1_".to_string() + p.name, WorkloadClass::Ilp, &[p.name])
-                .expect("valid") // lint:allow(no-panic): compiled-in profile names are valid
+                .expect("valid")
         })
         .collect();
     let cells: Vec<(usize, FetchEngineKind)> = (0..profiles.len())

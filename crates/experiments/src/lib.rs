@@ -40,7 +40,6 @@
 //! println!("{}", fig2.text);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;

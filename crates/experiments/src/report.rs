@@ -51,6 +51,7 @@ pub fn render_grouped_bars(title: &str, results: &[RunResult], metric: Metric) -
             last_group = group;
         }
         let v = metric.of(r);
+        #[expect(clippy::cast_possible_truncation, reason = "v ≤ max, so bar ≤ 44")]
         let bar = "#".repeat((v * scale).round() as usize);
         out.push_str(&format!("    {:<11} {:>5.2} |{bar}\n", r.engine, v));
     }

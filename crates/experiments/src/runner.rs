@@ -135,11 +135,12 @@ fn warmed_simulator(
     cfg: &SimConfig,
     warmup_cycles: u64,
 ) -> Simulator {
+    #[expect(clippy::expect_used, reason = "validated config, 1..=8 threads")]
     let mut sim = SimBuilder::new_shared(programs)
         .fetch_engine(engine)
         .config(cfg.clone())
         .build()
-        .expect("1..=8 threads and a validated config"); // lint:allow(no-panic): validated config with 1..=8 threads
+        .expect("1..=8 threads and a validated config");
     sim.run_cycles(warmup_cycles);
     sim.reset_stats();
     sim
@@ -157,9 +158,10 @@ fn run_measured(
     preflight(&cfg, workload.num_threads());
     // Shared programs: every sweep cell for this workload reuses the same
     // cached `Arc<Program>`s instead of re-synthesising them per cell.
+    #[expect(clippy::expect_used, reason = "table 2 workloads always build")]
     let programs = workload
         .programs_shared(EXP_SEED)
-        .expect("table 2 workloads always build"); // lint:allow(no-panic): table 2 workloads are compiled-in and always build
+        .expect("table 2 workloads always build");
     let mut sim = warmed_simulator(programs, engine, &cfg, len.warmup_cycles);
     // Borrowed stats: sweeps summarize each cell without copying SimStats.
     let stats = sim.run_cycles(len.measure_cycles);

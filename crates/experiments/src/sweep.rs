@@ -12,9 +12,10 @@
 //!
 //! Zero dependencies by design (`std::thread::scope`, no rayon), per the
 //! workspace's offline/zero-dep constraint. Wall-clock time is read in
-//! exactly one place — the per-cell harness timer below, the one audited
-//! `lint:allow(no-wall-clock)` exception in this crate — and flows only into
-//! the [`CellStat`] observability records, never into results.
+//! exactly one place — the per-cell harness timer below, the one clock
+//! escape (`#[expect(clippy::disallowed_methods)]`) in this crate — and
+//! flows only into the [`CellStat`] observability records, never into
+//! results.
 //!
 //! The worker count comes from one shared knob: `--jobs N` on any experiment
 //! binary, the `SMT_JOBS` environment variable, or
@@ -93,7 +94,8 @@ impl Jobs {
     /// The machine's available parallelism, clamped to [`Jobs::MAX`]
     /// (1 when the capacity cannot be determined).
     pub fn default_parallelism() -> Jobs {
-        let n = std::thread::available_parallelism() // lint:allow(no-nondeterministic-threading): worker-count default only; results are worker-count-invariant
+        #[expect(clippy::disallowed_methods, reason = "worker-count default only")]
+        let n = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         Jobs(n.clamp(1, MAX_JOBS))
@@ -247,7 +249,7 @@ where
     let workers = jobs.get().min(n.max(1));
     let next = AtomicUsize::new(0);
     let mut per_worker: Vec<Vec<(usize, T, Duration)>> = Vec::with_capacity(workers);
-    // lint:allow(no-nondeterministic-threading): the audited executor; index-claimed cells, order-independent merge
+    #[expect(clippy::disallowed_methods, reason = "the audited sweep executor")]
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -262,7 +264,8 @@ where
                         }
                         // The one audited wall-clock read in this crate: the
                         // harness timer feeding CellStat (results never see it).
-                        let start = Instant::now(); // lint:allow(no-wall-clock): harness timer feeding CellStat observability; results never see it
+                        #[expect(clippy::disallowed_methods, reason = "harness timer, not results")]
+                        let start = Instant::now();
                         let out = f(i);
                         claimed.push((i, out, start.elapsed()));
                     }
@@ -295,18 +298,20 @@ where
             });
         }
     }
-    Sweep {
-        // The fetch_add queue hands out each index exactly once, and every
-        // worker drains until the counter passes n, so every slot is filled.
-        results: results
+    // The fetch_add queue hands out each index exactly once, and every
+    // worker drains until the counter passes n, so every slot is filled.
+    #[expect(clippy::expect_used, reason = "every index is claimed once")]
+    let (results, stats) = (
+        results
             .into_iter()
-            .map(|slot| slot.expect("every cell index claimed exactly once")) // lint:allow(no-panic): the atomic counter claims every cell index exactly once
+            .map(|slot| slot.expect("every cell index claimed exactly once"))
             .collect(),
-        stats: stats
+        stats
             .into_iter()
-            .map(|slot| slot.expect("every cell index claimed exactly once")) // lint:allow(no-panic): the atomic counter claims every cell index exactly once
+            .map(|slot| slot.expect("every cell index claimed exactly once"))
             .collect(),
-    }
+    );
+    Sweep { results, stats }
 }
 
 /// [`sweep_cells`] without the observability trimmings: just the results,

@@ -30,7 +30,6 @@
 //! assert!(InstClass::Branch(BranchKind::Cond).is_branch());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod addr;

@@ -145,6 +145,11 @@ impl Cache {
                 "the paper uses 8 banks",
             ));
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a line count too large for usize could not be allocated anyway"
+        )]
+        let num_lines = (num_sets * cfg.ways as u64) as usize;
         Ok(Cache {
             lines: vec![
                 Line {
@@ -153,7 +158,7 @@ impl Cache {
                     valid: false,
                     dirty: false
                 };
-                (num_sets * cfg.ways as u64) as usize
+                num_lines
             ],
             set_mask: num_sets - 1,
             cfg,
@@ -172,9 +177,15 @@ impl Cache {
         (line & self.set_mask, line >> self.set_mask.count_ones())
     }
 
+    /// First slot of `set` in `lines`.
+    #[expect(clippy::cast_possible_truncation, reason = "set × ways < lines.len()")]
+    fn base(&self, set: u64) -> usize {
+        set as usize * self.cfg.ways
+    }
+
     fn set_slice(&mut self, set: u64) -> &mut [Line] {
         let w = self.cfg.ways;
-        let base = set as usize * w;
+        let base = self.base(set);
         &mut self.lines[base..base + w]
     }
 
@@ -208,7 +219,7 @@ impl Cache {
     /// Whether `addr` is present, without perturbing any state.
     pub fn probe(&self, addr: Addr) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        let base = set as usize * self.cfg.ways;
+        let base = self.base(set);
         self.lines[base..base + self.cfg.ways]
             .iter()
             .any(|l| l.valid && l.tag == tag)
@@ -233,12 +244,12 @@ impl Cache {
                 l.dirty |= dirty;
                 return None;
             }
+            #[expect(clippy::expect_used, reason = "ways is non-empty")]
             let victim = if let Some(inv) = ways.iter_mut().find(|l| !l.valid) {
                 inv
             } else {
                 ways.iter_mut()
                     .min_by_key(|l| l.lru)
-                    // lint:allow(no-panic): ways is non-empty, so min_by_key always yields a victim
                     .expect("ways nonempty")
             };
             if victim.valid && victim.dirty {

@@ -111,8 +111,8 @@ impl MemoryHierarchy {
     }
 
     /// The paper's hierarchy for `threads` contexts.
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004(threads: usize) -> Self {
-        // lint:allow(no-panic): preset geometry is valid by construction
         MemoryHierarchy::new(MemoryConfig::hpca2004(threads)).expect("preset geometry is valid")
     }
 

@@ -23,7 +23,6 @@
 //! assert_eq!(mem.fetch(pc, 500), FetchOutcome::Hit);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

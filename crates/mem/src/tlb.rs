@@ -93,14 +93,14 @@ impl Tlb {
     }
 
     /// The paper's 48-entry instruction TLB (8 KB pages, 30-cycle walk).
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn itlb_hpca2004() -> Self {
-        // lint:allow(no-panic): preset geometry is valid by construction
         Tlb::from_config(&TlbConfig::itlb_hpca2004()).expect("preset geometry is valid")
     }
 
     /// The paper's 128-entry data TLB (8 KB pages, 30-cycle walk).
+    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn dtlb_hpca2004() -> Self {
-        // lint:allow(no-panic): preset geometry is valid by construction
         Tlb::from_config(&TlbConfig::dtlb_hpca2004()).expect("preset geometry is valid")
     }
 
@@ -124,13 +124,14 @@ impl Tlb {
             Err(mut pos) => {
                 self.misses += 1;
                 if self.entries.len() >= self.capacity {
+                    #[expect(clippy::expect_used, reason = "entries is full, so non-empty")]
                     let lru = self
                         .entries
                         .iter()
                         .enumerate()
                         .min_by_key(|(_, (_, l))| *l)
                         .map(|(i, _)| i)
-                        .expect("nonempty"); // lint:allow(no-panic): entries checked non-empty before LRU eviction
+                        .expect("nonempty");
                     self.entries.remove(lru);
                     if lru < pos {
                         pos -= 1;

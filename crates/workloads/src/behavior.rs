@@ -152,6 +152,7 @@ impl IndirectBehavior {
     /// # Panics
     ///
     /// Panics if `targets` is empty.
+    #[expect(clippy::cast_possible_truncation, reason = "idx < targets.len()")]
     pub fn target(&self, n: u64) -> Addr {
         assert!(!self.targets.is_empty(), "indirect branch with no targets");
         let idx = if self.sticky_run > 1 {

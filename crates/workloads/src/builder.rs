@@ -219,7 +219,6 @@ fn gen_straight(
     len: u64,
     data_base: Addr,
 ) {
-    // lint:allow(no-lossy-cast): bounded by min(24)
     let pool: Vec<u16> = (1..=p.dep_chains.min(24) as u16).collect();
     for _ in 0..len {
         let x = rng.f64();
@@ -251,11 +250,12 @@ fn gen_straight(
                 // Small private strided region inside the working set.
                 let region = 1u64 << rng.range(10, 14); // 1–8 KB
                 let offset = rng.range(0, (p.working_set.saturating_sub(region)).max(1));
+                #[expect(clippy::cast_possible_truncation, reason = "region ≤ 16 KB")]
+                let period = (region / 8) as u32;
                 Behavior::Mem(MemBehavior::Stride {
                     base: data_base + (offset & !7),
                     stride: 8,
-                    // lint:allow(no-lossy-cast): region ≤ 16 KB, so region/8 fits u32
-                    period: (region / 8) as u32,
+                    period,
                 })
             } else {
                 Behavior::Mem(MemBehavior::Region {
@@ -283,11 +283,12 @@ fn gen_straight(
             let behavior = if rng.chance(p.stride_frac) {
                 let region = 1u64 << rng.range(10, 13);
                 let offset = rng.range(0, (p.working_set.saturating_sub(region)).max(1));
+                #[expect(clippy::cast_possible_truncation, reason = "region ≤ 16 KB")]
+                let period = (region / 8) as u32;
                 Behavior::Mem(MemBehavior::Stride {
                     base: data_base + (offset & !7),
                     stride: 8,
-                    // lint:allow(no-lossy-cast): region ≤ 16 KB, so region/8 fits u32
-                    period: (region / 8) as u32,
+                    period,
                 })
             } else {
                 Behavior::Mem(MemBehavior::Region {
@@ -383,9 +384,10 @@ fn forward_cond_behavior(p: &BenchmarkProfile, rng: &mut Srng) -> BranchBehavior
         let (lo, hi) = p.bias_range;
         let base = lo + (hi - lo) * rng.f64();
         let p_taken = if rng.chance(0.35) { 1.0 - base } else { base };
+        #[expect(clippy::cast_possible_truncation, reason = "p_taken ∈ [0, 1]")]
+        let p_taken_milli = (p_taken * 1000.0) as u32;
         BranchBehavior::Biased {
-            // lint:allow(no-lossy-cast): p_taken ∈ [0, 1], so at most 1000
-            p_taken_milli: (p_taken * 1000.0) as u32,
+            p_taken_milli,
             salt: rng.next_u64(),
             run: rng.range_u32(1000, 8000),
         }
@@ -403,12 +405,16 @@ fn gen_function(
     let mut f = GenFunc::default();
     let runs = (p.runs_per_func as u64 * rng.range(75, 126) / 100).max(4) as usize;
     let bb_mean = p.avg_bb_size;
+    // `bb_mean` is a Table 1 block size (3.9–11.0 instructions), and a
+    // float-to-int `as` saturates, so none of the casts below can wrap.
+    #[expect(clippy::cast_possible_truncation, reason = "small bb_mean")]
     let cap = (bb_mean * 4.0).ceil() as u64;
 
     // Pre-draw all run lengths, then rescale so the function's mean hits the
     // Table 1 target exactly. The blend of a geometric tail and a uniform
     // body keeps the short-tailed skew of real block-size distributions
     // while the rescale stops loop-weighted (dynamic) means from drifting.
+    #[expect(clippy::cast_possible_truncation, reason = "small bb_mean")]
     let mut lengths: Vec<u64> = (0..runs)
         .map(|_| {
             if rng.chance(0.3) {
@@ -420,10 +426,11 @@ fn gen_function(
             }
         })
         .collect();
+    #[expect(clippy::cast_possible_truncation, reason = "runs × bb_mean is small")]
     let target_total = (runs as f64 * bb_mean).round() as i64;
     let mut total: i64 = lengths.iter().map(|&l| l as i64).sum();
     while total != target_total {
-        let i = rng.range(0, runs as u64) as usize;
+        let i = rng.range_usize(0, runs);
         if total < target_total && lengths[i] < cap {
             lengths[i] += 1;
             total += 1;
@@ -458,7 +465,7 @@ fn gen_function(
         let x = rng.f64();
         let callable = this + 1 < num_funcs;
         if callable && x < p.call_frac {
-            let callee = rng.range(this as u64 + 1, num_funcs as u64) as usize;
+            let callee = rng.range_usize(this + 1, num_funcs);
             f.push(GenInst {
                 class: InstClass::Branch(BranchKind::Call),
                 dest: None,
@@ -468,10 +475,8 @@ fn gen_function(
             });
         } else if x < p.call_frac + p.indirect_frac && r + 3 < runs {
             // Indirect jump over 2–6 forward runs.
-            let k = rng.range(2, 7) as usize;
-            let targets: Vec<usize> = (0..k)
-                .map(|_| rng.range(r as u64 + 1, runs as u64) as usize)
-                .collect();
+            let k = rng.range_usize(2, 7);
+            let targets: Vec<usize> = (0..k).map(|_| rng.range_usize(r + 1, runs)).collect();
             f.push(GenInst {
                 class: InstClass::Branch(BranchKind::Indirect),
                 dest: None,
@@ -492,7 +497,8 @@ fn gen_function(
             // block sizes within the hot loop). The guard above re-draws the
             // span implicitly; recompute it deterministically from the rng
             // state for the actual edge.
-            let span = rng.range(2, 5).min(r as u64) as usize;
+            let span = rng.range_usize(2, 5).min(r);
+            #[expect(clippy::cast_possible_truncation, reason = "last_back_edge < r")]
             let span = span.min((r as i64 - last_back_edge - 1).max(1) as usize);
             let (lo, hi) = p.loop_period;
             let period = rng.range_u32(u64::from(lo), u64::from(hi) + 1);
@@ -509,7 +515,7 @@ fn gen_function(
             last_back_edge = r as i64;
         } else {
             // Forward conditional skipping 1–2 runs.
-            let skip = rng.range(1, 3) as usize;
+            let skip = rng.range_usize(1, 3);
             let tgt = (r + 1 + skip).min(runs - 1);
             f.push(GenInst {
                 class: InstClass::Branch(BranchKind::Cond),
@@ -536,10 +542,10 @@ fn gen_driver(p: &BenchmarkProfile, rng: &mut Srng, num_funcs: usize) -> GenFunc
         // A couple of glue instructions between calls.
         let glue = rng.range(1, 4);
         for _ in 0..glue {
+            #[expect(clippy::cast_possible_truncation, reason = "callee % dep_chains < 24")]
             f.push(GenInst {
                 class: InstClass::IntAlu,
                 dest: Some(ArchReg::int(
-                    // lint:allow(no-lossy-cast): remainder < dep_chains ≤ 24
                     1 + (callee % p.dep_chains.max(1) as usize) as u16,
                 )),
                 srcs: [Some(ArchReg::int(1)), None],

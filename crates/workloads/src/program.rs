@@ -59,7 +59,7 @@ impl Program {
                 base.add_insts(i as u64),
                 "non-contiguous instruction table at index {i}"
             );
-            assert_eq!(inst.id, i as StaticInstId, "id/index mismatch at {i}");
+            assert_eq!(inst.id as usize, i, "id/index mismatch at {i}");
         }
         // Block-extent table, built by one reverse sweep: each slot holds
         // the distance to the next branch at or after it.
@@ -332,7 +332,7 @@ mod tests {
             let start = p.inst_at(pc)?.id as u64;
             let limit = (start + max).min(p.len() as u64);
             (start..limit).find_map(|idx| {
-                let inst = p.inst(idx as u32);
+                let inst = p.inst(u32::try_from(idx).unwrap());
                 inst.class.is_branch().then_some((idx - start, inst.id))
             })
         };
@@ -346,7 +346,7 @@ mod tests {
             }
         }
         // dist_to_branch agrees with the (max-unbounded) lookup.
-        for idx in (0..p.len() as u32).step_by(13) {
+        for idx in (0..u32::try_from(p.len()).unwrap()).step_by(13) {
             let pc = p.base().add_insts(u64::from(idx));
             let via_scan = p.first_branch_at_or_after(pc, u64::MAX).map(|(d, _)| d);
             assert_eq!(p.dist_to_branch(idx).map(u64::from), via_scan, "id {idx}");

@@ -39,15 +39,23 @@ impl Srng {
     /// [`Srng::range`] narrowed to `u32` for the generator's small bounded
     /// draws (periods, depths, milli-probabilities). The draw is `< hi`,
     /// so the narrowing is lossless whenever the requested bound fits.
+    #[expect(clippy::cast_possible_truncation, reason = "draw < hi ≤ 2^32")]
     pub fn range_u32(&mut self, lo: u64, hi: u64) -> u32 {
         debug_assert!(hi <= 1 << 32, "range_u32 bound {hi} exceeds u32");
-        self.range(lo, hi) as u32 // lint:allow(no-lossy-cast): draw < hi, asserted ≤ 2^32
+        self.range(lo, hi) as u32
     }
 
     /// [`Srng::range`] narrowed to `u16` (architectural register indices).
+    #[expect(clippy::cast_possible_truncation, reason = "draw < hi ≤ 2^16")]
     pub fn range_u16(&mut self, lo: u64, hi: u64) -> u16 {
         debug_assert!(hi <= 1 << 16, "range_u16 bound {hi} exceeds u16");
-        self.range(lo, hi) as u16 // lint:allow(no-lossy-cast): draw < hi, asserted ≤ 2^16
+        self.range(lo, hi) as u16
+    }
+
+    /// [`Srng::range`] over `usize` bounds, for index and count draws.
+    #[expect(clippy::cast_possible_truncation, reason = "draw < hi, a usize")]
+    pub fn range_usize(&mut self, lo: usize, hi: usize) -> usize {
+        self.range(lo as u64, hi as u64) as usize
     }
 
     /// Uniform float in `[0, 1)`.
@@ -71,6 +79,7 @@ impl Srng {
         // Inverse-CDF sampling of a geometric with mean `mean`.
         let p = 1.0 / mean;
         let u = self.f64().max(1e-12);
+        #[expect(clippy::cast_possible_truncation, reason = "clamped to [1, cap]")]
         let g = (u.ln() / (1.0 - p).ln()).floor() as u64 + 1;
         g.clamp(1, cap)
     }
@@ -82,7 +91,7 @@ impl Srng {
     /// Panics if `items` is empty.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick from empty slice");
-        &items[self.range(0, items.len() as u64) as usize]
+        &items[self.range_usize(0, items.len())]
     }
 }
 

@@ -12,7 +12,11 @@
 // The walker is the oracle: a wrong-path query that violates its
 // contract (e.g. resuming at a PC outside the program) is a simulator
 // bug, not an input error, so it panics loudly rather than guessing.
-// lint:allow-file(no-panic): the walker is the oracle; contract violations are simulator bugs and must abort
+#![expect(
+    clippy::panic,
+    clippy::expect_used,
+    reason = "the walker is the oracle; contract violations are simulator bugs and must abort"
+)]
 
 use std::fmt;
 use std::sync::Arc;
@@ -335,7 +339,8 @@ impl Walker {
             }
             let run = straight.min(cap - produced);
             for k in 0..run {
-                let id = first.id + k as u32; // lint:allow(no-lossy-cast): k < run, which is capped at the per-block fetch width
+                #[expect(clippy::cast_possible_truncation, reason = "k < run ≤ the fetch width")]
+                let id = first.id + k as u32;
                 let inst = *self.program.inst(id);
                 let n = self.counters[id as usize];
                 self.counters[id as usize] = n + 1;
@@ -659,7 +664,7 @@ mod tests {
             let mut rng = crate::Srng::new(0xb10c ^ pi as u64);
             let mut buf = vec![dummy_inst(); 16];
             for round in 0..3_000u64 {
-                let max = 1 + rng.range(0, 16) as usize;
+                let max = 1 + rng.range_usize(0, 16);
                 let k = bulk.next_block(&mut buf, max);
                 assert!(
                     k >= 1 && k <= max,

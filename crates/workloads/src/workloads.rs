@@ -98,8 +98,8 @@ impl Workload {
         })
     }
 
+    #[expect(clippy::expect_used, reason = "table 2 names are valid")]
     fn table2(name: &str, class: WorkloadClass, benchmarks: &[&'static str]) -> Self {
-        // lint:allow(no-panic): table 2 names are compiled-in and valid
         Workload::custom(name, class, benchmarks).expect("table 2 names are valid")
     }
 
@@ -283,7 +283,8 @@ impl Workload {
             .enumerate()
             .map(|(t, name)| {
                 let (profile, base, mixed) = self.thread_recipe(t, name, seed)?;
-                let mut cache = PROGRAM_CACHE.lock().expect("program cache poisoned"); // lint:allow(no-panic): a poisoned program cache is unrecoverable
+                #[expect(clippy::expect_used, reason = "a poisoned cache is unrecoverable")]
+                let mut cache = PROGRAM_CACHE.lock().expect("program cache poisoned");
                 if let Some(p) = cache.get(&(*name, base, mixed)) {
                     return Ok(Arc::clone(p));
                 }

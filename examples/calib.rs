@@ -1,5 +1,13 @@
-use smt_isa::Addr;
-use smt_workloads::{BenchmarkProfile, ProgramBuilder, Walker};
+//! Workload calibration: measured basic-block size, taken rate and stream
+//! length of every benchmark clone, next to its Table 1 target, for three
+//! seeds.
+//!
+//! ```bash
+//! cargo run --release --example calib
+//! ```
+
+use smtfetch::isa::Addr;
+use smtfetch::workloads::{BenchmarkProfile, ProgramBuilder, Walker};
 
 fn main() {
     for p in BenchmarkProfile::all() {

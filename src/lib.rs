@@ -36,6 +36,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The library-only bans; the binary, examples and tests are consumers.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::cast_possible_truncation
+)]
 
 pub use smt_bpred as bpred;
 pub use smt_core as core;

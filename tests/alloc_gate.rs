@@ -32,6 +32,7 @@ struct CountingAllocator;
 
 // SAFETY: pure pass-through to `System`; the only extra work is a
 // const-initialised thread-local counter bump, which itself never allocates.
+#[expect(unsafe_code, reason = "a global allocator is an unsafe trait")]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_COUNT.with(|c| c.set(c.get() + 1));

@@ -314,7 +314,10 @@ fn same_seed_runs_identical_across_worker_threads() {
 /// deterministic — for each config the validator passes, two concurrent
 /// same-seed runs on separate worker threads produce identical statistics.
 #[test]
-#[allow(clippy::field_reassign_with_default)] // mutation-style by design
+#[expect(
+    clippy::field_reassign_with_default,
+    reason = "mutation-style by design"
+)]
 fn random_valid_configs_run_deterministically() {
     let mut rng = Srng::new(0xcc);
     let mut checked = 0u32;
@@ -361,7 +364,10 @@ fn random_valid_configs_run_deterministically() {
 /// Any configuration the validator passes clean constructs a `Simulator`
 /// without panicking — the validator is a sound gate for construction.
 #[test]
-#[allow(clippy::field_reassign_with_default)] // mutation-style by design
+#[expect(
+    clippy::field_reassign_with_default,
+    reason = "mutation-style by design"
+)]
 fn validated_configs_always_build() {
     let mut rng = Srng::new(0xaa);
     let mut built = 0u32;
@@ -755,7 +761,10 @@ fn soa_window_matches_aos_reference() {
 /// contract the pre-refactor array-of-structs window satisfied (whose byte
 /// equivalence the un-re-blessed goldens pin).
 #[test]
-#[allow(clippy::field_reassign_with_default)] // mutation-style by design
+#[expect(
+    clippy::field_reassign_with_default,
+    reason = "mutation-style by design"
+)]
 fn soa_window_equivalent_across_engines_and_policies() {
     let policies = [
         FetchPolicy::icount(1, 8),
