@@ -5,18 +5,17 @@
 //! conclusions are to the secondary parameters of the decoupled front-end.
 
 use smt_core::{FetchEngineKind, FetchPolicy, SimConfig};
-use smt_experiments::{render_table, runner::run_with_config, sweep_indexed, Jobs, RunLength};
+use smt_experiments::{render_table, runner::run_with_config, sweep_indexed, RunLength};
 use smt_workloads::Workload;
 
 fn main() {
     smt_experiments::preflight_default();
-    let jobs = Jobs::from_cli();
     let len = RunLength::from_env();
     let w = Workload::ilp4();
     let policy = FetchPolicy::icount(1, 16);
 
     // Build the ablation grid up front; each (knob, engine, config) cell is
-    // an independent simulation the sweep executor runs in parallel.
+    // an independent simulation `sweep_indexed` runs in parallel.
     let mut cells: Vec<(String, &'static str, FetchEngineKind, SimConfig)> = Vec::new();
     for depth in [1u32, 2, 4, 8] {
         cells.push((
@@ -64,7 +63,7 @@ fn main() {
     }
 
     println!("ablations on {} with ICOUNT.1.16 (IPFC / IPC)\n", w.name());
-    let results = sweep_indexed(cells.len(), jobs, |i| {
+    let results = sweep_indexed(cells.len(), |i| {
         let (_, _, engine, cfg) = &cells[i];
         run_with_config(&w, *engine, cfg.clone(), len)
     });

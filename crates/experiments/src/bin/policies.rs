@@ -11,12 +11,11 @@
 //! thread, while the paper's ICOUNT.1.X keeps it alive.
 
 use smt_core::{FetchEngineKind, FetchPolicy};
-use smt_experiments::{render_table, run_matrix_parallel, Jobs, RunLength};
+use smt_experiments::{render_table, run_matrix, RunLength};
 use smt_workloads::Workload;
 
 fn main() {
     smt_experiments::preflight_default();
-    let jobs = Jobs::from_cli();
     let len = RunLength::from_env();
     let engine = FetchEngineKind::GskewFtb;
     let policies: Vec<FetchPolicy> = vec![
@@ -32,7 +31,7 @@ fn main() {
     let workloads = [Workload::mix2(), Workload::mix4(), Workload::mem4()];
     // One sweep over the whole workload × policy matrix; results come back
     // workload-major, policy order within each workload.
-    let results = run_matrix_parallel(&workloads, &[engine], &policies, len, jobs);
+    let results = run_matrix(&workloads, &[engine], &policies, len);
     println!("fetch policies on gskew+FTB (throughput vs fairness)\n");
     for (w, chunk) in workloads.iter().zip(results.chunks(policies.len())) {
         let mut rows = Vec::new();

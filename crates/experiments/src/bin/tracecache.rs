@@ -7,19 +7,18 @@
 //! at ICOUNT.1.16, where fetch bandwidth is the binding constraint.
 
 use smt_core::{FetchEngineKind, FetchPolicy};
-use smt_experiments::{render_table, run_matrix_parallel, Jobs, RunLength};
+use smt_experiments::{render_table, run_matrix, RunLength};
 use smt_workloads::Workload;
 
 fn main() {
     smt_experiments::preflight_default();
-    let jobs = Jobs::from_cli();
     let len = RunLength::from_env();
     let policy = FetchPolicy::icount(1, 16);
     let workloads = Workload::ilp_suite();
     let engines = FetchEngineKind::all_with_trace_cache();
     // One sweep over the whole matrix; chunks come back per workload with
     // the engines in order.
-    let results = run_matrix_parallel(&workloads, &engines, &[policy], len, jobs);
+    let results = run_matrix(&workloads, &engines, &[policy], len);
     println!("trace-cache comparison, ICOUNT.1.16 on ILP workloads\n");
     for (w, chunk) in workloads.iter().zip(results.chunks(engines.len())) {
         let mut rows = Vec::new();

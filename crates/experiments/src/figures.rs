@@ -1,13 +1,11 @@
 //! One experiment definition per table and figure of the paper.
 
 use smt_core::{FetchEngineKind, FetchPolicy};
-use smt_workloads::{BenchmarkProfile, Walker, Workload, WorkloadClass};
+use smt_workloads::{BenchmarkProfile, DynStats, Walker, Workload, WorkloadClass};
 
-use crate::report::{
-    render_grouped_bars, render_markdown, render_sweep_stats, render_table, Metric,
-};
-use crate::runner::{run, run_matrix_sweep, RunLength, RunResult, EXP_SEED};
-use crate::sweep::{progress_report_enabled, sweep_cells, CellStat, Jobs};
+use crate::report::{render_grouped_bars, render_markdown, render_table, Metric};
+use crate::runner::{run, run_matrix, RunLength, RunResult, EXP_SEED};
+use crate::sweep::sweep_indexed;
 
 /// A completed experiment: its identity, rendered text, and raw results.
 #[derive(Clone, Debug)]
@@ -53,59 +51,19 @@ fn engines() -> [FetchEngineKind; 3] {
     FetchEngineKind::all()
 }
 
-/// Prints a sweep's per-cell timing report to stderr when
-/// `SMT_SWEEP_REPORT` is set (progress/straggler visibility; never mixed
-/// into the experiment's own stdout artifact).
-fn report_progress(id: &str, stats: &[CellStat]) {
-    if progress_report_enabled() {
-        eprintln!("{}", render_sweep_stats(id, stats));
-    }
-}
-
-/// Runs a figure's matrix on `jobs` workers, reporting sweep progress.
-fn matrix(
-    id: &str,
-    workloads: &[Workload],
-    engines: &[FetchEngineKind],
-    policies: &[FetchPolicy],
-    len: RunLength,
-    jobs: Jobs,
-) -> Vec<RunResult> {
-    let sweep = run_matrix_sweep(workloads, engines, policies, len, jobs);
-    report_progress(id, &sweep.stats);
-    sweep.results
-}
-
 /// **Table 1** — benchmark characteristics: measured dynamic average
 /// basic-block size of every clone vs the paper's target.
 ///
 /// Each benchmark's 320k-instruction walker measurement is an independent
 /// cell, so the table sweeps in parallel like the figures.
-pub fn table1(jobs: Jobs) -> Experiment {
+pub fn table1() -> Experiment {
     let profiles = BenchmarkProfile::all();
-    let sweep = sweep_cells(
-        profiles.len(),
-        jobs,
-        320_000,
-        |i| profiles[i].name.to_string(),
-        |i| {
-            let p = &profiles[i];
-            #[expect(clippy::expect_used, reason = "compiled-in profile names build")]
-            let progs = Workload::custom("solo", WorkloadClass::Ilp, &[p.name])
-                .expect("valid name")
-                .programs(EXP_SEED)
-                .expect("valid");
-            let mut w = Walker::new(progs[0].clone(), 0);
-            let _ = w.measure(20_000);
-            w.measure(300_000)
-        },
-    );
-    report_progress("table1", &sweep.stats);
+    let streams = sweep_indexed(profiles.len(), |i| walk_profile(&profiles[i]));
     let mut rows = Vec::new();
     let mut md = String::from(
         "| benchmark | paper avg BB | clone avg BB | taken rate | avg stream |\n|---|---|---|---|---|\n",
     );
-    for (p, s) in profiles.iter().zip(&sweep.results) {
+    for (p, s) in profiles.iter().zip(&streams) {
         rows.push(vec![
             p.name.to_string(),
             format!("{:.2}", p.avg_bb_size),
@@ -139,6 +97,19 @@ pub fn table1(jobs: Jobs) -> Experiment {
         markdown: md,
         results: Vec::new(),
     }
+}
+
+/// One benchmark clone's dynamic characteristics over a 300k-instruction
+/// walk, after 20k instructions of warmup.
+fn walk_profile(p: &BenchmarkProfile) -> DynStats {
+    #[expect(clippy::expect_used, reason = "compiled-in profile names build")]
+    let progs = Workload::custom("solo", WorkloadClass::Ilp, &[p.name])
+        .expect("valid name")
+        .programs(EXP_SEED)
+        .expect("valid");
+    let mut w = Walker::new(progs[0].clone(), 0);
+    let _ = w.measure(20_000);
+    w.measure(300_000)
 }
 
 /// **Table 2** — the multithreaded workloads.
@@ -226,14 +197,12 @@ pub fn table3() -> Experiment {
 
 /// **Figure 2** — fetch throughput of gshare+BTB fetching from one thread
 /// (`1.8` vs `1.16`) on gzip–twolf, plus the §3.1 width distributions.
-pub fn figure2(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure2",
+pub fn figure2(len: RunLength) -> Experiment {
+    let results = run_matrix(
         &[Workload::mix2()],
         &[FetchEngineKind::GshareBtb],
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(1, 16)],
         len,
-        jobs,
     );
     let mut e = experiment(
         "figure2",
@@ -247,9 +216,8 @@ pub fn figure2(len: RunLength, jobs: Jobs) -> Experiment {
 
 /// **Figure 4** — fetch throughput fetching from two threads
 /// (`2.8`, `2.16`) against the Figure 2 single-thread results.
-pub fn figure4(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure4",
+pub fn figure4(len: RunLength) -> Experiment {
+    let results = run_matrix(
         &[Workload::mix2()],
         &[FetchEngineKind::GshareBtb],
         &[
@@ -259,7 +227,6 @@ pub fn figure4(len: RunLength, jobs: Jobs) -> Experiment {
             FetchPolicy::icount(2, 16),
         ],
         len,
-        jobs,
     );
     let mut e = experiment(
         "figure4",
@@ -289,14 +256,12 @@ fn distribution_notes(results: &[RunResult]) -> String {
 
 /// **Figure 5** — ILP workloads, `1.8` vs `2.8`, all three engines:
 /// (a) IPFC, (b) IPC.
-pub fn figure5(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure5",
+pub fn figure5(len: RunLength) -> Experiment {
+    let results = run_matrix(
         &Workload::ilp_suite(),
         &engines(),
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
         len,
-        jobs,
     );
     experiment(
         "figure5",
@@ -307,9 +272,8 @@ pub fn figure5(len: RunLength, jobs: Jobs) -> Experiment {
 }
 
 /// **Figure 6** — ILP workloads, `2.8` vs `1.16` vs `2.16`.
-pub fn figure6(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure6",
+pub fn figure6(len: RunLength) -> Experiment {
+    let results = run_matrix(
         &Workload::ilp_suite(),
         &engines(),
         &[
@@ -318,7 +282,6 @@ pub fn figure6(len: RunLength, jobs: Jobs) -> Experiment {
             FetchPolicy::icount(2, 16),
         ],
         len,
-        jobs,
     );
     experiment(
         "figure6",
@@ -329,14 +292,12 @@ pub fn figure6(len: RunLength, jobs: Jobs) -> Experiment {
 }
 
 /// **Figure 7** — memory-bounded workloads (MIX & MEM), `1.8` vs `2.8`.
-pub fn figure7(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure7",
+pub fn figure7(len: RunLength) -> Experiment {
+    let results = run_matrix(
         &Workload::mem_suite(),
         &engines(),
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
         len,
-        jobs,
     );
     experiment(
         "figure7",
@@ -347,9 +308,8 @@ pub fn figure7(len: RunLength, jobs: Jobs) -> Experiment {
 }
 
 /// **Figure 8** — memory-bounded workloads, `1.8` vs `1.16` vs `2.16`.
-pub fn figure8(len: RunLength, jobs: Jobs) -> Experiment {
-    let results = matrix(
-        "figure8",
+pub fn figure8(len: RunLength) -> Experiment {
+    let results = run_matrix(
         &Workload::mem_suite(),
         &engines(),
         &[
@@ -358,7 +318,6 @@ pub fn figure8(len: RunLength, jobs: Jobs) -> Experiment {
             FetchPolicy::icount(2, 16),
         ],
         len,
-        jobs,
     );
     experiment(
         "figure8",
@@ -371,7 +330,7 @@ pub fn figure8(len: RunLength, jobs: Jobs) -> Experiment {
 /// **§3.3 superscalar comparison** — each benchmark alone (one thread),
 /// all three engines: the front-end comparison the paper cites from its
 /// earlier work (gskew+FTB ≈ +5% IPC over gshare+BTB, stream ≈ +11%).
-pub fn superscalar(len: RunLength, jobs: Jobs) -> Experiment {
+pub fn superscalar(len: RunLength) -> Experiment {
     // One cell per (benchmark, engine), benchmark outermost — the same
     // stable order the serial loop produced.
     let profiles = BenchmarkProfile::all();
@@ -386,23 +345,12 @@ pub fn superscalar(len: RunLength, jobs: Jobs) -> Experiment {
     let cells: Vec<(usize, FetchEngineKind)> = (0..profiles.len())
         .flat_map(|pi| engines().into_iter().map(move |e| (pi, e)))
         .collect();
-    let sweep = sweep_cells(
-        cells.len(),
-        jobs,
-        len.measure_cycles,
-        |i| {
-            let (pi, e) = cells[i];
-            format!("{} {} ICOUNT.1.16", profiles[pi].name, e)
-        },
-        |i| {
-            let (pi, e) = cells[i];
-            let mut r = run(&workloads[pi], e, FetchPolicy::icount(1, 16), len);
-            r.workload = profiles[pi].name.to_string();
-            r
-        },
-    );
-    report_progress("superscalar", &sweep.stats);
-    let results = sweep.results;
+    let results = sweep_indexed(cells.len(), |i| {
+        let (pi, e) = cells[i];
+        let mut r = run(&workloads[pi], e, FetchPolicy::icount(1, 16), len);
+        r.workload = profiles[pi].name.to_string();
+        r
+    });
     // Geometric-mean speedups over gshare+BTB.
     let mut text = render_grouped_bars(
         "superscalar: single-thread IPC per front-end (ICOUNT.1.16)",
@@ -435,20 +383,42 @@ pub fn superscalar(len: RunLength, jobs: Jobs) -> Experiment {
     }
 }
 
-/// All experiments in paper order, sweeping on `jobs` workers.
-pub fn all(len: RunLength, jobs: Jobs) -> Vec<Experiment> {
-    vec![
-        table1(jobs),
-        table2(),
-        table3(),
-        figure2(len, jobs),
-        figure4(len, jobs),
-        figure5(len, jobs),
-        figure6(len, jobs),
-        figure7(len, jobs),
-        figure8(len, jobs),
-        superscalar(len, jobs),
-    ]
+/// Runs one experiment at a run length (the tables ignore it).
+pub type Runner = fn(RunLength) -> Experiment;
+
+/// Every experiment, by ID, in paper order.
+const EXPERIMENTS: [(&str, Runner); 10] = [
+    ("table1", |_| table1()),
+    ("table2", |_| table2()),
+    ("table3", |_| table3()),
+    ("figure2", figure2),
+    ("figure4", figure4),
+    ("figure5", figure5),
+    ("figure6", figure6),
+    ("figure7", figure7),
+    ("figure8", figure8),
+    ("superscalar", superscalar),
+];
+
+/// The experiments named by `ids`, in the order given; no IDs selects every
+/// experiment in paper order. An unknown ID is an error that lists the
+/// valid ones.
+pub fn select(ids: &[&str]) -> Result<Vec<(&'static str, Runner)>, String> {
+    if ids.is_empty() {
+        return Ok(EXPERIMENTS.to_vec());
+    }
+    ids.iter()
+        .map(|&id| {
+            EXPERIMENTS
+                .iter()
+                .find(|(name, _)| *name == id)
+                .copied()
+                .ok_or_else(|| {
+                    let valid: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+                    format!("unknown experiment `{id}` (valid: {})", valid.join(", "))
+                })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -457,7 +427,7 @@ mod tests {
 
     #[test]
     fn tables_render_without_simulation() {
-        let t1 = table1(Jobs::SERIAL);
+        let t1 = table1();
         assert!(t1.text.contains("gzip"));
         assert!(t1.text.contains("11.02"));
         let t2 = table2();
@@ -469,16 +439,46 @@ mod tests {
     }
 
     #[test]
-    fn table1_is_jobs_invariant() {
-        let serial = table1(Jobs::SERIAL);
-        let parallel = table1(Jobs::new(4).expect("valid"));
-        assert_eq!(serial.text, parallel.text);
-        assert_eq!(serial.markdown, parallel.markdown);
+    fn table1_matches_a_serial_walk() {
+        let rows: Vec<String> = BenchmarkProfile::all()
+            .iter()
+            .map(|p| {
+                let s = walk_profile(p);
+                format!(
+                    "| {} | {:.2} | {:.2} | {:.2} | {:.1} |",
+                    p.name,
+                    p.avg_bb_size,
+                    s.avg_bb_size(),
+                    s.taken_rate(),
+                    s.avg_stream_len()
+                )
+            })
+            .collect();
+        let md = table1().markdown;
+        assert_eq!(md.lines().skip(2).collect::<Vec<_>>(), rows);
+    }
+
+    #[test]
+    fn select_resolves_ids() {
+        let ids = |sel: Vec<(&'static str, Runner)>| -> Vec<&str> {
+            sel.into_iter().map(|(id, _)| id).collect()
+        };
+        assert_eq!(
+            ids(select(&["figure7", "table1"]).unwrap()),
+            ["figure7", "table1"]
+        );
+        assert_eq!(ids(select(&[]).unwrap()), EXPERIMENTS.map(|(id, _)| id));
+        let err = select(&["figure7", "figure3"]).unwrap_err();
+        assert!(err.contains("`figure3`"), "{err}");
+        assert!(
+            err.contains("table1, table2, table3, figure2, figure4, figure5, figure6, figure7, figure8, superscalar"),
+            "{err}"
+        );
     }
 
     #[test]
     fn figure2_runs_smoke() {
-        let e = figure2(RunLength::SMOKE, Jobs::SERIAL);
+        let e = figure2(RunLength::SMOKE);
         assert_eq!(e.results.len(), 2);
         assert!(e.text.contains("ICOUNT.1.8"));
         assert!(e.text.contains("fetch-width distribution"));
@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn figure5_covers_ilp_suite() {
-        let e = figure5(RunLength::SMOKE, Jobs::new(2).expect("valid"));
+        let e = figure5(RunLength::SMOKE);
         // 4 workloads × 2 policies × 3 engines.
         assert_eq!(e.results.len(), 24);
         let names: std::collections::BTreeSet<_> =

@@ -2,7 +2,6 @@
 //! charts shaped like the paper's grouped-bar figures.
 
 use crate::runner::RunResult;
-use crate::sweep::CellStat;
 
 /// Which metric a figure plots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,50 +110,6 @@ pub fn render_markdown(results: &[RunResult]) -> String {
     out
 }
 
-/// Renders a sweep's per-cell observability stats as an aligned table,
-/// slowest cell first, so stragglers surface at the top. The footer line
-/// sums the simulated work and reports how many workers shared it.
-///
-/// Wall-times and worker ids are machine- and schedule-dependent
-/// diagnostics: they belong in progress reports on stderr, never in golden
-/// snapshots.
-pub fn render_sweep_stats(title: &str, stats: &[CellStat]) -> String {
-    let mut by_wall: Vec<&CellStat> = stats.iter().collect();
-    by_wall.sort_by(|a, b| b.wall.cmp(&a.wall).then(a.index.cmp(&b.index)));
-    let rows: Vec<Vec<String>> = by_wall
-        .iter()
-        .map(|s| {
-            let skip_rate = if s.sim_cycles == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}", s.skipped as f64 / s.sim_cycles as f64 * 100.0)
-            };
-            vec![
-                s.label.clone(),
-                s.sim_cycles.to_string(),
-                skip_rate,
-                format!("{:.1}", s.wall.as_secs_f64() * 1e3),
-                s.worker.to_string(),
-            ]
-        })
-        .collect();
-    let mut workers: Vec<usize> = stats.iter().map(|s| s.worker).collect();
-    workers.sort_unstable();
-    workers.dedup();
-    let total_wall: f64 = stats.iter().map(|s| s.wall.as_secs_f64()).sum();
-    let mut out = format!("{title}: sweep of {} cells\n", stats.len());
-    out.push_str(&render_table(
-        &["cell", "sim-cycles", "skip %", "wall ms", "worker"],
-        &rows,
-    ));
-    out.push_str(&format!(
-        "{} worker(s), {:.1} ms total cell time\n",
-        workers.len(),
-        total_wall * 1e3
-    ));
-    out
-}
-
 /// Renders the per-thread stall attribution of a run as an aligned table:
 /// one row per thread, each bucket as a percentage of measured cycles. The
 /// buckets partition every cycle (the core charges exactly one cause per
@@ -217,7 +172,6 @@ pub fn render_stall_breakdown(title: &str, stats: &smt_core::SimStats, threads: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn result(engine: &str, ipfc: f64, ipc: f64) -> RunResult {
         RunResult {
@@ -234,7 +188,6 @@ mod tests {
             frac_ge16: 0.0,
             per_thread_ipc: vec![ipc / 2.0, ipc / 2.0],
             fairness: 1.0,
-            skipped_cycles: 0,
         }
     }
 
@@ -304,35 +257,6 @@ mod tests {
         let stats = smt_core::SimStats::default();
         let s = render_stall_breakdown("empty", &stats, 1);
         assert!(s.lines().nth(3).unwrap().contains('-'));
-    }
-
-    #[test]
-    fn sweep_stats_sort_stragglers_first() {
-        let stat = |index: usize, label: &str, ms: u64, worker: usize| CellStat {
-            index,
-            label: label.into(),
-            worker,
-            sim_cycles: 10_000,
-            skipped: 2_500,
-            wall: Duration::from_millis(ms),
-        };
-        let s = render_sweep_stats(
-            "figureX",
-            &[
-                stat(0, "fast-cell", 2, 0),
-                stat(1, "slow-cell", 50, 1),
-                stat(2, "mid-cell", 10, 0),
-            ],
-        );
-        assert!(s.starts_with("figureX: sweep of 3 cells"));
-        let slow = s.find("slow-cell").unwrap();
-        let mid = s.find("mid-cell").unwrap();
-        let fast = s.find("fast-cell").unwrap();
-        assert!(slow < mid && mid < fast, "not straggler-first:\n{s}");
-        assert!(s.contains("2 worker(s)"));
-        assert!(s.contains("10000"));
-        assert!(s.contains("skip %"), "missing skip-rate column:\n{s}");
-        assert!(s.contains("25.0"), "missing skip rate value:\n{s}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use smt_core::{FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats, Simulator};
 use smt_workloads::{Program, Workload};
 
-use crate::sweep::{sweep_cells, Jobs, Sweep};
+use crate::sweep::sweep_indexed;
 
 /// How long to simulate each configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,18 +29,36 @@ impl RunLength {
         measure_cycles: 10_000,
     };
 
-    /// Reads an override from `SMT_EXP_CYCLES` (measured cycles; warmup is
-    /// a quarter of it), falling back to [`RunLength::DEFAULT`].
+    /// Reads an override from `SMT_EXP_CYCLES` ([`RunLength::parse_cycles`]).
+    /// Prints the problem and exits with status 2 when the variable is set
+    /// but invalid, rather than silently running the default length.
     pub fn from_env() -> RunLength {
-        match std::env::var("SMT_EXP_CYCLES")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            Some(c) if c > 0 => RunLength {
+        let value = std::env::var_os("SMT_EXP_CYCLES").map(|v| v.to_string_lossy().into_owned());
+        match RunLength::parse_cycles(value.as_deref()) {
+            Ok(len) => len,
+            Err(err) => {
+                eprintln!("smt-experiments: {err}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// The run length for an `SMT_EXP_CYCLES` value: unset gives
+    /// [`RunLength::DEFAULT`]; a positive integer gives that many measured
+    /// cycles after a quarter as many warmup cycles; anything else is an
+    /// error.
+    pub fn parse_cycles(value: Option<&str>) -> Result<RunLength, String> {
+        let Some(v) = value else {
+            return Ok(RunLength::DEFAULT);
+        };
+        match v.parse::<u64>() {
+            Ok(c) if c > 0 => Ok(RunLength {
                 warmup_cycles: c / 4,
                 measure_cycles: c,
-            },
-            _ => RunLength::DEFAULT,
+            }),
+            _ => Err(format!(
+                "SMT_EXP_CYCLES={v:?} is not a positive number of measured cycles (e.g. 4000)"
+            )),
         }
     }
 }
@@ -79,10 +97,6 @@ pub struct RunResult {
     /// Fairness: min over max of per-thread IPC (1 = perfectly balanced,
     /// → 0 when some thread starves).
     pub fairness: f64,
-    /// Measured cycles the event-driven scheduler skipped rather than
-    /// stepped (sum of the four per-reason counters; deterministic, like
-    /// every other field).
-    pub skipped_cycles: u64,
 }
 
 impl RunResult {
@@ -119,7 +133,6 @@ impl RunResult {
                     0.0
                 }
             },
-            skipped_cycles: s.skipped_cycles(),
         }
     }
 }
@@ -165,24 +178,7 @@ fn run_measured(
     let mut sim = warmed_simulator(programs, engine, &cfg, len.warmup_cycles);
     // Borrowed stats: sweeps summarize each cell without copying SimStats.
     let stats = sim.run_cycles(len.measure_cycles);
-    report_stalls(workload, engine, policy, stats);
     RunResult::from_stats(workload, engine, policy, stats)
-}
-
-/// Prints the run's per-thread stall-attribution table to stderr when
-/// `SMT_SWEEP_REPORT` is 2 or higher. Pure function of the stats: enabling
-/// it cannot perturb results or golden snapshots (stdout is untouched).
-fn report_stalls(workload: &Workload, engine: FetchEngineKind, policy: FetchPolicy, s: &SimStats) {
-    if crate::sweep::report_level() >= 2 {
-        eprintln!(
-            "{}",
-            crate::report::render_stall_breakdown(
-                &format!("{} / {engine} / {policy}", workload.name()),
-                s,
-                workload.num_threads(),
-            )
-        );
-    }
 }
 
 /// Validates `cfg` for `threads` hardware contexts, printing every
@@ -246,49 +242,21 @@ pub fn run_with_config(
     run_measured(workload, engine, cfg, len)
 }
 
-/// Runs the full cross product `workloads × policies × engines`, serially.
+/// Runs the full cross product `workloads × policies × engines` in
+/// parallel ([`sweep_indexed`]).
 ///
 /// Results are ordered with the workload outermost, then the policy, then
 /// the engine innermost — the nesting the paper's grouped-bar figures use
 /// (rows grouped by `(workload, policy)`, one bar per engine). This order
-/// is part of the API contract and is locked by the golden ordering test;
-/// [`run_matrix_parallel`] returns the identical order for any worker count.
+/// is part of the API contract and is locked by the golden ordering test.
+/// Each cell is an independent deterministic simulation, so the result is
+/// bit-for-bit that of a serial loop of [`run`] over the same cells.
 pub fn run_matrix(
     workloads: &[Workload],
     engines: &[FetchEngineKind],
     policies: &[FetchPolicy],
     len: RunLength,
 ) -> Vec<RunResult> {
-    run_matrix_parallel(workloads, engines, policies, len, Jobs::SERIAL)
-}
-
-/// [`run_matrix`] on a pool of `jobs` workers.
-///
-/// Each cell is an independent deterministic simulation, and the executor
-/// addresses output slots by cell index ([`sweep_cells`]), so the returned
-/// vector is bit-for-bit identical to the serial [`run_matrix`] — same
-/// order, same values — regardless of `jobs`.
-pub fn run_matrix_parallel(
-    workloads: &[Workload],
-    engines: &[FetchEngineKind],
-    policies: &[FetchPolicy],
-    len: RunLength,
-    jobs: Jobs,
-) -> Vec<RunResult> {
-    run_matrix_sweep(workloads, engines, policies, len, jobs).results
-}
-
-/// [`run_matrix_parallel`], additionally returning per-cell observability
-/// stats (label, simulated cycles, wall-time, worker id) for progress and
-/// straggler reports.
-pub fn run_matrix_sweep(
-    workloads: &[Workload],
-    engines: &[FetchEngineKind],
-    policies: &[FetchPolicy],
-    len: RunLength,
-    jobs: Jobs,
-) -> Sweep<RunResult> {
-    // Stable cell order: workload × policy × engine (see `run_matrix`).
     let cells: Vec<(&Workload, FetchEngineKind, FetchPolicy)> = workloads
         .iter()
         .flat_map(|w| {
@@ -297,25 +265,10 @@ pub fn run_matrix_sweep(
                 .flat_map(move |&p| engines.iter().map(move |&e| (w, e, p)))
         })
         .collect();
-    let mut sweep = sweep_cells(
-        cells.len(),
-        jobs,
-        len.measure_cycles,
-        |i| {
-            let (w, e, p) = &cells[i];
-            format!("{} {} {}", w.name(), e, p)
-        },
-        |i| {
-            let (w, e, p) = cells[i];
-            run(w, e, p, len)
-        },
-    );
-    // The executor has no view into the result type; fill in the per-cell
-    // skip counts (for the skip-rate column of the progress report) here.
-    for (stat, result) in sweep.stats.iter_mut().zip(&sweep.results) {
-        stat.skipped = result.skipped_cycles;
-    }
-    sweep
+    sweep_indexed(cells.len(), |i| {
+        let (w, e, p) = cells[i];
+        run(w, e, p, len)
+    })
 }
 
 #[cfg(test)]
@@ -377,33 +330,29 @@ mod tests {
     fn parallel_matrix_matches_serial_bit_for_bit() {
         let workloads = [Workload::mix2()];
         let engines = [FetchEngineKind::GshareBtb, FetchEngineKind::Stream];
-        let policies = [FetchPolicy::icount(1, 8)];
-        let serial = run_matrix(&workloads, &engines, &policies, RunLength::SMOKE);
-        for jobs in [2usize, 4] {
-            let parallel = run_matrix_parallel(
-                &workloads,
-                &engines,
-                &policies,
-                RunLength::SMOKE,
-                Jobs::new(jobs).expect("valid"),
-            );
-            assert_eq!(parallel, serial, "jobs={jobs}");
-        }
+        let policy = FetchPolicy::icount(1, 8);
+        let parallel = run_matrix(&workloads, &engines, &[policy], RunLength::SMOKE);
+        let serial: Vec<RunResult> = engines
+            .iter()
+            .map(|&e| run(&workloads[0], e, policy, RunLength::SMOKE))
+            .collect();
+        assert_eq!(parallel, serial);
     }
 
     #[test]
-    fn matrix_sweep_reports_per_cell_stats() {
-        let sweep = run_matrix_sweep(
-            &[Workload::mix2()],
-            &[FetchEngineKind::GshareBtb],
-            &[FetchPolicy::icount(1, 8)],
-            RunLength::SMOKE,
-            Jobs::SERIAL,
+    fn cycles_override_parses_or_rejects() {
+        assert_eq!(RunLength::parse_cycles(None), Ok(RunLength::DEFAULT));
+        assert_eq!(
+            RunLength::parse_cycles(Some("4000")),
+            Ok(RunLength {
+                warmup_cycles: 1_000,
+                measure_cycles: 4_000,
+            })
         );
-        assert_eq!(sweep.stats.len(), 1);
-        assert_eq!(sweep.stats[0].label, "2_MIX gshare+BTB ICOUNT.1.8");
-        assert_eq!(sweep.stats[0].sim_cycles, RunLength::SMOKE.measure_cycles);
-        assert_eq!(sweep.stats[0].worker, 0);
+        for bad in ["4k", "0", "-1", "", " 4000", "1e4"] {
+            let err = RunLength::parse_cycles(Some(bad)).unwrap_err();
+            assert!(err.contains("SMT_EXP_CYCLES"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

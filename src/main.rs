@@ -15,12 +15,16 @@
 //!   --seed N              workload generation seed               [2004]
 //!   --all-engines         run every engine and compare
 //! ```
+//!
+//! Each run's report ends with its per-thread stall breakdown: the share of
+//! measured cycles each thread lost to each stall cause.
 
 use std::process::ExitCode;
 
 use smtfetch::core::{
     FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, SimBuilder, SimConfig, SimStats,
 };
+use smtfetch::experiments::render_stall_breakdown;
 use smtfetch::workloads::{Workload, WorkloadClass};
 
 #[derive(Debug)]
@@ -238,6 +242,8 @@ fn report(engine: FetchEngineKind, policy: FetchPolicy, w: &Workload, s: &SimSta
     if s.flushes > 0 {
         println!("  long-latency flushes {}", s.flushes);
     }
+    let title = format!("{} / {engine} / {policy}", w.name());
+    print!("{}", render_stall_breakdown(&title, s, w.num_threads()));
 }
 
 fn main() -> ExitCode {

@@ -19,3 +19,40 @@ fn malformed_fetch_policy_exits_2_without_panicking() {
         );
     }
 }
+
+#[test]
+fn every_run_reports_a_per_thread_stall_breakdown() {
+    let out = Command::new(env!("CARGO_BIN_EXE_smtfetch"))
+        .args(["-w", "4_MIX", "-c", "2000", "--warmup", "500"])
+        .output()
+        .expect("run smtfetch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout:\n{stdout}");
+    assert!(
+        stdout.contains("4_MIX / stream / ICOUNT.1.16: stall breakdown over 2000 cycles (%)"),
+        "no stall breakdown:\n{stdout}"
+    );
+    let header = stdout
+        .lines()
+        .find(|l| l.starts_with("thread"))
+        .expect("stall table header");
+    assert_eq!(
+        header.split_whitespace().collect::<Vec<_>>(),
+        [
+            "thread",
+            "committed",
+            "icache",
+            "bank",
+            "starved",
+            "rob-full",
+            "issue",
+            "dcache",
+            "useful"
+        ]
+    );
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.starts_with('T')).collect();
+    assert_eq!(rows.len(), 4, "one row per thread:\n{stdout}");
+    for (t, row) in rows.iter().enumerate() {
+        assert!(row.starts_with(&format!("T{t} ")), "{row}");
+    }
+}

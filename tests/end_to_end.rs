@@ -2,12 +2,11 @@
 //! engines and policies, and check cross-crate invariants.
 //!
 //! The heavy engine×policy product tests fan their independent simulations
-//! out over the sweep executor (`SMT_JOBS` workers, default
-//! `available_parallelism()`); assertions stay on the main thread so a
-//! failure message names the offending cell.
+//! out over every available core (`sweep_indexed`); assertions stay on the
+//! main thread so a failure message names the offending cell.
 
 use smtfetch::core::{FetchEngineKind, FetchPolicy, SimBuilder, SimStats};
-use smtfetch::experiments::{sweep_indexed, Jobs};
+use smtfetch::experiments::sweep_indexed;
 use smtfetch::workloads::{Workload, WorkloadClass};
 
 fn run(w: &Workload, e: FetchEngineKind, p: FetchPolicy, cycles: u64) -> SimStats {
@@ -19,18 +18,13 @@ fn run(w: &Workload, e: FetchEngineKind, p: FetchPolicy, cycles: u64) -> SimStat
     sim.run_cycles(cycles).clone()
 }
 
-/// Worker count for the fanned-out tests (results are jobs-invariant).
-fn jobs() -> Jobs {
-    Jobs::from_env().expect("invalid SMT_JOBS")
-}
-
 #[test]
 fn every_workload_runs_on_every_engine() {
     let cells: Vec<(Workload, FetchEngineKind)> = Workload::all_table2()
         .into_iter()
         .flat_map(|w| FetchEngineKind::all().map(|e| (w.clone(), e)))
         .collect();
-    let stats = sweep_indexed(cells.len(), jobs(), |i| {
+    let stats = sweep_indexed(cells.len(), |i| {
         let (w, e) = &cells[i];
         run(w, *e, FetchPolicy::icount(1, 8), 6_000)
     });
@@ -50,7 +44,7 @@ fn ipc_never_exceeds_decode_width() {
         .into_iter()
         .flat_map(|e| FetchPolicy::paper_sweep().map(|p| (e, p)))
         .collect();
-    let stats = sweep_indexed(cells.len(), jobs(), |i| {
+    let stats = sweep_indexed(cells.len(), |i| {
         let (e, p) = cells[i];
         run(&Workload::ilp4(), e, p, 20_000)
     });
@@ -120,7 +114,7 @@ fn accounting_identities_hold() {
 #[test]
 fn branch_prediction_learns_in_pipeline() {
     let engines = FetchEngineKind::all();
-    let stats = sweep_indexed(engines.len(), jobs(), |i| {
+    let stats = sweep_indexed(engines.len(), |i| {
         run(
             &Workload::ilp2(),
             engines[i],
@@ -155,7 +149,7 @@ fn history_checkpoints_track_architectural_history() {
 #[test]
 fn wider_fetch_does_not_reduce_fetch_throughput() {
     let engines = FetchEngineKind::all();
-    let pairs = sweep_indexed(engines.len(), jobs(), |i| {
+    let pairs = sweep_indexed(engines.len(), |i| {
         let e = engines[i];
         let narrow = run(&Workload::ilp4(), e, FetchPolicy::icount(1, 8), 40_000);
         let wide = run(&Workload::ilp4(), e, FetchPolicy::icount(1, 16), 40_000);

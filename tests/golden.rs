@@ -13,13 +13,13 @@
 //!
 //! then commit the updated `tests/golden/*.txt` files alongside the change
 //! that caused them. Snapshots are rendered from results only (never from
-//! wall-time or worker ids), so they are identical for any `--jobs` value.
+//! wall-time or worker ids), so they do not depend on the host's core count.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use smtfetch::core::{FetchEngineKind, FetchPolicy, SimBuilder, SimStats, Simulator};
-use smtfetch::experiments::{run_matrix, run_matrix_parallel, Jobs, RunLength, RunResult};
+use smtfetch::experiments::{run, run_matrix, RunLength, RunResult};
 use smtfetch::workloads::Workload;
 
 /// Every family runs at the same fixed length; golden files embed results
@@ -34,13 +34,6 @@ fn golden_dir() -> PathBuf {
 
 fn blessing() -> bool {
     std::env::var_os("SMT_BLESS").is_some_and(|v| v != "0")
-}
-
-/// Worker count for the runs behind a snapshot. Results are jobs-invariant
-/// (locked by `parallel_matches_serial_for_every_worker_count` below), so
-/// this only affects wall-time.
-fn jobs() -> Jobs {
-    Jobs::from_env().expect("invalid SMT_JOBS")
 }
 
 /// Renders results to the canonical golden text form: one line per cell,
@@ -104,12 +97,11 @@ fn check(family: &str, results: &[RunResult]) {
 #[test]
 fn golden_figure2_family() {
     // Figure 2's axis: the baseline engine on the 2-thread mix at 1.8/1.16.
-    let results = run_matrix_parallel(
+    let results = run_matrix(
         &[Workload::mix2()],
         &[FetchEngineKind::GshareBtb],
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(1, 16)],
         LEN,
-        jobs(),
     );
     check("figure2_family", &results);
 }
@@ -117,12 +109,11 @@ fn golden_figure2_family() {
 #[test]
 fn golden_ilp_family() {
     // Figure 5's axis: every fetch engine on the ILP-bound 2-thread mix.
-    let results = run_matrix_parallel(
+    let results = run_matrix(
         &[Workload::ilp2()],
         &FetchEngineKind::all(),
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
         LEN,
-        jobs(),
     );
     check("ilp_family", &results);
 }
@@ -130,12 +121,11 @@ fn golden_ilp_family() {
 #[test]
 fn golden_mem_family() {
     // Figure 7's axis: every fetch engine on the memory-bound 2-thread mix.
-    let results = run_matrix_parallel(
+    let results = run_matrix(
         &[Workload::mem2()],
         &FetchEngineKind::all(),
         &[FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)],
         LEN,
-        jobs(),
     );
     check("mem_family", &results);
 }
@@ -144,7 +134,7 @@ fn golden_mem_family() {
 fn golden_policies_family() {
     // The fetch-policy comparison: one engine, the priority-scheme sweep
     // plus the long-latency STALL/FLUSH variants.
-    let results = run_matrix_parallel(
+    let results = run_matrix(
         &[Workload::mix2()],
         &[FetchEngineKind::GskewFtb],
         &[
@@ -155,7 +145,6 @@ fn golden_policies_family() {
             FetchPolicy::icount(2, 8).with_flush(),
         ],
         LEN,
-        jobs(),
     );
     check("policies_family", &results);
 }
@@ -379,27 +368,26 @@ fn chunk_boundary_mid_skip_matches_monolithic() {
     }
 }
 
-/// Satellite equivalence contract: the parallel executor returns results
-/// byte-identical to the serial path for any worker count. `RunResult`
-/// equality is bit-exact (`f64 ==`), so this is the strongest possible
-/// check short of hashing.
+/// The parallel `run_matrix` returns results byte-identical to the serial
+/// reference: a plain loop of `run` over the same cells, in the documented
+/// workload × policy × engine order. `RunResult` equality is bit-exact
+/// (`f64 ==`), so this is the strongest possible check short of hashing.
 #[test]
-fn parallel_matches_serial_for_every_worker_count() {
+fn parallel_matches_serial_loop() {
     let workloads = [Workload::mix2(), Workload::ilp2()];
     let engines = FetchEngineKind::all();
     let policies = [FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)];
-    let serial = run_matrix(&workloads, &engines, &policies, LEN);
-    for jobs in [1usize, 2, 8] {
-        let parallel = run_matrix_parallel(
-            &workloads,
-            &engines,
-            &policies,
-            LEN,
-            Jobs::new(jobs).expect("valid worker count"),
-        );
-        assert_eq!(
-            serial, parallel,
-            "run_matrix_parallel(jobs={jobs}) diverged from serial run_matrix"
-        );
+    let mut serial = Vec::new();
+    for w in &workloads {
+        for &p in &policies {
+            for &e in &engines {
+                serial.push(run(w, e, p, LEN));
+            }
+        }
     }
+    assert_eq!(
+        run_matrix(&workloads, &engines, &policies, LEN),
+        serial,
+        "parallel run_matrix diverged from the serial loop of run"
+    );
 }

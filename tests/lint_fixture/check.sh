@@ -45,7 +45,6 @@ expect crates "$hash" "$thread" "$clock" "$env" \
     'used `unwrap()`' 'used `expect()`' '`panic` should not be present' \
     'casting `u64` to `u32` may truncate' 'usage of an `unsafe` block'
 expect crates/experiments "$hash" "$thread" "$clock"
-expect crates/bench "$hash" "$thread"
 expect . "$hash" "$thread"
 
 [ "$status" -eq 0 ] && echo "clippy rejects every seeded violation"

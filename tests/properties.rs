@@ -13,7 +13,6 @@ use smtfetch::bpred::{
 use smtfetch::core::{
     BranchInfo, FetchEngineKind, FetchPolicy, InFlightCtl, SimBuilder, SimConfig, SimStats, Window,
 };
-use smtfetch::experiments::{sweep_indexed, Jobs};
 use smtfetch::isa::{Addr, BranchKind, DynInst, InstClass};
 use smtfetch::mem::{Cache, CacheConfig, MshrFile, MshrOutcome};
 use smtfetch::workloads::{BenchmarkProfile, ProgramBuilder, Srng, Walker, Workload};
@@ -289,8 +288,21 @@ fn stats_for_seed(seed: u64) -> SimStats {
     sim.run_cycles(5_000).clone()
 }
 
+/// Runs `f` twice at once on two scoped threads, even on a one-core host.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "two simulators must run on two threads at once"
+)]
+fn twice_concurrently<T: Send>(f: impl Fn() -> T + Sync) -> [T; 2] {
+    std::thread::scope(|s| {
+        let a = s.spawn(&f);
+        let b = s.spawn(&f);
+        [a.join().unwrap(), b.join().unwrap()]
+    })
+}
+
 /// Same-seed simulations are bit-identical — including when the two reruns
-/// execute concurrently on different sweep worker threads. `SimStats` is
+/// execute concurrently on different threads. `SimStats` is
 /// all integer counters, so `==` is exact; any divergence would expose
 /// hidden shared state or scheduling sensitivity in the simulator.
 #[test]
@@ -298,7 +310,7 @@ fn same_seed_runs_identical_across_worker_threads() {
     for case in 0..4u64 {
         let seed = 0xbb ^ case;
         let serial = stats_for_seed(seed);
-        let pair = sweep_indexed(2, Jobs::new(2).unwrap(), |_| stats_for_seed(seed));
+        let pair = twice_concurrently(|| stats_for_seed(seed));
         assert_eq!(
             pair[0], pair[1],
             "same-seed runs diverged across workers (seed {seed})"
@@ -351,7 +363,7 @@ fn random_valid_configs_run_deterministically() {
                 .expect("validated config builds");
             sim.run_cycles(4_000).clone()
         };
-        let pair = sweep_indexed(2, Jobs::new(2).unwrap(), |_| run_once());
+        let pair = twice_concurrently(run_once);
         assert_eq!(
             pair[0], pair[1],
             "case {case}: same-seed runs of a random config diverged across workers"
