@@ -893,6 +893,18 @@ mod tests {
     }
 
     #[test]
+    fn e0009_non_power_of_two_l2_line_rejected() {
+        // 1.5 MiB, 2-way, 48 B lines: a power-of-two set count (16384), and
+        // no MSHR file sees the L2 line size.
+        let mut cfg = SimConfig::default();
+        cfg.mem.l2.size_bytes = 1536 * 1024;
+        cfg.mem.l2.line_bytes = 48;
+        assert_rejects(&cfg, 1, "E0009");
+        let diags = cfg.validate_for_threads(1);
+        assert!(diags.iter().any(|d| d.field == "mem.l2.line_bytes"));
+    }
+
+    #[test]
     fn e0010_zero_mshrs_rejected() {
         let mut cfg = SimConfig::default();
         cfg.mem.d_mshrs = 0;

@@ -34,7 +34,11 @@ impl PipelineStage for CommitStage {
         // skip the per-instruction buffer shuffle entirely for the others.
         let trace_fill_active = matches!(ctx.frontend, crate::frontend::AnyFrontEnd::TraceCache(_));
         for k in 0..n {
-            let tid = (start + k) % n;
+            let tid = if start + k >= n {
+                start + k - n
+            } else {
+                start + k
+            };
             while budget > 0 {
                 let committable = {
                     let th = &ctx.threads[tid];

@@ -1,9 +1,20 @@
-//! The in-order middle of the pipeline: decode, rename, and dispatch.
+//! The in-order middle of the pipeline: decode, rename, and dispatch, over
+//! the front FIFO that holds their latches.
 //!
-//! Decode and rename are pure latency latches (entries spend a cycle in
-//! each); dispatch performs the real work — register renaming and resource
+//! Dispatch performs the real work — register renaming and resource
 //! acquisition (ROB slot, issue-queue slot, physical register) — stalling
-//! the owning thread in order when any resource is exhausted.
+//! the owning thread in order when any resource is exhausted. Decode and
+//! rename are pure one-cycle latches.
+//!
+//! Each stage ticks before the stage that feeds it (`Simulator::step` runs
+//! dispatch, rename, decode, fetch in that order), so an entry a stage
+//! finds in its input latch always arrived in an earlier cycle: the latches
+//! never need an arrival timestamp. Entries also never overtake each other,
+//! so the fetch buffer and the two latches together hold the pre-dispatch
+//! instructions in fetch order. [`FrontFifo`] stores them that way, as one
+//! deque `[rename | decode | fetch buffer]`, plus the sizes of the first two
+//! regions. Decode and rename then move no entries at all: each is a
+//! `min()` update of a region counter.
 
 // The pipeline stages use `expect` to assert invariants that the stage
 // protocol itself guarantees (e.g. "caller checked" FTQ heads, rename maps
@@ -14,74 +25,160 @@
     reason = "stage-protocol invariants; violations must abort the simulation"
 )]
 
-use smt_isa::{Presized, RegClass, MAX_THREADS};
+use std::collections::VecDeque;
+
+use smt_isa::{Addr, Presized, RegClass, MAX_THREADS};
 
 use super::sched::EventHorizon;
 use super::{IqEntry, PipelineCtx, PipelineStage, STALL_ROB_FULL};
 
-/// The decode latch: moves up to `decode_width` aged entries from the fetch
-/// buffer into the decode latch.
+/// One pre-dispatch instruction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct LatchEntry {
+    pub(crate) tid: usize,
+    pub(crate) seq: u64,
+}
+
+/// The fetch buffer, decode latch and rename latch as one deque in fetch
+/// order: the first `renamed` entries are the rename latch, the next
+/// `decoded` the decode latch, and the rest the fetch buffer.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FrontFifo {
+    q: Presized<VecDeque<LatchEntry>>,
+    renamed: usize,
+    decoded: usize,
+}
+
+impl FrontFifo {
+    /// A FIFO with room for a full fetch buffer and two full latches.
+    pub(crate) fn new(fetch_buffer: usize, decode_width: usize) -> Self {
+        FrontFifo {
+            q: Presized::deque(fetch_buffer + 2 * decode_width),
+            renamed: 0,
+            decoded: 0,
+        }
+    }
+
+    /// Entries across all three regions.
+    pub(crate) fn len(&self) -> usize {
+        self.q.len()
+    }
+
+    /// Entries in the fetch buffer region.
+    pub(crate) fn fetch_buffer_len(&self) -> usize {
+        self.q.len() - self.renamed - self.decoded
+    }
+
+    /// Entries in the decode latch region.
+    pub(crate) fn decode_len(&self) -> usize {
+        self.decoded
+    }
+
+    /// Entries in the rename latch region.
+    pub(crate) fn rename_len(&self) -> usize {
+        self.renamed
+    }
+
+    /// All entries, oldest (rename region) first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &LatchEntry> {
+        self.q.iter()
+    }
+
+    /// The rename latch region, oldest first.
+    pub(crate) fn renamed(&self) -> impl Iterator<Item = &LatchEntry> {
+        self.q.range(..self.renamed)
+    }
+
+    /// Fetch: appends an entry to the fetch buffer.
+    pub(crate) fn push(&mut self, e: LatchEntry) {
+        self.q.push_back(e);
+    }
+
+    /// Decode: moves up to `width` entries from the fetch buffer into the
+    /// decode latch, which holds at most `width`.
+    pub(crate) fn decode(&mut self, width: usize) {
+        self.decoded += (width - self.decoded).min(self.fetch_buffer_len());
+    }
+
+    /// Rename: moves up to `width` entries from the decode latch into the
+    /// rename latch, which holds at most `width`.
+    pub(crate) fn rename(&mut self, width: usize) {
+        let k = (width - self.renamed).min(self.decoded);
+        self.renamed += k;
+        self.decoded -= k;
+    }
+
+    /// Dispatch: offers each rename-latch entry to `keep` in order; the
+    /// entries it returns `true` for stay in the latch (in order), the rest
+    /// leave the FIFO.
+    pub(crate) fn dispatch(&mut self, mut keep: impl FnMut(LatchEntry) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.renamed {
+            let e = self.q[i];
+            if keep(e) {
+                self.q[kept] = e;
+                kept += 1;
+            }
+        }
+        self.q.drain(kept..self.renamed);
+        self.renamed = kept;
+    }
+
+    /// Squash and FLUSH: drops every entry `keep` rejects, from whichever
+    /// region holds it.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&LatchEntry) -> bool) {
+        let (r0, d0) = (self.renamed, self.decoded);
+        let (renamed, decoded) = (&mut self.renamed, &mut self.decoded);
+        let mut i = 0;
+        self.q.retain(|e| {
+            let k = keep(e);
+            if !k && i < r0 {
+                *renamed -= 1;
+            } else if !k && i < r0 + d0 {
+                *decoded -= 1;
+            }
+            i += 1;
+            k
+        });
+    }
+}
+
+/// The decode latch: moves up to `decode_width` entries from the fetch
+/// buffer into the decode latch (a region-counter update of the front
+/// FIFO).
 #[derive(Clone, Debug)]
 pub(crate) struct DecodeStage;
 
 impl PipelineStage for DecodeStage {
     fn tick(&mut self, ctx: &mut PipelineCtx) {
-        let now = ctx.cycle;
-        let width = ctx.cfg.decode_width as usize;
-        let mut moved = 0;
-        while moved < width
-            && ctx.decode_latch.len() < width
-            && ctx.fetch_buffer.front().is_some_and(|e| e.entered < now)
-        {
-            let mut e = ctx.fetch_buffer.pop_front().expect("checked");
-            e.entered = now;
-            ctx.decode_latch.push_back(e);
-            moved += 1;
-        }
+        ctx.front.decode(ctx.cfg.decode_width as usize);
     }
 
-    /// A pure latch acts exactly when an aged entry meets downstream room;
-    /// between steps every queued entry is aged, so this is a length check.
-    /// Unblocking needs another stage to act — no self-scheduled events.
+    /// A pure latch acts exactly when a buffered entry meets downstream
+    /// room. Unblocking needs another stage to act — no self-scheduled
+    /// events.
     fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
-        if ctx.decode_latch.len() < ctx.cfg.decode_width as usize && !ctx.fetch_buffer.is_empty() {
-            debug_assert!(ctx
-                .fetch_buffer
-                .front()
-                .is_some_and(|e| e.entered < ctx.cycle));
+        if ctx.front.decode_len() < ctx.cfg.decode_width as usize
+            && ctx.front.fetch_buffer_len() > 0
+        {
             ev.act();
         }
     }
 }
 
-/// The rename latch: moves up to `decode_width` aged entries from the
-/// decode latch into the rename latch.
+/// The rename latch: moves up to `decode_width` entries from the decode
+/// latch into the rename latch.
 #[derive(Clone, Debug)]
 pub(crate) struct RenameStage;
 
 impl PipelineStage for RenameStage {
     fn tick(&mut self, ctx: &mut PipelineCtx) {
-        let now = ctx.cycle;
-        let width = ctx.cfg.decode_width as usize;
-        let mut moved = 0;
-        while moved < width
-            && ctx.rename_latch.len() < width
-            && ctx.decode_latch.front().is_some_and(|e| e.entered < now)
-        {
-            let mut e = ctx.decode_latch.pop_front().expect("checked");
-            e.entered = now;
-            ctx.rename_latch.push_back(e);
-            moved += 1;
-        }
+        ctx.front.rename(ctx.cfg.decode_width as usize);
     }
 
     /// Same latch rule as decode, one stage later.
     fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
-        if ctx.rename_latch.len() < ctx.cfg.decode_width as usize && !ctx.decode_latch.is_empty() {
-            debug_assert!(ctx
-                .decode_latch
-                .front()
-                .is_some_and(|e| e.entered < ctx.cycle));
+        if ctx.front.rename_len() < ctx.cfg.decode_width as usize && ctx.front.decode_len() > 0 {
             ev.act();
         }
     }
@@ -91,34 +188,19 @@ impl PipelineStage for RenameStage {
 /// rename latch into the issue queues, in order per thread, bounded by the
 /// shared ROB, the per-queue capacities, and the free physical registers.
 #[derive(Clone, Debug)]
-pub(crate) struct DispatchStage {
-    /// Reusable scratch holding the entries kept in the latch this cycle
-    /// (stalled or not yet aged). Capacity never grows past the latch bound.
-    scratch: Presized<Vec<super::LatchEntry>>,
-}
-
-impl DispatchStage {
-    pub(crate) fn new(decode_width: usize) -> Self {
-        DispatchStage {
-            scratch: Presized::vec(decode_width),
-        }
-    }
-}
+pub(crate) struct DispatchStage;
 
 impl PipelineStage for DispatchStage {
     fn tick(&mut self, ctx: &mut PipelineCtx) {
         let now = ctx.cycle;
         let mut budget = ctx.cfg.decode_width;
         let mut stalled = [false; MAX_THREADS];
-        // Drain the latch through the persistent scratch buffer and refill
-        // it with the kept entries (same order), so the per-cycle filter
-        // allocates nothing.
-        let kept = &mut self.scratch;
-        debug_assert!(kept.is_empty());
-        while let Some(e) = ctx.rename_latch.pop_front() {
-            if budget == 0 || stalled[e.tid] || e.entered >= now {
-                kept.push(e);
-                continue;
+        // The FIFO is taken out for the walk so the closure can borrow the
+        // rest of the machine; the take leaves an empty, unallocated deque.
+        let mut front = std::mem::take(&mut ctx.front);
+        front.dispatch(|e| {
+            if budget == 0 || stalled[e.tid] {
+                return true;
             }
             // The window entry may have been squashed since renaming began.
             // Liveness comes from the control column; the payload column is
@@ -131,7 +213,7 @@ impl PipelineStage for DispatchStage {
                         di.class,
                         di.dest,
                         di.srcs,
-                        di.mem.map(|m| m.addr),
+                        di.mem.map_or(Addr::NULL, |m| m.addr),
                         di.wrong_path,
                     )
                 })
@@ -139,15 +221,14 @@ impl PipelineStage for DispatchStage {
                 // The entry evaporates: it left the pre-issue structures
                 // without moving to an issue queue.
                 ctx.preissue[e.tid] -= 1;
-                continue;
+                return false;
             };
             // Resource checks: shared ROB, issue-queue slot, physical
             // register.
             if ctx.rob_occ >= ctx.cfg.rob_size {
                 ctx.note_stall(e.tid, STALL_ROB_FULL);
                 stalled[e.tid] = true;
-                kept.push(e);
-                continue;
+                return true;
             }
             let (qlen, qcap) = match PipelineCtx::queue_for(class) {
                 0 => (ctx.iq_int.len(), ctx.cfg.iq_int as usize),
@@ -156,8 +237,7 @@ impl PipelineStage for DispatchStage {
             };
             if qlen >= qcap {
                 stalled[e.tid] = true;
-                kept.push(e);
-                continue;
+                return true;
             }
             let need_reg = dest.map(|d| d.class());
             let have_reg = match need_reg {
@@ -167,16 +247,14 @@ impl PipelineStage for DispatchStage {
             };
             if !have_reg {
                 stalled[e.tid] = true;
-                kept.push(e);
-                continue;
+                return true;
             }
 
             // Rename: sources first, then the destination.
+            // A missing source names the zero register (`IqEntry::src_phys`).
             let map = &ctx.threads[e.tid].rename_map;
-            let src_phys = [
-                srcs[0].map(|r| map[r.flat_index()]),
-                srcs[1].map(|r| map[r.flat_index()]),
-            ];
+            let zero = ctx.zero_reg();
+            let src_phys = srcs.map(|r| r.map_or(zero, |r| map[r.flat_index()]));
             let (phys_dest, prev_phys) = match dest {
                 Some(d) => {
                     let new = match d.class() {
@@ -195,19 +273,19 @@ impl PipelineStage for DispatchStage {
                 ctl.set_dispatched();
                 ctl.phys_dest = phys_dest;
                 ctl.prev_phys = prev_phys;
-                ctl.src_phys = src_phys;
             }
             ctx.rob_occ += 1;
+            #[expect(clippy::cast_possible_truncation, reason = "tid < MAX_THREADS")]
+            let tid = e.tid as u8;
             let iq = IqEntry {
-                tid: e.tid,
                 seq: e.seq,
-                entered: now,
                 // Entries age one cycle before they can issue.
                 wake: now + 1,
+                mem_addr,
                 src_phys,
                 class,
                 wrong_path,
-                mem_addr,
+                tid,
             };
             match PipelineCtx::queue_for(class) {
                 0 => ctx.iq_int.push(iq),
@@ -215,8 +293,9 @@ impl PipelineStage for DispatchStage {
                 _ => ctx.iq_fp.push(iq),
             }
             budget -= 1;
-        }
-        ctx.rename_latch.extend(kept.drain(..));
+            false
+        });
+        ctx.front = front;
     }
 
     /// Replays the tick's resource walk without acquiring anything: the
@@ -226,11 +305,10 @@ impl PipelineStage for DispatchStage {
     /// other stages acting, so dispatch reports no self-scheduled events.
     fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
         let mut stalled = [false; MAX_THREADS];
-        for e in ctx.rename_latch.iter() {
+        for e in ctx.front.renamed() {
             if stalled[e.tid] {
                 continue;
             }
-            debug_assert!(e.entered < ctx.cycle, "latch entries age between steps");
             let w = &ctx.threads[e.tid].window;
             if w.ctl(e.seq).is_none() {
                 // A squashed entry would evaporate (mutating the ICOUNT
@@ -264,6 +342,155 @@ impl PipelineStage for DispatchStage {
             }
             ev.act();
             return;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smt_isa::Cycle;
+    use smt_workloads::Srng;
+
+    /// The three separate latches this FIFO replaced, with their arrival
+    /// stamps and the decode, rename and dispatch-pop code they ran.
+    #[derive(Default)]
+    struct Latches {
+        fetch_buffer: VecDeque<(LatchEntry, Cycle)>,
+        decode_latch: VecDeque<(LatchEntry, Cycle)>,
+        rename_latch: VecDeque<(LatchEntry, Cycle)>,
+    }
+
+    impl Latches {
+        fn advance(
+            from: &mut VecDeque<(LatchEntry, Cycle)>,
+            to: &mut VecDeque<(LatchEntry, Cycle)>,
+            width: usize,
+            now: Cycle,
+        ) {
+            let mut moved = 0;
+            while moved < width && to.len() < width && from.front().is_some_and(|e| e.1 < now) {
+                let (e, _) = from.pop_front().unwrap();
+                to.push_back((e, now));
+                moved += 1;
+            }
+        }
+
+        fn dispatch(&mut self, now: Cycle, mut keep: impl FnMut(LatchEntry) -> bool) {
+            let mut kept = VecDeque::new();
+            while let Some((e, entered)) = self.rename_latch.pop_front() {
+                if entered >= now || keep(e) {
+                    kept.push_back((e, entered));
+                }
+            }
+            self.rename_latch = kept;
+        }
+
+        fn retain(&mut self, keep: impl Fn(&LatchEntry) -> bool) {
+            self.fetch_buffer.retain(|e| keep(&e.0));
+            self.decode_latch.retain(|e| keep(&e.0));
+            self.rename_latch.retain(|e| keep(&e.0));
+        }
+    }
+
+    fn assert_same(fifo: &FrontFifo, old: &Latches, what: &str) {
+        let regions: Vec<LatchEntry> = fifo.iter().copied().collect();
+        let (r, d) = (fifo.rename_len(), fifo.decode_len());
+        let strip = |q: &VecDeque<(LatchEntry, Cycle)>| q.iter().map(|e| e.0).collect::<Vec<_>>();
+        assert_eq!(
+            regions[..r],
+            strip(&old.rename_latch),
+            "rename after {what}"
+        );
+        assert_eq!(
+            regions[r..r + d],
+            strip(&old.decode_latch),
+            "decode after {what}"
+        );
+        assert_eq!(
+            regions[r + d..],
+            strip(&old.fetch_buffer),
+            "buffer after {what}"
+        );
+        assert_eq!(fifo.fetch_buffer_len(), old.fetch_buffer.len());
+    }
+
+    /// Random cycles in `Simulator::step` order — squash, FLUSH, dispatch,
+    /// rename, decode, fetch, each present or not — drive the FIFO and the
+    /// old latches; after every operation each region holds the same
+    /// entries in the same order.
+    #[test]
+    fn fifo_matches_the_three_latches() {
+        for case in 0..200u64 {
+            let mut rng = Srng::new(0xF1F0 ^ case);
+            let width = rng.range_usize(1, 9);
+            let buffer = width + rng.range_usize(0, 25);
+            let threads = rng.range_usize(1, 9);
+            let mut fifo = FrontFifo::new(buffer, width);
+            let mut old = Latches::default();
+            let mut next_seq = vec![0u64; threads];
+            for now in 1..300u64 {
+                if rng.chance(0.1) {
+                    // Squash (`seq > s`) or FLUSH (`seq >= s`) of one thread.
+                    let tid = rng.range_usize(0, threads);
+                    let s = rng.range(0, next_seq[tid] + 1);
+                    let flush = rng.chance(0.5);
+                    let keep =
+                        |e: &LatchEntry| !(e.tid == tid && (e.seq > s || flush && e.seq == s));
+                    fifo.retain(keep);
+                    old.retain(keep);
+                    assert_same(&fifo, &old, "squash");
+                }
+                if rng.chance(0.8) {
+                    // Dispatch under a budget, skipping stalled threads; an
+                    // entry dispatches, evaporates or stalls its thread.
+                    let salt = rng.next_u64();
+                    let pop = |budget: &mut usize, stalled: &mut [bool; 8], e: LatchEntry| {
+                        if *budget == 0 || stalled[e.tid] {
+                            return true;
+                        }
+                        let draw = Srng::new(salt ^ e.seq ^ ((e.tid as u64) << 40)).next_u64();
+                        match draw % 4 {
+                            0 => {
+                                stalled[e.tid] = true;
+                                true
+                            }
+                            1 => false,
+                            _ => {
+                                *budget -= 1;
+                                false
+                            }
+                        }
+                    };
+                    let (mut b, mut st) = (width, [false; 8]);
+                    fifo.dispatch(|e| pop(&mut b, &mut st, e));
+                    let (mut b, mut st) = (width, [false; 8]);
+                    old.dispatch(now, |e| pop(&mut b, &mut st, e));
+                    assert_same(&fifo, &old, "dispatch");
+                }
+                if rng.chance(0.9) {
+                    fifo.rename(width);
+                    Latches::advance(&mut old.decode_latch, &mut old.rename_latch, width, now);
+                    assert_same(&fifo, &old, "rename");
+                }
+                if rng.chance(0.9) {
+                    fifo.decode(width);
+                    Latches::advance(&mut old.fetch_buffer, &mut old.decode_latch, width, now);
+                    assert_same(&fifo, &old, "decode");
+                }
+                let room = buffer - fifo.fetch_buffer_len();
+                for _ in 0..rng.range_usize(0, room.min(width) + 1) {
+                    let tid = rng.range_usize(0, threads);
+                    let e = LatchEntry {
+                        tid,
+                        seq: next_seq[tid],
+                    };
+                    next_seq[tid] += 1;
+                    fifo.push(e);
+                    old.fetch_buffer.push_back((e, now));
+                    assert_same(&fifo, &old, "fetch");
+                }
+            }
         }
     }
 }

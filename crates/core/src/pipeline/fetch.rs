@@ -49,7 +49,7 @@ impl PipelineStage for PredictStage {
             ..
         } = ctx;
         let mut served = 0usize;
-        for &tid in order.order() {
+        for tid in order {
             if served == ports {
                 break;
             }
@@ -126,14 +126,14 @@ impl PipelineStage for FetchStage {
             }
         }
         let mut fetch_served = [false; MAX_THREADS];
-        for &tid in order.order() {
+        for tid in order {
             if port == ports || budget == 0 {
                 break;
             }
             if !ctx.threads[tid].fetch_eligible(now) || ctx.gated(tid) {
                 continue;
             }
-            if ctx.fetch_buffer.len() >= ctx.cfg.fetch_buffer as usize {
+            if ctx.front.fetch_buffer_len() >= ctx.cfg.fetch_buffer as usize {
                 buffer_full_seen = true;
                 break;
             }
@@ -169,7 +169,7 @@ impl PipelineStage for FetchStage {
     /// case the per-cycle buffer-full counter runs too).
     fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
         let now = ctx.cycle;
-        let room = ctx.fetch_buffer.len() < ctx.cfg.fetch_buffer as usize;
+        let room = ctx.front.fetch_buffer_len() < ctx.cfg.fetch_buffer as usize;
         let mut starved = false;
         for (tid, th) in ctx.threads.iter().enumerate() {
             if !th.ftq.is_empty() {
@@ -215,7 +215,7 @@ fn fetch_from(
     // I-cache access. Blocks sharing a trace-cache line are the
     // exception: the trace storage supplies them all in one access.
     loop {
-        let room = ctx.cfg.fetch_buffer as usize - ctx.fetch_buffer.len();
+        let room = ctx.cfg.fetch_buffer as usize - ctx.front.fetch_buffer_len();
         let (group, start_pc, remaining) = {
             let th = &ctx.threads[tid];
             let Some(head) = th.ftq.front() else {
@@ -422,11 +422,7 @@ fn deliver(ctx: &mut PipelineCtx, tid: usize, n: u32) {
         ctx.stats.fetched += 1;
         th.window
             .push(InFlightCtl::at_fetch(seq, now, &di, binfo.as_ref()), binfo);
-        ctx.fetch_buffer.push_back(LatchEntry {
-            tid,
-            seq,
-            entered: now,
-        });
+        ctx.front.push(LatchEntry { tid, seq });
     }
     th.ftq_consumed += n;
     if th.ftq_consumed == block.len {

@@ -64,10 +64,9 @@ impl PipelineStage for IssueStage {
         let now = ctx.cycle;
         for queue in [&ctx.iq_int, &ctx.iq_ls, &ctx.iq_fp] {
             for e in queue.iter() {
-                let mut ready = e.entered + 1;
-                for &p in e.src_phys.iter().flatten() {
-                    ready = ready.max(ctx.ready_at[p as usize]);
-                }
+                // Every entry was dispatched in an earlier step, so only
+                // its sources can hold it back.
+                let ready = ctx.sources_ready(e);
                 if ready <= now {
                     ev.act();
                     return;
@@ -100,18 +99,13 @@ impl IssueStage {
         let mut issued = 0u32;
         let len = queue.len();
         for idx in 0..len {
-            if issued == fu_limit || queue[idx].entered >= now {
-                // Entries append in dispatch order, so `entered` is
-                // non-decreasing along the queue, and an exhausted FU limit
-                // stays exhausted: the whole tail is kept verbatim.
-                if issued == fu_limit {
-                    // Aged entries left waiting behind the FU limit observe
-                    // an issue-width stall this cycle.
-                    for te in &queue[idx..len] {
-                        if te.entered < now {
-                            ctx.note_stall(te.tid, STALL_ISSUE_WIDTH);
-                        }
-                    }
+            if issued == fu_limit {
+                // An exhausted FU limit stays exhausted: the whole tail is
+                // kept verbatim, and every entry in it — all dispatched in
+                // earlier cycles, since dispatch ticks after issue —
+                // observes an issue-width stall this cycle.
+                for te in &queue[idx..len] {
+                    ctx.note_stall(usize::from(te.tid), STALL_ISSUE_WIDTH);
                 }
                 if kept != idx {
                     queue.copy_within(idx..len, kept);
@@ -134,36 +128,26 @@ impl IssueStage {
             // Queue entries never outlive their window instructions (squash
             // and flush purge the queues eagerly), so the cached operand
             // and class fields are always live.
-            debug_assert!(ctx.threads[queue[idx].tid]
-                .window
-                .ctl(queue[idx].seq)
-                .is_some());
-            let mut ready_cycle = 0u64;
-            let mut unresolved = false;
-            for &p in queue[idx].src_phys.iter().flatten() {
-                let r = ctx.ready_at[p as usize];
-                unresolved |= r == u64::MAX;
-                ready_cycle = ready_cycle.max(r);
-            }
+            let e = queue[idx];
+            let tid = usize::from(e.tid);
+            debug_assert!(ctx.threads[tid].window.ctl(e.seq).is_some());
+            let ready_cycle = ctx.sources_ready(&e);
             if ready_cycle > now {
                 // An unresolved source (producer not yet issued) must be
                 // re-examined next cycle; a finite bound is exact and lets
                 // the entry sleep until it arrives.
-                if kept != idx {
-                    queue[kept] = queue[idx];
-                }
-                queue[kept].wake = if unresolved { now + 1 } else { ready_cycle };
+                queue[kept] = e;
+                queue[kept].wake = if ready_cycle == u64::MAX {
+                    now + 1
+                } else {
+                    ready_cycle
+                };
                 kept += 1;
                 continue;
             }
-            let e = queue[idx];
-            let class = e.class;
-            let mem_addr = e.mem_addr;
-            let wrong_path = e.wrong_path;
-            let done_at = match class {
+            let done_at = match e.class {
                 InstClass::Load => {
-                    let addr = mem_addr.expect("loads carry addresses");
-                    match ctx.mem.load(addr, now) {
+                    match ctx.mem.load(e.mem_addr, now) {
                         DataOutcome::Stall => {
                             if kept != idx {
                                 queue[kept] = e;
@@ -176,26 +160,26 @@ impl IssueStage {
                             // Long-latency (memory) miss detection for the
                             // MISSCOUNT metric and STALL/FLUSH mechanisms.
                             // Only correct-path loads arm the mechanisms.
-                            if done - now > LONG_LATENCY && !wrong_path {
+                            if done - now > LONG_LATENCY && !e.wrong_path {
                                 // Drop expired entries first: consumers only
                                 // ever count `> now`, and this keeps the list
                                 // bounded by the in-flight load count (so the
                                 // pre-sized capacity is never exceeded).
-                                let th = &mut ctx.threads[e.tid];
+                                let th = &mut ctx.threads[tid];
                                 th.outstanding_misses.retain(|&r| r > now);
                                 th.outstanding_misses.push(done);
                                 match ctx.cfg.fetch_policy.long_latency {
                                     LongLatencyAction::None => {}
                                     LongLatencyAction::Stall => {
-                                        let th = &mut ctx.threads[e.tid];
+                                        let th = &mut ctx.threads[tid];
                                         th.mem_stall_until =
                                             Some(th.mem_stall_until.unwrap_or(0).max(done));
                                     }
                                     LongLatencyAction::Flush => {
-                                        let th = &mut ctx.threads[e.tid];
+                                        let th = &mut ctx.threads[tid];
                                         th.mem_stall_until =
                                             Some(th.mem_stall_until.unwrap_or(0).max(done));
-                                        self.pending_flushes.push((e.tid, e.seq));
+                                        self.pending_flushes.push((tid, e.seq));
                                     }
                                 }
                             }
@@ -206,7 +190,7 @@ impl IssueStage {
                 other => now + other.default_latency(),
             };
             {
-                let ctl = ctx.threads[e.tid].window.ctl_mut(e.seq).expect("present");
+                let ctl = ctx.threads[tid].window.ctl_mut(e.seq).expect("present");
                 ctl.set_issued();
                 ctl.done_at = done_at;
                 if let Some(p) = ctl.phys_dest {
@@ -215,7 +199,7 @@ impl IssueStage {
             }
             issued += 1;
             // Issued entries leave the pre-issue structures.
-            ctx.preissue[e.tid] -= 1;
+            ctx.preissue[tid] -= 1;
         }
         queue.truncate(kept);
         match which {

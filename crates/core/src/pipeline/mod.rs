@@ -21,9 +21,7 @@ pub(crate) mod issue;
 pub(crate) mod recovery;
 pub(crate) mod sched;
 
-use std::collections::VecDeque;
-
-use smt_isa::{Addr, Cycle, InstClass, Presized, MAX_THREADS};
+use smt_isa::{inst_idx, Addr, Cycle, InstClass, Presized, MAX_THREADS};
 use smt_mem::MemoryHierarchy;
 
 use crate::config::{LongLatencyAction, PolicyKind, SimConfig};
@@ -33,7 +31,7 @@ use crate::thread::ThreadState;
 use crate::window::PhysReg;
 
 pub(crate) use commit::CommitStage;
-pub(crate) use decode_rename::{DecodeStage, DispatchStage, RenameStage};
+pub(crate) use decode_rename::{DecodeStage, DispatchStage, FrontFifo, LatchEntry, RenameStage};
 pub(crate) use fetch::{FetchStage, PredictStage};
 pub(crate) use issue::IssueStage;
 pub(crate) use recovery::ResolveStage;
@@ -76,7 +74,7 @@ pub(crate) const STALL_ISSUE_WIDTH: u8 = 1 << 4;
 /// Commit blocked behind an outstanding data-cache miss.
 pub(crate) const STALL_DCACHE_MISS: u8 = 1 << 5;
 
-/// Issue-queue entry.
+/// Issue-queue entry (40 bytes).
 ///
 /// Besides the identifying `(tid, seq)` pair, the entry caches everything
 /// the issue scan needs from the in-flight instruction — renamed sources,
@@ -87,51 +85,77 @@ pub(crate) const STALL_DCACHE_MISS: u8 = 1 << 5;
 /// `done_at`). Sound because a queue entry cannot outlive its window
 /// instruction: squash and flush purge the queues in the same call that
 /// rolls the window back, and commit only retires already-issued heads.
+///
+/// The entry carries no dispatch cycle: dispatch ticks after issue, so an
+/// entry is first scanned the cycle after it arrives and is always old
+/// enough to issue.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct IqEntry {
-    pub(crate) tid: usize,
     pub(crate) seq: u64,
-    pub(crate) entered: Cycle,
     /// Cached earliest cycle this entry could issue — an *exact* bound, not
-    /// a heuristic: `entered + 1` until the sources are examined, then the
-    /// max source `ready_at` once every source is finite (finite `ready_at`
-    /// values never change while a consumer is in flight: the producer's
-    /// register cannot be reallocated before the consumer commits). Entries
-    /// with an unresolved (`u64::MAX`) source are re-examined every cycle.
-    /// Lets the issue scan skip operand-blocked entries with one compare
-    /// instead of `ready_at` loads, without changing the issue order or
-    /// timing by a single cycle.
+    /// a heuristic: the cycle after dispatch until the sources are
+    /// examined, then the max source `ready_at` once every source is finite
+    /// (finite `ready_at` values never change while a consumer is in
+    /// flight: the producer's register cannot be reallocated before the
+    /// consumer commits). Entries with an unresolved (`u64::MAX`) source
+    /// are re-examined every cycle. Lets the issue scan skip
+    /// operand-blocked entries with one compare instead of `ready_at`
+    /// loads, without changing the issue order or timing by a single cycle.
     pub(crate) wake: Cycle,
-    /// Renamed source registers, fixed at dispatch.
-    pub(crate) src_phys: [Option<PhysReg>; 2],
+    /// Data address of a load or store (`Addr::NULL` for other classes).
+    pub(crate) mem_addr: Addr,
+    /// Renamed source registers, fixed at dispatch; a missing source names
+    /// [`PipelineCtx::zero_reg`], whose `ready_at` is always 0.
+    pub(crate) src_phys: [PhysReg; 2],
     /// Instruction class (selects latency and, for loads/stores, the data
     /// cache path).
     pub(crate) class: InstClass,
     /// Wrong-path bit (wrong-path loads never arm STALL/FLUSH).
     pub(crate) wrong_path: bool,
-    /// Data address for loads and stores.
-    pub(crate) mem_addr: Option<Addr>,
+    pub(crate) tid: u8,
 }
 
-/// Pipeline-latch entry.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LatchEntry {
-    pub(crate) tid: usize,
-    pub(crate) seq: u64,
-    pub(crate) entered: Cycle,
-}
+const _: () = assert!(std::mem::size_of::<IqEntry>() == 40);
 
-/// Thread ids in fetch-priority order: a fixed-size list so the per-cycle
-/// priority computation needs no heap.
+/// Thread ids in fetch-priority order, selected lazily: each `next()` picks
+/// the smallest remaining packed key, so a stage that serves one or two
+/// threads pays for one or two selections instead of a sort.
+///
+/// Each thread's key is one `u64` — the policy metric in the high bits, the
+/// *rotated* thread id (`t - rot`, modulo `n`) below it, the thread id
+/// itself in the low byte for recovery. The rotated id is unique per
+/// thread, so keys are unique and the selection order is the sorted order;
+/// the metric is bounded by the window size (≪ 2⁴⁸), so the fields never
+/// collide. Round-robin is metric 0, which leaves the pure rotation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Priorities {
-    tids: [usize; MAX_THREADS],
+    keys: [u64; MAX_THREADS],
     len: usize,
 }
 
 impl Priorities {
-    pub(crate) fn order(&self) -> &[usize] {
-        &self.tids[..self.len]
+    /// Packs the keys of threads `0..n` from their metrics under rotation
+    /// `rot < n`.
+    pub(crate) fn new(metrics: &[u32; MAX_THREADS], n: usize, rot: usize) -> Self {
+        let mut keys = [0u64; MAX_THREADS];
+        for (t, k) in keys.iter_mut().enumerate().take(n) {
+            let r = t + n - rot;
+            let r = if r >= n { r - n } else { r };
+            *k = (u64::from(metrics[t]) << 16) | ((r as u64) << 8) | t as u64;
+        }
+        Priorities { keys, len: n }
+    }
+}
+
+impl Iterator for Priorities {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let live = &self.keys[..self.len];
+        let (i, &k) = live.iter().enumerate().min_by_key(|&(_, &k)| k)?;
+        self.len -= 1;
+        self.keys[i] = self.keys[self.len];
+        Some((k & 0xff) as usize)
     }
 }
 
@@ -176,9 +200,8 @@ pub(crate) struct PipelineCtx {
     pub(crate) threads: Vec<ThreadState>,
     pub(crate) mem: MemoryHierarchy,
     pub(crate) cycle: Cycle,
-    pub(crate) fetch_buffer: Presized<VecDeque<LatchEntry>>,
-    pub(crate) decode_latch: Presized<VecDeque<LatchEntry>>,
-    pub(crate) rename_latch: Presized<VecDeque<LatchEntry>>,
+    /// Fetch buffer, decode latch and rename latch, in fetch order.
+    pub(crate) front: FrontFifo,
     pub(crate) iq_int: Presized<Vec<IqEntry>>,
     pub(crate) iq_ls: Presized<Vec<IqEntry>>,
     pub(crate) iq_fp: Presized<Vec<IqEntry>>,
@@ -186,11 +209,12 @@ pub(crate) struct PipelineCtx {
     pub(crate) stats_since: Cycle,
     pub(crate) free_int: Presized<Vec<PhysReg>>,
     pub(crate) free_fp: Presized<Vec<PhysReg>>,
-    /// Cycle at which each physical register's value is ready.
+    /// Cycle at which each physical register's value is ready, plus one
+    /// trailing entry for [`PipelineCtx::zero_reg`] that stays 0.
     pub(crate) ready_at: Vec<Cycle>,
     pub(crate) rob_occ: u32,
-    /// Per-thread entry count across the six pre-issue structures (fetch
-    /// buffer, decode/rename latches, three issue queues) — the ICOUNT
+    /// Per-thread entry count across the pre-issue structures (the front
+    /// FIFO and the three issue queues) — the ICOUNT
     /// metric, maintained incrementally at each insert/remove so the
     /// per-cycle priority computation does not rescan every queue. A debug
     /// assertion in [`PipelineCtx::priorities`] cross-checks it against the
@@ -203,15 +227,23 @@ pub(crate) struct PipelineCtx {
 }
 
 impl PipelineCtx {
-    /// Total entries across the six pre-issue structures (the quantity the
+    /// The register a missing issue-queue source names: one past the last
+    /// physical register, never allocated, so its `ready_at` stays 0.
+    pub(crate) fn zero_reg(&self) -> PhysReg {
+        self.cfg.regs_int + self.cfg.regs_fp
+    }
+
+    /// The earliest cycle both sources of `e` are ready.
+    #[inline]
+    pub(crate) fn sources_ready(&self, e: &IqEntry) -> Cycle {
+        let [a, b] = e.src_phys;
+        self.ready_at[a as usize].max(self.ready_at[b as usize])
+    }
+
+    /// Total entries across the pre-issue structures (the quantity the
     /// incremental `preissue` counters track, summed over threads).
     pub(crate) fn preissue_live(&self) -> usize {
-        self.fetch_buffer.len()
-            + self.decode_latch.len()
-            + self.rename_latch.len()
-            + self.iq_int.len()
-            + self.iq_ls.len()
-            + self.iq_fp.len()
+        self.front.len() + self.iq_int.len() + self.iq_ls.len() + self.iq_fp.len()
     }
 
     /// Per-thread pre-issue instruction counts recomputed from the queues —
@@ -219,12 +251,7 @@ impl PipelineCtx {
     /// (debug builds) on every ICOUNT priority computation.
     pub(crate) fn icounts(&self) -> [u32; MAX_THREADS] {
         let mut c = [0u32; MAX_THREADS];
-        for e in self
-            .fetch_buffer
-            .iter()
-            .chain(self.decode_latch.iter())
-            .chain(self.rename_latch.iter())
-        {
+        for e in self.front.iter() {
             c[e.tid] += 1;
         }
         for e in self
@@ -233,7 +260,7 @@ impl PipelineCtx {
             .chain(self.iq_ls.iter())
             .chain(self.iq_fp.iter())
         {
-            c[e.tid] += 1;
+            c[usize::from(e.tid)] += 1;
         }
         c
     }
@@ -250,12 +277,7 @@ impl PipelineCtx {
                 }
             }
         };
-        for e in self
-            .fetch_buffer
-            .iter()
-            .chain(self.decode_latch.iter())
-            .chain(self.rename_latch.iter())
-        {
+        for e in self.front.iter() {
             count(e.tid, e.seq);
         }
         for e in self
@@ -264,69 +286,41 @@ impl PipelineCtx {
             .chain(self.iq_ls.iter())
             .chain(self.iq_fp.iter())
         {
-            count(e.tid, e.seq);
+            count(usize::from(e.tid), e.seq);
         }
         c
     }
 
-    /// Thread ids in fetch-priority order under the configured policy.
-    ///
-    /// Each thread's sort key is packed into one `u64` — the policy metric
-    /// in the high bits, the *rotated* thread id below it, the thread id
-    /// itself in the low byte for recovery — so the per-cycle sort compares
-    /// single words. The rotated id is unique per thread, so keys are unique
-    /// and the unstable (allocation-free) sort is deterministic; the metric
-    /// is bounded by the window size (≪ 2⁴⁸), so the fields never collide.
+    /// Thread ids in fetch-priority order under the configured policy
+    /// (see [`Priorities`]).
     pub(crate) fn priorities(&self) -> Priorities {
         let n = self.threads.len();
-        let mut tids = [0usize; MAX_THREADS];
         if n == 1 {
-            return Priorities { tids, len: 1 };
+            return Priorities::new(&[0; MAX_THREADS], 1, 0);
         }
         #[expect(clippy::cast_possible_truncation, reason = "remainder < n, a usize")]
         let rot = (self.cycle % n as u64) as usize;
-        let now = self.cycle;
-        let pack = |metric: u64, t: usize| {
-            debug_assert!(metric < 1 << 48);
-            (metric << 16) | ((((t + n - rot) % n) as u64) << 8) | t as u64
-        };
-        let mut keys = [0u64; MAX_THREADS];
-        match self.cfg.fetch_policy.kind {
+        let metrics = match self.cfg.fetch_policy.kind {
             PolicyKind::Icount => {
                 debug_assert_eq!(
                     self.icounts(),
                     self.preissue,
                     "incremental ICOUNT counters diverged from the queues"
                 );
-                for (t, k) in keys.iter_mut().enumerate().take(n) {
-                    *k = pack(self.preissue[t] as u64, t);
-                }
+                self.preissue
             }
-            PolicyKind::RoundRobin => {
-                // A pure rotation: construct the order directly.
-                for (i, slot) in tids.iter_mut().enumerate().take(n) {
-                    *slot = (rot + i) % n;
-                }
-                return Priorities { tids, len: n };
-            }
-            PolicyKind::BrCount => {
-                let bc = self.brcounts();
-                for (t, k) in keys.iter_mut().enumerate().take(n) {
-                    *k = pack(bc[t] as u64, t);
-                }
-            }
+            PolicyKind::RoundRobin => [0; MAX_THREADS],
+            PolicyKind::BrCount => self.brcounts(),
             PolicyKind::MissCount => {
+                let mut m = [0; MAX_THREADS];
                 for (t, th) in self.threads.iter().enumerate() {
-                    let mc = th.outstanding_misses.iter().filter(|&&r| r > now).count();
-                    keys[t] = pack(mc as u64, t);
+                    let live = th.outstanding_misses.iter().filter(|&&r| r > self.cycle);
+                    m[t] = inst_idx(live.count());
                 }
+                m
             }
-        }
-        keys[..n].sort_unstable();
-        for (slot, &k) in tids.iter_mut().zip(keys.iter()).take(n) {
-            *slot = (k & 0xff) as usize;
-        }
-        Priorities { tids, len: n }
+        };
+        Priorities::new(&metrics, n, rot)
     }
 
     /// Whether STALL/FLUSH gating blocks `tid` from front-end service.
@@ -386,5 +380,60 @@ pub(crate) fn attribute_stalls(ctx: &mut PipelineCtx) {
             &mut s.residual
         };
         bucket[tid] += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smt_workloads::Srng;
+
+    /// The order the sort-based computation this iterator replaced gave:
+    /// pack with a `% n` rotation, sort, read the tids back; round-robin
+    /// built the rotation directly.
+    fn sorted_order(kind: PolicyKind, metrics: &[u32], rot: usize) -> Vec<usize> {
+        let n = metrics.len();
+        if kind == PolicyKind::RoundRobin {
+            return (0..n).map(|i| (rot + i) % n).collect();
+        }
+        let mut keys: Vec<u64> = (0..n)
+            .map(|t| (u64::from(metrics[t]) << 16) | ((((t + n - rot) % n) as u64) << 8) | t as u64)
+            .collect();
+        keys.sort_unstable();
+        keys.iter().map(|k| (k & 0xff) as usize).collect()
+    }
+
+    /// Lazy selection yields the sorted order for every policy, random
+    /// metrics (small ranges force ties), every rotation and n = 1..=8.
+    #[test]
+    fn priority_selection_matches_the_sort() {
+        let kinds = [
+            PolicyKind::Icount,
+            PolicyKind::RoundRobin,
+            PolicyKind::BrCount,
+            PolicyKind::MissCount,
+        ];
+        let mut rng = Srng::new(0x5E1E_C7ED);
+        for kind in kinds {
+            for n in 1..=MAX_THREADS {
+                for rot in 0..n {
+                    for _ in 0..32 {
+                        let hi = *rng.pick(&[1u64, 3, 64, 1 << 20]);
+                        let mut metrics = [0u32; MAX_THREADS];
+                        if kind != PolicyKind::RoundRobin {
+                            for m in metrics.iter_mut().take(n) {
+                                *m = rng.range_u32(0, hi);
+                            }
+                        }
+                        let got: Vec<usize> = Priorities::new(&metrics, n, rot).collect();
+                        assert_eq!(
+                            got,
+                            sorted_order(kind, &metrics[..n], rot),
+                            "{kind} n={n} rot={rot} metrics={metrics:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

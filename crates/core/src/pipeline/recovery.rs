@@ -128,12 +128,13 @@ pub(crate) fn squash_after(ctx: &mut PipelineCtx, tid: usize, seq: u64) {
     // Every removed entry belongs to `tid`, so the length delta is the
     // thread's pre-issue count adjustment.
     let before = ctx.preissue_live();
-    ctx.fetch_buffer.retain(|e| !(e.tid == tid && e.seq > seq));
-    ctx.decode_latch.retain(|e| !(e.tid == tid && e.seq > seq));
-    ctx.rename_latch.retain(|e| !(e.tid == tid && e.seq > seq));
-    ctx.iq_int.retain(|e| !(e.tid == tid && e.seq > seq));
-    ctx.iq_ls.retain(|e| !(e.tid == tid && e.seq > seq));
-    ctx.iq_fp.retain(|e| !(e.tid == tid && e.seq > seq));
+    ctx.front.retain(|e| !(e.tid == tid && e.seq > seq));
+    ctx.iq_int
+        .retain(|e| !(usize::from(e.tid) == tid && e.seq > seq));
+    ctx.iq_ls
+        .retain(|e| !(usize::from(e.tid) == tid && e.seq > seq));
+    ctx.iq_fp
+        .retain(|e| !(usize::from(e.tid) == tid && e.seq > seq));
     ctx.preissue[tid] -= inst_idx(before - ctx.preissue_live());
 
     // Repair the speculative front-end state and redirect.
@@ -211,15 +212,13 @@ pub(crate) fn flush_after_load(ctx: &mut PipelineCtx, tid: usize, load_seq: u64)
     ctx.rob_occ -= freed_rob;
     // As in `squash_after`: all removed entries belong to `tid`.
     let before = ctx.preissue_live();
-    ctx.fetch_buffer
-        .retain(|e| !(e.tid == tid && e.seq >= flush_seq));
-    ctx.decode_latch
-        .retain(|e| !(e.tid == tid && e.seq >= flush_seq));
-    ctx.rename_latch
-        .retain(|e| !(e.tid == tid && e.seq >= flush_seq));
-    ctx.iq_int.retain(|e| !(e.tid == tid && e.seq >= flush_seq));
-    ctx.iq_ls.retain(|e| !(e.tid == tid && e.seq >= flush_seq));
-    ctx.iq_fp.retain(|e| !(e.tid == tid && e.seq >= flush_seq));
+    ctx.front.retain(|e| !(e.tid == tid && e.seq >= flush_seq));
+    ctx.iq_int
+        .retain(|e| !(usize::from(e.tid) == tid && e.seq >= flush_seq));
+    ctx.iq_ls
+        .retain(|e| !(usize::from(e.tid) == tid && e.seq >= flush_seq));
+    ctx.iq_fp
+        .retain(|e| !(usize::from(e.tid) == tid && e.seq >= flush_seq));
     ctx.preissue[tid] -= inst_idx(before - ctx.preissue_live());
 
     let th = &mut ctx.threads[tid];

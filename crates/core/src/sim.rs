@@ -31,8 +31,8 @@ use crate::config::{FetchEngineKind, FetchPolicy, SimConfig};
 use crate::frontend::{AnyFrontEnd, FrontEnd};
 use crate::metrics::SimStats;
 use crate::pipeline::{
-    attribute_stalls, CommitStage, DecodeStage, DispatchStage, FetchStage, IssueStage, PipelineCtx,
-    PipelineStage, PredictStage, RenameStage, ResolveStage,
+    attribute_stalls, CommitStage, DecodeStage, DispatchStage, FetchStage, FrontFifo, IssueStage,
+    PipelineCtx, PipelineStage, PredictStage, RenameStage, ResolveStage,
 };
 use crate::thread::ThreadState;
 use crate::window::PhysReg;
@@ -204,7 +204,9 @@ impl Simulator {
         let total_regs = (cfg.regs_int + cfg.regs_fp) as usize;
         let mut free_int: Vec<PhysReg> = (0..cfg.regs_int).rev().collect();
         let mut free_fp: Vec<PhysReg> = (cfg.regs_int..cfg.regs_int + cfg.regs_fp).rev().collect();
-        let ready_at = vec![0u64; total_regs];
+        // One extra, never-allocated register: the zero register missing
+        // issue-queue sources name (`PipelineCtx::zero_reg`).
+        let ready_at = vec![0u64; total_regs + 1];
 
         let ras = ReturnStack::new(cfg.predictor.ras_depth)
             .map_err(|d| BuildError::InvalidConfig(vec![d.in_field("predictor.ras_depth")]))?;
@@ -253,9 +255,7 @@ impl Simulator {
             mem,
             threads,
             cycle: 0,
-            fetch_buffer: Presized::deque(cfg.fetch_buffer as usize),
-            decode_latch: Presized::deque(decode_width),
-            rename_latch: Presized::deque(decode_width),
+            front: FrontFifo::new(cfg.fetch_buffer as usize, decode_width),
             iq_int: Presized::vec(cfg.iq_int as usize),
             iq_ls: Presized::vec(cfg.iq_ls as usize),
             iq_fp: Presized::vec(cfg.iq_fp as usize),
@@ -275,7 +275,7 @@ impl Simulator {
             commit: CommitStage,
             // Only issued loads request flushes, at most one per L/S unit.
             issue: IssueStage::new(fu_ls),
-            dispatch: DispatchStage::new(decode_width),
+            dispatch: DispatchStage,
             rename: RenameStage,
             decode: DecodeStage,
             fetch: FetchStage,

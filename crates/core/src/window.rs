@@ -72,8 +72,6 @@ pub struct InFlightCtl {
     pub phys_dest: Option<PhysReg>,
     /// Previous mapping of the destination architectural register.
     pub prev_phys: Option<PhysReg>,
-    /// Renamed source registers.
-    pub src_phys: [Option<PhysReg>; 2],
     flags: u8,
 }
 
@@ -104,7 +102,6 @@ impl InFlightCtl {
             done_at: 0,
             phys_dest: None,
             prev_phys: None,
-            src_phys: [None, None],
             flags,
         }
     }

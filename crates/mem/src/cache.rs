@@ -104,6 +104,10 @@ pub struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>,
     set_mask: u64,
+    /// `log2(line_bytes)`: byte address → line address.
+    line_shift: u32,
+    /// `log2(sets)`: line address → tag.
+    set_bits: u32,
     tick: u64,
     stats: CacheStats,
 }
@@ -113,8 +117,9 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// `E0009` if geometry values are zero, the set count is not a power of
-    /// two, or the bank count is zero or not a power of two.
+    /// `E0009` if geometry values are zero, the line size or the set count
+    /// is not a power of two, or the bank count is zero or not a power of
+    /// two.
     pub fn new(cfg: CacheConfig) -> Result<Self, Diagnostic> {
         let field = |suffix: &str| format!("mem.{}.{}", cfg.name.to_lowercase(), suffix);
         if cfg.ways == 0 || cfg.line_bytes == 0 || cfg.size_bytes == 0 {
@@ -126,6 +131,17 @@ impl Cache {
                     cfg.size_bytes, cfg.ways, cfg.line_bytes
                 ),
                 "use positive size, associativity and line size",
+            ));
+        }
+        if !cfg.line_bytes.is_power_of_two() {
+            return Err(Diagnostic::error(
+                "E0009",
+                field("line_bytes"),
+                format!(
+                    "line size must be a power of two (got {} B)",
+                    cfg.line_bytes
+                ),
+                "use the 64 B line size of Table 3",
             ));
         }
         let num_sets = cfg.num_sets();
@@ -161,6 +177,8 @@ impl Cache {
                 num_lines
             ],
             set_mask: num_sets - 1,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_bits: num_sets.trailing_zeros(),
             cfg,
             tick: 0,
             stats: CacheStats::default(),
@@ -173,8 +191,8 @@ impl Cache {
     }
 
     fn set_and_tag(&self, addr: Addr) -> (u64, u64) {
-        let line = addr.raw() / self.cfg.line_bytes;
-        (line & self.set_mask, line >> self.set_mask.count_ones())
+        let line = addr.raw() >> self.line_shift;
+        (line & self.set_mask, line >> self.set_bits)
     }
 
     /// First slot of `set` in `lines`.
@@ -234,8 +252,7 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = self.set_and_tag(addr);
-        let line_bytes = self.cfg.line_bytes;
-        let set_bits = self.set_mask.count_ones();
+        let (line_shift, set_bits) = (self.line_shift, self.set_bits);
         let mut writeback = None;
         {
             let ways = self.set_slice(set);
@@ -254,7 +271,7 @@ impl Cache {
             };
             if victim.valid && victim.dirty {
                 let vline = (victim.tag << set_bits) | set;
-                writeback = Some(Addr::new(vline * line_bytes));
+                writeback = Some(Addr::new(vline << line_shift));
             }
             *victim = Line {
                 tag,
@@ -303,6 +320,21 @@ mod tests {
         let l2 = Cache::new(CacheConfig::l2_hpca2004()).unwrap();
         assert_eq!(l2.config().num_sets(), 8192);
         assert_eq!(l2.config().hit_latency, 10);
+    }
+
+    #[test]
+    fn non_power_of_two_line_rejected() {
+        // 1.5 MiB, 2-way, 48 B lines: 16384 sets, a power of two, so only
+        // the line-size check catches it.
+        let cfg = CacheConfig {
+            size_bytes: 1536 * 1024,
+            line_bytes: 48,
+            ..CacheConfig::l2_hpca2004()
+        };
+        assert_eq!(cfg.num_sets(), 16384);
+        let d = Cache::new(cfg).unwrap_err();
+        assert_eq!(d.code, "E0009");
+        assert_eq!(d.field, "mem.l2.line_bytes");
     }
 
     #[test]

@@ -13,6 +13,9 @@ use smt_isa::{Addr, Cycle, Diagnostic, Presized};
 #[derive(Clone, Debug)]
 pub struct MshrFile {
     slots: Presized<Vec<(Addr, Cycle)>>, // (line address, ready cycle)
+    /// The earliest `ready` among `slots` (`Cycle::MAX` when empty): no
+    /// entry can expire before it, so [`MshrFile::retire`] returns at once.
+    earliest: Cycle,
     capacity: usize,
     line_bytes: u64,
     merges: u64,
@@ -57,6 +60,7 @@ impl MshrFile {
         }
         Ok(MshrFile {
             slots: Presized::vec(capacity),
+            earliest: Cycle::MAX,
             capacity,
             line_bytes,
             merges: 0,
@@ -73,7 +77,16 @@ impl MshrFile {
 
     /// Retires entries whose fills completed at or before `now`.
     pub fn retire(&mut self, now: Cycle) {
+        if self.earliest > now {
+            return;
+        }
         self.slots.retain(|&(_, ready)| ready > now);
+        self.earliest = self
+            .slots
+            .iter()
+            .map(|&(_, r)| r)
+            .min()
+            .unwrap_or(Cycle::MAX);
     }
 
     /// Whether the line containing `addr` has a fill pending at `now`;
@@ -100,6 +113,7 @@ impl MshrFile {
             return MshrOutcome::Full;
         }
         self.slots.push((line, ready));
+        self.earliest = self.earliest.min(ready);
         self.allocs += 1;
         MshrOutcome::Allocated
     }
@@ -108,6 +122,9 @@ impl MshrFile {
     /// still outstanding. Non-mutating (expired entries are skipped, not
     /// retired): the event-driven scheduler polls this between cycles.
     pub fn next_ready_after(&self, now: Cycle) -> Option<Cycle> {
+        if self.earliest > now {
+            return (!self.slots.is_empty()).then_some(self.earliest);
+        }
         self.slots
             .iter()
             .map(|&(_, ready)| ready)

@@ -41,7 +41,8 @@ impl TlbConfig {
 pub struct Tlb {
     entries: Presized<Vec<(u64, u64)>>, // (page number, lru)
     capacity: usize,
-    page_bytes: u64,
+    /// `log2(page_bytes)`: byte address → page number.
+    page_shift: u32,
     miss_penalty: u64,
     tick: u64,
     accesses: u64,
@@ -84,7 +85,7 @@ impl Tlb {
         Ok(Tlb {
             entries: Presized::vec(capacity),
             capacity,
-            page_bytes,
+            page_shift: page_bytes.trailing_zeros(),
             miss_penalty,
             tick: 0,
             accesses: 0,
@@ -110,7 +111,7 @@ impl Tlb {
         self.accesses += 1;
         self.tick += 1;
         let tick = self.tick;
-        let page = addr.raw() / self.page_bytes;
+        let page = addr.raw() >> self.page_shift;
         // `entries` stays sorted by page number, so the common case — a hit
         // — is a binary search instead of a scan of all 48/128 ways. Entry
         // order carries no semantics: hit/miss and the LRU victim are

@@ -52,16 +52,19 @@ enum StackOp {
     Popped(Addr),
 }
 
-/// Fixed-capacity inline ring of the last [`UNDO_DEPTH`] undo records.
+/// Fixed-capacity ring of the last [`UNDO_DEPTH`] undo records.
 ///
-/// Replaces the former `VecDeque`: the storage is an array embedded in the
-/// walker (no heap indirection, no reallocation ever) and the write/read
-/// cursors wrap by masking (no modulo or branchy capacity checks on the
-/// per-instruction hot path). Pushing beyond capacity overwrites the oldest
-/// record, exactly like the old bounded deque.
+/// Replaces the former `VecDeque`: the storage is reserved once at
+/// [`UNDO_DEPTH`] (no reallocation ever) and the write/read cursors wrap by
+/// masking (no modulo on the per-instruction hot path). Pushing beyond
+/// capacity overwrites the oldest record, exactly like the old bounded
+/// deque. Slots are written only as the walker first reaches them, so
+/// building a walker writes none of the 80 KB ring.
 #[derive(Clone)]
 struct UndoRing {
-    buf: [UndoRecord; UNDO_DEPTH],
+    /// Initialised slots; it only grows, to [`UNDO_DEPTH`]. While it is
+    /// shorter, `head` is 0 and the live records are its prefix.
+    buf: Presized<Vec<UndoRecord>>,
     /// Index of the oldest live record.
     head: usize,
     /// Number of live records (≤ `UNDO_DEPTH`).
@@ -70,14 +73,8 @@ struct UndoRing {
 
 impl UndoRing {
     fn new() -> Self {
-        const EMPTY: UndoRecord = UndoRecord {
-            pc_before: Addr::NULL,
-            static_id: 0,
-            path_hist_before: 0,
-            stack_op: StackOp::None,
-        };
         UndoRing {
-            buf: [EMPTY; UNDO_DEPTH],
+            buf: Presized::vec(UNDO_DEPTH),
             head: 0,
             len: 0,
         }
@@ -95,7 +92,12 @@ impl UndoRing {
             self.buf[self.head] = rec;
             self.head = (self.head + 1) & MASK;
         } else {
-            self.buf[(self.head + self.len) & MASK] = rec;
+            let slot = (self.head + self.len) & MASK;
+            if slot == self.buf.len() {
+                self.buf.push(rec);
+            } else {
+                self.buf[slot] = rec;
+            }
             self.len += 1;
         }
     }

@@ -14,7 +14,7 @@ use smtfetch::core::{
     BranchInfo, FetchEngineKind, FetchPolicy, InFlightCtl, SimBuilder, SimConfig, SimStats, Window,
 };
 use smtfetch::isa::{Addr, BranchKind, DynInst, InstClass};
-use smtfetch::mem::{Cache, CacheConfig, MshrFile, MshrOutcome};
+use smtfetch::mem::{Cache, CacheConfig, MshrFile, MshrOutcome, Tlb};
 use smtfetch::workloads::{BenchmarkProfile, ProgramBuilder, Srng, Walker, Workload};
 
 /// Iterations per property (each with a distinct derived seed).
@@ -237,6 +237,165 @@ fn mshr_occupancy_bounded() {
             horizon = horizon.max(ready);
         }
         assert_eq!(m.outstanding(horizon), 0, "case {case}");
+    }
+}
+
+/// A fully-associative LRU TLB as a linear scan: the lookup `Tlb` replaced
+/// with a sorted array and a page shift.
+struct ScanTlb {
+    entries: Vec<(u64, u64)>,
+    capacity: usize,
+    page_bytes: u64,
+    penalty: u64,
+    tick: u64,
+    accesses: u64,
+    misses: u64,
+}
+
+impl ScanTlb {
+    fn access(&mut self, addr: Addr) -> u64 {
+        self.accesses += 1;
+        self.tick += 1;
+        let page = addr.raw() / self.page_bytes;
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == page) {
+            e.1 = self.tick;
+            return 0;
+        }
+        self.misses += 1;
+        if self.entries.len() == self.capacity {
+            let lru = (0..self.entries.len())
+                .min_by_key(|&i| self.entries[i].1)
+                .unwrap();
+            self.entries.remove(lru);
+        }
+        self.entries.push((page, self.tick));
+        self.penalty
+    }
+}
+
+/// `Tlb` gives the same penalty on every access, and the same statistics,
+/// as the linear-scan LRU reference, over page-local random traces.
+#[test]
+fn tlb_matches_linear_scan_lru() {
+    for case in 0..CASES {
+        let mut rng = Srng::new(0x71B ^ case);
+        let capacity = rng.range_usize(1, 130);
+        let page_bytes = 1 << rng.range(6, 14);
+        let mut tlb = Tlb::new(capacity, page_bytes, 30).unwrap();
+        let mut reference = ScanTlb {
+            entries: Vec::new(),
+            capacity,
+            page_bytes,
+            penalty: 30,
+            tick: 0,
+            accesses: 0,
+            misses: 0,
+        };
+        // Mostly the same or a nearby page, sometimes a far one, over a
+        // footprint of up to twice the capacity.
+        let pages = 2 * capacity as u64 + 1;
+        let mut page = 0u64;
+        for i in 0..2_000 {
+            page = match rng.range(0, 10) {
+                0..=5 => page,
+                6..=8 => (page + rng.range(0, 4)) % pages,
+                _ => rng.range(0, pages),
+            };
+            let addr = Addr::new(page * page_bytes + rng.range(0, page_bytes));
+            assert_eq!(
+                tlb.access(addr),
+                reference.access(addr),
+                "case {case}, access {i}"
+            );
+        }
+        assert_eq!(
+            tlb.stats(),
+            (reference.accesses, reference.misses),
+            "case {case}"
+        );
+    }
+}
+
+/// An MSHR file that retires expired entries on every call: the `MshrFile`
+/// behaviour before it kept the earliest ready cycle.
+struct EagerMshr {
+    slots: Vec<(Addr, u64)>,
+    capacity: usize,
+    stats: (u64, u64, u64),
+}
+
+impl EagerMshr {
+    fn retire(&mut self, now: u64) {
+        self.slots.retain(|&(_, ready)| ready > now);
+    }
+
+    fn pending(&mut self, addr: Addr, now: u64) -> Option<u64> {
+        self.retire(now);
+        let line = addr.line(64);
+        self.slots.iter().find(|s| s.0 == line).map(|s| s.1)
+    }
+
+    fn allocate(&mut self, addr: Addr, now: u64, ready: u64) -> MshrOutcome {
+        self.retire(now);
+        let line = addr.line(64);
+        if let Some(&(_, r)) = self.slots.iter().find(|s| s.0 == line) {
+            self.stats.1 += 1;
+            return MshrOutcome::Merged(r);
+        }
+        if self.slots.len() >= self.capacity {
+            self.stats.2 += 1;
+            return MshrOutcome::Full;
+        }
+        self.slots.push((line, ready));
+        self.stats.0 += 1;
+        MshrOutcome::Allocated
+    }
+
+    fn next_ready_after(&self, now: u64) -> Option<u64> {
+        self.slots.iter().map(|s| s.1).filter(|&r| r > now).min()
+    }
+}
+
+/// `MshrFile` with its early-returning `retire` gives the same outcomes,
+/// outstanding counts, `next_ready_after` and statistics as a file that
+/// retires on every call, over random address/cycle traces.
+#[test]
+fn mshr_matches_eager_retire_reference() {
+    for case in 0..CASES {
+        let mut rng = Srng::new(0x35E ^ case);
+        let capacity = rng.range_usize(1, 17);
+        let mut m = MshrFile::new(capacity, 64).unwrap();
+        let mut reference = EagerMshr {
+            slots: Vec::new(),
+            capacity,
+            stats: (0, 0, 0),
+        };
+        let mut now = 0u64;
+        for i in 0..1_000 {
+            now += rng.range(0, 4) * rng.range(0, 8);
+            let addr = Addr::new(rng.range(0, 1 << 11));
+            assert_eq!(
+                m.next_ready_after(now),
+                reference.next_ready_after(now),
+                "case {case}, op {i}"
+            );
+            match rng.range(0, 4) {
+                0 => assert_eq!(m.pending(addr, now), reference.pending(addr, now)),
+                1 => {
+                    reference.retire(now);
+                    assert_eq!(m.outstanding(now), reference.slots.len());
+                }
+                _ => {
+                    let ready = now + 1 + rng.range(0, 120);
+                    assert_eq!(
+                        m.allocate(addr, now, ready),
+                        reference.allocate(addr, now, ready),
+                        "case {case}, op {i}"
+                    );
+                }
+            }
+        }
+        assert_eq!(m.stats(), reference.stats, "case {case}");
     }
 }
 
