@@ -13,7 +13,7 @@ use std::fmt;
 use smt_isa::{Diagnostic, NUM_ARCH_FP, NUM_ARCH_INT};
 use smt_mem::{MemoryConfig, MemoryHierarchy};
 
-use crate::frontend::{AnyFrontEnd, LINE_BYTES};
+use crate::frontend::{FrontEnd, GshareBtb, GskewFtb, LINE_BYTES};
 
 /// Which high-performance fetch engine drives the front-end (paper §3.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,22 +68,20 @@ impl fmt::Display for FetchEngineKind {
 impl std::str::FromStr for FetchEngineKind {
     type Err = Diagnostic;
 
-    /// Parses the canonical engine names as registered in
-    /// [`FRONT_ENDS`](crate::FRONT_ENDS) (which match `Display`), so CLI
-    /// flags cannot drift from the registry.
+    /// Parses the `Display` names and the CLI's short spellings.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        crate::frontend::FRONT_ENDS
-            .iter()
-            .find(|e| e.name == s)
-            .map(|e| e.kind)
-            .ok_or_else(|| {
-                Diagnostic::error(
-                    "E0016",
-                    "engine",
-                    format!("unknown fetch engine {s:?}"),
-                    "expected one of: gshare+BTB, gskew+FTB, stream, trace cache",
-                )
-            })
+        match s {
+            "gshare+BTB" | "gshare+btb" | "gshare" => Ok(FetchEngineKind::GshareBtb),
+            "gskew+FTB" | "gskew+ftb" | "gskew" | "ftb" => Ok(FetchEngineKind::GskewFtb),
+            "stream" => Ok(FetchEngineKind::Stream),
+            "trace cache" | "tracecache" | "trace" | "tc" => Ok(FetchEngineKind::TraceCache),
+            _ => Err(Diagnostic::error(
+                "E0016",
+                "engine",
+                format!("unknown fetch engine {s:?}"),
+                "expected one of: gshare+BTB (gshare), gskew+FTB (ftb), stream, trace cache (tc)",
+            )),
+        }
     }
 }
 
@@ -117,18 +115,19 @@ impl fmt::Display for PolicyKind {
 impl std::str::FromStr for PolicyKind {
     type Err = Diagnostic;
 
-    /// Parses the paper's policy mnemonics (the `Display` spellings).
+    /// Parses the paper's policy mnemonics (the `Display` spellings) and
+    /// the CLI's lower-case ones.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "ICOUNT" => Ok(PolicyKind::Icount),
-            "RR" => Ok(PolicyKind::RoundRobin),
-            "BRCOUNT" => Ok(PolicyKind::BrCount),
-            "MISSCOUNT" => Ok(PolicyKind::MissCount),
+            "ICOUNT" | "icount" => Ok(PolicyKind::Icount),
+            "RR" | "rr" | "roundrobin" => Ok(PolicyKind::RoundRobin),
+            "BRCOUNT" | "brcount" => Ok(PolicyKind::BrCount),
+            "MISSCOUNT" | "misscount" => Ok(PolicyKind::MissCount),
             _ => Err(Diagnostic::error(
                 "E0017",
                 "policy",
                 format!("unknown fetch policy {s:?}"),
-                "expected one of: ICOUNT, RR, BRCOUNT, MISSCOUNT",
+                "expected one of: ICOUNT (icount), RR (rr), BRCOUNT (brcount), MISSCOUNT (misscount)",
             )),
         }
     }
@@ -334,12 +333,8 @@ impl std::str::FromStr for FetchPolicy {
 pub struct PredictorConfig {
     /// gshare pattern-history table entries (64K).
     pub gshare_entries: usize,
-    /// gshare global-history length in bits (16).
-    pub gshare_hist_bits: u32,
     /// gskew entries per bank, three banks (32K).
     pub gskew_entries_per_bank: usize,
-    /// gskew global-history length in bits (15).
-    pub gskew_hist_bits: u32,
     /// Branch target buffer entries (2K).
     pub btb_entries: usize,
     /// BTB associativity (4).
@@ -367,9 +362,7 @@ impl PredictorConfig {
     pub fn hpca2004() -> Self {
         PredictorConfig {
             gshare_entries: 64 * 1024,
-            gshare_hist_bits: 16,
             gskew_entries_per_bank: 32 * 1024,
-            gskew_hist_bits: 15,
             btb_entries: 2048,
             btb_ways: 4,
             ftb_entries: 2048,
@@ -625,45 +618,26 @@ impl SimConfig {
         }
 
         // --- Predictor geometry: validate by construction (E0001, E0002,
-        // E0012, E0014), exactly the checks the real constructors apply. ---
+        // E0012), exactly the checks the real constructors apply. ---
         for kind in FetchEngineKind::all_with_trace_cache() {
-            if let Err(d) = AnyFrontEnd::build(kind, self) {
+            if let Err(d) = FrontEnd::build(kind, self) {
                 push(&mut diags, d);
             }
         }
         if let Err(d) = smt_bpred::ReturnStack::new(self.predictor.ras_depth) {
             push(&mut diags, d.in_field("predictor.ras_depth"));
         }
-        for (field, bits) in [
-            (
-                "predictor.gshare_hist_bits",
-                self.predictor.gshare_hist_bits,
-            ),
-            ("predictor.gskew_hist_bits", self.predictor.gskew_hist_bits),
-        ] {
-            if !(1..=64).contains(&bits) {
-                push(
-                    &mut diags,
-                    Diagnostic::error(
-                        "E0014",
-                        field,
-                        format!("global history must be 1..=64 bits (got {bits})"),
-                        "the paper uses 16 (gshare) and 15 (gskew)",
-                    ),
-                );
-            }
-        }
-
-        // --- History length vs. table index bits (W0101). ---
+        // --- The engines' fixed history lengths vs. table index bits
+        // (W0101). ---
         for (field, bits, entries) in [
             (
-                "predictor.gshare_hist_bits",
-                self.predictor.gshare_hist_bits,
+                "predictor.gshare_entries",
+                GshareBtb::HIST_BITS,
                 self.predictor.gshare_entries,
             ),
             (
-                "predictor.gskew_hist_bits",
-                self.predictor.gskew_hist_bits,
+                "predictor.gskew_entries_per_bank",
+                GskewFtb::HIST_BITS,
                 self.predictor.gskew_entries_per_bank,
             ),
         ] {
@@ -678,7 +652,7 @@ impl SimConfig {
                          {entries}-entry table; distinct histories will alias",
                             entries.trailing_zeros()
                         ),
-                        "grow the table or shorten the history",
+                        format!("grow the table to at least {} entries", 1u64 << bits),
                     ),
                 );
             }
@@ -933,16 +907,6 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.predictor.ras_depth = 0;
         assert_rejects(&cfg, 1, "E0013");
-    }
-
-    #[test]
-    fn e0014_history_out_of_range_rejected() {
-        let mut cfg = SimConfig::default();
-        cfg.predictor.gskew_hist_bits = 0;
-        assert_rejects(&cfg, 1, "E0014");
-        let mut cfg = SimConfig::default();
-        cfg.predictor.gshare_hist_bits = 65;
-        assert_rejects(&cfg, 1, "E0014");
     }
 
     #[test]

@@ -4,11 +4,9 @@ use smt_bpred::{Btb, GlobalHistory, Gshare};
 use smt_isa::{Addr, Diagnostic, DynInst, ThreadId};
 use smt_workloads::Program;
 
-use crate::config::{FetchEngineKind, SimConfig};
+use crate::config::SimConfig;
 
-use super::{
-    classic_block, repair_spec, scoped, BlockMeta, BranchInfo, FrontEnd, PredictedBlock, SpecState,
-};
+use super::{classic_block, scoped, BlockMeta, PredictedBlock, SpecState};
 
 /// gshare + BTB (the baseline SMT front-end).
 ///
@@ -23,6 +21,9 @@ pub struct GshareBtb {
 }
 
 impl GshareBtb {
+    /// Global-history length of the gshare direction predictor (Table 3).
+    pub const HIST_BITS: u32 = 16;
+
     /// Builds the engine from the configuration's predictor geometry.
     ///
     /// # Errors
@@ -35,18 +36,10 @@ impl GshareBtb {
             btb: Btb::new(p.btb_entries, p.btb_ways).map_err(scoped)?,
         })
     }
-}
 
-impl FrontEnd for GshareBtb {
-    fn kind(&self) -> FetchEngineKind {
-        FetchEngineKind::GshareBtb
-    }
-
-    fn history_bits(&self) -> u32 {
-        16
-    }
-
-    fn predict_block(
+    /// Predicts the next basic block for `thread` starting at `pc`,
+    /// speculatively updating `spec`.
+    pub fn predict_block(
         &mut self,
         thread: ThreadId,
         pc: Addr,
@@ -71,8 +64,9 @@ impl FrontEnd for GshareBtb {
         }
     }
 
-    fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
-        let _ = info;
+    /// Trains gshare and the BTB with a committed branch predicted under
+    /// `hist`.
+    pub fn train_resolve(&mut self, hist: GlobalHistory, di: &DynInst) {
         if di.is_cond_branch() {
             // Every correct-path conditional ends a block under this engine,
             // so each one was genuinely predicted.
@@ -83,10 +77,6 @@ impl FrontEnd for GshareBtb {
             let kind = di.class.branch_kind().expect("branch");
             self.btb.record_taken(di.pc, di.next_pc, kind);
         }
-    }
-
-    fn repair(&mut self, spec: &mut SpecState, info: &BranchInfo, meta: &BlockMeta, di: &DynInst) {
-        repair_spec(spec, info, meta, di, true);
     }
 }
 
@@ -112,7 +102,7 @@ mod tests {
     fn blocks_end_at_first_branch_and_line() {
         let prog = program();
         let mut e = engine();
-        let mut spec = SpecState::new(e.history_bits(), prog.entry());
+        let mut spec = SpecState::new(GshareBtb::HIST_BITS, prog.entry());
         let pb = e.predict_block(0, prog.entry(), &mut spec, &prog, 8);
         let b = &pb.block;
         assert!(b.len >= 1 && b.len <= 8);
@@ -133,7 +123,7 @@ mod tests {
     fn chains_blocks_through_program() {
         let prog = program();
         let mut e = engine();
-        let mut spec = SpecState::new(e.history_bits(), prog.entry());
+        let mut spec = SpecState::new(GshareBtb::HIST_BITS, prog.entry());
         let mut pc = prog.entry();
         for _ in 0..200 {
             let pb = e.predict_block(0, pc, &mut spec, &prog, 8);
@@ -141,10 +131,5 @@ mod tests {
             // Stay in (or be clamped back into) the program.
             assert!(prog.contains(prog.clamp(pc)));
         }
-    }
-
-    #[test]
-    fn kind_is_a_branch_kind() {
-        assert_eq!(engine().kind(), FetchEngineKind::GshareBtb);
     }
 }

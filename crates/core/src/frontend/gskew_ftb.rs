@@ -3,14 +3,10 @@
 
 use smt_bpred::{Ftb, GlobalHistory, Gskew, ObservedEnd};
 use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
-use smt_workloads::Program;
 
-use crate::config::{FetchEngineKind, SimConfig};
+use crate::config::SimConfig;
 
-use super::{
-    repair_spec, scoped, sequential_block, BlockMeta, BranchInfo, FrontEnd, PredictedBlock,
-    SpecState,
-};
+use super::{scoped, sequential_block, BlockMeta, BranchInfo, PredictedBlock, SpecState};
 
 /// gskew + FTB: the fetch target buffer stores learned *fetch blocks* whose
 /// interiors may embed never-taken branches, so blocks routinely run past
@@ -24,6 +20,9 @@ pub struct GskewFtb {
 }
 
 impl GskewFtb {
+    /// Global-history length of the gskew direction predictor (Table 3).
+    pub const HIST_BITS: u32 = 15;
+
     /// Builds the engine from the configuration's predictor geometry.
     ///
     /// # Errors
@@ -36,26 +35,17 @@ impl GskewFtb {
             ftb: Ftb::new(p.ftb_entries, p.ftb_ways, cfg.max_ftb_block).map_err(scoped)?,
         })
     }
-}
 
-impl FrontEnd for GskewFtb {
-    fn kind(&self) -> FetchEngineKind {
-        FetchEngineKind::GskewFtb
-    }
-
-    fn history_bits(&self) -> u32 {
-        15
-    }
-
-    fn predict_block(
+    /// Predicts the next fetch block for `thread` starting at `pc` from the
+    /// FTB (a `width`-long sequential block on a miss), speculatively
+    /// updating `spec`.
+    pub fn predict_block(
         &mut self,
         thread: ThreadId,
         pc: Addr,
         spec: &mut SpecState,
-        program: &Program,
         width: u32,
     ) -> PredictedBlock {
-        let _ = program;
         let meta = BlockMeta::capture(spec);
         let block = match self.ftb.lookup(pc) {
             Some(p) => {
@@ -117,7 +107,9 @@ impl FrontEnd for GskewFtb {
         }
     }
 
-    fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
+    /// Trains gskew and the FTB with a committed branch predicted under
+    /// `hist` in the block `info` describes.
+    pub fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
         if info.is_end && di.is_cond_branch() {
             // Same batched shape at train time: one probe gathers all three
             // bank counters, then the partial update writes back through it.
@@ -139,10 +131,6 @@ impl FrontEnd for GskewFtb {
             self.ftb.record_not_taken(info.block_start);
         }
     }
-
-    fn repair(&mut self, spec: &mut SpecState, info: &BranchInfo, meta: &BlockMeta, di: &DynInst) {
-        repair_spec(spec, info, meta, di, true);
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +138,7 @@ mod tests {
     use super::*;
     use crate::config::FetchPolicy;
     use smt_isa::InstClass;
-    use smt_workloads::{BenchmarkProfile, ProgramBuilder};
+    use smt_workloads::{BenchmarkProfile, Program, ProgramBuilder};
 
     fn program() -> Program {
         ProgramBuilder::new(BenchmarkProfile::gzip())
@@ -167,9 +155,9 @@ mod tests {
     fn ftb_miss_gives_width_sequential_block_then_learns() {
         let prog = program();
         let mut e = engine();
-        let mut spec = SpecState::new(e.history_bits(), prog.entry());
+        let mut spec = SpecState::new(GskewFtb::HIST_BITS, prog.entry());
         let pc = prog.entry();
-        let pb = e.predict_block(0, pc, &mut spec, &prog, 8);
+        let pb = e.predict_block(0, pc, &mut spec, 8);
         assert_eq!(pb.block.len, 8, "FTB cold miss fetches a width block");
         assert!(pb.block.end_branch.is_none());
 
@@ -195,7 +183,7 @@ mod tests {
             decode_redirect: false,
         };
         e.train_resolve(&info, pb.meta.hist, &di);
-        let pb2 = e.predict_block(0, pc, &mut spec, &prog, 8);
+        let pb2 = e.predict_block(0, pc, &mut spec, 8);
         assert_eq!(pb2.block.len, 3, "FTB learned the block extent");
         assert_eq!(pb2.block.end_branch.unwrap().pc, di.pc);
     }

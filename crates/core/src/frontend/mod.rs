@@ -1,9 +1,9 @@
-//! The pluggable front-end fetch engines (prediction-stage block builders).
+//! The front-end fetch engines (prediction-stage block builders).
 //!
 //! A front-end turns the per-thread speculative state (next fetch PC,
 //! history/path registers, RAS) into [`FetchBlock`]s for the FTQ. The
-//! [`FrontEnd`] trait is the full contract between a fetch engine and the
-//! pipeline; the four shipped engines are:
+//! [`FrontEnd`] enum is the whole contract between a fetch engine and the
+//! pipeline; its four arms are:
 //!
 //! * [`GshareBtb`] — one basic block at a time: the block ends at the first
 //!   branch (one direction prediction per cycle), the end of the cache
@@ -16,14 +16,7 @@
 //!
 //! Engines own all predictor training, driven by the back end at branch
 //! resolve ([`FrontEnd::train_resolve`]) and at commit
-//! ([`FrontEnd::train_commit`], [`FrontEnd::trace_fill_commit`]).
-//!
-//! Dispatch in the cycle loop goes through [`AnyFrontEnd`], an enum-thin
-//! wrapper over the concrete types: no `Box<dyn FrontEnd>`, no virtual
-//! calls, no allocation — the zero-alloc gate and the throughput baseline
-//! hold unchanged. New engines register in [`FRONT_ENDS`], which also pins
-//! the canonical `kind ↔ name` mapping the CLI-facing
-//! [`FetchEngineKind`] parser uses.
+//! ([`Stream::train_commit`], [`TraceCache::fill_commit`]).
 
 mod gshare_btb;
 mod gskew_ftb;
@@ -33,12 +26,10 @@ mod trace_cache;
 pub use gshare_btb::GshareBtb;
 pub use gskew_ftb::GskewFtb;
 pub use stream::Stream;
-pub use trace_cache::{TraceCache, TraceFillBuffer};
+pub use trace_cache::TraceCache;
 
-use smt_bpred::{
-    Btb, GlobalHistory, Gshare, ObservedStream, RasCheckpoint, ReturnStack, StreamPath,
-};
-use smt_isa::{Addr, BranchKind, Cycle, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
+use smt_bpred::{Btb, GlobalHistory, Gshare, RasCheckpoint, ReturnStack, StreamPath};
+use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
 use smt_workloads::Program;
 
 use std::collections::VecDeque;
@@ -143,166 +134,6 @@ pub struct PredictedBlock {
     pub trace_group: Option<u64>,
 }
 
-/// The contract between a fetch engine and the pipeline.
-///
-/// Determinism obligations: every hook must be a pure function of the
-/// engine's own tables plus its arguments — no wall-clock reads, no ambient
-/// randomness, no global state — so seeded runs stay bit-reproducible
-/// (the simulation crates' clippy lints ban clocks, env reads and threads).
-///
-/// What each hook may observe and mutate:
-///
-/// * [`predict_block`](FrontEnd::predict_block) /
-///   [`predict_blocks_into`](FrontEnd::predict_blocks_into) — called by the
-///   prediction stage. May mutate the engine's tables (e.g. allocation
-///   hints) and *must* speculatively update `spec` (history shift, RAS
-///   push/pop, stream path) exactly as the emitted block implies, because
-///   the returned [`BlockMeta`] checkpoints are what
-///   [`repair`](FrontEnd::repair) later restores.
-/// * [`train_resolve`](FrontEnd::train_resolve) — called by the back end
-///   once per committed correct-path branch, with the prediction-time
-///   checkpoints and the actual outcome. Mutates predictor tables only.
-/// * [`train_commit`](FrontEnd::train_commit) — called at commit when a
-///   taken branch closes an architectural instruction stream; only the
-///   stream front-end listens.
-/// * [`trace_fill_commit`](FrontEnd::trace_fill_commit) — called once per
-///   committed instruction; only the trace cache's fill unit listens.
-/// * [`repair`](FrontEnd::repair) — called on a squash. Must restore `spec`
-///   from the `meta` checkpoint, then apply the *actual* outcome of the
-///   squashing branch (`di`). Must not touch predictor tables (training
-///   happens at commit, on the correct path only).
-pub trait FrontEnd {
-    /// Which config-facing engine this is.
-    fn kind(&self) -> FetchEngineKind;
-
-    /// History length this engine's direction predictor uses.
-    fn history_bits(&self) -> u32;
-
-    /// Predicts the next fetch block for `thread` starting at `pc`.
-    ///
-    /// Speculatively updates `spec` (history shift, RAS push/pop, stream
-    /// path) and returns the block plus the checkpoints needed to undo
-    /// those updates.
-    fn predict_block(
-        &mut self,
-        thread: ThreadId,
-        pc: Addr,
-        spec: &mut SpecState,
-        program: &Program,
-        width: u32,
-    ) -> PredictedBlock;
-
-    /// Predicts up to `max_blocks` fetch blocks in one cycle, appending to
-    /// `out` — the thread's FTQ itself, pre-sized by the simulator, so each
-    /// block is written once with no intermediate scratch copy and the
-    /// steady-state prediction stage performs no heap allocation.
-    ///
-    /// The default emits exactly one block; multi-block engines (the trace
-    /// cache) override it.
-    #[expect(clippy::too_many_arguments, reason = "writes straight into the FTQ")]
-    fn predict_blocks_into(
-        &mut self,
-        thread: ThreadId,
-        pc: Addr,
-        spec: &mut SpecState,
-        program: &Program,
-        width: u32,
-        max_blocks: usize,
-        out: &mut VecDeque<PredictedBlock>,
-    ) {
-        let _ = max_blocks;
-        out.push_back(self.predict_block(thread, pc, spec, program, width));
-    }
-
-    /// Trains the engine with a resolved correct-path branch.
-    ///
-    /// Called by the back end when the branch commits. `info` and `hist`
-    /// carry the prediction-time state (`hist` is the history the direction
-    /// prediction was made under); `di` the actual outcome.
-    fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst);
-
-    /// Trains the engine with an instruction stream completed at commit
-    /// (a taken branch closed the stream). No-op by default; the stream
-    /// front-end listens.
-    fn train_commit(&mut self, start: Addr, path: &StreamPath, obs: ObservedStream) {
-        let _ = (start, path, obs);
-    }
-
-    /// Feeds one committed instruction to the engine's fill unit. No-op by
-    /// default; the trace cache listens. `commit_hist_end` is the thread's
-    /// committed end-conditional history *before* this instruction.
-    fn trace_fill_commit(
-        &mut self,
-        fill: &mut TraceFillBuffer,
-        di: &DynInst,
-        commit_hist_end: u64,
-    ) {
-        let _ = (fill, di, commit_hist_end);
-    }
-
-    /// Repairs the speculative state after the mispredicted branch described
-    /// by `info`/`di` squashes everything younger, then applies the branch's
-    /// actual outcome. `meta` is the block checkpoint captured when the
-    /// branch's fetch block was predicted.
-    fn repair(&mut self, spec: &mut SpecState, info: &BranchInfo, meta: &BlockMeta, di: &DynInst);
-
-    /// The engine's event horizon (DESIGN.md §14): the earliest future
-    /// cycle at which its *own* state can change without a predict/train
-    /// call reaching it. All four shipped engines are pull-driven — their
-    /// tables only move inside those calls — so the default reports no
-    /// self-scheduled event; a future push-driven engine (e.g. an ahead
-    /// predictor with a pipelined update queue) overrides this so the
-    /// cycle-skipping scheduler never jumps over its updates.
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let _ = now;
-        None
-    }
-}
-
-/// Shared [`FrontEnd::repair`] body: restore every checkpointed register,
-/// then apply the squashing branch's actual outcome.
-///
-/// `push_cond_hist` is false for engines without a per-branch direction
-/// predictor (the stream front-end), whose speculative history never shifts.
-///
-/// The RAS call/return effect and the stream-path push are both gated on
-/// `di.taken`: a not-taken call or return transfers no control, so it
-/// neither pushes/pops a return address nor closes the current stream.
-/// (Gating them *together* keeps `SpecState.path` and the RAS consistent
-/// after a mispredicted call/return — historically the RAS effect was
-/// unconditional while the path push was gated, leaving the two out of
-/// sync on not-taken call/return repairs.)
-pub(crate) fn repair_spec(
-    spec: &mut SpecState,
-    info: &BranchInfo,
-    meta: &BlockMeta,
-    di: &DynInst,
-    push_cond_hist: bool,
-) {
-    // History: restore, then shift in the actual direction if this branch
-    // was a predicted (block-ending) conditional.
-    spec.hist = meta.hist;
-    if push_cond_hist && di.is_cond_branch() && info.is_end {
-        spec.hist.push(di.taken);
-    }
-    // RAS and stream registers: restore the checkpoints.
-    spec.ras.restore(meta.ras);
-    spec.path = meta.path;
-    spec.stream_start = meta.stream_start;
-    // A taken branch applies its call/return effect and closes the stream.
-    if di.taken {
-        match di.class.branch_kind() {
-            Some(BranchKind::Call) => spec.ras.push(di.pc.add_insts(1)),
-            Some(BranchKind::Return) => {
-                let _ = spec.ras.pop();
-            }
-            _ => {}
-        }
-        spec.path.push(meta.stream_start);
-        spec.stream_start = di.next_pc;
-    }
-}
-
 /// A classical gshare+BTB fetch block: one prediction per cycle, so the
 /// block ends at the first branch, the cache-line boundary, or the width.
 /// Used by the gshare+BTB engine and as the trace cache's core fetch unit.
@@ -389,86 +220,44 @@ pub(crate) fn sequential_block(thread: ThreadId, pc: Addr, len: u32) -> FetchBlo
     }
 }
 
-// ----- registry and enum-thin dispatch ---------------------------------
-
-/// One front-end registration: the config-facing kind, its canonical name
-/// (shared by `Display` and `FromStr` on [`FetchEngineKind`]), and a
-/// constructor.
-pub struct FrontEndEntry {
-    /// Config-facing engine selector.
-    pub kind: FetchEngineKind,
-    /// Canonical name (the paper's spelling).
-    pub name: &'static str,
-    /// Builds the engine from a configuration's predictor geometry.
-    pub build: fn(&SimConfig) -> Result<AnyFrontEnd, Diagnostic>,
-}
-
-fn build_gshare_btb(cfg: &SimConfig) -> Result<AnyFrontEnd, Diagnostic> {
-    GshareBtb::build(cfg).map(AnyFrontEnd::GshareBtb)
-}
-
-fn build_gskew_ftb(cfg: &SimConfig) -> Result<AnyFrontEnd, Diagnostic> {
-    GskewFtb::build(cfg).map(AnyFrontEnd::GskewFtb)
-}
-
-fn build_stream(cfg: &SimConfig) -> Result<AnyFrontEnd, Diagnostic> {
-    Stream::build(cfg).map(AnyFrontEnd::Stream)
-}
-
-fn build_trace_cache(cfg: &SimConfig) -> Result<AnyFrontEnd, Diagnostic> {
-    TraceCache::build(cfg).map(AnyFrontEnd::TraceCache)
-}
-
-/// The static front-end registry: one entry per engine, in the paper's
-/// presentation order. [`AnyFrontEnd::build`] and the
-/// [`FetchEngineKind`] string parser both resolve through this table, so
-/// the CLI names cannot drift from the registered engines.
-pub static FRONT_ENDS: [FrontEndEntry; 4] = [
-    FrontEndEntry {
-        kind: FetchEngineKind::GshareBtb,
-        name: "gshare+BTB",
-        build: build_gshare_btb,
-    },
-    FrontEndEntry {
-        kind: FetchEngineKind::GskewFtb,
-        name: "gskew+FTB",
-        build: build_gskew_ftb,
-    },
-    FrontEndEntry {
-        kind: FetchEngineKind::Stream,
-        name: "stream",
-        build: build_stream,
-    },
-    FrontEndEntry {
-        kind: FetchEngineKind::TraceCache,
-        name: "trace cache",
-        build: build_trace_cache,
-    },
-];
-
-/// Looks up the registry entry for `kind` (every kind is registered).
-#[expect(clippy::expect_used, reason = "registry is total over FetchEngineKind")]
-pub(crate) fn registry_entry(kind: FetchEngineKind) -> &'static FrontEndEntry {
-    FRONT_ENDS
-        .iter()
-        .find(|e| e.kind == kind)
-        .expect("every FetchEngineKind is registered")
-}
-
 /// Maps a construction diagnostic into the `predictor.` config namespace.
 pub(crate) fn scoped(d: Diagnostic) -> Diagnostic {
     let field = format!("predictor.{}", d.field);
     d.in_field(field)
 }
 
-/// The shipped front-ends behind one enum-thin dispatcher.
+/// The fetch engine: one arm per shipped engine, each held inline.
 ///
-/// The cycle loop calls engines through this wrapper: a plain enum over the
-/// concrete types, so dispatch is a jump table over inline data — no
-/// `Box<dyn FrontEnd>`, no heap indirection — and the simulator stays
-/// `Clone` + `Send` structurally.
+/// Every method is one `match` over the arms, so dispatch is a jump over
+/// inline data — no `Box<dyn>`, no heap indirection — and the simulator
+/// stays `Clone` + `Send` structurally.
+///
+/// Determinism obligations: every method is a pure function of the
+/// engine's own tables plus its arguments — no wall-clock reads, no ambient
+/// randomness, no global state — so seeded runs stay bit-reproducible
+/// (the simulation crates' clippy lints ban clocks, env reads and threads).
+///
+/// What each hook may observe and mutate:
+///
+/// * [`predict_blocks_into`](FrontEnd::predict_blocks_into) — called by the
+///   prediction stage. May mutate the engine's tables (e.g. allocation
+///   hints) and *must* speculatively update `spec` (history shift, RAS
+///   push/pop, stream path) exactly as the emitted blocks imply, because
+///   the returned [`BlockMeta`] checkpoints are what
+///   [`repair`](FrontEnd::repair) later restores.
+/// * [`train_resolve`](FrontEnd::train_resolve) — called by the back end
+///   once per committed correct-path branch, with the prediction-time
+///   checkpoints and the actual outcome. Mutates predictor tables only.
+/// * [`Stream::train_commit`] — called at commit when a taken branch
+///   closes an architectural instruction stream, on the stream arm only.
+/// * [`TraceCache::fill_commit`] — called once per committed instruction,
+///   on the trace-cache arm only.
+/// * [`repair`](FrontEnd::repair) — called on a squash. Restores `spec`
+///   from the `meta` checkpoint, then applies the *actual* outcome of the
+///   squashing branch (`di`). Never touches predictor tables (training
+///   happens at commit, on the correct path only).
 #[derive(Clone, Debug)]
-pub enum AnyFrontEnd {
+pub enum FrontEnd {
     /// gshare + BTB (the baseline SMT front-end).
     GshareBtb(GshareBtb),
     /// gskew + FTB.
@@ -479,9 +268,9 @@ pub enum AnyFrontEnd {
     TraceCache(TraceCache),
 }
 
-impl AnyFrontEnd {
-    /// Builds the engine registered for `kind` from the configuration's
-    /// predictor geometry, through the [`FRONT_ENDS`] registry.
+impl FrontEnd {
+    /// Builds the `kind` engine from the configuration's predictor
+    /// geometry.
     ///
     /// # Errors
     ///
@@ -489,7 +278,12 @@ impl AnyFrontEnd {
     /// (`E0001`/`E0002` geometry, `E0012` block/stream caps). Use
     /// [`SimConfig::validate`] to collect *all* problems at once.
     pub fn build(kind: FetchEngineKind, cfg: &SimConfig) -> Result<Self, Diagnostic> {
-        (registry_entry(kind).build)(cfg)
+        Ok(match kind {
+            FetchEngineKind::GshareBtb => FrontEnd::GshareBtb(GshareBtb::build(cfg)?),
+            FetchEngineKind::GskewFtb => FrontEnd::GskewFtb(GskewFtb::build(cfg)?),
+            FetchEngineKind::Stream => FrontEnd::Stream(Stream::build(cfg)?),
+            FetchEngineKind::TraceCache => FrontEnd::TraceCache(TraceCache::build(cfg)?),
+        })
     }
 
     /// Builds the engine in the paper's Table 3 configuration.
@@ -497,51 +291,41 @@ impl AnyFrontEnd {
     /// # Panics
     ///
     /// Panics if `cfg` has invalid predictor geometry; prefer
-    /// [`AnyFrontEnd::build`] for configurations that are not known-good.
+    /// [`FrontEnd::build`] for configurations that are not known-good.
     #[expect(clippy::expect_used, reason = "Table 3 geometry is valid")]
     pub fn hpca2004(kind: FetchEngineKind, cfg: &SimConfig) -> Self {
-        AnyFrontEnd::build(kind, cfg).expect("Table 3 geometry is valid")
+        FrontEnd::build(kind, cfg).expect("Table 3 geometry is valid")
     }
-}
 
-/// Macro-free match delegation: each arm forwards to the concrete engine,
-/// so calls stay monomorphic behind a four-way jump.
-impl FrontEnd for AnyFrontEnd {
-    fn kind(&self) -> FetchEngineKind {
+    /// Which config-facing engine this is.
+    pub fn kind(&self) -> FetchEngineKind {
         match self {
-            AnyFrontEnd::GshareBtb(e) => e.kind(),
-            AnyFrontEnd::GskewFtb(e) => e.kind(),
-            AnyFrontEnd::Stream(e) => e.kind(),
-            AnyFrontEnd::TraceCache(e) => e.kind(),
+            FrontEnd::GshareBtb(_) => FetchEngineKind::GshareBtb,
+            FrontEnd::GskewFtb(_) => FetchEngineKind::GskewFtb,
+            FrontEnd::Stream(_) => FetchEngineKind::Stream,
+            FrontEnd::TraceCache(_) => FetchEngineKind::TraceCache,
         }
     }
 
-    fn history_bits(&self) -> u32 {
+    /// History length this engine's direction predictor uses. The stream
+    /// front-end has none but keeps a uniform 16-bit register.
+    pub fn history_bits(&self) -> u32 {
         match self {
-            AnyFrontEnd::GshareBtb(e) => e.history_bits(),
-            AnyFrontEnd::GskewFtb(e) => e.history_bits(),
-            AnyFrontEnd::Stream(e) => e.history_bits(),
-            AnyFrontEnd::TraceCache(e) => e.history_bits(),
+            FrontEnd::GshareBtb(_) | FrontEnd::Stream(_) => GshareBtb::HIST_BITS,
+            FrontEnd::GskewFtb(_) => GskewFtb::HIST_BITS,
+            FrontEnd::TraceCache(_) => TraceCache::HIST_BITS,
         }
     }
 
-    fn predict_block(
-        &mut self,
-        thread: ThreadId,
-        pc: Addr,
-        spec: &mut SpecState,
-        program: &Program,
-        width: u32,
-    ) -> PredictedBlock {
-        match self {
-            AnyFrontEnd::GshareBtb(e) => e.predict_block(thread, pc, spec, program, width),
-            AnyFrontEnd::GskewFtb(e) => e.predict_block(thread, pc, spec, program, width),
-            AnyFrontEnd::Stream(e) => e.predict_block(thread, pc, spec, program, width),
-            AnyFrontEnd::TraceCache(e) => e.predict_block(thread, pc, spec, program, width),
-        }
-    }
-
-    fn predict_blocks_into(
+    /// Predicts the next fetch block(s) for `thread` starting at `pc`,
+    /// appending to `out` — the thread's FTQ itself, pre-sized by the
+    /// simulator, so each block is written once and the steady-state
+    /// prediction stage performs no heap allocation.
+    ///
+    /// Every engine emits one block except the trace cache, which on a hit
+    /// emits up to `max_blocks` segments of one trace.
+    #[expect(clippy::too_many_arguments, reason = "writes straight into the FTQ")]
+    pub fn predict_blocks_into(
         &mut self,
         thread: ThreadId,
         pc: Addr,
@@ -552,68 +336,68 @@ impl FrontEnd for AnyFrontEnd {
         out: &mut VecDeque<PredictedBlock>,
     ) {
         match self {
-            AnyFrontEnd::GshareBtb(e) => {
-                e.predict_blocks_into(thread, pc, spec, program, width, max_blocks, out)
+            FrontEnd::GshareBtb(e) => {
+                out.push_back(e.predict_block(thread, pc, spec, program, width))
             }
-            AnyFrontEnd::GskewFtb(e) => {
-                e.predict_blocks_into(thread, pc, spec, program, width, max_blocks, out)
-            }
-            AnyFrontEnd::Stream(e) => {
-                e.predict_blocks_into(thread, pc, spec, program, width, max_blocks, out)
-            }
-            AnyFrontEnd::TraceCache(e) => {
-                e.predict_blocks_into(thread, pc, spec, program, width, max_blocks, out)
+            FrontEnd::GskewFtb(e) => out.push_back(e.predict_block(thread, pc, spec, width)),
+            FrontEnd::Stream(e) => out.push_back(e.predict_block(thread, pc, spec, width)),
+            FrontEnd::TraceCache(e) => {
+                e.predict_trace(thread, pc, spec, program, width, max_blocks.max(1), out);
             }
         }
     }
 
-    fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
+    /// Trains the engine with a resolved correct-path branch.
+    ///
+    /// Called by the back end when the branch commits. `info` and `hist`
+    /// carry the prediction-time state (`hist` is the history the direction
+    /// prediction was made under); `di` the actual outcome. The stream
+    /// front-end trains on completed streams instead
+    /// ([`Stream::train_commit`]).
+    pub fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
         match self {
-            AnyFrontEnd::GshareBtb(e) => e.train_resolve(info, hist, di),
-            AnyFrontEnd::GskewFtb(e) => e.train_resolve(info, hist, di),
-            AnyFrontEnd::Stream(e) => e.train_resolve(info, hist, di),
-            AnyFrontEnd::TraceCache(e) => e.train_resolve(info, hist, di),
+            FrontEnd::GshareBtb(e) => e.train_resolve(hist, di),
+            FrontEnd::GskewFtb(e) => e.train_resolve(info, hist, di),
+            FrontEnd::Stream(_) => {}
+            FrontEnd::TraceCache(e) => e.train_resolve(info, hist, di),
         }
     }
 
-    fn train_commit(&mut self, start: Addr, path: &StreamPath, obs: ObservedStream) {
-        match self {
-            AnyFrontEnd::GshareBtb(e) => e.train_commit(start, path, obs),
-            AnyFrontEnd::GskewFtb(e) => e.train_commit(start, path, obs),
-            AnyFrontEnd::Stream(e) => e.train_commit(start, path, obs),
-            AnyFrontEnd::TraceCache(e) => e.train_commit(start, path, obs),
+    /// Repairs the speculative state after the mispredicted branch described
+    /// by `info`/`di` squashes everything younger: restores every
+    /// checkpointed register from `meta` (captured when the branch's fetch
+    /// block was predicted), then applies the branch's actual outcome.
+    ///
+    /// The history shift applies only to engines with a per-branch direction
+    /// predictor: the stream front-end's speculative history never shifts.
+    ///
+    /// The RAS call/return effect and the stream-path push are both gated on
+    /// `di.taken`: a not-taken call or return transfers no control, so it
+    /// neither pushes/pops a return address nor closes the current stream.
+    /// Gating them *together* keeps `SpecState.path` and the RAS consistent
+    /// after a mispredicted call/return.
+    pub fn repair(&self, spec: &mut SpecState, info: &BranchInfo, meta: &BlockMeta, di: &DynInst) {
+        // History: restore, then shift in the actual direction if this branch
+        // was a predicted (block-ending) conditional.
+        spec.hist = meta.hist;
+        if !matches!(self, FrontEnd::Stream(_)) && di.is_cond_branch() && info.is_end {
+            spec.hist.push(di.taken);
         }
-    }
-
-    fn trace_fill_commit(
-        &mut self,
-        fill: &mut TraceFillBuffer,
-        di: &DynInst,
-        commit_hist_end: u64,
-    ) {
-        match self {
-            AnyFrontEnd::GshareBtb(e) => e.trace_fill_commit(fill, di, commit_hist_end),
-            AnyFrontEnd::GskewFtb(e) => e.trace_fill_commit(fill, di, commit_hist_end),
-            AnyFrontEnd::Stream(e) => e.trace_fill_commit(fill, di, commit_hist_end),
-            AnyFrontEnd::TraceCache(e) => e.trace_fill_commit(fill, di, commit_hist_end),
-        }
-    }
-
-    fn repair(&mut self, spec: &mut SpecState, info: &BranchInfo, meta: &BlockMeta, di: &DynInst) {
-        match self {
-            AnyFrontEnd::GshareBtb(e) => e.repair(spec, info, meta, di),
-            AnyFrontEnd::GskewFtb(e) => e.repair(spec, info, meta, di),
-            AnyFrontEnd::Stream(e) => e.repair(spec, info, meta, di),
-            AnyFrontEnd::TraceCache(e) => e.repair(spec, info, meta, di),
-        }
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        match self {
-            AnyFrontEnd::GshareBtb(e) => e.next_event(now),
-            AnyFrontEnd::GskewFtb(e) => e.next_event(now),
-            AnyFrontEnd::Stream(e) => e.next_event(now),
-            AnyFrontEnd::TraceCache(e) => e.next_event(now),
+        // RAS and stream registers: restore the checkpoints.
+        spec.ras.restore(meta.ras);
+        spec.path = meta.path;
+        spec.stream_start = meta.stream_start;
+        // A taken branch applies its call/return effect and closes the stream.
+        if di.taken {
+            match di.class.branch_kind() {
+                Some(BranchKind::Call) => spec.ras.push(di.pc.add_insts(1)),
+                Some(BranchKind::Return) => {
+                    let _ = spec.ras.pop();
+                }
+                _ => {}
+            }
+            spec.path.push(meta.stream_start);
+            spec.stream_start = di.next_pc;
         }
     }
 }
@@ -637,31 +421,15 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_every_kind_exactly_once() {
-        for kind in FetchEngineKind::all_with_trace_cache() {
-            let hits = FRONT_ENDS.iter().filter(|e| e.kind == kind).count();
-            assert_eq!(hits, 1, "{kind} must register exactly once");
-        }
-        assert_eq!(FRONT_ENDS.len(), 4);
-    }
-
-    #[test]
-    fn registry_names_match_display() {
-        for e in &FRONT_ENDS {
-            assert_eq!(e.name, e.kind.to_string(), "registry/Display drift");
-        }
-    }
-
-    #[test]
-    fn built_engines_report_their_kind_and_history() {
+    fn every_kind_round_trips_and_builds_itself() {
         let cfg = cfg();
-        for (kind, bits) in [
-            (FetchEngineKind::GshareBtb, 16),
-            (FetchEngineKind::GskewFtb, 15),
-            (FetchEngineKind::Stream, 16),
-            (FetchEngineKind::TraceCache, 15),
-        ] {
-            let e = AnyFrontEnd::hpca2004(kind, &cfg);
+        let bits = [16, 15, 16, 15];
+        for (kind, bits) in FetchEngineKind::all_with_trace_cache()
+            .into_iter()
+            .zip(bits)
+        {
+            assert_eq!(kind.to_string().parse::<FetchEngineKind>().ok(), Some(kind));
+            let e = FrontEnd::build(kind, &cfg).expect("Table 3 builds");
             assert_eq!(e.kind(), kind);
             assert_eq!(e.history_bits(), bits, "{kind}");
         }
@@ -670,7 +438,7 @@ mod tests {
     #[test]
     fn repair_restores_history_ras_and_path() {
         let prog = program();
-        let mut e = AnyFrontEnd::hpca2004(FetchEngineKind::GshareBtb, &cfg());
+        let e = FrontEnd::hpca2004(FetchEngineKind::GshareBtb, &cfg());
         let mut spec = SpecState::new(e.history_bits(), prog.entry());
         spec.ras.push(Addr::new(0x40_0044));
         spec.hist.push(true);
@@ -719,7 +487,7 @@ mod tests {
         // push on `taken`, leaving the two inconsistent.)
         let prog = program();
         for kind in FetchEngineKind::all_with_trace_cache() {
-            let mut e = AnyFrontEnd::hpca2004(kind, &cfg());
+            let e = FrontEnd::hpca2004(kind, &cfg());
             let mut spec = SpecState::new(e.history_bits(), prog.entry());
             spec.ras.push(Addr::new(0x40_0044));
             let meta = BlockMeta::capture(&spec);

@@ -1,16 +1,12 @@
 //! The stream front-end: learned instruction streams, no per-branch
 //! direction predictor.
 
-use smt_bpred::{GlobalHistory, ObservedStream, StreamPath, StreamPredictor};
-use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
-use smt_workloads::Program;
+use smt_bpred::{ObservedStream, StreamPath, StreamPredictor};
+use smt_isa::{Addr, BranchKind, Diagnostic, EndBranch, FetchBlock, ThreadId};
 
-use crate::config::{FetchEngineKind, SimConfig};
+use crate::config::SimConfig;
 
-use super::{
-    repair_spec, scoped, sequential_block, BlockMeta, BranchInfo, FrontEnd, PredictedBlock,
-    SpecState,
-};
+use super::{scoped, sequential_block, BlockMeta, PredictedBlock, SpecState};
 
 /// The paper's stream fetch unit: a cascaded predictor of *instruction
 /// streams* (taken-target to next taken branch). Stream-ending branches are
@@ -41,26 +37,17 @@ impl Stream {
             .map_err(scoped)?,
         })
     }
-}
 
-impl FrontEnd for Stream {
-    fn kind(&self) -> FetchEngineKind {
-        FetchEngineKind::Stream
-    }
-
-    fn history_bits(&self) -> u32 {
-        16 // unused, kept for uniform state
-    }
-
-    fn predict_block(
+    /// Predicts the next stream for `thread` starting at `pc` (a
+    /// `width`-long sequential block on a miss), speculatively updating
+    /// `spec`.
+    pub fn predict_block(
         &mut self,
         thread: ThreadId,
         pc: Addr,
         spec: &mut SpecState,
-        program: &Program,
         width: u32,
     ) -> PredictedBlock {
-        let _ = program;
         let meta = BlockMeta::capture(spec);
         let block = match self.predictor.predict(pc, &spec.path) {
             Some(p) => {
@@ -109,17 +96,10 @@ impl FrontEnd for Stream {
         }
     }
 
-    fn train_resolve(&mut self, _info: &BranchInfo, _hist: GlobalHistory, _di: &DynInst) {
-        // Stream training happens at commit, on completed streams.
-    }
-
-    fn train_commit(&mut self, start: Addr, path: &StreamPath, obs: ObservedStream) {
+    /// Trains the stream predictor with an instruction stream completed at
+    /// commit (a taken branch closed the stream).
+    pub fn train_commit(&mut self, start: Addr, path: &StreamPath, obs: ObservedStream) {
         self.predictor.train(start, path, obs);
-    }
-
-    fn repair(&mut self, spec: &mut SpecState, info: &BranchInfo, meta: &BlockMeta, di: &DynInst) {
-        // No direction predictor, so the speculative history never shifts.
-        repair_spec(spec, info, meta, di, false);
     }
 }
 
@@ -127,7 +107,7 @@ impl FrontEnd for Stream {
 mod tests {
     use super::*;
     use crate::config::FetchPolicy;
-    use smt_workloads::{BenchmarkProfile, ProgramBuilder};
+    use smt_workloads::{BenchmarkProfile, Program, ProgramBuilder};
 
     fn program() -> Program {
         ProgramBuilder::new(BenchmarkProfile::gzip())
@@ -144,10 +124,10 @@ mod tests {
     fn learns_streams_at_commit() {
         let prog = program();
         let mut e = engine();
-        let mut spec = SpecState::new(e.history_bits(), prog.entry());
+        let mut spec = SpecState::new(16, prog.entry());
         let pc = prog.entry();
         // Cold: sequential width block.
-        let pb = e.predict_block(0, pc, &mut spec, &prog, 16);
+        let pb = e.predict_block(0, pc, &mut spec, 16);
         assert_eq!(pb.block.len, 16);
         // Commit-side training: a 24-instruction stream ending in a taken
         // branch to 0x40_2000.
@@ -160,8 +140,8 @@ mod tests {
                 target: Addr::new(0x40_2000),
             },
         );
-        let mut spec2 = SpecState::new(e.history_bits(), prog.entry());
-        let pb2 = e.predict_block(0, pc, &mut spec2, &prog, 16);
+        let mut spec2 = SpecState::new(16, prog.entry());
+        let pb2 = e.predict_block(0, pc, &mut spec2, 16);
         assert_eq!(pb2.block.len, 24, "stream longer than the fetch width");
         assert_eq!(pb2.block.next_fetch, Addr::new(0x40_2000));
         assert!(pb2.block.end_branch.unwrap().predicted_taken);
@@ -171,7 +151,7 @@ mod tests {
     fn blocks_update_path_and_stream_start() {
         let prog = program();
         let mut e = engine();
-        let mut spec = SpecState::new(e.history_bits(), prog.entry());
+        let mut spec = SpecState::new(16, prog.entry());
         let pc = prog.entry();
         e.train_commit(
             pc,
@@ -183,7 +163,7 @@ mod tests {
             },
         );
         let before = spec.path;
-        let _ = e.predict_block(0, pc, &mut spec, &prog, 16);
+        let _ = e.predict_block(0, pc, &mut spec, 16);
         assert_ne!(spec.path, before, "taken stream end must push the path");
         assert_eq!(spec.stream_start, Addr::new(0x40_1000));
     }

@@ -2,41 +2,29 @@
 //! a gshare+BTB core fetch unit, with a commit-side fill unit.
 
 use smt_bpred::{Btb, GlobalHistory, Gshare, Trace, TraceCache as TraceStore, TraceSegment};
-use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, InstClass, ThreadId};
+use smt_isa::{
+    Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, InstClass, ThreadId, MAX_THREADS,
+};
 use smt_workloads::Program;
 
 use std::collections::VecDeque;
 
-use crate::config::{FetchEngineKind, SimConfig};
+use crate::config::SimConfig;
 
-use super::{
-    classic_block, repair_spec, scoped, BlockMeta, BranchInfo, FrontEnd, PredictedBlock, SpecState,
-};
+use super::{classic_block, scoped, BlockMeta, BranchInfo, PredictedBlock, SpecState};
 
-/// The trace-cache fill unit's per-thread collection buffer: committed
-/// instructions accumulate until a trace line closes (16 instructions or a
-/// third taken branch), at which point the trace is installed and the
-/// multiple-branch predictor trained.
+/// The fill unit's per-thread collection buffer: committed instructions
+/// accumulate until a trace line closes (16 instructions or a third taken
+/// branch), at which point the trace is installed and the multiple-branch
+/// predictor trained.
 #[derive(Clone, Debug, Default)]
-pub struct TraceFillBuffer {
+struct FillBuffer {
     /// `(pc, class, taken, next_pc)` of buffered committed instructions.
     entries: Vec<(Addr, InstClass, bool, Addr)>,
     /// Committed end-conditional history at the start of the buffer.
     start_hist: u64,
     /// Taken branches buffered so far.
     taken_branches: u32,
-}
-
-impl TraceFillBuffer {
-    /// Number of buffered instructions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the buffer holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// Trace cache + gshare/BTB core fetch unit (related-work comparator).
@@ -58,9 +46,17 @@ pub struct TraceCache {
     btb: Btb,
     /// Monotone id shared by the blocks of one emitted trace.
     next_group: u64,
+    /// Fill-unit buffers, one per hardware thread (on the heap, so the
+    /// engine stays close in size to the other [`FrontEnd`](super::FrontEnd)
+    /// arms).
+    fill: Vec<FillBuffer>,
 }
 
 impl TraceCache {
+    /// Global-history length of the core fetch unit's gshare and of the
+    /// multiple-branch predictor (their 32K tables have 15 index bits).
+    pub const HIST_BITS: u32 = 15;
+
     /// Builds the engine from the configuration's predictor geometry.
     ///
     /// # Errors
@@ -76,14 +72,15 @@ impl TraceCache {
             gshare: Gshare::new(32 * 1024).map_err(scoped)?,
             btb: Btb::new(p.btb_entries, p.btb_ways).map_err(scoped)?,
             next_group: 1,
+            fill: vec![FillBuffer::default(); MAX_THREADS],
         })
     }
 
     /// Trace prediction: way-select by the multiple-branch direction
     /// vector; on a hit emit the trace's segments, on a miss fall back to
     /// the core fetch unit. Appends to `out`.
-    #[expect(clippy::too_many_arguments, reason = "the predict_blocks_into hook")]
-    fn predict_trace(
+    #[expect(clippy::too_many_arguments, reason = "writes straight into the FTQ")]
+    pub(crate) fn predict_trace(
         &mut self,
         thread: ThreadId,
         pc: Addr,
@@ -156,59 +153,29 @@ impl TraceCache {
                     });
                 }
             }
-            None => out.push_back(self.predict_block(thread, pc, spec, program, width)),
-        }
-    }
-}
-
-impl FrontEnd for TraceCache {
-    fn kind(&self) -> FetchEngineKind {
-        FetchEngineKind::TraceCache
-    }
-
-    fn history_bits(&self) -> u32 {
-        15
-    }
-
-    fn predict_block(
-        &mut self,
-        thread: ThreadId,
-        pc: Addr,
-        spec: &mut SpecState,
-        program: &Program,
-        width: u32,
-    ) -> PredictedBlock {
-        let meta = BlockMeta::capture(spec);
-        let block = classic_block(
-            &mut self.gshare,
-            &mut self.btb,
-            thread,
-            pc,
-            spec,
-            program,
-            width,
-        );
-        PredictedBlock {
-            block,
-            meta,
-            trace_group: None,
+            None => {
+                let meta = BlockMeta::capture(spec);
+                let block = classic_block(
+                    &mut self.gshare,
+                    &mut self.btb,
+                    thread,
+                    pc,
+                    spec,
+                    program,
+                    width,
+                );
+                out.push_back(PredictedBlock {
+                    block,
+                    meta,
+                    trace_group: None,
+                });
+            }
         }
     }
 
-    fn predict_blocks_into(
-        &mut self,
-        thread: ThreadId,
-        pc: Addr,
-        spec: &mut SpecState,
-        program: &Program,
-        width: u32,
-        max_blocks: usize,
-        out: &mut VecDeque<PredictedBlock>,
-    ) {
-        self.predict_trace(thread, pc, spec, program, width, max_blocks.max(1), out);
-    }
-
-    fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
+    /// Trains the core fetch unit with a committed branch predicted under
+    /// `hist` in the block `info` describes.
+    pub fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
         // The core fetch unit trains like gshare+BTB; the trace cache
         // itself and the multiple-branch predictor are trained by the fill
         // unit at commit.
@@ -222,12 +189,11 @@ impl FrontEnd for TraceCache {
         }
     }
 
-    fn trace_fill_commit(
-        &mut self,
-        fill: &mut TraceFillBuffer,
-        di: &DynInst,
-        commit_hist_end: u64,
-    ) {
+    /// Feeds one committed instruction to the fill unit, into the buffer
+    /// of its thread. `commit_hist_end` is the thread's committed
+    /// end-conditional history *before* this instruction.
+    pub fn fill_commit(&mut self, di: &DynInst, commit_hist_end: u64) {
+        let fill = &mut self.fill[di.thread];
         if fill.entries.is_empty() {
             fill.start_hist = commit_hist_end;
             fill.taken_branches = 0;
@@ -278,8 +244,8 @@ impl FrontEnd for TraceCache {
         // Train the multiple-branch predictor with the observed direction
         // vector, using the same (start + i, incremental history) indexing
         // the predictor is consulted with.
-        let mut h = GlobalHistory::new(15);
-        for i in (0..15u32).rev() {
+        let mut h = GlobalHistory::new(Self::HIST_BITS);
+        for i in (0..Self::HIST_BITS).rev() {
             h.push((start_hist >> i) & 1 == 1);
         }
         for (i, &d) in cond_dirs.iter().enumerate().take(3) {
@@ -291,10 +257,6 @@ impl FrontEnd for TraceCache {
             cond_dirs,
             next_pc,
         });
-    }
-
-    fn repair(&mut self, spec: &mut SpecState, info: &BranchInfo, meta: &BlockMeta, di: &DynInst) {
-        repair_spec(spec, info, meta, di, true);
     }
 }
 
@@ -324,7 +286,7 @@ mod tests {
         max_blocks: usize,
     ) -> VecDeque<PredictedBlock> {
         let mut out = VecDeque::new();
-        e.predict_blocks_into(0, pc, spec, prog, width, max_blocks, &mut out);
+        e.predict_trace(0, pc, spec, prog, width, max_blocks, &mut out);
         out
     }
 
@@ -332,7 +294,7 @@ mod tests {
     fn misses_fall_back_to_core_fetch() {
         let prog = program();
         let mut e = engine();
-        let mut spec = SpecState::new(e.history_bits(), prog.entry());
+        let mut spec = SpecState::new(TraceCache::HIST_BITS, prog.entry());
         let pbs = predict_blocks(&mut e, prog.entry(), &mut spec, &prog, 16, 4);
         assert_eq!(pbs.len(), 1, "cold trace cache must fall back");
         assert!(pbs[0].trace_group.is_none());
@@ -346,7 +308,6 @@ mod tests {
         let mut e = engine();
         // Commit a synthetic trace through the fill unit: 6 sequential
         // instructions, a taken cond, then 5 more and a taken jump.
-        let mut fill = TraceFillBuffer::default();
         let base = prog.entry();
         let mk = |pc: Addr, class: InstClass, taken: bool, next: Addr| DynInst {
             thread: 0,
@@ -362,54 +323,33 @@ mod tests {
         };
         for i in 0..5u64 {
             let pc = base.add_insts(i);
-            e.trace_fill_commit(
-                &mut fill,
-                &mk(pc, InstClass::IntAlu, false, pc.add_insts(1)),
-                0,
-            );
+            e.fill_commit(&mk(pc, InstClass::IntAlu, false, pc.add_insts(1)), 0);
         }
         let br = base.add_insts(5);
         let tgt = base.add_insts(40);
-        e.trace_fill_commit(
-            &mut fill,
-            &mk(br, InstClass::Branch(BranchKind::Cond), true, tgt),
-            0,
-        );
+        e.fill_commit(&mk(br, InstClass::Branch(BranchKind::Cond), true, tgt), 0);
         for i in 0..4u64 {
             let pc = tgt.add_insts(i);
-            e.trace_fill_commit(
-                &mut fill,
-                &mk(pc, InstClass::IntAlu, false, pc.add_insts(1)),
-                0,
-            );
+            e.fill_commit(&mk(pc, InstClass::IntAlu, false, pc.add_insts(1)), 0);
         }
         let br2 = tgt.add_insts(4);
         let tgt2 = base.add_insts(80);
-        e.trace_fill_commit(
-            &mut fill,
-            &mk(br2, InstClass::Branch(BranchKind::Jump), true, tgt2),
-            0,
-        );
+        e.fill_commit(&mk(br2, InstClass::Branch(BranchKind::Jump), true, tgt2), 0);
         // Keep feeding to force a close on the 3rd taken branch (15 insts
         // total, under the 16-instruction line limit).
         for i in 0..3u64 {
             let pc = tgt2.add_insts(i);
-            e.trace_fill_commit(
-                &mut fill,
-                &mk(pc, InstClass::IntAlu, false, pc.add_insts(1)),
-                0,
-            );
+            e.fill_commit(&mk(pc, InstClass::IntAlu, false, pc.add_insts(1)), 0);
         }
         let br3 = tgt2.add_insts(3);
-        e.trace_fill_commit(
-            &mut fill,
-            &mk(br3, InstClass::Branch(BranchKind::Jump), true, base),
-            0,
+        e.fill_commit(&mk(br3, InstClass::Branch(BranchKind::Jump), true, base), 0);
+        assert!(
+            e.fill[0].entries.is_empty(),
+            "third taken branch must close the trace"
         );
-        assert!(fill.is_empty(), "third taken branch must close the trace");
 
         // The filled trace is now fetchable in one multi-block prediction.
-        let mut spec = SpecState::new(e.history_bits(), base);
+        let mut spec = SpecState::new(TraceCache::HIST_BITS, base);
         let pbs = predict_blocks(&mut e, base, &mut spec, &prog, 16, 4);
         assert!(pbs.len() >= 2, "trace hit must emit its segments");
         let group = pbs[0].trace_group.expect("trace blocks carry a group");

@@ -11,9 +11,10 @@
 //! * **2.X** (Figure 3) — simultaneous sharing: two threads per cycle,
 //!   with dual predictor ports, bank-conflict logic and a merge network.
 //!
-//! Front-ends: gshare+BTB (baseline), gskew+FTB, and the stream fetch unit
-//! ([`FetchEngineKind`]), all implementations of the pluggable [`FrontEnd`]
-//! trait. Thread priority: ICOUNT or round-robin ([`FetchPolicy`]).
+//! Front-ends: gshare+BTB (baseline), gskew+FTB, the stream fetch unit and
+//! a trace-cache comparator ([`FetchEngineKind`]), the four arms of the
+//! [`FrontEnd`] enum. Thread priority: ICOUNT or round-robin
+//! ([`FetchPolicy`]).
 //!
 //! # Example
 //!
@@ -46,8 +47,8 @@ pub use config::{
     FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, PredictorConfig, SimConfig,
 };
 pub use frontend::{
-    AnyFrontEnd, BlockMeta, BranchInfo, FrontEnd, FrontEndEntry, GshareBtb, GskewFtb,
-    PredictedBlock, SpecState, Stream, TraceCache, TraceFillBuffer, FRONT_ENDS, LINE_BYTES,
+    BlockMeta, BranchInfo, FrontEnd, GshareBtb, GskewFtb, PredictedBlock, SpecState, Stream,
+    TraceCache, LINE_BYTES,
 };
 pub use metrics::StallBreakdown;
 pub use metrics::{FetchDistribution, SimStats};

@@ -30,9 +30,6 @@ impl PipelineStage for CommitStage {
         let mut budget = ctx.cfg.commit_width;
         #[expect(clippy::cast_possible_truncation, reason = "remainder < n, a usize")]
         let start = (ctx.cycle % n as u64) as usize;
-        // Only the trace cache's fill unit consumes committed instructions;
-        // skip the per-instruction buffer shuffle entirely for the others.
-        let trace_fill_active = matches!(ctx.frontend, crate::frontend::AnyFrontEnd::TraceCache(_));
         for k in 0..n {
             let tid = if start + k >= n {
                 start + k - n
@@ -73,12 +70,9 @@ impl PipelineStage for CommitStage {
                     ctx.mem.store(addr, now);
                 }
 
-                // Trace-cache fill unit (no-op for other engines).
-                if trace_fill_active {
-                    let hist_end = ctx.threads[tid].commit_hist_end;
-                    let mut fill = std::mem::take(&mut ctx.threads[tid].trace_fill);
-                    ctx.frontend.trace_fill_commit(&mut fill, &di, hist_end);
-                    ctx.threads[tid].trace_fill = fill;
+                // Trace-cache fill unit.
+                if let FrontEnd::TraceCache(tc) = &mut ctx.frontend {
+                    tc.fill_commit(&di, ctx.threads[tid].commit_hist_end);
                 }
                 if di.is_cond_branch() && binfo.map(|b| b.is_end).unwrap_or(false) {
                     let th = &mut ctx.threads[tid];
@@ -118,15 +112,17 @@ impl PipelineStage for CommitStage {
                             let th = &ctx.threads[tid];
                             (th.commit_stream_start, th.cpath, th.commit_stream_len)
                         };
-                        ctx.frontend.train_commit(
-                            start_addr,
-                            &path,
-                            ObservedStream {
-                                len,
-                                kind,
-                                target: di.next_pc,
-                            },
-                        );
+                        if let FrontEnd::Stream(s) = &mut ctx.frontend {
+                            s.train_commit(
+                                start_addr,
+                                &path,
+                                ObservedStream {
+                                    len,
+                                    kind,
+                                    target: di.next_pc,
+                                },
+                            );
+                        }
                         let th = &mut ctx.threads[tid];
                         th.cpath.push(start_addr);
                         th.commit_stream_start = di.next_pc;

@@ -16,7 +16,7 @@ use smt_isa::{inst_idx, InstClass, MAX_THREADS};
 use smt_mem::FetchOutcome;
 
 use crate::config::LongLatencyAction;
-use crate::frontend::{BranchInfo, FrontEnd, LINE_BYTES};
+use crate::frontend::{BranchInfo, LINE_BYTES};
 use crate::window::InFlightCtl;
 
 use super::sched::{EventHorizon, SkipReason};

@@ -25,7 +25,7 @@ use smt_isa::{inst_idx, Addr, Cycle, InstClass, Presized, MAX_THREADS};
 use smt_mem::MemoryHierarchy;
 
 use crate::config::{LongLatencyAction, PolicyKind, SimConfig};
-use crate::frontend::AnyFrontEnd;
+use crate::frontend::FrontEnd;
 use crate::metrics::SimStats;
 use crate::thread::ThreadState;
 use crate::window::PhysReg;
@@ -196,7 +196,7 @@ impl BankSet {
 #[derive(Clone, Debug)]
 pub(crate) struct PipelineCtx {
     pub(crate) cfg: SimConfig,
-    pub(crate) frontend: AnyFrontEnd,
+    pub(crate) frontend: FrontEnd,
     pub(crate) threads: Vec<ThreadState>,
     pub(crate) mem: MemoryHierarchy,
     pub(crate) cycle: Cycle,

@@ -14,8 +14,6 @@
 
 use smt_isa::{inst_idx, RegClass};
 
-use crate::frontend::FrontEnd;
-
 use super::sched::{EventHorizon, SkipReason};
 use super::{PipelineCtx, PipelineStage};
 

@@ -34,7 +34,6 @@ use super::{
     PipelineCtx, PipelineStage, STALL_DCACHE_MISS, STALL_FETCH_STARVED, STALL_ICACHE_MISS,
     STALL_ROB_FULL,
 };
-use crate::frontend::FrontEnd;
 use crate::sim::Simulator;
 
 /// Why the scheduler skipped: the classification of the binding (earliest)
@@ -179,17 +178,13 @@ impl Simulator {
         if ev.acted() {
             return 0;
         }
-        // The memory model and front-end engine report their own horizons:
-        // pending MSHR fills on either side, and (for future push-driven
-        // engines) any self-scheduled predictor event. Both are conservative
-        // bounds — an expiry that enables no stage merely splits the skip,
-        // and the re-derived classification charges the remainder
-        // identically.
+        // The memory model reports its own horizon: pending MSHR fills on
+        // either side. It is a conservative bound — an expiry that enables
+        // no stage merely splits the skip, and the re-derived classification
+        // charges the remainder identically. The front-end engines need no
+        // horizon: their tables only move inside predict/train calls.
         if let Some(at) = ctx.mem.next_event(ctx.cycle) {
             ev.event(at, SkipReason::MemWait);
-        }
-        if let Some(at) = ctx.frontend.next_event(ctx.cycle) {
-            ev.event(at, SkipReason::PolicyIdle);
         }
         apply(&mut self.ctx, &ev, max)
     }

@@ -28,7 +28,7 @@ use smt_mem::MemoryHierarchy;
 use smt_workloads::Program;
 
 use crate::config::{FetchEngineKind, FetchPolicy, SimConfig};
-use crate::frontend::{AnyFrontEnd, FrontEnd};
+use crate::frontend::FrontEnd;
 use crate::metrics::SimStats;
 use crate::pipeline::{
     attribute_stalls, CommitStage, DecodeStage, DispatchStage, FetchStage, FrontFifo, IssueStage,
@@ -197,8 +197,8 @@ impl Simulator {
         if smt_isa::has_errors(&diags) {
             return Err(BuildError::InvalidConfig(diags));
         }
-        let frontend = AnyFrontEnd::build(engine_kind, &cfg)
-            .map_err(|d| BuildError::InvalidConfig(vec![d]))?;
+        let frontend =
+            FrontEnd::build(engine_kind, &cfg).map_err(|d| BuildError::InvalidConfig(vec![d]))?;
         let hist_bits = frontend.history_bits();
 
         let total_regs = (cfg.regs_int + cfg.regs_fp) as usize;
@@ -294,7 +294,7 @@ impl Simulator {
     }
 
     /// The fetch engine itself (predictor structures and their statistics).
-    pub fn front_end(&self) -> &AnyFrontEnd {
+    pub fn front_end(&self) -> &FrontEnd {
         &self.ctx.frontend
     }
 
@@ -411,7 +411,7 @@ mod tests {
         assert_eq!(s.num_threads(), 2);
         assert_eq!(s.config().fetch_policy.width, 16);
         assert_eq!(s.cycle(), 0);
-        assert!(matches!(s.front_end(), AnyFrontEnd::Stream(_)));
+        assert!(matches!(s.front_end(), FrontEnd::Stream(_)));
     }
 
     #[test]

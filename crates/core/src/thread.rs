@@ -8,7 +8,7 @@ use smt_bpred::StreamPath;
 use smt_isa::{Addr, Cycle, InstIdx, Presized, ThreadId};
 use smt_workloads::{Program, Walker};
 
-use crate::frontend::{BlockMeta, PredictedBlock, SpecState, TraceFillBuffer};
+use crate::frontend::{BlockMeta, PredictedBlock, SpecState};
 use crate::window::{PhysReg, Window};
 
 /// All per-thread state.
@@ -59,8 +59,6 @@ pub struct ThreadState {
     /// Committed end-conditional history (mirrors the speculative history
     /// discipline: only block-ending conditionals shift in).
     pub commit_hist_end: u64,
-    /// Trace-cache fill unit state (unused by other engines).
-    pub trace_fill: TraceFillBuffer,
     /// Under STALL/FLUSH policies: fetch is gated until this cycle because
     /// a long-latency load is outstanding.
     pub mem_stall_until: Option<Cycle>,
@@ -105,7 +103,6 @@ impl ThreadState {
             commit_stream_len: 0,
             commit_hist: 0,
             commit_hist_end: 0,
-            trace_fill: TraceFillBuffer::default(),
             mem_stall_until: None,
             outstanding_misses: Presized::default(),
             meta_ring: Vec::new(),

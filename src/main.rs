@@ -31,7 +31,7 @@ use smtfetch::workloads::{Workload, WorkloadClass};
 struct Options {
     workload: String,
     engine: FetchEngineKind,
-    policy_kind: String,
+    policy_kind: PolicyKind,
     threads_per_cycle: u32,
     width: u32,
     stall: bool,
@@ -47,7 +47,7 @@ impl Default for Options {
         Options {
             workload: "2_MIX".to_string(),
             engine: FetchEngineKind::Stream,
-            policy_kind: "icount".to_string(),
+            policy_kind: PolicyKind::Icount,
             threads_per_cycle: 1,
             width: 16,
             stall: false,
@@ -60,16 +60,6 @@ impl Default for Options {
     }
 }
 
-fn parse_engine(s: &str) -> Result<FetchEngineKind, String> {
-    match s {
-        "gshare" | "gshare+btb" => Ok(FetchEngineKind::GshareBtb),
-        "ftb" | "gskew" | "gskew+ftb" => Ok(FetchEngineKind::GskewFtb),
-        "stream" => Ok(FetchEngineKind::Stream),
-        "tc" | "trace" | "tracecache" => Ok(FetchEngineKind::TraceCache),
-        other => Err(format!("unknown engine `{other}` (gshare|ftb|stream|tc)")),
-    }
-}
-
 fn parse_args() -> Result<Options, String> {
     let mut o = Options::default();
     let mut args = std::env::args().skip(1);
@@ -77,8 +67,16 @@ fn parse_args() -> Result<Options, String> {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
             "--workload" | "-w" => o.workload = value("--workload")?,
-            "--engine" | "-e" => o.engine = parse_engine(&value("--engine")?)?,
-            "--policy" | "-p" => o.policy_kind = value("--policy")?,
+            "--engine" | "-e" => {
+                o.engine = value("--engine")?
+                    .parse()
+                    .map_err(|d| format!("invalid fetch engine:\n  {d}"))?
+            }
+            "--policy" | "-p" => {
+                o.policy_kind = value("--policy")?
+                    .parse()
+                    .map_err(|d| format!("invalid fetch policy:\n  {d}"))?
+            }
             "--threads-per-cycle" | "-n" => {
                 o.threads_per_cycle = value("-n")?.parse().map_err(|e| format!("-n: {e}"))?
             }
@@ -167,15 +165,8 @@ fn resolve_workload(name: &str) -> Result<Workload, String> {
 /// would panic on a bad `-n` or `--width` before the validator could
 /// reject it with a diagnostic (`E0004`).
 fn build_policy(o: &Options, threads: usize) -> Result<FetchPolicy, String> {
-    let kind = match o.policy_kind.as_str() {
-        "icount" => PolicyKind::Icount,
-        "rr" | "roundrobin" => PolicyKind::RoundRobin,
-        "brcount" => PolicyKind::BrCount,
-        "misscount" => PolicyKind::MissCount,
-        other => return Err(format!("unknown policy `{other}`")),
-    };
     let mut policy = FetchPolicy {
-        kind,
+        kind: o.policy_kind,
         threads_per_cycle: o.threads_per_cycle,
         width: o.width,
         long_latency: LongLatencyAction::None,

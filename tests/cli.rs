@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use smtfetch::core::{FetchEngineKind, PolicyKind};
+
 #[test]
 fn malformed_fetch_policy_exits_2_without_panicking() {
     for args in [&["--width", "0"][..], &["-n", "0"], &["-n", "3"]] {
@@ -18,6 +20,39 @@ fn malformed_fetch_policy_exits_2_without_panicking() {
             "{args:?}: no diagnostic:\n{stderr}"
         );
     }
+}
+
+#[test]
+fn unknown_engine_or_policy_name_exits_2_without_panicking() {
+    for (args, code) in [
+        (["--engine", "frobnicator"], "E0016"),
+        (["--policy", "frobnicator"], "E0017"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_smtfetch"))
+            .args(args)
+            .output()
+            .expect("run smtfetch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+        assert!(stderr.contains(code), "{args:?}: no {code}:\n{stderr}");
+    }
+}
+
+#[test]
+fn cli_spellings_parse_through_from_str() {
+    assert_eq!(
+        "gshare".parse::<FetchEngineKind>().ok(),
+        Some(FetchEngineKind::GshareBtb)
+    );
+    assert_eq!(
+        "tc".parse::<FetchEngineKind>().ok(),
+        Some(FetchEngineKind::TraceCache)
+    );
+    assert_eq!(
+        "rr".parse::<PolicyKind>().ok(),
+        Some(PolicyKind::RoundRobin)
+    );
 }
 
 #[test]

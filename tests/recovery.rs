@@ -4,10 +4,9 @@
 //!
 //! 1. **Behavior digests** — a seeded call-heavy workload (calls/returns
 //!    exercise the RAS-repair path hard) is simulated under every fetch
-//!    engine and its whole-run counters are pinned as literals. These
-//!    digests were captured *before* the `Engine` enum was ported to the
-//!    `FrontEnd` trait, so the port provably preserves squash/repair
-//!    behavior cycle for cycle.
+//!    engine and its whole-run counters are pinned as literals, so any
+//!    refactor of the `FrontEnd` enum or of squash/repair must preserve
+//!    their behavior cycle for cycle.
 //! 2. **Spec-state recovery** — for each engine, enrich the speculative
 //!    state, checkpoint it, run wrong-path predictions past the checkpoint,
 //!    then `repair` with a synthetic resolved outcome and assert the state
@@ -97,11 +96,21 @@ mod spec_state {
     //! for predicted conditionals, RAS push/pop and stream-close only for
     //! taken control transfers).
 
+    use std::collections::VecDeque;
+
     use smtfetch::core::{
-        AnyFrontEnd, BranchInfo, FetchEngineKind, FetchPolicy, FrontEnd, SimConfig, SpecState,
+        BranchInfo, FetchEngineKind, FetchPolicy, FrontEnd, PredictedBlock, SimConfig, SpecState,
     };
     use smtfetch::isa::{Addr, BranchKind, DynInst, InstClass};
-    use smtfetch::workloads::Srng;
+    use smtfetch::workloads::{Program, Srng};
+
+    /// One 8-wide prediction from `pc` (a single block, even on a trace
+    /// hit).
+    fn predict(e: &mut FrontEnd, pc: Addr, spec: &mut SpecState, prog: &Program) -> PredictedBlock {
+        let mut out = VecDeque::new();
+        e.predict_blocks_into(0, pc, spec, prog, 8, 1, &mut out);
+        out.pop_back().expect("one block per prediction")
+    }
 
     #[test]
     fn mid_burst_repair_matches_reconstructed_reference() {
@@ -114,14 +123,14 @@ mod spec_state {
         {
             for case in 0..48u64 {
                 let mut rng = Srng::new(0x5EC0 ^ (case << 4) ^ k as u64);
-                let mut e = AnyFrontEnd::hpca2004(kind, &cfg);
+                let mut e = FrontEnd::hpca2004(kind, &cfg);
                 let mut spec = SpecState::new(e.history_bits(), prog.entry());
                 let mut pc = prog.entry();
 
                 // Enrich: a burst of real predictions down the engine's own
                 // predicted path (calls/returns exercise the RAS).
                 for _ in 0..4 + rng.range(0, 48) {
-                    let pb = e.predict_block(0, pc, &mut spec, prog, 8);
+                    let pb = predict(&mut e, pc, &mut spec, prog);
                     pc = if pb.block.next_fetch.is_null() {
                         pb.block.end()
                     } else {
@@ -136,7 +145,7 @@ mod spec_state {
                 let start_ref = spec.stream_start;
                 let ras_depth_ref = spec.ras.depth();
                 let ras_top_ref = spec.ras.peek();
-                let pb = e.predict_block(0, pc, &mut spec, prog, 8);
+                let pb = predict(&mut e, pc, &mut spec, prog);
                 let meta = pb.meta;
                 assert_eq!(meta.hist, hist_ref, "{kind} case {case}: hist checkpoint");
                 assert_eq!(meta.path, path_ref, "{kind} case {case}: path checkpoint");
@@ -148,7 +157,7 @@ mod spec_state {
                 // Keep speculating past the checkpoint — all wrong path.
                 let mut wpc = pb.block.next_fetch;
                 for _ in 0..1 + rng.range(0, 6) {
-                    let p = e.predict_block(0, wpc, &mut spec, prog, 8);
+                    let p = predict(&mut e, wpc, &mut spec, prog);
                     wpc = if p.block.next_fetch.is_null() {
                         p.block.end()
                     } else {
