@@ -339,22 +339,6 @@ impl Simulator {
         &self.ctx.stats
     }
 
-    /// Runs until `n` total instructions have committed (or `max_cycles`
-    /// elapse), returning the cumulative statistics (borrowed, like
-    /// [`Simulator::run_cycles`]).
-    pub fn run_insts(&mut self, n: u64, max_cycles: u64) -> &SimStats {
-        let start = self.ctx.cycle;
-        while self.ctx.stats.total_committed() < n && self.ctx.cycle - start < max_cycles {
-            // Nothing commits during an idle window, so fast-forwarding up
-            // to the cycle budget can never overshoot the instruction goal.
-            let budget = max_cycles - (self.ctx.cycle - start);
-            if self.fast_forward(budget) == 0 {
-                self.step();
-            }
-        }
-        &self.ctx.stats
-    }
-
     /// Advances the machine one cycle.
     pub fn step(&mut self) {
         let ctx = &mut self.ctx;

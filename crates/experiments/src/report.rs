@@ -89,25 +89,48 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Renders a markdown table of the given columns (for EXPERIMENTS.md).
+pub fn render_markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = format!(
+        "| {} |\n|{}\n",
+        headers.join(" | "),
+        "---|".repeat(headers.len())
+    );
+    for row in rows {
+        out.push_str(&format!("| {} |\n", row.join(" | ")));
+    }
+    out
+}
+
 /// Renders results as a markdown table with IPFC and IPC columns
 /// (for EXPERIMENTS.md).
 pub fn render_markdown(results: &[RunResult]) -> String {
-    let mut out = String::new();
-    out.push_str("| workload | policy | engine | IPFC | IPC | branch acc | wrong-path |\n");
-    out.push_str("|---|---|---|---|---|---|---|\n");
-    for r in results {
-        out.push_str(&format!(
-            "| {} | {} | {} | {:.2} | {:.2} | {:.1}% | {:.1}% |\n",
-            r.workload,
-            r.policy,
-            r.engine,
-            r.ipfc,
-            r.ipc,
-            r.branch_accuracy * 100.0,
-            r.wrong_path * 100.0
-        ));
-    }
-    out
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .map(|r| {
+            vec![
+                r.workload.clone(),
+                r.policy.clone(),
+                r.engine.clone(),
+                format!("{:.2}", r.ipfc),
+                format!("{:.2}", r.ipc),
+                format!("{:.1}%", r.branch_accuracy * 100.0),
+                format!("{:.1}%", r.wrong_path * 100.0),
+            ]
+        })
+        .collect();
+    render_markdown_table(
+        &[
+            "workload",
+            "policy",
+            "engine",
+            "IPFC",
+            "IPC",
+            "branch acc",
+            "wrong-path",
+        ],
+        &rows,
+    )
 }
 
 /// Renders the per-thread stall attribution of a run as an aligned table:

@@ -1,9 +1,7 @@
 //! Running simulator configurations and collecting results.
 
-use std::sync::Arc;
-
-use smt_core::{FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats, Simulator};
-use smt_workloads::{Program, Workload};
+use smt_core::{FetchEngineKind, FetchPolicy, SimBuilder, SimConfig, SimStats};
+use smt_workloads::Workload;
 
 use crate::sweep::sweep_indexed;
 
@@ -106,6 +104,11 @@ impl RunResult {
         policy: FetchPolicy,
         s: &SimStats,
     ) -> Self {
+        let per_thread_ipc: Vec<f64> = (0..workload.num_threads())
+            .map(|t| s.committed[t] as f64 / s.cycles.max(1) as f64)
+            .collect();
+        let max = per_thread_ipc.iter().cloned().fold(0.0, f64::max);
+        let min = per_thread_ipc.iter().cloned().fold(f64::INFINITY, f64::min);
         RunResult {
             workload: workload.name().to_string(),
             engine: engine.to_string(),
@@ -118,21 +121,8 @@ impl RunResult {
             frac_ge8: s.distribution.frac_at_least(8),
             frac_eq8: s.distribution.frac_exactly(8),
             frac_ge16: s.distribution.frac_at_least(16),
-            per_thread_ipc: (0..workload.num_threads())
-                .map(|t| s.committed[t] as f64 / s.cycles.max(1) as f64)
-                .collect(),
-            fairness: {
-                let per: Vec<f64> = (0..workload.num_threads())
-                    .map(|t| s.committed[t] as f64 / s.cycles.max(1) as f64)
-                    .collect();
-                let max = per.iter().cloned().fold(0.0, f64::max);
-                let min = per.iter().cloned().fold(f64::INFINITY, f64::min);
-                if max > 0.0 {
-                    min / max
-                } else {
-                    0.0
-                }
-            },
+            per_thread_ipc,
+            fairness: if max > 0.0 { min / max } else { 0.0 },
         }
     }
 }
@@ -140,53 +130,12 @@ impl RunResult {
 /// The seed every experiment uses (reproducibility).
 pub const EXP_SEED: u64 = 2004;
 
-/// Builds a simulator warmed past `warmup_cycles` with statistics reset,
-/// ready for the measurement phase.
-fn warmed_simulator(
-    programs: Vec<Arc<Program>>,
-    engine: FetchEngineKind,
-    cfg: &SimConfig,
-    warmup_cycles: u64,
-) -> Simulator {
-    #[expect(clippy::expect_used, reason = "validated config, 1..=8 threads")]
-    let mut sim = SimBuilder::new_shared(programs)
-        .fetch_engine(engine)
-        .config(cfg.clone())
-        .build()
-        .expect("1..=8 threads and a validated config");
-    sim.run_cycles(warmup_cycles);
-    sim.reset_stats();
-    sim
-}
-
-/// The shared body of [`run`] / [`run_with_config`]: preflight, warm up,
-/// measure, report.
-fn run_measured(
-    workload: &Workload,
-    engine: FetchEngineKind,
-    cfg: SimConfig,
-    len: RunLength,
-) -> RunResult {
-    let policy = cfg.fetch_policy;
-    preflight(&cfg, workload.num_threads());
-    // Shared programs: every sweep cell for this workload reuses the same
-    // cached `Arc<Program>`s instead of re-synthesising them per cell.
-    #[expect(clippy::expect_used, reason = "table 2 workloads always build")]
-    let programs = workload
-        .programs_shared(EXP_SEED)
-        .expect("table 2 workloads always build");
-    let mut sim = warmed_simulator(programs, engine, &cfg, len.warmup_cycles);
-    // Borrowed stats: sweeps summarize each cell without copying SimStats.
-    let stats = sim.run_cycles(len.measure_cycles);
-    RunResult::from_stats(workload, engine, policy, stats)
-}
-
 /// Validates `cfg` for `threads` hardware contexts, printing every
 /// diagnostic (warnings included) to stderr.
 ///
 /// Exits the process with status 2 when the configuration has errors:
-/// experiment binaries run this — directly and through [`run`] /
-/// [`run_with_config`] — before any cycle is simulated, so a bad
+/// every experiment runs this through [`run`] / [`run_with_config`] before
+/// any cycle is simulated, so a bad
 /// configuration fails fast with stable diagnostic codes instead of
 /// producing garbage numbers.
 pub fn preflight(cfg: &SimConfig, threads: usize) {
@@ -201,15 +150,15 @@ pub fn preflight(cfg: &SimConfig, threads: usize) {
 }
 
 /// [`preflight`] for the Table 3 default configuration at every hardware
-/// thread count — the one-line sanity gate each experiment binary runs
-/// first.
+/// thread count — the one-line sanity gate the `all` binary runs first.
 pub fn preflight_default() {
     for threads in 1..=smt_isa::MAX_THREADS {
         preflight(&SimConfig::default(), threads);
     }
 }
 
-/// Runs one `(workload, engine, policy)` configuration.
+/// Runs one `(workload, engine, policy)` configuration on the Table 3
+/// machine ([`SimConfig::hpca2004`]).
 ///
 /// # Panics
 ///
@@ -221,14 +170,11 @@ pub fn run(
     policy: FetchPolicy,
     len: RunLength,
 ) -> RunResult {
-    let cfg = SimConfig {
-        fetch_policy: policy,
-        ..SimConfig::default()
-    };
-    run_measured(workload, engine, cfg, len)
+    run_with_config(workload, engine, SimConfig::hpca2004(policy), len)
 }
 
-/// Runs one configuration with a fully custom [`smt_core::SimConfig`].
+/// Runs one configuration with a fully custom [`SimConfig`]: preflight,
+/// warm up, reset statistics, measure, report.
 ///
 /// # Panics
 ///
@@ -236,10 +182,28 @@ pub fn run(
 pub fn run_with_config(
     workload: &Workload,
     engine: FetchEngineKind,
-    cfg: smt_core::SimConfig,
+    cfg: SimConfig,
     len: RunLength,
 ) -> RunResult {
-    run_measured(workload, engine, cfg, len)
+    let policy = cfg.fetch_policy;
+    preflight(&cfg, workload.num_threads());
+    // Shared programs: every sweep cell for this workload reuses the same
+    // cached `Arc<Program>`s instead of re-synthesising them per cell.
+    #[expect(clippy::expect_used, reason = "table 2 workloads always build")]
+    let programs = workload
+        .programs_shared(EXP_SEED)
+        .expect("table 2 workloads always build");
+    #[expect(clippy::expect_used, reason = "validated config, 1..=8 threads")]
+    let mut sim = SimBuilder::new_shared(programs)
+        .fetch_engine(engine)
+        .config(cfg)
+        .build()
+        .expect("1..=8 threads and a validated config");
+    sim.run_cycles(len.warmup_cycles);
+    sim.reset_stats();
+    // Borrowed stats: sweeps summarize each cell without copying SimStats.
+    let stats = sim.run_cycles(len.measure_cycles);
+    RunResult::from_stats(workload, engine, policy, stats)
 }
 
 /// Runs the full cross product `workloads × policies × engines` in
