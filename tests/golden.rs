@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use smtfetch::core::{FetchEngineKind, FetchPolicy, SimBuilder, SimStats, Simulator};
-use smtfetch::experiments::{run, run_matrix, RunLength, RunResult};
+use smtfetch::experiments::{run, run_matrix, sweep_indexed, RunLength, RunResult, EXP_SEED};
 use smtfetch::workloads::Workload;
 
 /// Every family runs at the same fixed length; golden files embed results
@@ -61,11 +61,16 @@ fn render(results: &[RunResult]) -> String {
 /// Compares `results` against `tests/golden/<family>.txt`, or rewrites the
 /// snapshot when `SMT_BLESS=1` is set.
 fn check(family: &str, results: &[RunResult]) {
-    let got = render(results);
+    check_text(family, &render(results));
+}
+
+/// Compares the rendered `got` against `tests/golden/<family>.txt`, or
+/// rewrites the snapshot when `SMT_BLESS=1` is set.
+fn check_text(family: &str, got: &str) {
     let path = golden_dir().join(format!("{family}.txt"));
     if blessing() {
         std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        std::fs::write(&path, &got).expect("write golden snapshot");
+        std::fs::write(&path, got).expect("write golden snapshot");
         eprintln!("blessed {}", path.display());
         return;
     }
@@ -92,6 +97,59 @@ fn check(family: &str, results: &[RunResult]) {
             path = path.display(),
         )
     }
+}
+
+/// Pins every `SimStats` field, not just the headline metrics: the stall
+/// buckets, skip counters, flushes, bank conflicts, buffer stalls and the
+/// fetch distribution all go through `Debug`, so a field added later joins
+/// the snapshot automatically. The matrix covers every engine (trace cache
+/// included) under a 1.X and a 2.X ICOUNT policy, every other priority
+/// scheme, and STALL/FLUSH on the memory-bound mix, where FLUSH must fire
+/// and the event-driven scheduler must skip.
+#[test]
+fn golden_simstats_family() {
+    let mut cells: Vec<(Workload, FetchEngineKind, FetchPolicy)> = Vec::new();
+    for engine in FetchEngineKind::all_with_trace_cache() {
+        for policy in [FetchPolicy::icount(1, 8), FetchPolicy::icount(2, 8)] {
+            cells.push((Workload::mix2(), engine, policy));
+        }
+    }
+    for policy in [
+        FetchPolicy::round_robin(2, 8),
+        FetchPolicy::br_count(2, 8),
+        FetchPolicy::miss_count(2, 8),
+    ] {
+        cells.push((Workload::mix2(), FetchEngineKind::GskewFtb, policy));
+    }
+    for policy in [
+        FetchPolicy::icount(2, 8).with_stall(),
+        FetchPolicy::icount(2, 8).with_flush(),
+    ] {
+        cells.push((Workload::mem2(), FetchEngineKind::GshareBtb, policy));
+    }
+    let stats = sweep_indexed(cells.len(), |i| {
+        let (workload, engine, policy) = &cells[i];
+        let mut sim = SimBuilder::new_shared(workload.programs_shared(EXP_SEED).expect("programs"))
+            .fetch_engine(*engine)
+            .fetch_policy(*policy)
+            .build()
+            .expect("valid configuration");
+        sim.run_cycles(LEN.warmup_cycles);
+        sim.reset_stats();
+        sim.run_cycles(LEN.measure_cycles).clone()
+    });
+    let mut got = String::new();
+    for ((workload, engine, policy), s) in cells.iter().zip(&stats) {
+        writeln!(got, "{} | {engine} | {policy} | {s:?}", workload.name())
+            .expect("writing to a String cannot fail");
+    }
+    let mem = &stats[stats.len() - 2..];
+    assert!(mem[1].flushes > 0, "FLUSH never fired");
+    assert!(
+        mem.iter().all(|s| s.skipped_cycles() > 0),
+        "the scheduler never skipped under STALL/FLUSH"
+    );
+    check_text("simstats_family", &got);
 }
 
 #[test]
