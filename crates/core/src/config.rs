@@ -454,6 +454,17 @@ impl SimConfig {
         }
     }
 
+    /// Issue-queue capacities in the pipeline's queue order: integer,
+    /// load/store, floating point.
+    pub(crate) fn iq_sizes(&self) -> [u32; 3] {
+        [self.iq_int, self.iq_ls, self.iq_fp]
+    }
+
+    /// Functional units serving each issue queue, in the same order.
+    pub(crate) fn fu_counts(&self) -> [u32; 3] {
+        [self.fu_int, self.fu_ls, self.fu_fp]
+    }
+
     /// Semantically validates the configuration for a single-thread run.
     ///
     /// Returns every problem found (not just the first): `E`-codes are

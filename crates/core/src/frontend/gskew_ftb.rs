@@ -2,11 +2,13 @@
 //! never-taken branches.
 
 use smt_bpred::{Ftb, GlobalHistory, Gskew, ObservedEnd};
-use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
+use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, ThreadId};
 
 use crate::config::SimConfig;
 
-use super::{scoped, sequential_block, BlockMeta, BranchInfo, PredictedBlock, SpecState};
+use super::{
+    branch_block, scoped, sequential_block, BlockMeta, BranchInfo, PredictedBlock, SpecState,
+};
 
 /// gskew + FTB: the fetch target buffer stores learned *fetch blocks* whose
 /// interiors may embed never-taken branches, so blocks routinely run past
@@ -75,25 +77,7 @@ impl GskewFtb {
                             }
                             BranchKind::Return => (true, spec.ras.pop()),
                         };
-                        let fall = pc.add_insts(len as u64);
-                        let next = if taken && !target.is_null() {
-                            target
-                        } else {
-                            fall
-                        };
-                        FetchBlock {
-                            thread,
-                            start: pc,
-                            len,
-                            embedded_branches: 0,
-                            end_branch: Some(EndBranch {
-                                pc: end_pc,
-                                kind: end.kind,
-                                predicted_taken: taken,
-                                predicted_target: target,
-                            }),
-                            next_fetch: next,
-                        }
+                        branch_block(thread, pc, len, end.kind, taken, target)
                     }
                     None => sequential_block(thread, pc, len),
                 }

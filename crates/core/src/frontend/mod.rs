@@ -63,6 +63,16 @@ impl SpecState {
             stream_start: entry,
         }
     }
+
+    /// Restores every register a block checkpoint holds — history, RAS,
+    /// stream path and stream start — to its value when `meta` was
+    /// captured.
+    pub fn restore(&mut self, meta: &BlockMeta) {
+        self.hist = meta.hist;
+        self.ras.restore(meta.ras);
+        self.path = meta.path;
+        self.stream_start = meta.stream_start;
+    }
 }
 
 /// Checkpoints captured when a block is predicted, used to repair the
@@ -182,25 +192,7 @@ pub(crate) fn classic_block(
             };
             #[expect(clippy::cast_possible_truncation, reason = "dist < the BTB scan cap")]
             let len = (dist + 1) as u32;
-            let fall = pc.add_insts(len as u64);
-            let next = if taken && !target.is_null() {
-                target
-            } else {
-                fall
-            };
-            FetchBlock {
-                thread,
-                start: pc,
-                len,
-                embedded_branches: 0,
-                end_branch: Some(EndBranch {
-                    pc: end_pc,
-                    kind,
-                    predicted_taken: taken,
-                    predicted_target: target,
-                }),
-                next_fetch: next,
-            }
+            branch_block(thread, pc, len, kind, taken, target)
         }
         #[expect(clippy::cast_possible_truncation, reason = "max ≤ fetch budget ≤ 16")]
         None => sequential_block(thread, pc, max as u32),
@@ -214,9 +206,38 @@ pub(crate) fn sequential_block(thread: ThreadId, pc: Addr, len: u32) -> FetchBlo
         thread,
         start: pc,
         len,
-        embedded_branches: 0,
         end_branch: None,
         next_fetch: pc.add_insts(len as u64),
+    }
+}
+
+/// A block of `len ≥ 1` instructions whose last one is a `kind` branch
+/// predicted `taken` towards `target`. Fetch continues at the target if the
+/// branch is predicted taken and the target is known (non-null), and falls
+/// through past the block otherwise.
+pub(crate) fn branch_block(
+    thread: ThreadId,
+    pc: Addr,
+    len: u32,
+    kind: BranchKind,
+    taken: bool,
+    target: Addr,
+) -> FetchBlock {
+    FetchBlock {
+        thread,
+        start: pc,
+        len,
+        end_branch: Some(EndBranch {
+            pc: pc.add_insts(u64::from(len) - 1),
+            kind,
+            predicted_taken: taken,
+            predicted_target: target,
+        }),
+        next_fetch: if taken && !target.is_null() {
+            target
+        } else {
+            pc.add_insts(u64::from(len))
+        },
     }
 }
 
@@ -377,16 +398,12 @@ impl FrontEnd {
     /// Gating them *together* keeps `SpecState.path` and the RAS consistent
     /// after a mispredicted call/return.
     pub fn repair(&self, spec: &mut SpecState, info: &BranchInfo, meta: &BlockMeta, di: &DynInst) {
-        // History: restore, then shift in the actual direction if this branch
-        // was a predicted (block-ending) conditional.
-        spec.hist = meta.hist;
+        spec.restore(meta);
+        // Shift in the actual direction if this branch was a predicted
+        // (block-ending) conditional.
         if !matches!(self, FrontEnd::Stream(_)) && di.is_cond_branch() && info.is_end {
             spec.hist.push(di.taken);
         }
-        // RAS and stream registers: restore the checkpoints.
-        spec.ras.restore(meta.ras);
-        spec.path = meta.path;
-        spec.stream_start = meta.stream_start;
         // A taken branch applies its call/return effect and closes the stream.
         if di.taken {
             match di.class.branch_kind() {

@@ -2,11 +2,11 @@
 //! direction predictor.
 
 use smt_bpred::{ObservedStream, StreamPath, StreamPredictor};
-use smt_isa::{Addr, BranchKind, Diagnostic, EndBranch, FetchBlock, ThreadId};
+use smt_isa::{Addr, BranchKind, Diagnostic, ThreadId};
 
 use crate::config::SimConfig;
 
-use super::{scoped, sequential_block, BlockMeta, PredictedBlock, SpecState};
+use super::{branch_block, scoped, sequential_block, BlockMeta, PredictedBlock, SpecState};
 
 /// The paper's stream fetch unit: a cascaded predictor of *instruction
 /// streams* (taken-target to next taken branch). Stream-ending branches are
@@ -64,25 +64,12 @@ impl Stream {
                             }
                             _ => end.target,
                         };
-                        let fall = pc.add_insts(len as u64);
-                        let next = if target.is_null() { fall } else { target };
+                        let block = branch_block(thread, pc, len, end.kind, true, target);
                         // This block closes a stream: record it in the
                         // path and open the next stream.
                         spec.path.push(spec.stream_start);
-                        spec.stream_start = next;
-                        FetchBlock {
-                            thread,
-                            start: pc,
-                            len,
-                            embedded_branches: 0,
-                            end_branch: Some(EndBranch {
-                                pc: end_pc,
-                                kind: end.kind,
-                                predicted_taken: true,
-                                predicted_target: target,
-                            }),
-                            next_fetch: next,
-                        }
+                        spec.stream_start = block.next_fetch;
+                        block
                     }
                     None => sequential_block(thread, pc, len),
                 }

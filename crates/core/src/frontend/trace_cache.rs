@@ -2,16 +2,17 @@
 //! a gshare+BTB core fetch unit, with a commit-side fill unit.
 
 use smt_bpred::{Btb, GlobalHistory, Gshare, Trace, TraceCache as TraceStore, TraceSegment};
-use smt_isa::{
-    Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, InstClass, ThreadId, MAX_THREADS,
-};
+use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, InstClass, ThreadId, MAX_THREADS};
 use smt_workloads::Program;
 
 use std::collections::VecDeque;
 
 use crate::config::SimConfig;
 
-use super::{classic_block, scoped, BlockMeta, BranchInfo, PredictedBlock, SpecState};
+use super::{
+    branch_block, classic_block, scoped, sequential_block, BlockMeta, BranchInfo, PredictedBlock,
+    SpecState,
+};
 
 /// The fill unit's per-thread collection buffer: committed instructions
 /// accumulate until a trace line closes (16 instructions or a third taken
@@ -111,43 +112,28 @@ impl TraceCache {
                     } else {
                         trace.next_pc
                     };
-                    let fall = seg.start.add_insts(seg.len as u64);
-                    let end_branch = seg.end_kind.map(|kind| {
-                        let taken = seg.end_taken;
-                        let end_pc = seg.start.add_insts(seg.len as u64 - 1);
-                        // The trace embodies the path: targets come from the
-                        // stored next segment, while the RAS is kept in sync
-                        // for later core-fetch predictions.
-                        match kind {
-                            BranchKind::Cond => spec.hist.push(taken),
-                            BranchKind::Call => spec.ras.push(end_pc.add_insts(1)),
-                            BranchKind::Return if taken => {
-                                let _ = spec.ras.pop();
+                    let block = match seg.end_kind {
+                        Some(kind) => {
+                            let taken = seg.end_taken;
+                            let end_pc = seg.start.add_insts(seg.len as u64 - 1);
+                            // The trace embodies the path: targets come from
+                            // the stored next segment, while the RAS is kept
+                            // in sync for later core-fetch predictions.
+                            match kind {
+                                BranchKind::Cond => spec.hist.push(taken),
+                                BranchKind::Call => spec.ras.push(end_pc.add_insts(1)),
+                                BranchKind::Return if taken => {
+                                    let _ = spec.ras.pop();
+                                }
+                                _ => {}
                             }
-                            _ => {}
+                            let target = if taken { next_start } else { Addr::NULL };
+                            branch_block(thread, seg.start, seg.len, kind, taken, target)
                         }
-                        EndBranch {
-                            pc: end_pc,
-                            kind,
-                            predicted_taken: taken,
-                            predicted_target: if taken { next_start } else { Addr::NULL },
-                        }
-                    });
-                    let next_fetch = match &end_branch {
-                        Some(e) if e.predicted_taken && !e.predicted_target.is_null() => {
-                            e.predicted_target
-                        }
-                        _ => fall,
+                        None => sequential_block(thread, seg.start, seg.len),
                     };
                     out.push_back(PredictedBlock {
-                        block: FetchBlock {
-                            thread,
-                            start: seg.start,
-                            len: seg.len,
-                            embedded_branches: 0,
-                            end_branch,
-                            next_fetch,
-                        },
+                        block,
                         meta,
                         trace_group: Some(group),
                     });

@@ -3,6 +3,11 @@
 
 use smt_isa::MAX_THREADS;
 
+use crate::pipeline::{
+    STALL_BANK_CONFLICT, STALL_DCACHE_MISS, STALL_FETCH_STARVED, STALL_ICACHE_MISS,
+    STALL_ISSUE_WIDTH, STALL_ROB_FULL,
+};
+
 /// Histogram of instructions delivered per fetch cycle (0 ..= 16).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FetchDistribution {
@@ -90,9 +95,31 @@ impl StallBreakdown {
             + self.residual[tid]
     }
 
-    /// Sum of the six stall buckets (excluding the residual) for `tid`.
-    pub fn stalled(&self, tid: usize) -> u64 {
-        self.total(tid) - self.residual[tid]
+    /// Charges `cycles` cycles of thread `tid` to the most severe stall
+    /// among the observation bits `flags` (`pipeline::STALL_*`), or to the
+    /// residual when none is set.
+    ///
+    /// Severity order (commit side outranks fetch side, since a blocked
+    /// commit stalls the thread regardless of how well fetch is going):
+    /// data-cache miss > ROB full > issue width > I-cache miss > bank
+    /// conflict > fetch-policy starvation.
+    pub(crate) fn charge(&mut self, tid: usize, flags: u8, cycles: u64) {
+        let bucket = if flags & STALL_DCACHE_MISS != 0 {
+            &mut self.dcache_miss
+        } else if flags & STALL_ROB_FULL != 0 {
+            &mut self.rob_full
+        } else if flags & STALL_ISSUE_WIDTH != 0 {
+            &mut self.issue_width
+        } else if flags & STALL_ICACHE_MISS != 0 {
+            &mut self.icache_miss
+        } else if flags & STALL_BANK_CONFLICT != 0 {
+            &mut self.bank_conflict
+        } else if flags & STALL_FETCH_STARVED != 0 {
+            &mut self.fetch_starved
+        } else {
+            &mut self.residual
+        };
+        bucket[tid] += cycles;
     }
 }
 

@@ -16,21 +16,12 @@
 //! regions. Decode and rename then move no entries at all: each is a
 //! `min()` update of a region counter.
 
-// The pipeline stages use `expect` to assert invariants that the stage
-// protocol itself guarantees (e.g. "caller checked" FTQ heads, rename maps
-// populated at dispatch). Construction is fallible and validated; once
-// built, these are genuine internal invariants, not input errors.
-#![expect(
-    clippy::expect_used,
-    reason = "stage-protocol invariants; violations must abort the simulation"
-)]
-
 use std::collections::VecDeque;
 
-use smt_isa::{Addr, Presized, RegClass, MAX_THREADS};
+use smt_isa::{Addr, ArchReg, InstClass, Presized, MAX_THREADS};
 
 use super::sched::EventHorizon;
-use super::{IqEntry, PipelineCtx, PipelineStage, STALL_ROB_FULL};
+use super::{IqEntry, PipelineCtx, STALL_ROB_FULL};
 
 /// One pre-dispatch instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,202 +137,157 @@ impl FrontFifo {
 /// The decode latch: moves up to `decode_width` entries from the fetch
 /// buffer into the decode latch (a region-counter update of the front
 /// FIFO).
-#[derive(Clone, Debug)]
-pub(crate) struct DecodeStage;
+pub(crate) fn decode(ctx: &mut PipelineCtx) {
+    ctx.front.decode(ctx.cfg.decode_width as usize);
+}
 
-impl PipelineStage for DecodeStage {
-    fn tick(&mut self, ctx: &mut PipelineCtx) {
-        ctx.front.decode(ctx.cfg.decode_width as usize);
-    }
-
-    /// A pure latch acts exactly when a buffered entry meets downstream
-    /// room. Unblocking needs another stage to act — no self-scheduled
-    /// events.
-    fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
-        if ctx.front.decode_len() < ctx.cfg.decode_width as usize
-            && ctx.front.fetch_buffer_len() > 0
-        {
-            ev.act();
-        }
+/// A pure latch acts exactly when a buffered entry meets downstream room.
+/// Unblocking needs another stage to act — no self-scheduled events.
+pub(crate) fn decode_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
+    if ctx.front.decode_len() < ctx.cfg.decode_width as usize && ctx.front.fetch_buffer_len() > 0 {
+        ev.act();
     }
 }
 
 /// The rename latch: moves up to `decode_width` entries from the decode
 /// latch into the rename latch.
-#[derive(Clone, Debug)]
-pub(crate) struct RenameStage;
+pub(crate) fn rename(ctx: &mut PipelineCtx) {
+    ctx.front.rename(ctx.cfg.decode_width as usize);
+}
 
-impl PipelineStage for RenameStage {
-    fn tick(&mut self, ctx: &mut PipelineCtx) {
-        ctx.front.rename(ctx.cfg.decode_width as usize);
+/// Same latch rule as decode, one stage later.
+pub(crate) fn rename_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
+    if ctx.front.rename_len() < ctx.cfg.decode_width as usize && ctx.front.decode_len() > 0 {
+        ev.act();
     }
+}
 
-    /// Same latch rule as decode, one stage later.
-    fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
-        if ctx.front.rename_len() < ctx.cfg.decode_width as usize && ctx.front.decode_len() > 0 {
-            ev.act();
-        }
+/// Which resource keeps a live rename-latch entry of `class` writing `dest`
+/// from dispatching this cycle: `None` if the shared ROB, its issue queue
+/// and its register file all have room, else the stall bit the blocked
+/// thread observes — [`STALL_ROB_FULL`] for a full ROB, 0 for a full queue
+/// or an empty free list.
+fn blocker(ctx: &PipelineCtx, class: InstClass, dest: Option<ArchReg>) -> Option<u8> {
+    if ctx.rob_occ >= ctx.cfg.rob_size {
+        return Some(STALL_ROB_FULL);
     }
+    let q = PipelineCtx::queue_for(class);
+    let queue_full = ctx.iq[q].len() >= ctx.cfg.iq_sizes()[q] as usize;
+    let no_reg = dest.is_some_and(|d| ctx.free[PipelineCtx::file_for(d.class())].is_empty());
+    (queue_full || no_reg).then_some(0)
 }
 
 /// The dispatch stage: renames registers and moves instructions from the
 /// rename latch into the issue queues, in order per thread, bounded by the
 /// shared ROB, the per-queue capacities, and the free physical registers.
-#[derive(Clone, Debug)]
-pub(crate) struct DispatchStage;
-
-impl PipelineStage for DispatchStage {
-    fn tick(&mut self, ctx: &mut PipelineCtx) {
-        let now = ctx.cycle;
-        let mut budget = ctx.cfg.decode_width;
-        let mut stalled = [false; MAX_THREADS];
-        // The FIFO is taken out for the walk so the closure can borrow the
-        // rest of the machine; the take leaves an empty, unallocated deque.
-        let mut front = std::mem::take(&mut ctx.front);
-        front.dispatch(|e| {
-            if budget == 0 || stalled[e.tid] {
-                return true;
-            }
-            // The window entry may have been squashed since renaming began.
-            // Liveness comes from the control column; the payload column is
-            // only read once the seq is known live.
-            let Some((class, dest, srcs, mem_addr, wrong_path)) = ({
-                let w = &ctx.threads[e.tid].window;
-                w.ctl(e.seq).map(|_| {
-                    let di = w.di(e.seq);
-                    (
-                        di.class,
-                        di.dest,
-                        di.srcs,
-                        di.mem.map_or(Addr::NULL, |m| m.addr),
-                        di.wrong_path,
-                    )
-                })
-            }) else {
-                // The entry evaporates: it left the pre-issue structures
-                // without moving to an issue queue.
-                ctx.preissue[e.tid] -= 1;
-                return false;
-            };
-            // Resource checks: shared ROB, issue-queue slot, physical
-            // register.
-            if ctx.rob_occ >= ctx.cfg.rob_size {
-                ctx.note_stall(e.tid, STALL_ROB_FULL);
-                stalled[e.tid] = true;
-                return true;
-            }
-            let (qlen, qcap) = match PipelineCtx::queue_for(class) {
-                0 => (ctx.iq_int.len(), ctx.cfg.iq_int as usize),
-                1 => (ctx.iq_ls.len(), ctx.cfg.iq_ls as usize),
-                _ => (ctx.iq_fp.len(), ctx.cfg.iq_fp as usize),
-            };
-            if qlen >= qcap {
-                stalled[e.tid] = true;
-                return true;
-            }
-            let need_reg = dest.map(|d| d.class());
-            let have_reg = match need_reg {
-                Some(RegClass::Int) => !ctx.free_int.is_empty(),
-                Some(RegClass::Fp) => !ctx.free_fp.is_empty(),
-                None => true,
-            };
-            if !have_reg {
-                stalled[e.tid] = true;
-                return true;
-            }
-
-            // Rename: sources first, then the destination.
-            // A missing source names the zero register (`IqEntry::src_phys`).
-            let map = &ctx.threads[e.tid].rename_map;
-            let zero = ctx.zero_reg();
-            let src_phys = srcs.map(|r| r.map_or(zero, |r| map[r.flat_index()]));
-            let (phys_dest, prev_phys) = match dest {
-                Some(d) => {
-                    let new = match d.class() {
-                        RegClass::Int => ctx.free_int.pop().expect("checked"),
-                        RegClass::Fp => ctx.free_fp.pop().expect("checked"),
-                    };
-                    ctx.ready_at[new as usize] = u64::MAX;
-                    let prev = ctx.threads[e.tid].rename_map[d.flat_index()];
-                    ctx.threads[e.tid].rename_map[d.flat_index()] = new;
-                    (Some(new), Some(prev))
-                }
-                None => (None, None),
-            };
-            {
-                let ctl = ctx.threads[e.tid].window.ctl_mut(e.seq).expect("present");
-                ctl.set_dispatched();
-                ctl.phys_dest = phys_dest;
-                ctl.prev_phys = prev_phys;
-            }
-            ctx.rob_occ += 1;
-            #[expect(clippy::cast_possible_truncation, reason = "tid < MAX_THREADS")]
-            let tid = e.tid as u8;
-            let iq = IqEntry {
-                seq: e.seq,
-                // Entries age one cycle before they can issue.
-                wake: now + 1,
-                mem_addr,
-                src_phys,
-                class,
-                wrong_path,
-                tid,
-            };
-            match PipelineCtx::queue_for(class) {
-                0 => ctx.iq_int.push(iq),
-                1 => ctx.iq_ls.push(iq),
-                _ => ctx.iq_fp.push(iq),
-            }
-            budget -= 1;
-            false
-        });
-        ctx.front = front;
-    }
-
-    /// Replays the tick's resource walk without acquiring anything: the
-    /// first latch entry that would dispatch (or evaporate) is an act; a
-    /// thread blocked by the full shared ROB records the per-cycle ROB
-    /// stall bit. Queue slots, registers and ROB space are only freed by
-    /// other stages acting, so dispatch reports no self-scheduled events.
-    fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
-        let mut stalled = [false; MAX_THREADS];
-        for e in ctx.front.renamed() {
-            if stalled[e.tid] {
-                continue;
-            }
+pub(crate) fn dispatch(ctx: &mut PipelineCtx) {
+    let now = ctx.cycle;
+    let mut budget = ctx.cfg.decode_width;
+    let mut stalled = [false; MAX_THREADS];
+    // The FIFO is taken out for the walk so the closure can borrow the
+    // rest of the machine; the take leaves an empty, unallocated deque.
+    let mut front = std::mem::take(&mut ctx.front);
+    front.dispatch(|e| {
+        if budget == 0 || stalled[e.tid] {
+            return true;
+        }
+        // The window entry may have been squashed since renaming began.
+        // Liveness comes from the control column; the payload column is
+        // only read once the seq is known live.
+        let Some((class, dest, srcs, mem_addr, wrong_path)) = ({
             let w = &ctx.threads[e.tid].window;
-            if w.ctl(e.seq).is_none() {
-                // A squashed entry would evaporate (mutating the ICOUNT
-                // bookkeeping): that is an act.
+            w.ctl(e.seq).map(|_| {
+                let di = w.di(e.seq);
+                (
+                    di.class,
+                    di.dest,
+                    di.srcs,
+                    di.mem.map_or(Addr::NULL, |m| m.addr),
+                    di.wrong_path,
+                )
+            })
+        }) else {
+            // The entry evaporates: it left the pre-issue structures
+            // without moving to an issue queue.
+            ctx.preissue[e.tid] -= 1;
+            return false;
+        };
+        if let Some(bit) = blocker(ctx, class, dest) {
+            ctx.note_stall(e.tid, bit);
+            stalled[e.tid] = true;
+            return true;
+        }
+
+        // Rename: sources first, then the destination.
+        // A missing source names the zero register (`IqEntry::src_phys`).
+        let map = &ctx.threads[e.tid].rename_map;
+        let zero = ctx.zero_reg();
+        let src_phys = srcs.map(|r| r.map_or(zero, |r| map[r.flat_index()]));
+        let (phys_dest, prev_phys) = match dest {
+            Some(d) => {
+                let new = ctx.free[PipelineCtx::file_for(d.class())]
+                    .pop()
+                    .expect("checked");
+                ctx.ready_at[new as usize] = u64::MAX;
+                let prev = ctx.threads[e.tid].rename_map[d.flat_index()];
+                ctx.threads[e.tid].rename_map[d.flat_index()] = new;
+                (Some(new), Some(prev))
+            }
+            None => (None, None),
+        };
+        {
+            let ctl = ctx.threads[e.tid].window.ctl_mut(e.seq).expect("present");
+            ctl.set_dispatched();
+            ctl.phys_dest = phys_dest;
+            ctl.prev_phys = prev_phys;
+        }
+        ctx.rob_occ += 1;
+        #[expect(clippy::cast_possible_truncation, reason = "tid < MAX_THREADS")]
+        let tid = e.tid as u8;
+        ctx.iq[PipelineCtx::queue_for(class)].push(IqEntry {
+            seq: e.seq,
+            // Entries age one cycle before they can issue.
+            wake: now + 1,
+            mem_addr,
+            src_phys,
+            class,
+            wrong_path,
+            tid,
+        });
+        budget -= 1;
+        false
+    });
+    ctx.front = front;
+}
+
+/// Replays the tick's resource walk without acquiring anything: the first
+/// latch entry that would dispatch (or evaporate) is an act; a thread
+/// blocked by the full shared ROB records the per-cycle ROB stall bit.
+/// Queue slots, registers and ROB space are only freed by other stages
+/// acting, so dispatch reports no self-scheduled events.
+pub(crate) fn dispatch_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
+    let mut stalled = [false; MAX_THREADS];
+    for e in ctx.front.renamed() {
+        if stalled[e.tid] {
+            continue;
+        }
+        let w = &ctx.threads[e.tid].window;
+        if w.ctl(e.seq).is_none() {
+            // A squashed entry would evaporate (mutating the ICOUNT
+            // bookkeeping): that is an act.
+            ev.act();
+            return;
+        }
+        let di = w.di(e.seq);
+        match blocker(ctx, di.class, di.dest) {
+            Some(bit) => {
+                ev.flag(e.tid, bit);
+                stalled[e.tid] = true;
+            }
+            None => {
                 ev.act();
                 return;
             }
-            let di = w.di(e.seq);
-            if ctx.rob_occ >= ctx.cfg.rob_size {
-                ev.flag(e.tid, STALL_ROB_FULL);
-                stalled[e.tid] = true;
-                continue;
-            }
-            let (qlen, qcap) = match PipelineCtx::queue_for(di.class) {
-                0 => (ctx.iq_int.len(), ctx.cfg.iq_int as usize),
-                1 => (ctx.iq_ls.len(), ctx.cfg.iq_ls as usize),
-                _ => (ctx.iq_fp.len(), ctx.cfg.iq_fp as usize),
-            };
-            if qlen >= qcap {
-                stalled[e.tid] = true;
-                continue;
-            }
-            let have_reg = match di.dest.map(|d| d.class()) {
-                Some(RegClass::Int) => !ctx.free_int.is_empty(),
-                Some(RegClass::Fp) => !ctx.free_fp.is_empty(),
-                None => true,
-            };
-            if !have_reg {
-                stalled[e.tid] = true;
-                continue;
-            }
-            ev.act();
-            return;
         }
     }
 }

@@ -3,15 +3,6 @@
 //! paper's fetch architectures (1.X single-port, 2.X dual-port with
 //! bank-conflict logic).
 
-// The pipeline stages use `expect` to assert invariants that the stage
-// protocol itself guarantees (e.g. "caller checked" FTQ heads, rename maps
-// populated at dispatch). Construction is fallible and validated; once
-// built, these are genuine internal invariants, not input errors.
-#![expect(
-    clippy::expect_used,
-    reason = "stage-protocol invariants; violations must abort the simulation"
-)]
-
 use smt_isa::{inst_idx, InstClass, MAX_THREADS};
 use smt_mem::FetchOutcome;
 
@@ -21,77 +12,71 @@ use crate::window::InFlightCtl;
 
 use super::sched::{EventHorizon, SkipReason};
 use super::{
-    BankSet, LatchEntry, PipelineCtx, PipelineStage, STALL_BANK_CONFLICT, STALL_FETCH_STARVED,
-    STALL_ICACHE_MISS,
+    BankSet, LatchEntry, PipelineCtx, STALL_BANK_CONFLICT, STALL_FETCH_STARVED, STALL_ICACHE_MISS,
 };
 
 /// The prediction stage: serves up to `n` threads per cycle, asking the
 /// front-end engine for fetch blocks. The engine appends straight into the
 /// served thread's FTQ — each predicted block is written exactly once.
-#[derive(Clone, Debug)]
-pub(crate) struct PredictStage;
-
-impl PipelineStage for PredictStage {
-    fn tick(&mut self, ctx: &mut PipelineCtx) {
-        let ports = ctx.cfg.fetch_policy.threads_per_cycle as usize;
-        let width = ctx.cfg.fetch_policy.width;
-        let ftq_depth = ctx.cfg.ftq_depth as usize;
-        let gating = ctx.cfg.fetch_policy.long_latency != LongLatencyAction::None;
-        let now = ctx.cycle;
-        let order = ctx.priorities();
-        // Split the borrows by field so the engine can read the thread's
-        // program while updating its speculative state and FTQ — no
-        // per-thread `Program` clone, no per-cycle block Vec.
-        let PipelineCtx {
-            frontend,
-            threads,
-            stats,
-            ..
-        } = ctx;
-        let mut served = 0usize;
-        for tid in order {
-            if served == ports {
-                break;
-            }
-            let th = &mut threads[tid];
-            let gated = gating && th.mem_stall_until.is_some_and(|until| until > now);
-            let depth = th.ftq.len();
-            if depth >= ftq_depth || gated {
-                continue;
-            }
-            let pc = th.next_fetch_pc;
-            let space = ftq_depth - depth;
-            frontend.predict_blocks_into(
-                tid,
-                pc,
-                &mut th.spec,
-                th.walker.program(),
-                width,
-                space,
-                &mut th.ftq,
-            );
-            debug_assert!(th.ftq.len() > depth && th.ftq.len() <= ftq_depth);
-            th.next_fetch_pc = th.ftq.back().expect("non-empty").block.next_fetch;
-            stats.blocks_predicted += (th.ftq.len() - depth) as u64;
-            served += 1;
+pub(crate) fn predict(ctx: &mut PipelineCtx) {
+    let ports = ctx.cfg.fetch_policy.threads_per_cycle as usize;
+    let width = ctx.cfg.fetch_policy.width;
+    let ftq_depth = ctx.cfg.ftq_depth as usize;
+    let gating = ctx.cfg.fetch_policy.long_latency != LongLatencyAction::None;
+    let now = ctx.cycle;
+    let order = ctx.priorities();
+    // Split the borrows by field so the engine can read the thread's
+    // program while updating its speculative state and FTQ — no
+    // per-thread `Program` clone, no per-cycle block Vec.
+    let PipelineCtx {
+        frontend,
+        threads,
+        stats,
+        ..
+    } = ctx;
+    let mut served = 0usize;
+    for tid in order {
+        if served == ports {
+            break;
         }
+        let th = &mut threads[tid];
+        let gated = gating && th.mem_stall_until.is_some_and(|until| until > now);
+        let depth = th.ftq.len();
+        if depth >= ftq_depth || gated {
+            continue;
+        }
+        let pc = th.next_fetch_pc;
+        let space = ftq_depth - depth;
+        frontend.predict_blocks_into(
+            tid,
+            pc,
+            &mut th.spec,
+            th.walker.program(),
+            width,
+            space,
+            &mut th.ftq,
+        );
+        debug_assert!(th.ftq.len() > depth && th.ftq.len() <= ftq_depth);
+        th.next_fetch_pc = th.ftq.back().expect("non-empty").block.next_fetch;
+        stats.blocks_predicted += (th.ftq.len() - depth) as u64;
+        served += 1;
     }
+}
 
-    /// Prediction acts whenever any thread has FTQ space and is not gated;
-    /// a STALL/FLUSH gate is a timer, so its expiry is the stage's event.
-    fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
-        let ftq_depth = ctx.cfg.ftq_depth as usize;
-        let now = ctx.cycle;
-        for (tid, th) in ctx.threads.iter().enumerate() {
-            if th.ftq.len() < ftq_depth && !ctx.gated(tid) {
-                ev.act();
-                return;
-            }
-            if ctx.cfg.fetch_policy.long_latency != LongLatencyAction::None {
-                if let Some(until) = th.mem_stall_until {
-                    if until > now {
-                        ev.event(until, SkipReason::PolicyIdle);
-                    }
+/// Prediction acts whenever any thread has FTQ space and is not gated; a
+/// STALL/FLUSH gate is a timer, so its expiry is the stage's event.
+pub(crate) fn predict_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
+    let ftq_depth = ctx.cfg.ftq_depth as usize;
+    let now = ctx.cycle;
+    for (tid, th) in ctx.threads.iter().enumerate() {
+        if th.ftq.len() < ftq_depth && !ctx.gated(tid) {
+            ev.act();
+            return;
+        }
+        if ctx.cfg.fetch_policy.long_latency != LongLatencyAction::None {
+            if let Some(until) = th.mem_stall_until {
+                if until > now {
+                    ev.event(until, SkipReason::PolicyIdle);
                 }
             }
         }
@@ -102,96 +87,91 @@ impl PipelineStage for PredictStage {
 /// fetch buffer, under the policy's port/width budget. The stage carries no
 /// scratch: the walker's bulk decode writes straight into the window's
 /// payload column ([`Window::payload_slots`](crate::window::Window)).
-#[derive(Clone, Debug)]
-pub(crate) struct FetchStage;
-
-impl PipelineStage for FetchStage {
-    fn tick(&mut self, ctx: &mut PipelineCtx) {
-        let now = ctx.cycle;
-        let ports = ctx.cfg.fetch_policy.threads_per_cycle as usize;
-        let mut budget = ctx.cfg.fetch_policy.width;
-        let order = ctx.priorities();
-        let mut banks_used = BankSet::new();
-        let mut delivered_total = 0u32;
-        let mut attempted = false;
-        let mut buffer_full_seen = false;
-        let mut port = 0usize;
-        let n = ctx.threads.len();
-        // Threads whose fetch is blocked behind an I-cache miss observe an
-        // icache-miss stall this cycle (the miss was taken earlier).
-        for tid in 0..n {
-            let th = &ctx.threads[tid];
-            if !th.ftq.is_empty() && th.iblock_until.is_some_and(|r| r > now) {
-                ctx.note_stall(tid, STALL_ICACHE_MISS);
-            }
-        }
-        let mut fetch_served = [false; MAX_THREADS];
-        for tid in order {
-            if port == ports || budget == 0 {
-                break;
-            }
-            if !ctx.threads[tid].fetch_eligible(now) || ctx.gated(tid) {
-                continue;
-            }
-            if ctx.front.fetch_buffer_len() >= ctx.cfg.fetch_buffer as usize {
-                buffer_full_seen = true;
-                break;
-            }
-            let is_second = port > 0;
-            let (got, did_attempt) = fetch_from(ctx, tid, budget, &mut banks_used, is_second);
-            attempted |= did_attempt;
-            delivered_total += got;
-            budget -= got;
-            fetch_served[tid] = true;
-            port += 1;
-        }
-        // Threads that were fetch-ready and ungated but got no port this
-        // cycle were starved by the fetch policy (or the full buffer).
-        for (tid, &served) in fetch_served.iter().enumerate().take(n) {
-            if !served && ctx.threads[tid].fetch_eligible(now) && !ctx.gated(tid) {
-                ctx.note_stall(tid, STALL_FETCH_STARVED);
-            }
-        }
-        if attempted {
-            ctx.stats.fetch_cycles += 1;
-            ctx.stats.distribution.record(delivered_total);
-        }
-        if buffer_full_seen {
-            ctx.stats.fetch_buffer_stalls += 1;
+pub(crate) fn fetch(ctx: &mut PipelineCtx) {
+    let now = ctx.cycle;
+    let ports = ctx.cfg.fetch_policy.threads_per_cycle as usize;
+    let mut budget = ctx.cfg.fetch_policy.width;
+    let order = ctx.priorities();
+    let mut banks_used = BankSet::new();
+    let mut delivered_total = 0u32;
+    let mut attempted = false;
+    let mut buffer_full_seen = false;
+    let mut port = 0usize;
+    let n = ctx.threads.len();
+    // Threads whose fetch is blocked behind an I-cache miss observe an
+    // icache-miss stall this cycle (the miss was taken earlier).
+    for tid in 0..n {
+        let th = &ctx.threads[tid];
+        if !th.ftq.is_empty() && th.iblock_until.is_some_and(|r| r > now) {
+            ctx.note_stall(tid, STALL_ICACHE_MISS);
         }
     }
+    let mut fetch_served = [false; MAX_THREADS];
+    for tid in order {
+        if port == ports || budget == 0 {
+            break;
+        }
+        if !ctx.threads[tid].fetch_eligible(now) || ctx.gated(tid) {
+            continue;
+        }
+        if ctx.front.fetch_buffer_len() >= ctx.cfg.fetch_buffer as usize {
+            buffer_full_seen = true;
+            break;
+        }
+        let is_second = port > 0;
+        let (got, did_attempt) = fetch_from(ctx, tid, budget, &mut banks_used, is_second);
+        attempted |= did_attempt;
+        delivered_total += got;
+        budget -= got;
+        fetch_served[tid] = true;
+        port += 1;
+    }
+    // Threads that were fetch-ready and ungated but got no port this
+    // cycle were starved by the fetch policy (or the full buffer).
+    for (tid, &served) in fetch_served.iter().enumerate().take(n) {
+        if !served && ctx.threads[tid].fetch_eligible(now) && !ctx.gated(tid) {
+            ctx.note_stall(tid, STALL_FETCH_STARVED);
+        }
+    }
+    if attempted {
+        ctx.stats.fetch_cycles += 1;
+        ctx.stats.distribution.record(delivered_total);
+    }
+    if buffer_full_seen {
+        ctx.stats.fetch_buffer_stalls += 1;
+    }
+}
 
-    /// Fetch acts whenever an eligible, ungated thread meets a fetch buffer
-    /// with room (even a miss or MSHR-full retry touches the I-cache). Its
-    /// events are I-block miss returns; its standing stall bits mirror the
-    /// tick exactly: icache-miss for blocked FTQ heads, fetch-starved for
-    /// every eligible thread when only the full buffer blocks them (in which
-    /// case the per-cycle buffer-full counter runs too).
-    fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
-        let now = ctx.cycle;
-        let room = ctx.front.fetch_buffer_len() < ctx.cfg.fetch_buffer as usize;
-        let mut starved = false;
-        for (tid, th) in ctx.threads.iter().enumerate() {
-            if !th.ftq.is_empty() {
-                if let Some(ready) = th.iblock_until {
-                    if ready > now {
-                        ev.flag(tid, STALL_ICACHE_MISS);
-                        ev.event(ready, SkipReason::FtqWait);
-                    }
+/// Fetch acts whenever an eligible, ungated thread meets a fetch buffer with
+/// room (even a miss or MSHR-full retry touches the I-cache). Its events are
+/// I-block miss returns; its standing stall bits mirror the tick exactly:
+/// icache-miss for blocked FTQ heads, fetch-starved for every eligible
+/// thread when only the full buffer blocks them (in which case the
+/// per-cycle buffer-full counter runs too).
+pub(crate) fn fetch_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
+    let now = ctx.cycle;
+    let room = ctx.front.fetch_buffer_len() < ctx.cfg.fetch_buffer as usize;
+    let mut starved = false;
+    for (tid, th) in ctx.threads.iter().enumerate() {
+        if !th.ftq.is_empty() {
+            if let Some(ready) = th.iblock_until {
+                if ready > now {
+                    ev.flag(tid, STALL_ICACHE_MISS);
+                    ev.event(ready, SkipReason::FtqWait);
                 }
             }
-            if th.fetch_eligible(now) && !ctx.gated(tid) {
-                if room {
-                    ev.act();
-                    return;
-                }
-                starved = true;
-                ev.flag(tid, STALL_FETCH_STARVED);
+        }
+        if th.fetch_eligible(now) && !ctx.gated(tid) {
+            if room {
+                ev.act();
+                return;
             }
+            starved = true;
+            ev.flag(tid, STALL_FETCH_STARVED);
         }
-        if starved {
-            ev.buffer_full();
-        }
+    }
+    if starved {
+        ev.buffer_full();
     }
 }
 

@@ -2,210 +2,169 @@
 //! queues, models functional-unit limits and the data cache, and arms the
 //! long-latency STALL/FLUSH mechanisms.
 
-// The pipeline stages use `expect` to assert invariants that the stage
-// protocol itself guarantees (e.g. "caller checked" FTQ heads, rename maps
-// populated at dispatch). Construction is fallible and validated; once
-// built, these are genuine internal invariants, not input errors.
-#![expect(
-    clippy::expect_used,
-    reason = "stage-protocol invariants; violations must abort the simulation"
-)]
-
-use smt_isa::{InstClass, Presized};
+use smt_isa::InstClass;
 use smt_mem::DataOutcome;
 
 use crate::config::LongLatencyAction;
 
 use super::recovery::flush_after_load;
 use super::sched::{EventHorizon, SkipReason};
-use super::{PipelineCtx, PipelineStage, LONG_LATENCY, STALL_ISSUE_WIDTH};
+use super::{PipelineCtx, LONG_LATENCY, STALL_ISSUE_WIDTH};
 
 /// The issue stage: one pass per issue queue (int, load/store, fp), then
 /// any FLUSH events the load/store pass requested.
-#[derive(Clone, Debug)]
-pub(crate) struct IssueStage {
-    /// Threads whose long-latency load requested a FLUSH this cycle,
-    /// processed after all queues issue (the flush mutates queues).
-    pending_flushes: Presized<Vec<(usize, u64)>>,
+pub(crate) fn issue(ctx: &mut PipelineCtx) {
+    for which in 0..ctx.iq.len() {
+        issue_queue(ctx, which);
+    }
+    // Take/restore rather than drain-by-value so the buffer keeps its
+    // capacity across cycles (flush_after_load never requests flushes).
+    let mut flushes = std::mem::take(&mut ctx.pending_flushes);
+    for &(tid, load_seq) in flushes.iter() {
+        flush_after_load(ctx, tid, load_seq);
+    }
+    flushes.clear();
+    ctx.pending_flushes = flushes;
 }
 
-impl IssueStage {
-    pub(crate) fn new(fu_ls: usize) -> Self {
-        IssueStage {
-            pending_flushes: Presized::vec(fu_ls),
-        }
-    }
-}
-
-impl PipelineStage for IssueStage {
-    fn tick(&mut self, ctx: &mut PipelineCtx) {
-        self.issue_queue(ctx, 0);
-        self.issue_queue(ctx, 1);
-        self.issue_queue(ctx, 2);
-        // Take/restore rather than drain-by-value so the buffer keeps its
-        // capacity across cycles (flush_after_load never requests flushes).
-        let mut flushes = std::mem::take(&mut self.pending_flushes);
-        for &(tid, load_seq) in flushes.iter() {
-            flush_after_load(ctx, tid, load_seq);
-        }
-        flushes.clear();
-        self.pending_flushes = flushes;
-    }
-
-    /// Issue acts as soon as any queue entry's operands are ready (even an
-    /// MSHR-full load retry touches the data cache); an entry whose sources
-    /// become ready at a finite future cycle is an issue-wait event. Sources
-    /// are recomputed from `ready_at` rather than read from the cached
-    /// `wake` field, which the skipped ticks would have refreshed.
-    /// Unresolved (`u64::MAX`) sources report nothing: the producer's own
-    /// queue entry bounds the wait.
-    fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
-        debug_assert!(self.pending_flushes.is_empty(), "flushes drain every tick");
-        let now = ctx.cycle;
-        for queue in [&ctx.iq_int, &ctx.iq_ls, &ctx.iq_fp] {
-            for e in queue.iter() {
-                // Every entry was dispatched in an earlier step, so only
-                // its sources can hold it back.
-                let ready = ctx.sources_ready(e);
-                if ready <= now {
-                    ev.act();
-                    return;
-                }
-                if ready != u64::MAX {
-                    ev.event(ready, SkipReason::IssueWait);
-                }
+/// Issue acts as soon as any queue entry's operands are ready (even an
+/// MSHR-full load retry touches the data cache); an entry whose sources
+/// become ready at a finite future cycle is an issue-wait event. Sources are
+/// recomputed from `ready_at` rather than read from the cached `wake` field,
+/// which the skipped ticks would have refreshed. Unresolved (`u64::MAX`)
+/// sources report nothing: the producer's own queue entry bounds the wait.
+pub(crate) fn issue_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
+    debug_assert!(ctx.pending_flushes.is_empty(), "flushes drain every tick");
+    let now = ctx.cycle;
+    // Every entry was dispatched in an earlier step, so only its sources
+    // can hold it back.
+    for queue in &ctx.iq {
+        for e in queue.iter() {
+            let ready = ctx.sources_ready(e);
+            if ready <= now {
+                ev.act();
+                return;
+            }
+            if ready != u64::MAX {
+                ev.event(ready, SkipReason::IssueWait);
             }
         }
     }
 }
 
-impl IssueStage {
-    fn issue_queue(&mut self, ctx: &mut PipelineCtx, which: usize) {
-        let now = ctx.cycle;
-        let fu_limit = match which {
-            0 => ctx.cfg.fu_int,
-            1 => ctx.cfg.fu_ls,
-            _ => ctx.cfg.fu_fp,
-        };
-        let mut queue = std::mem::take(match which {
-            0 => &mut ctx.iq_int,
-            1 => &mut ctx.iq_ls,
-            _ => &mut ctx.iq_fp,
-        });
-        // In-place two-pointer compaction: `kept` trails the read index, so
-        // surviving entries shift down in order and the queue Vec is reused
-        // without a per-cycle allocation.
-        let mut kept = 0usize;
-        let mut issued = 0u32;
-        let len = queue.len();
-        for idx in 0..len {
-            if issued == fu_limit {
-                // An exhausted FU limit stays exhausted: the whole tail is
-                // kept verbatim, and every entry in it — all dispatched in
-                // earlier cycles, since dispatch ticks after issue —
-                // observes an issue-width stall this cycle.
-                for te in &queue[idx..len] {
-                    ctx.note_stall(usize::from(te.tid), STALL_ISSUE_WIDTH);
-                }
-                if kept != idx {
-                    queue.copy_within(idx..len, kept);
-                }
-                kept += len - idx;
-                break;
+fn issue_queue(ctx: &mut PipelineCtx, which: usize) {
+    let now = ctx.cycle;
+    let fu_limit = ctx.cfg.fu_counts()[which];
+    let mut queue = std::mem::take(&mut ctx.iq[which]);
+    // In-place two-pointer compaction: `kept` trails the read index, so
+    // surviving entries shift down in order and the queue Vec is reused
+    // without a per-cycle allocation.
+    let mut kept = 0usize;
+    let mut issued = 0u32;
+    let len = queue.len();
+    for idx in 0..len {
+        if issued == fu_limit {
+            // An exhausted FU limit stays exhausted: the whole tail is
+            // kept verbatim, and every entry in it — all dispatched in
+            // earlier cycles, since dispatch ticks after issue —
+            // observes an issue-width stall this cycle.
+            for te in &queue[idx..len] {
+                ctx.note_stall(usize::from(te.tid), STALL_ISSUE_WIDTH);
             }
-            // Operand-blocked entries park behind their cached wake-up
-            // cycle: one compare, no window deref (see `IqEntry::wake`).
-            // Compaction copies only happen once an earlier entry has left
-            // the queue (`kept != idx`); the steady-state prefix of waiting
-            // entries is scanned in place.
-            if queue[idx].wake > now {
-                if kept != idx {
-                    queue[kept] = queue[idx];
-                }
-                kept += 1;
-                continue;
+            if kept != idx {
+                queue.copy_within(idx..len, kept);
             }
-            // Queue entries never outlive their window instructions (squash
-            // and flush purge the queues eagerly), so the cached operand
-            // and class fields are always live.
-            let e = queue[idx];
-            let tid = usize::from(e.tid);
-            debug_assert!(ctx.threads[tid].window.ctl(e.seq).is_some());
-            let ready_cycle = ctx.sources_ready(&e);
-            if ready_cycle > now {
-                // An unresolved source (producer not yet issued) must be
-                // re-examined next cycle; a finite bound is exact and lets
-                // the entry sleep until it arrives.
-                queue[kept] = e;
-                queue[kept].wake = if ready_cycle == u64::MAX {
-                    now + 1
-                } else {
-                    ready_cycle
-                };
-                kept += 1;
-                continue;
+            kept += len - idx;
+            break;
+        }
+        // Operand-blocked entries park behind their cached wake-up
+        // cycle: one compare, no window deref (see `IqEntry::wake`).
+        // Compaction copies only happen once an earlier entry has left
+        // the queue (`kept != idx`); the steady-state prefix of waiting
+        // entries is scanned in place.
+        if queue[idx].wake > now {
+            if kept != idx {
+                queue[kept] = queue[idx];
             }
-            let done_at = match e.class {
-                InstClass::Load => {
-                    match ctx.mem.load(e.mem_addr, now) {
-                        DataOutcome::Stall => {
-                            if kept != idx {
-                                queue[kept] = e;
-                            }
-                            kept += 1;
-                            continue;
+            kept += 1;
+            continue;
+        }
+        // Queue entries never outlive their window instructions (squash
+        // and flush purge the queues eagerly), so the cached operand
+        // and class fields are always live.
+        let e = queue[idx];
+        let tid = usize::from(e.tid);
+        debug_assert!(ctx.threads[tid].window.ctl(e.seq).is_some());
+        let ready_cycle = ctx.sources_ready(&e);
+        if ready_cycle > now {
+            // An unresolved source (producer not yet issued) must be
+            // re-examined next cycle; a finite bound is exact and lets
+            // the entry sleep until it arrives.
+            queue[kept] = e;
+            queue[kept].wake = if ready_cycle == u64::MAX {
+                now + 1
+            } else {
+                ready_cycle
+            };
+            kept += 1;
+            continue;
+        }
+        let done_at = match e.class {
+            InstClass::Load => {
+                match ctx.mem.load(e.mem_addr, now) {
+                    DataOutcome::Stall => {
+                        if kept != idx {
+                            queue[kept] = e;
                         }
-                        DataOutcome::Done { ready } => {
-                            let done = ready.max(now) + 1;
-                            // Long-latency (memory) miss detection for the
-                            // MISSCOUNT metric and STALL/FLUSH mechanisms.
-                            // Only correct-path loads arm the mechanisms.
-                            if done - now > LONG_LATENCY && !e.wrong_path {
-                                // Drop expired entries first: consumers only
-                                // ever count `> now`, and this keeps the list
-                                // bounded by the in-flight load count (so the
-                                // pre-sized capacity is never exceeded).
-                                let th = &mut ctx.threads[tid];
-                                th.outstanding_misses.retain(|&r| r > now);
-                                th.outstanding_misses.push(done);
-                                match ctx.cfg.fetch_policy.long_latency {
-                                    LongLatencyAction::None => {}
-                                    LongLatencyAction::Stall => {
-                                        let th = &mut ctx.threads[tid];
-                                        th.mem_stall_until =
-                                            Some(th.mem_stall_until.unwrap_or(0).max(done));
-                                    }
-                                    LongLatencyAction::Flush => {
-                                        let th = &mut ctx.threads[tid];
-                                        th.mem_stall_until =
-                                            Some(th.mem_stall_until.unwrap_or(0).max(done));
-                                        self.pending_flushes.push((tid, e.seq));
-                                    }
+                        kept += 1;
+                        continue;
+                    }
+                    DataOutcome::Done { ready } => {
+                        let done = ready.max(now) + 1;
+                        // Long-latency (memory) miss detection for the
+                        // MISSCOUNT metric and STALL/FLUSH mechanisms.
+                        // Only correct-path loads arm the mechanisms.
+                        if done - now > LONG_LATENCY && !e.wrong_path {
+                            // Drop expired entries first: consumers only
+                            // ever count `> now`, and this keeps the list
+                            // bounded by the in-flight load count (so the
+                            // pre-sized capacity is never exceeded).
+                            let th = &mut ctx.threads[tid];
+                            th.outstanding_misses.retain(|&r| r > now);
+                            th.outstanding_misses.push(done);
+                            match ctx.cfg.fetch_policy.long_latency {
+                                LongLatencyAction::None => {}
+                                LongLatencyAction::Stall => {
+                                    let th = &mut ctx.threads[tid];
+                                    th.mem_stall_until =
+                                        Some(th.mem_stall_until.unwrap_or(0).max(done));
+                                }
+                                LongLatencyAction::Flush => {
+                                    let th = &mut ctx.threads[tid];
+                                    th.mem_stall_until =
+                                        Some(th.mem_stall_until.unwrap_or(0).max(done));
+                                    ctx.pending_flushes.push((tid, e.seq));
                                 }
                             }
-                            done
                         }
+                        done
                     }
                 }
-                other => now + other.default_latency(),
-            };
-            {
-                let ctl = ctx.threads[tid].window.ctl_mut(e.seq).expect("present");
-                ctl.set_issued();
-                ctl.done_at = done_at;
-                if let Some(p) = ctl.phys_dest {
-                    ctx.ready_at[p as usize] = done_at;
-                }
             }
-            issued += 1;
-            // Issued entries leave the pre-issue structures.
-            ctx.preissue[tid] -= 1;
+            other => now + other.default_latency(),
+        };
+        {
+            let ctl = ctx.threads[tid].window.ctl_mut(e.seq).expect("present");
+            ctl.set_issued();
+            ctl.done_at = done_at;
+            if let Some(p) = ctl.phys_dest {
+                ctx.ready_at[p as usize] = done_at;
+            }
         }
-        queue.truncate(kept);
-        match which {
-            0 => ctx.iq_int = queue,
-            1 => ctx.iq_ls = queue,
-            _ => ctx.iq_fp = queue,
-        }
+        issued += 1;
+        // Issued entries leave the pre-issue structures.
+        ctx.preissue[tid] -= 1;
     }
+    queue.truncate(kept);
+    ctx.iq[which] = queue;
 }

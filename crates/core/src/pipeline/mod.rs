@@ -1,11 +1,17 @@
-//! The pipeline-stage decomposition of the cycle loop.
+//! The pipeline stages of the cycle loop, as plain functions over one
+//! shared [`PipelineCtx`].
 //!
-//! Each stage is a struct owning its own scratch buffers and exposing
-//! `fn tick(&mut self, ctx: &mut PipelineCtx)` ([`PipelineStage`]); the
-//! shared machine state — threads, queues, register files, memory, stats —
-//! lives in [`PipelineCtx`]. `Simulator::step` calls the stages in reverse
-//! pipeline order (commit side first), exactly as the monolithic loop did,
-//! so stage decomposition is behavior-preserving by construction.
+//! Every stage is two functions: a tick (`commit(ctx)`) that advances it
+//! one cycle, and a horizon (`commit_horizon(ctx, ev)`) that reports,
+//! without mutating anything, whether the tick would change machine state
+//! this cycle (`ev.act()`) and, if not, the earliest future cycle at which
+//! the stage's inputs change on their own (`ev.event(at, reason)`) plus the
+//! per-thread stall bits it would charge on every idle cycle until then
+//! (`ev.flag`). A stage whose unblocking depends solely on another stage
+//! acting reports nothing. `Simulator::step` calls the ticks in reverse
+//! pipeline order (commit side first); [`sched::fast_forward`] polls the
+//! horizons and jumps to the minimum reported event when no stage acts
+//! (DESIGN.md §14).
 //!
 //! The stages also *attribute stalls*: as each stage runs it marks, per
 //! thread, which bottleneck it observed this cycle (bits in
@@ -13,6 +19,17 @@
 //! active thread's cycle to exactly one [`StallBreakdown`] bucket (highest
 //! severity wins) or to the idle/overlap residual, so the buckets plus the
 //! residual always sum to total cycles per thread.
+//!
+//! [`StallBreakdown`]: crate::metrics::StallBreakdown
+
+// The stages use `expect` to assert invariants the stage order itself
+// guarantees (e.g. "caller checked" FTQ heads, rename maps populated at
+// dispatch). Construction is fallible and validated; once built, these are
+// genuine internal invariants, not input errors.
+#![expect(
+    clippy::expect_used,
+    reason = "pipeline invariants; violations must abort the simulation"
+)]
 
 pub(crate) mod commit;
 pub(crate) mod decode_rename;
@@ -21,7 +38,7 @@ pub(crate) mod issue;
 pub(crate) mod recovery;
 pub(crate) mod sched;
 
-use smt_isa::{inst_idx, Addr, Cycle, InstClass, Presized, MAX_THREADS};
+use smt_isa::{inst_idx, Addr, Cycle, InstClass, Presized, RegClass, MAX_THREADS};
 use smt_mem::MemoryHierarchy;
 
 use crate::config::{LongLatencyAction, PolicyKind, SimConfig};
@@ -30,34 +47,17 @@ use crate::metrics::SimStats;
 use crate::thread::ThreadState;
 use crate::window::PhysReg;
 
-pub(crate) use commit::CommitStage;
-pub(crate) use decode_rename::{DecodeStage, DispatchStage, FrontFifo, LatchEntry, RenameStage};
-pub(crate) use fetch::{FetchStage, PredictStage};
-pub(crate) use issue::IssueStage;
-pub(crate) use recovery::ResolveStage;
+pub(crate) use commit::commit;
+pub(crate) use decode_rename::{decode, dispatch, rename, FrontFifo, LatchEntry};
+pub(crate) use fetch::{fetch, predict};
+pub(crate) use issue::issue;
+pub(crate) use recovery::resolve;
+pub(crate) use sched::fast_forward;
 
 /// A data access slower than this many cycles counts as a long-latency
 /// (memory) miss for the STALL/FLUSH mechanisms and the MISSCOUNT metric —
 /// above the 10-cycle L2 hit, below the 100-cycle memory access.
 pub(crate) const LONG_LATENCY: u64 = 30;
-
-/// One pipeline stage: owns its scratch, ticks once per cycle against the
-/// shared context.
-pub(crate) trait PipelineStage {
-    /// Advances the stage one cycle.
-    fn tick(&mut self, ctx: &mut PipelineCtx);
-
-    /// The stage's event-horizon report (DESIGN.md §14): without mutating
-    /// anything, decide whether [`PipelineStage::tick`] would change machine
-    /// state *this* cycle (`ev.act()`), and if not, register the earliest
-    /// future cycle at which this stage's inputs can change on their own
-    /// (`ev.event(at, reason)`) plus the per-thread stall bits the stage
-    /// would charge on every idle cycle until then (`ev.flag`). The
-    /// scheduler jumps to the minimum reported event when no stage acts;
-    /// a stage whose unblocking depends solely on another stage acting
-    /// reports nothing.
-    fn horizon(&self, ctx: &PipelineCtx, ev: &mut sched::EventHorizon);
-}
 
 // Per-thread stall-observation bits, set by the stages as they run and
 // consumed (then cleared) by `attribute_stalls` at the end of the cycle.
@@ -189,10 +189,9 @@ impl BankSet {
     }
 }
 
-/// The shared machine state every stage ticks against: configuration, the
+/// The whole machine every stage ticks against: configuration, the
 /// front-end engine, per-thread state, the inter-stage queues, register
-/// files, memory, and statistics. What used to be loose fields on the
-/// monolithic `Simulator` — stages now borrow it mutably one at a time.
+/// files, memory, and statistics.
 #[derive(Clone, Debug)]
 pub(crate) struct PipelineCtx {
     pub(crate) cfg: SimConfig,
@@ -202,19 +201,18 @@ pub(crate) struct PipelineCtx {
     pub(crate) cycle: Cycle,
     /// Fetch buffer, decode latch and rename latch, in fetch order.
     pub(crate) front: FrontFifo,
-    pub(crate) iq_int: Presized<Vec<IqEntry>>,
-    pub(crate) iq_ls: Presized<Vec<IqEntry>>,
-    pub(crate) iq_fp: Presized<Vec<IqEntry>>,
+    /// The issue queues, indexed by [`PipelineCtx::queue_for`].
+    pub(crate) iq: [Presized<Vec<IqEntry>>; 3],
     /// Cycle at which statistics were last reset (for warmup exclusion).
     pub(crate) stats_since: Cycle,
-    pub(crate) free_int: Presized<Vec<PhysReg>>,
-    pub(crate) free_fp: Presized<Vec<PhysReg>>,
+    /// Free physical registers, indexed by [`PipelineCtx::file_for`].
+    pub(crate) free: [Presized<Vec<PhysReg>>; 2],
     /// Cycle at which each physical register's value is ready, plus one
     /// trailing entry for [`PipelineCtx::zero_reg`] that stays 0.
     pub(crate) ready_at: Vec<Cycle>,
     pub(crate) rob_occ: u32,
     /// Per-thread entry count across the pre-issue structures (the front
-    /// FIFO and the three issue queues) — the ICOUNT
+    /// FIFO and the issue queues) — the ICOUNT
     /// metric, maintained incrementally at each insert/remove so the
     /// per-cycle priority computation does not rescan every queue. A debug
     /// assertion in [`PipelineCtx::priorities`] cross-checks it against the
@@ -224,6 +222,13 @@ pub(crate) struct PipelineCtx {
     /// (`STALL_*` constants), consumed by [`attribute_stalls`].
     pub(crate) stall_flags: [u8; MAX_THREADS],
     pub(crate) stats: SimStats,
+    /// Threads whose long-latency load requested a FLUSH this cycle, as
+    /// `(tid, load seq)`: the issue tick processes them after every queue
+    /// has issued (the flush mutates the queues). Allocated and dropped
+    /// last: perfbench's `setup_s` is sensitive to where this small buffer
+    /// lands among the big tables in the allocator's heap (`mem_fig7` took
+    /// about 40% longer with it allocated before the front FIFO).
+    pub(crate) pending_flushes: Presized<Vec<(usize, u64)>>,
 }
 
 impl PipelineCtx {
@@ -243,7 +248,7 @@ impl PipelineCtx {
     /// Total entries across the pre-issue structures (the quantity the
     /// incremental `preissue` counters track, summed over threads).
     pub(crate) fn preissue_live(&self) -> usize {
-        self.front.len() + self.iq_int.len() + self.iq_ls.len() + self.iq_fp.len()
+        self.front.len() + self.iq.iter().map(|q| q.len()).sum::<usize>()
     }
 
     /// Per-thread pre-issue instruction counts recomputed from the queues —
@@ -254,12 +259,7 @@ impl PipelineCtx {
         for e in self.front.iter() {
             c[e.tid] += 1;
         }
-        for e in self
-            .iq_int
-            .iter()
-            .chain(self.iq_ls.iter())
-            .chain(self.iq_fp.iter())
-        {
+        for e in self.iq.iter().flat_map(|q| q.iter()) {
             c[usize::from(e.tid)] += 1;
         }
         c
@@ -280,12 +280,7 @@ impl PipelineCtx {
         for e in self.front.iter() {
             count(e.tid, e.seq);
         }
-        for e in self
-            .iq_int
-            .iter()
-            .chain(self.iq_ls.iter())
-            .chain(self.iq_fp.iter())
-        {
+        for e in self.iq.iter().flat_map(|q| q.iter()) {
             count(usize::from(e.tid), e.seq);
         }
         c
@@ -341,6 +336,15 @@ impl PipelineCtx {
         }
     }
 
+    /// Which free list holds a register class's physical registers (0 =
+    /// int, 1 = fp).
+    pub(crate) fn file_for(class: RegClass) -> usize {
+        match class {
+            RegClass::Int => 0,
+            RegClass::Fp => 1,
+        }
+    }
+
     /// Marks a stall observation for `tid` this cycle.
     #[inline]
     pub(crate) fn note_stall(&mut self, tid: usize, bit: u8) {
@@ -350,36 +354,16 @@ impl PipelineCtx {
 
 /// End-of-cycle stall accounting: charges each active thread's cycle to
 /// exactly one breakdown bucket — the most severe bottleneck any stage
-/// observed for it this cycle — or to the idle/overlap residual, then
-/// clears the observation bits. One increment per thread per cycle, so per
-/// thread the buckets plus the residual always sum to total cycles.
+/// observed for it this cycle ([`StallBreakdown::charge`]) — or to the
+/// idle/overlap residual, then clears the observation bits. One increment
+/// per thread per cycle, so per thread the buckets plus the residual always
+/// sum to total cycles.
 ///
-/// Severity order (commit side outranks fetch side, since a blocked commit
-/// stalls the thread regardless of how well fetch is going): data-cache
-/// miss > ROB full > issue width > I-cache miss > bank conflict >
-/// fetch-policy starvation.
+/// [`StallBreakdown::charge`]: crate::metrics::StallBreakdown::charge
 pub(crate) fn attribute_stalls(ctx: &mut PipelineCtx) {
-    let n = ctx.threads.len();
-    for tid in 0..n {
-        let flags = ctx.stall_flags[tid];
+    for tid in 0..ctx.threads.len() {
+        ctx.stats.stalls.charge(tid, ctx.stall_flags[tid], 1);
         ctx.stall_flags[tid] = 0;
-        let s = &mut ctx.stats.stalls;
-        let bucket = if flags & STALL_DCACHE_MISS != 0 {
-            &mut s.dcache_miss
-        } else if flags & STALL_ROB_FULL != 0 {
-            &mut s.rob_full
-        } else if flags & STALL_ISSUE_WIDTH != 0 {
-            &mut s.issue_width
-        } else if flags & STALL_ICACHE_MISS != 0 {
-            &mut s.icache_miss
-        } else if flags & STALL_BANK_CONFLICT != 0 {
-            &mut s.bank_conflict
-        } else if flags & STALL_FETCH_STARVED != 0 {
-            &mut s.fetch_starved
-        } else {
-            &mut s.residual
-        };
-        bucket[tid] += 1;
     }
 }
 

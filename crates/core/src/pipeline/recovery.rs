@@ -1,95 +1,125 @@
 //! Mis-speculation recovery: the branch-resolution stage (redirect on
-//! mispredicted branches) and the long-latency-load FLUSH, both of which
-//! roll the window back, undo renames, purge the pre-issue structures, and
-//! restore the front end's speculative state.
+//! mispredicted branches) and the long-latency-load FLUSH. Both remove a
+//! thread's younger instructions through one [`rollback`] (window, renames,
+//! ROB, pre-issue structures, FTQ) and then restore the front end's
+//! speculative state from a block checkpoint.
 
-// The pipeline stages use `expect` to assert invariants that the stage
-// protocol itself guarantees (e.g. "caller checked" FTQ heads, rename maps
-// populated at dispatch). Construction is fallible and validated; once
-// built, these are genuine internal invariants, not input errors.
-#![expect(
-    clippy::expect_used,
-    reason = "stage-protocol invariants; violations must abort the simulation"
-)]
-
-use smt_isa::{inst_idx, RegClass};
+use smt_isa::inst_idx;
 
 use super::sched::{EventHorizon, SkipReason};
-use super::{PipelineCtx, PipelineStage};
+use super::PipelineCtx;
 
 /// The resolve stage: detects resolved mispredictions (decode-detectable
 /// misfetches after one stage, the rest at completion) and squashes the
 /// wrong path.
-#[derive(Clone, Debug)]
-pub(crate) struct ResolveStage;
-
-impl PipelineStage for ResolveStage {
-    fn tick(&mut self, ctx: &mut PipelineCtx) {
-        let now = ctx.cycle;
-        for tid in 0..ctx.threads.len() {
-            let Some(seq) = ctx.threads[tid].pending_redirect else {
-                continue;
-            };
-            let resolved = ctx.threads[tid]
-                .window
-                .ctl(seq)
-                .map(|c| {
-                    // Decode-detectable misfetches redirect as soon as the
-                    // instruction reaches decode (one stage after fetch);
-                    // everything else waits for execution.
-                    let decode_ok = c.decode_redirect() && now >= c.fetched_at + 2;
-                    decode_ok || c.completed(now)
-                })
-                .unwrap_or(false);
-            if resolved {
-                squash_after(ctx, tid, seq);
-            }
+pub(crate) fn resolve(ctx: &mut PipelineCtx) {
+    let now = ctx.cycle;
+    for tid in 0..ctx.threads.len() {
+        let Some(seq) = ctx.threads[tid].pending_redirect else {
+            continue;
+        };
+        let resolved = ctx.threads[tid]
+            .window
+            .ctl(seq)
+            .map(|c| {
+                // Decode-detectable misfetches redirect as soon as the
+                // instruction reaches decode (one stage after fetch);
+                // everything else waits for execution.
+                let decode_ok = c.decode_redirect() && now >= c.fetched_at + 2;
+                decode_ok || c.completed(now)
+            })
+            .unwrap_or(false);
+        if resolved {
+            squash_after(ctx, tid, seq);
         }
     }
+}
 
-    /// Resolution is timer-driven: a decode-detectable misfetch redirects
-    /// `fetched_at + 2` cycles after fetch, everything else at the
-    /// diverging instruction's completion. A redirect whose timer has
-    /// expired is an act (the squash mutates half the machine); one still
-    /// pending reports the timer as its event. An unissued, non-decode
-    /// redirect is bounded by its own issue-queue entry.
-    fn horizon(&self, ctx: &PipelineCtx, ev: &mut EventHorizon) {
-        let now = ctx.cycle;
-        for th in &ctx.threads {
-            let Some(seq) = th.pending_redirect else {
-                continue;
-            };
-            let Some(c) = th.window.ctl(seq) else {
-                continue;
-            };
-            if c.decode_redirect() {
-                if now >= c.fetched_at + 2 {
-                    ev.act();
-                    return;
-                }
-                ev.event(c.fetched_at + 2, SkipReason::IssueWait);
-            }
-            if c.completed(now) {
+/// Resolution is timer-driven: a decode-detectable misfetch redirects
+/// `fetched_at + 2` cycles after fetch, everything else at the diverging
+/// instruction's completion. A redirect whose timer has expired is an act
+/// (the squash mutates half the machine); one still pending reports the
+/// timer as its event. An unissued, non-decode redirect is bounded by its
+/// own issue-queue entry.
+pub(crate) fn resolve_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
+    let now = ctx.cycle;
+    for th in &ctx.threads {
+        let Some(seq) = th.pending_redirect else {
+            continue;
+        };
+        let Some(c) = th.window.ctl(seq) else {
+            continue;
+        };
+        if c.decode_redirect() {
+            if now >= c.fetched_at + 2 {
                 ev.act();
                 return;
             }
-            if c.issued() {
-                let reason = if c.is_load() {
-                    SkipReason::MemWait
-                } else {
-                    SkipReason::IssueWait
-                };
-                ev.event(c.done_at, reason);
+            ev.event(c.fetched_at + 2, SkipReason::IssueWait);
+        }
+        if c.completed(now) {
+            ev.act();
+            return;
+        }
+        if c.issued() {
+            let reason = if c.is_load() {
+                SkipReason::MemWait
+            } else {
+                SkipReason::IssueWait
+            };
+            ev.event(c.done_at, reason);
+        }
+    }
+}
+
+/// Removes every instruction of thread `tid` from sequence number `from`
+/// on — the one rollback both squash and FLUSH use. Pops the window
+/// youngest first, undoing renames and releasing ROB slots; purges the
+/// front FIFO and the issue queues; empties the FTQ; and makes `from` the
+/// next sequence number to fetch. Returns the number of instructions
+/// removed.
+fn rollback(ctx: &mut PipelineCtx, tid: usize, from: u64) -> u64 {
+    // Popped seqs' payload slots stay intact until fetch refills them later
+    // in the tick, so the destination arch register can still be read after
+    // the pop.
+    let th = &mut ctx.threads[tid];
+    let mut rolled = 0;
+    while th.window.back().is_some_and(|b| b.seq >= from) {
+        let ctl = th.window.pop_back().expect("checked");
+        rolled += 1;
+        if ctl.dispatched() {
+            ctx.rob_occ -= 1;
+            if let Some(newp) = ctl.phys_dest {
+                let dest = th.window.di(ctl.seq).dest.expect("dispatched with dest");
+                th.rename_map[dest.flat_index()] = ctl.prev_phys.expect("dispatched with dest");
+                ctx.free[PipelineCtx::file_for(dest.class())].push(newp);
             }
         }
     }
+    ctx.stats.squashed += rolled;
+    // Every removed entry belongs to `tid`, so the length delta is the
+    // thread's pre-issue count adjustment.
+    let before = ctx.preissue_live();
+    ctx.front.retain(|e| !(e.tid == tid && e.seq >= from));
+    for q in &mut ctx.iq {
+        q.retain(|e| !(usize::from(e.tid) == tid && e.seq >= from));
+    }
+    ctx.preissue[tid] -= inst_idx(before - ctx.preissue_live());
+    let th = &mut ctx.threads[tid];
+    th.ftq.clear();
+    th.ftq_consumed = 0;
+    th.iblock_until = None;
+    // Removed sequence numbers are reused: every structure was purged of
+    // them above, and window lookups rely on `seq` being contiguous.
+    th.next_seq = from;
+    rolled
 }
 
 /// Squashes everything younger than `seq` in thread `tid` and redirects
 /// its front end to the oracle path.
 pub(crate) fn squash_after(ctx: &mut PipelineCtx, tid: usize, seq: u64) {
-    // Extract the branch's recovery info first (all payloads are
-    // `Copy`, so this is a plain read).
+    // Extract the branch's recovery info first (all payloads are `Copy`,
+    // so this is a plain read).
     let (di, binfo) = {
         let w = &ctx.threads[tid].window;
         w.ctl(seq).expect("redirect target alive");
@@ -99,65 +129,24 @@ pub(crate) fn squash_after(ctx: &mut PipelineCtx, tid: usize, seq: u64) {
         )
     };
     let meta = *ctx.threads[tid].meta(seq);
-    // Roll the window back, youngest first, undoing renames. Popped seqs'
-    // payload slots stay intact until fetch refills them later in the
-    // tick, so the destination arch register can still be read after the
-    // pop.
-    let mut freed_rob = 0u32;
-    {
-        let th = &mut ctx.threads[tid];
-        while th.window.back().is_some_and(|b| b.seq > seq) {
-            let ctl = th.window.pop_back().expect("checked");
-            ctx.stats.squashed += 1;
-            if ctl.dispatched() {
-                freed_rob += 1;
-                if let Some(newp) = ctl.phys_dest {
-                    let dest = th.window.di(ctl.seq).dest.expect("dispatched with dest");
-                    th.rename_map[dest.flat_index()] = ctl.prev_phys.expect("dispatched with dest");
-                    match dest.class() {
-                        RegClass::Int => ctx.free_int.push(newp),
-                        RegClass::Fp => ctx.free_fp.push(newp),
-                    }
-                }
-            }
-        }
-    }
-    ctx.rob_occ -= freed_rob;
-    // Every removed entry belongs to `tid`, so the length delta is the
-    // thread's pre-issue count adjustment.
-    let before = ctx.preissue_live();
-    ctx.front.retain(|e| !(e.tid == tid && e.seq > seq));
-    ctx.iq_int
-        .retain(|e| !(usize::from(e.tid) == tid && e.seq > seq));
-    ctx.iq_ls
-        .retain(|e| !(usize::from(e.tid) == tid && e.seq > seq));
-    ctx.iq_fp
-        .retain(|e| !(usize::from(e.tid) == tid && e.seq > seq));
-    ctx.preissue[tid] -= inst_idx(before - ctx.preissue_live());
-
+    rollback(ctx, tid, seq + 1);
     // Repair the speculative front-end state and redirect.
     ctx.frontend
         .repair(&mut ctx.threads[tid].spec, &binfo, &meta, &di);
     let th = &mut ctx.threads[tid];
-    th.ftq.clear();
-    th.ftq_consumed = 0;
     th.diverged = false;
-    th.iblock_until = None;
     th.pending_redirect = None;
-    // Squashed sequence numbers are reused: every structure was purged
-    // of them above, and window lookups rely on `seq` being contiguous.
-    th.next_seq = seq + 1;
     th.next_fetch_pc = th.walker.pc();
     debug_assert_eq!(th.next_fetch_pc, di.next_pc, "oracle redirect mismatch");
 }
 
-/// Tullsen & Brown's FLUSH: squash the thread's instructions younger
-/// than the long-latency load (from the first subsequent fetch block
-/// on), freeing the shared queues it would otherwise clog, and rewind
-/// the oracle so they are re-fetched when the miss returns.
+/// Tullsen & Brown's FLUSH: squash the thread's instructions younger than
+/// the long-latency load (from the first subsequent fetch block on),
+/// freeing the shared queues it would otherwise clog, and rewind the oracle
+/// so they are re-fetched when the miss returns.
 pub(crate) fn flush_after_load(ctx: &mut PipelineCtx, tid: usize, load_seq: u64) {
-    // A diverged thread's younger instructions are wrong-path and will
-    // be reclaimed by the normal redirect; flushing would fight it.
+    // A diverged thread's younger instructions are wrong-path and will be
+    // reclaimed by the normal redirect; flushing would fight it.
     if ctx.threads[tid].diverged {
         return;
     }
@@ -181,54 +170,15 @@ pub(crate) fn flush_after_load(ctx: &mut PipelineCtx, tid: usize, load_seq: u64)
     let Some((flush_seq, meta)) = boundary else {
         return; // nothing younger worth flushing
     };
-
-    let mut freed_rob = 0u32;
-    let mut rolled = 0u64;
-    {
-        let th = &mut ctx.threads[tid];
-        while th.window.back().is_some_and(|b| b.seq >= flush_seq) {
-            let ctl = th.window.pop_back().expect("checked");
-            debug_assert!(!ctl.wrong_path(), "flush on an undiverged thread");
-            rolled += 1;
-            ctx.stats.squashed += 1;
-            if ctl.dispatched() {
-                freed_rob += 1;
-                if let Some(newp) = ctl.phys_dest {
-                    let dest = th.window.di(ctl.seq).dest.expect("dispatched with dest");
-                    th.rename_map[dest.flat_index()] = ctl.prev_phys.expect("dispatched with dest");
-                    match dest.class() {
-                        RegClass::Int => ctx.free_int.push(newp),
-                        RegClass::Fp => ctx.free_fp.push(newp),
-                    }
-                }
-            }
-        }
-    }
-    if rolled == 0 {
-        return;
-    }
-    ctx.rob_occ -= freed_rob;
-    // As in `squash_after`: all removed entries belong to `tid`.
-    let before = ctx.preissue_live();
-    ctx.front.retain(|e| !(e.tid == tid && e.seq >= flush_seq));
-    ctx.iq_int
-        .retain(|e| !(usize::from(e.tid) == tid && e.seq >= flush_seq));
-    ctx.iq_ls
-        .retain(|e| !(usize::from(e.tid) == tid && e.seq >= flush_seq));
-    ctx.iq_fp
-        .retain(|e| !(usize::from(e.tid) == tid && e.seq >= flush_seq));
-    ctx.preissue[tid] -= inst_idx(before - ctx.preissue_live());
-
+    debug_assert!(
+        ctx.threads[tid].window.iter().all(|c| !c.wrong_path()),
+        "flush on an undiverged thread"
+    );
+    // The boundary is in the window, so at least one instruction rolls back.
+    let rolled = rollback(ctx, tid, flush_seq);
     let th = &mut ctx.threads[tid];
     th.walker.rollback(rolled);
-    th.spec.hist = meta.hist;
-    th.spec.ras.restore(meta.ras);
-    th.spec.path = meta.path;
-    th.spec.stream_start = meta.stream_start;
-    th.ftq.clear();
-    th.ftq_consumed = 0;
-    th.iblock_until = None;
-    th.next_seq = flush_seq;
+    th.spec.restore(&meta);
     th.next_fetch_pc = th.walker.pc();
     debug_assert!(th.pending_redirect.is_none());
     ctx.stats.flushes += 1;

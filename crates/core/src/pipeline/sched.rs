@@ -1,10 +1,10 @@
 //! Event-driven cycle skipping: the next-interesting-event scheduler
 //! (DESIGN.md §14).
 //!
-//! Between steps, every pipeline stage answers two questions through
-//! [`PipelineStage::horizon`]: *can you change machine state this cycle?*
-//! and, if not, *what is the earliest future cycle at which your inputs
-//! change on their own?* Self-scheduled changes are always timer expiries —
+//! Between steps, every pipeline stage answers two questions through its
+//! horizon function (`commit_horizon`, `issue_horizon`, …): *can you
+//! change machine state this cycle?* and, if not, *what is the earliest
+//! future cycle at which your inputs change on their own?* Self-scheduled changes are always timer expiries —
 //! a load's `done_at`, an I-block's miss return, a STALL/FLUSH gate, an
 //! issue-queue operand becoming ready, an MSHR fill — so when no stage can
 //! act, the machine is frozen until the minimum reported expiry and the
@@ -15,26 +15,26 @@
 //! would set on such a cycle is a pure function of state that cannot change
 //! before the horizon (the stages record those bits in
 //! [`EventHorizon::flag`], and [`apply`] charges them once per skipped
-//! cycle with the same severity order as `attribute_stalls`). The
-//! stall-partition invariant `stalls.total(tid) == cycles` therefore holds
-//! through skipped regions, and a skip clamped at a chunk boundary
-//! re-derives the identical classification when the resumed simulator calls
-//! the scheduler again on the same frozen state.
+//! cycle through the same `StallBreakdown::charge` that `attribute_stalls`
+//! uses). The stall-partition invariant `stalls.total(tid) == cycles`
+//! therefore holds through skipped regions, and a skip clamped at a chunk
+//! boundary re-derives the identical classification when the resumed
+//! simulator calls the scheduler again on the same frozen state.
 //!
-//! Unlike the PR 5 fast path this file replaces, no stage is special-cased:
-//! the contract covers every fetch policy (RR/ICOUNT/BRCOUNT/MISSCOUNT,
-//! with or without STALL/FLUSH) and every front-end engine, and skips
-//! backend-frozen windows — latches occupied, dispatch blocked on a full
-//! ROB, a data miss at the ROB head — that the whole-machine-idle predicate
-//! could never touch.
+//! No stage is special-cased: the contract covers every fetch policy
+//! (RR/ICOUNT/BRCOUNT/MISSCOUNT, with or without STALL/FLUSH) and every
+//! front-end engine, and skips backend-frozen windows — latches occupied,
+//! dispatch blocked on a full ROB, a data miss at the ROB head — that a
+//! whole-machine-idle predicate could never touch.
 
 use smt_isa::{Cycle, MAX_THREADS};
 
-use super::{
-    PipelineCtx, PipelineStage, STALL_DCACHE_MISS, STALL_FETCH_STARVED, STALL_ICACHE_MISS,
-    STALL_ROB_FULL,
-};
-use crate::sim::Simulator;
+use super::commit::commit_horizon;
+use super::decode_rename::{decode_horizon, dispatch_horizon, rename_horizon};
+use super::fetch::{fetch_horizon, predict_horizon};
+use super::issue::issue_horizon;
+use super::recovery::resolve_horizon;
+use super::PipelineCtx;
 
 /// Why the scheduler skipped: the classification of the binding (earliest)
 /// event. The discriminant is the tie-break priority — when several sources
@@ -132,70 +132,52 @@ impl EventHorizon {
     }
 }
 
-impl Simulator {
-    /// Tries to jump to the next interesting event: returns the number of
-    /// cycles skipped (stats updated as if each had been stepped), or 0 if
-    /// some stage can act this cycle and a real step is required.
-    ///
-    /// Stages are polled cheapest-first so busy cycles bail out after one
-    /// or two O(1)/O(threads) probes; the issue-queue scan — the only
-    /// O(queue) probe — runs last.
-    pub(crate) fn fast_forward(&mut self, max: u64) -> u64 {
-        if max == 0 {
-            return 0;
-        }
-        let ctx = &self.ctx;
-        let mut ev = EventHorizon::new(ctx.cycle);
-        self.decode.horizon(ctx, &mut ev);
-        if ev.acted() {
-            return 0;
-        }
-        self.rename.horizon(ctx, &mut ev);
-        if ev.acted() {
-            return 0;
-        }
-        self.commit.horizon(ctx, &mut ev);
-        if ev.acted() {
-            return 0;
-        }
-        self.predict.horizon(ctx, &mut ev);
-        if ev.acted() {
-            return 0;
-        }
-        self.fetch.horizon(ctx, &mut ev);
-        if ev.acted() {
-            return 0;
-        }
-        self.resolve.horizon(ctx, &mut ev);
-        if ev.acted() {
-            return 0;
-        }
-        self.dispatch.horizon(ctx, &mut ev);
-        if ev.acted() {
-            return 0;
-        }
-        self.issue.horizon(ctx, &mut ev);
-        if ev.acted() {
-            return 0;
-        }
-        // The memory model reports its own horizon: pending MSHR fills on
-        // either side. It is a conservative bound — an expiry that enables
-        // no stage merely splits the skip, and the re-derived classification
-        // charges the remainder identically. The front-end engines need no
-        // horizon: their tables only move inside predict/train calls.
-        if let Some(at) = ctx.mem.next_event(ctx.cycle) {
-            ev.event(at, SkipReason::MemWait);
-        }
-        apply(&mut self.ctx, &ev, max)
+/// Tries to jump to the next interesting event: returns the number of
+/// cycles skipped (stats updated as if each had been stepped), or 0 if some
+/// stage can act this cycle and a real step is required.
+///
+/// Stages are polled cheapest-first so busy cycles bail out after one or
+/// two O(1)/O(threads) probes; the issue-queue scan — the only O(queue)
+/// probe — runs last.
+pub(crate) fn fast_forward(ctx: &mut PipelineCtx, max: u64) -> u64 {
+    if max == 0 {
+        return 0;
     }
+    let mut ev = EventHorizon::new(ctx.cycle);
+    macro_rules! poll {
+        ($($horizon:ident),*) => {$(
+            $horizon(ctx, &mut ev);
+            if ev.acted() {
+                return 0;
+            }
+        )*};
+    }
+    poll!(
+        decode_horizon,
+        rename_horizon,
+        commit_horizon,
+        predict_horizon,
+        fetch_horizon,
+        resolve_horizon,
+        dispatch_horizon,
+        issue_horizon
+    );
+    // The memory model reports its own horizon: pending MSHR fills on
+    // either side. It is a conservative bound — an expiry that enables no
+    // stage merely splits the skip, and the re-derived classification
+    // charges the remainder identically. The front-end engines need no
+    // horizon: their tables only move inside predict/train calls.
+    if let Some(at) = ctx.mem.next_event(ctx.cycle) {
+        ev.event(at, SkipReason::MemWait);
+    }
+    apply(ctx, &ev, max)
 }
 
-/// Executes a skip decided by [`Simulator::fast_forward`]: charges each
-/// thread's recorded stall bit (same severity order as `attribute_stalls`;
-/// issue-width and bank-conflict bits require an acting stage and thus
-/// cannot occur in an idle window) once per skipped cycle, advances the
-/// clock, and books the skip under its reason counter. Returns the skip
-/// length, 0 if no finite future event exists.
+/// Executes a skip decided by [`fast_forward`]: charges each thread's
+/// recorded stall bits once per skipped cycle (issue-width and
+/// bank-conflict bits require an acting stage and thus cannot occur in an
+/// idle window), advances the clock, and books the skip under its reason
+/// counter. Returns the skip length, 0 if no finite future event exists.
 fn apply(ctx: &mut PipelineCtx, ev: &EventHorizon, max: u64) -> u64 {
     if ev.wake == u64::MAX {
         // Fully blocked with no self-scheduled event (unreachable with the
@@ -209,20 +191,7 @@ fn apply(ctx: &mut PipelineCtx, ev: &EventHorizon, max: u64) -> u64 {
             ctx.stall_flags[tid], 0,
             "stall flags must be consumed before the scheduler runs"
         );
-        let s = &mut ctx.stats.stalls;
-        let flags = ev.flags[tid];
-        let bucket = if flags & STALL_DCACHE_MISS != 0 {
-            &mut s.dcache_miss
-        } else if flags & STALL_ROB_FULL != 0 {
-            &mut s.rob_full
-        } else if flags & STALL_ICACHE_MISS != 0 {
-            &mut s.icache_miss
-        } else if flags & STALL_FETCH_STARVED != 0 {
-            &mut s.fetch_starved
-        } else {
-            &mut s.residual
-        };
-        bucket[tid] += skip;
+        ctx.stats.stalls.charge(tid, ev.flags[tid], skip);
     }
     if ev.buffer_full {
         ctx.stats.fetch_buffer_stalls += skip;

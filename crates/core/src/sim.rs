@@ -15,10 +15,11 @@
 //! **1.X** (Figure 1: one thread per cycle, single I-cache port) and **2.X**
 //! (Figure 3: two threads, two ports, bank-conflict logic, merge).
 //!
-//! Each stage lives in [`crate::pipeline`] as its own `PipelineStage`
-//! struct; the `Simulator` here is the thin composition root: it builds the
-//! shared `PipelineCtx`, owns the stage structs, and ticks them in reverse
-//! pipeline order every [`Simulator::step`].
+//! Each stage lives in [`crate::pipeline`] as a tick function and a
+//! horizon function over the shared `PipelineCtx`; the `Simulator` here is
+//! the thin composition root: it builds that context, calls the ticks in
+//! reverse pipeline order every [`Simulator::step`], and lets the
+//! event-driven scheduler skip idle cycles in [`Simulator::run_cycles`].
 
 use std::sync::Arc;
 
@@ -31,8 +32,8 @@ use crate::config::{FetchEngineKind, FetchPolicy, SimConfig};
 use crate::frontend::FrontEnd;
 use crate::metrics::SimStats;
 use crate::pipeline::{
-    attribute_stalls, CommitStage, DecodeStage, DispatchStage, FetchStage, FrontFifo, IssueStage,
-    PipelineCtx, PipelineStage, PredictStage, RenameStage, ResolveStage,
+    attribute_stalls, commit, decode, dispatch, fast_forward, fetch, issue, predict, rename,
+    resolve, FrontFifo, PipelineCtx,
 };
 use crate::thread::ThreadState;
 use crate::window::PhysReg;
@@ -149,19 +150,11 @@ impl SimBuilder {
     }
 }
 
-/// The SMT processor simulator: the shared pipeline context plus the eight
-/// stage structs, ticked in reverse pipeline order each cycle.
+/// The SMT processor simulator: the whole machine state, ticked stage by
+/// stage in reverse pipeline order each cycle.
 #[derive(Clone, Debug)]
 pub struct Simulator {
     pub(crate) ctx: PipelineCtx,
-    pub(crate) resolve: ResolveStage,
-    pub(crate) commit: CommitStage,
-    pub(crate) issue: IssueStage,
-    pub(crate) dispatch: DispatchStage,
-    pub(crate) rename: RenameStage,
-    pub(crate) decode: DecodeStage,
-    pub(crate) fetch: FetchStage,
-    pub(crate) predict: PredictStage,
 }
 
 // The experiment harness moves each sweep cell's `Simulator` (and the
@@ -245,8 +238,6 @@ impl Simulator {
         let mem = MemoryHierarchy::new(mem_cfg).map_err(|d| BuildError::InvalidConfig(vec![d]))?;
 
         let width = cfg.fetch_policy.width;
-        let decode_width = cfg.decode_width as usize;
-        let fu_ls = cfg.fu_ls as usize;
         // Every queue is built at its configuration-derived high-water mark,
         // so the steady-state cycle loop never grows (= never reallocates)
         // any of them.
@@ -255,32 +246,21 @@ impl Simulator {
             mem,
             threads,
             cycle: 0,
-            front: FrontFifo::new(cfg.fetch_buffer as usize, decode_width),
-            iq_int: Presized::vec(cfg.iq_int as usize),
-            iq_ls: Presized::vec(cfg.iq_ls as usize),
-            iq_fp: Presized::vec(cfg.iq_fp as usize),
+            front: FrontFifo::new(cfg.fetch_buffer as usize, cfg.decode_width as usize),
+            iq: cfg.iq_sizes().map(|n| Presized::vec(n as usize)),
             stats_since: 0,
-            free_int: free_int.into(),
-            free_fp: free_fp.into(),
+            free: [free_int.into(), free_fp.into()],
             ready_at,
             rob_occ: 0,
             preissue: [0; MAX_THREADS],
             stall_flags: [0; MAX_THREADS],
             stats: SimStats::new(width),
+            // Only issued loads request flushes, at most one per L/S unit.
+            // Allocated last (see the field).
+            pending_flushes: Presized::vec(cfg.fu_ls as usize),
             cfg,
         };
-        Ok(Simulator {
-            ctx,
-            resolve: ResolveStage,
-            commit: CommitStage,
-            // Only issued loads request flushes, at most one per L/S unit.
-            issue: IssueStage::new(fu_ls),
-            dispatch: DispatchStage,
-            rename: RenameStage,
-            decode: DecodeStage,
-            fetch: FetchStage,
-            predict: PredictStage,
-        })
+        Ok(Simulator { ctx })
     }
 
     /// The configuration in force.
@@ -328,7 +308,7 @@ impl Simulator {
     pub fn run_cycles(&mut self, n: u64) -> &SimStats {
         let mut left = n;
         while left > 0 {
-            match self.fast_forward(left) {
+            match fast_forward(&mut self.ctx, left) {
                 0 => {
                     self.step();
                     left -= 1;
@@ -344,14 +324,14 @@ impl Simulator {
         let ctx = &mut self.ctx;
         // Resolve must precede commit: a mispredicted branch that completes
         // this cycle must squash and redirect before it can retire.
-        self.resolve.tick(ctx);
-        self.commit.tick(ctx);
-        self.issue.tick(ctx);
-        self.dispatch.tick(ctx);
-        self.rename.tick(ctx);
-        self.decode.tick(ctx);
-        self.fetch.tick(ctx);
-        self.predict.tick(ctx);
+        resolve(ctx);
+        commit(ctx);
+        issue(ctx);
+        dispatch(ctx);
+        rename(ctx);
+        decode(ctx);
+        fetch(ctx);
+        predict(ctx);
         // Charge each thread's cycle to its most severe observed stall.
         attribute_stalls(ctx);
         ctx.cycle += 1;
@@ -407,47 +387,70 @@ mod tests {
         }
     }
 
+    /// The squash-heavy 2-thread cell, plus `ICOUNT.2.8` with FLUSH on the
+    /// 4-thread mix (asserted to flush), so both callers of the shared
+    /// rollback run under the invariant checks below.
+    fn rollback_cells() -> [(Simulator, bool); 2] {
+        let flush = SimBuilder::new(Workload::mix4().programs(3).expect("programs"))
+            .fetch_policy(FetchPolicy::icount(2, 8).with_flush())
+            .build()
+            .expect("build");
+        [
+            (
+                sim(FetchEngineKind::GshareBtb, FetchPolicy::icount(2, 8)),
+                false,
+            ),
+            (flush, true),
+        ]
+    }
+
     #[test]
     fn window_stays_contiguous_under_squashes() {
-        // Run long enough to take many squash/redirect cycles and verify
-        // the per-thread window sequence-number invariant the O(1) lookup
-        // relies on.
-        let mut s = sim(FetchEngineKind::GshareBtb, FetchPolicy::icount(2, 8));
-        for _ in 0..200 {
-            s.run_cycles(50);
-            for th in &s.ctx.threads {
-                let mut prev = None;
-                for ctl in th.window.iter() {
-                    if let Some(p) = prev {
-                        assert_eq!(ctl.seq, p + 1, "window gap in thread {}", th.id);
+        // Run long enough to take many squash/redirect (and FLUSH) cycles
+        // and verify the per-thread window sequence-number invariant the
+        // O(1) lookup relies on.
+        for (mut s, flushing) in rollback_cells() {
+            for _ in 0..200 {
+                s.run_cycles(50);
+                for th in &s.ctx.threads {
+                    let mut prev = None;
+                    for ctl in th.window.iter() {
+                        if let Some(p) = prev {
+                            assert_eq!(ctl.seq, p + 1, "window gap in thread {}", th.id);
+                        }
+                        prev = Some(ctl.seq);
                     }
-                    prev = Some(ctl.seq);
                 }
             }
+            assert!(s.stats().squashed > 0, "test never exercised a squash");
+            assert_eq!(s.stats().flushes > 0, flushing, "FLUSH coverage");
         }
-        assert!(s.stats().squashed > 0, "test never exercised a squash");
     }
 
     #[test]
     fn physical_registers_are_conserved() {
         // free + in-flight-held + architectural = total, at every point.
-        let mut s = sim(FetchEngineKind::Stream, FetchPolicy::icount(2, 16));
-        for _ in 0..100 {
-            s.run_cycles(100);
-            let held: usize = s
-                .ctx
-                .threads
-                .iter()
-                .flat_map(|t| t.window.iter())
-                .filter(|c| c.dispatched() && c.phys_dest.is_some())
-                .count();
-            let mapped = 2 * smt_isa::ArchReg::flat_count();
-            let total = s.ctx.free_int.len() + s.ctx.free_fp.len() + held + mapped;
-            assert_eq!(
-                total,
-                (s.ctx.cfg.regs_int + s.ctx.cfg.regs_fp) as usize,
-                "register leak or double-free"
-            );
+        let stream = sim(FetchEngineKind::Stream, FetchPolicy::icount(2, 16));
+        let [_, flush] = rollback_cells();
+        for (mut s, flushing) in [(stream, false), flush] {
+            let mapped = s.num_threads() * smt_isa::ArchReg::flat_count();
+            for _ in 0..100 {
+                s.run_cycles(100);
+                let held: usize = s
+                    .ctx
+                    .threads
+                    .iter()
+                    .flat_map(|t| t.window.iter())
+                    .filter(|c| c.dispatched() && c.phys_dest.is_some())
+                    .count();
+                let free: usize = s.ctx.free.iter().map(|f| f.len()).sum();
+                assert_eq!(
+                    free + held + mapped,
+                    (s.ctx.cfg.regs_int + s.ctx.cfg.regs_fp) as usize,
+                    "register leak or double-free"
+                );
+            }
+            assert_eq!(s.stats().flushes > 0, flushing, "FLUSH coverage");
         }
     }
 

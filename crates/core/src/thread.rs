@@ -143,12 +143,6 @@ impl ThreadState {
         (seq & self.meta_mask) as usize
     }
 
-    /// Records the block checkpoint for in-flight instruction `seq`.
-    pub fn set_meta(&mut self, seq: u64, meta: &BlockMeta) {
-        let slot = self.meta_slot(seq);
-        self.meta_ring[slot] = *meta;
-    }
-
     /// Records the checkpoint for `seq` straight from the FTQ head's
     /// predicted block — the fetch stage's common case — so the ~100-byte
     /// value moves FTQ → ring once instead of via a stack copy of the
@@ -158,12 +152,6 @@ impl ThreadState {
         let meta = self.ftq.front().expect("fetch consumes the head").meta;
         let slot = self.meta_slot(seq);
         self.meta_ring[slot] = meta;
-    }
-
-    /// Number of long-latency misses still outstanding at `now`.
-    pub fn misses_outstanding(&mut self, now: Cycle) -> usize {
-        self.outstanding_misses.retain(|&r| r > now);
-        self.outstanding_misses.len()
     }
 
     /// The program this thread runs.
@@ -229,7 +217,6 @@ mod tests {
                 thread: 0,
                 start: t.program().entry(),
                 len: 4,
-                embedded_branches: 0,
                 end_branch: None,
                 next_fetch: t.program().entry().add_insts(4),
             },

@@ -41,10 +41,6 @@ pub struct FetchBlock {
     pub start: Addr,
     /// Number of instructions in the block (≥ 1).
     pub len: u32,
-    /// Number of *embedded* conditional branches predicted not-taken inside
-    /// the block (always 0 for BTB-style blocks). Used for statistics and
-    /// misfetch checks.
-    pub embedded_branches: u32,
     /// The branch terminating the block, if the block ends in one.
     pub end_branch: Option<EndBranch>,
     /// Predicted address of the *next* fetch block (taken target, or fall
@@ -62,17 +58,6 @@ impl FetchBlock {
     pub fn last_pc(&self) -> Addr {
         self.start.add_insts(self.len as u64 - 1)
     }
-
-    /// Whether `pc` falls inside the block.
-    pub fn contains(&self, pc: Addr) -> bool {
-        pc >= self.start && pc < self.end()
-    }
-
-    /// Whether the block was predicted to continue sequentially (either no
-    /// terminating branch, or terminating branch predicted not-taken).
-    pub fn predicted_sequential(&self) -> bool {
-        self.next_fetch == self.end()
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +69,6 @@ mod tests {
             thread: 0,
             start: Addr::new(0x1000),
             len: 6,
-            embedded_branches: 1,
             end_branch: Some(EndBranch {
                 pc: Addr::new(0x1014),
                 kind: BranchKind::Cond,
@@ -100,17 +84,5 @@ mod tests {
         let b = block();
         assert_eq!(b.end(), Addr::new(0x1018));
         assert_eq!(b.last_pc(), Addr::new(0x1014));
-        assert!(b.contains(Addr::new(0x1000)));
-        assert!(b.contains(Addr::new(0x1014)));
-        assert!(!b.contains(Addr::new(0x1018)));
-        assert!(!b.contains(Addr::new(0xfff)));
-    }
-
-    #[test]
-    fn sequential_prediction_detection() {
-        let mut b = block();
-        assert!(!b.predicted_sequential());
-        b.next_fetch = b.end();
-        assert!(b.predicted_sequential());
     }
 }

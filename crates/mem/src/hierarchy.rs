@@ -192,11 +192,6 @@ impl MemoryHierarchy {
         self.l1d.fill(addr, true);
     }
 
-    /// Number of outstanding instruction misses at `now`.
-    pub fn i_misses_outstanding(&mut self, now: Cycle) -> usize {
-        self.imshr.outstanding(now)
-    }
-
     /// The hierarchy's event horizon: the earliest future cycle at which
     /// its own state changes without an access reaching it — the next MSHR
     /// fill completion on either side. Non-mutating; the event-driven
