@@ -29,6 +29,11 @@ pub struct Btb {
 }
 
 impl Btb {
+    /// Table 3's BTB entries (2K).
+    pub const HPCA2004_ENTRIES: usize = 2048;
+    /// Table 3's BTB associativity (4).
+    pub const HPCA2004_WAYS: usize = 4;
+
     /// Creates a BTB with `entries` entries and `ways` associativity.
     ///
     /// # Errors
@@ -43,7 +48,7 @@ impl Btb {
     /// The paper's configuration: 2K entries, 4-way associative.
     #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Btb::new(2048, 4).expect("preset geometry is valid")
+        Btb::new(Btb::HPCA2004_ENTRIES, Btb::HPCA2004_WAYS).expect("preset geometry is valid")
     }
 
     fn set_and_tag(&self, pc: Addr) -> (u64, u64) {

@@ -70,6 +70,13 @@ pub struct Ftb {
 }
 
 impl Ftb {
+    /// Table 3's FTB entries (2K).
+    pub const HPCA2004_ENTRIES: usize = 2048;
+    /// Table 3's FTB associativity (4).
+    pub const HPCA2004_WAYS: usize = 4;
+    /// Table 3's fetch-block length cap (16 instructions).
+    pub const HPCA2004_MAX_BLOCK: u32 = 16;
+
     /// Creates an FTB with `entries`×`ways` geometry and a maximum block
     /// length of `max_block` instructions.
     ///
@@ -96,10 +103,20 @@ impl Ftb {
         })
     }
 
+    /// The paper's 2K-entry, 4-way FTB with blocks capped at `max_block`
+    /// instructions.
+    ///
+    /// # Errors
+    ///
+    /// `E0012` if `max_block` is zero.
+    pub fn hpca2004_with_cap(max_block: u32) -> Result<Self, Diagnostic> {
+        Ftb::new(Ftb::HPCA2004_ENTRIES, Ftb::HPCA2004_WAYS, max_block)
+    }
+
     /// The paper's configuration: 2K entries, 4-way, 16-instruction blocks.
     #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Ftb::new(2048, 4, 16).expect("preset geometry is valid")
+        Ftb::hpca2004_with_cap(Ftb::HPCA2004_MAX_BLOCK).expect("preset geometry is valid")
     }
 
     /// Maximum block length in instructions.

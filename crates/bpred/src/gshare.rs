@@ -18,6 +18,9 @@ pub struct Gshare {
 }
 
 impl Gshare {
+    /// Table 3's pattern-history table size: 64K counters (16 index bits).
+    pub const HPCA2004_ENTRIES: usize = 64 * 1024;
+
     /// Creates a gshare predictor with `entries` 2-bit counters.
     ///
     /// # Errors
@@ -34,7 +37,7 @@ impl Gshare {
     /// The paper's configuration: 64K entries (16-bit index), 16-bit history.
     #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Gshare::new(64 * 1024).expect("preset geometry is valid")
+        Gshare::new(Gshare::HPCA2004_ENTRIES).expect("preset geometry is valid")
     }
 
     fn index(&self, pc: Addr, history: GlobalHistory) -> u64 {

@@ -71,6 +71,9 @@ impl GskewProbe {
 }
 
 impl Gskew {
+    /// Table 3's bank size: 32K counters per bank (15 index bits).
+    pub const HPCA2004_ENTRIES_PER_BANK: usize = 32 * 1024;
+
     /// Creates a gskew predictor with `entries_per_bank` counters per bank.
     ///
     /// # Errors
@@ -90,7 +93,7 @@ impl Gskew {
     /// The paper's configuration: 3 banks of 32K entries, 15-bit history.
     #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Gskew::new(32 * 1024).expect("preset geometry is valid")
+        Gskew::new(Gskew::HPCA2004_ENTRIES_PER_BANK).expect("preset geometry is valid")
     }
 
     #[expect(clippy::cast_possible_truncation, reason = "bank < BANKS = 3")]

@@ -54,10 +54,13 @@ impl ReturnStack {
         })
     }
 
+    /// Table 3's per-thread depth (64 entries).
+    pub const HPCA2004_DEPTH: usize = 64;
+
     /// The paper's configuration: 64 entries.
     #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        ReturnStack::new(64).expect("preset geometry is valid")
+        ReturnStack::new(ReturnStack::HPCA2004_DEPTH).expect("preset geometry is valid")
     }
 
     /// Capacity in entries.
@@ -195,6 +198,5 @@ mod tests {
     fn zero_capacity_rejected() {
         let d = ReturnStack::new(0).unwrap_err();
         assert_eq!(d.code, "E0013");
-        assert!(d.is_error());
     }
 }

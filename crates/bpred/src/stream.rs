@@ -165,6 +165,15 @@ pub struct StreamPredictor {
 }
 
 impl StreamPredictor {
+    /// Table 3's first-level entries (1K).
+    pub const HPCA2004_L1_ENTRIES: usize = 1024;
+    /// Table 3's second-level entries (4K).
+    pub const HPCA2004_L2_ENTRIES: usize = 4096;
+    /// Table 3's associativity, both levels (4).
+    pub const HPCA2004_WAYS: usize = 4;
+    /// Table 3's stream length cap (64 instructions).
+    pub const HPCA2004_MAX_STREAM: u32 = 64;
+
     /// Creates a cascaded stream predictor.
     ///
     /// # Errors
@@ -201,11 +210,27 @@ impl StreamPredictor {
         })
     }
 
-    /// The paper's configuration: 1K-entry + 4K-entry, both 4-way,
-    /// DOLC 16-2-4-10, with streams capped at 64 instructions.
+    /// The paper's 1K-entry + 4K-entry, both 4-way, DOLC 16-2-4-10
+    /// predictor with streams capped at `max_stream` instructions.
+    ///
+    /// # Errors
+    ///
+    /// `E0012` if `max_stream` is zero.
+    pub fn hpca2004_with_cap(max_stream: u32) -> Result<Self, Diagnostic> {
+        StreamPredictor::new(
+            StreamPredictor::HPCA2004_L1_ENTRIES,
+            StreamPredictor::HPCA2004_L2_ENTRIES,
+            StreamPredictor::HPCA2004_WAYS,
+            Dolc::HPCA2004,
+            max_stream,
+        )
+    }
+
+    /// The paper's configuration, with streams capped at 64 instructions.
     #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        StreamPredictor::new(1024, 4096, 4, Dolc::HPCA2004, 64).expect("preset geometry is valid")
+        StreamPredictor::hpca2004_with_cap(StreamPredictor::HPCA2004_MAX_STREAM)
+            .expect("preset geometry is valid")
     }
 
     /// Maximum stream length in instructions.

@@ -1,12 +1,10 @@
 //! The baseline gshare+BTB front-end: one basic block per cycle.
 
 use smt_bpred::{Btb, GlobalHistory, Gshare};
-use smt_isa::{Addr, Diagnostic, DynInst, ThreadId};
+use smt_isa::{Addr, DynInst, ThreadId};
 use smt_workloads::Program;
 
-use crate::config::SimConfig;
-
-use super::{classic_block, scoped, BlockMeta, PredictedBlock, SpecState};
+use super::{classic_block, BlockMeta, PredictedBlock, SpecState};
 
 /// gshare + BTB (the baseline SMT front-end).
 ///
@@ -20,21 +18,20 @@ pub struct GshareBtb {
     btb: Btb,
 }
 
+// A history longer than the table's index would alias distinct histories.
+const _: () = assert!(GshareBtb::HIST_BITS <= Gshare::HPCA2004_ENTRIES.trailing_zeros());
+
 impl GshareBtb {
     /// Global-history length of the gshare direction predictor (Table 3).
     pub const HIST_BITS: u32 = 16;
 
-    /// Builds the engine from the configuration's predictor geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural problem found in the requested tables.
-    pub fn build(cfg: &SimConfig) -> Result<Self, Diagnostic> {
-        let p = &cfg.predictor;
-        Ok(GshareBtb {
-            gshare: Gshare::new(p.gshare_entries).map_err(scoped)?,
-            btb: Btb::new(p.btb_entries, p.btb_ways).map_err(scoped)?,
-        })
+    /// Builds the engine with Table 3's 64K-entry gshare and 2K-entry,
+    /// 4-way BTB.
+    pub fn hpca2004() -> Self {
+        GshareBtb {
+            gshare: Gshare::hpca2004(),
+            btb: Btb::hpca2004(),
+        }
     }
 
     /// Predicts the next basic block for `thread` starting at `pc`,
@@ -84,7 +81,6 @@ impl GshareBtb {
 mod tests {
     use super::super::LINE_BYTES;
     use super::*;
-    use crate::config::FetchPolicy;
     use smt_workloads::{BenchmarkProfile, ProgramBuilder};
 
     fn program() -> Program {
@@ -95,7 +91,7 @@ mod tests {
     }
 
     fn engine() -> GshareBtb {
-        GshareBtb::build(&SimConfig::hpca2004(FetchPolicy::icount(1, 8))).expect("Table 3 builds")
+        GshareBtb::hpca2004()
     }
 
     #[test]

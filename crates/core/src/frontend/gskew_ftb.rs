@@ -4,11 +4,7 @@
 use smt_bpred::{Ftb, GlobalHistory, Gskew, ObservedEnd};
 use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, ThreadId};
 
-use crate::config::SimConfig;
-
-use super::{
-    branch_block, scoped, sequential_block, BlockMeta, BranchInfo, PredictedBlock, SpecState,
-};
+use super::{branch_block, sequential_block, BlockMeta, BranchInfo, PredictedBlock, SpecState};
 
 /// gskew + FTB: the fetch target buffer stores learned *fetch blocks* whose
 /// interiors may embed never-taken branches, so blocks routinely run past
@@ -21,20 +17,23 @@ pub struct GskewFtb {
     ftb: Ftb,
 }
 
+// A history longer than a bank's index would alias distinct histories.
+const _: () = assert!(GskewFtb::HIST_BITS <= Gskew::HPCA2004_ENTRIES_PER_BANK.trailing_zeros());
+
 impl GskewFtb {
     /// Global-history length of the gskew direction predictor (Table 3).
     pub const HIST_BITS: u32 = 15;
 
-    /// Builds the engine from the configuration's predictor geometry.
+    /// Builds the engine with Table 3's 3×32K-entry gskew and 2K-entry,
+    /// 4-way FTB, its blocks capped at `max_ftb_block` instructions.
     ///
     /// # Errors
     ///
-    /// Returns the first structural problem found in the requested tables.
-    pub fn build(cfg: &SimConfig) -> Result<Self, Diagnostic> {
-        let p = &cfg.predictor;
+    /// `E0012` if `max_ftb_block` is zero.
+    pub fn build(max_ftb_block: u32) -> Result<Self, Diagnostic> {
         Ok(GskewFtb {
-            gskew: Gskew::new(p.gskew_entries_per_bank).map_err(scoped)?,
-            ftb: Ftb::new(p.ftb_entries, p.ftb_ways, cfg.max_ftb_block).map_err(scoped)?,
+            gskew: Gskew::hpca2004(),
+            ftb: Ftb::hpca2004_with_cap(max_ftb_block)?,
         })
     }
 
@@ -120,7 +119,6 @@ impl GskewFtb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FetchPolicy;
     use smt_isa::InstClass;
     use smt_workloads::{BenchmarkProfile, Program, ProgramBuilder};
 
@@ -132,7 +130,7 @@ mod tests {
     }
 
     fn engine() -> GskewFtb {
-        GskewFtb::build(&SimConfig::hpca2004(FetchPolicy::icount(1, 8))).expect("Table 3 builds")
+        GskewFtb::build(Ftb::HPCA2004_MAX_BLOCK).expect("Table 3 builds")
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub use trace_cache::TraceCache;
 
 use smt_bpred::{Btb, GlobalHistory, Gshare, RasCheckpoint, ReturnStack, StreamPath};
 use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
+use smt_mem::CacheConfig;
 use smt_workloads::Program;
 
 use std::collections::VecDeque;
@@ -37,7 +38,11 @@ use std::collections::VecDeque;
 use crate::config::{FetchEngineKind, SimConfig};
 
 /// I-cache line size in bytes (Table 3) — bounds classical fetch blocks.
-pub const LINE_BYTES: u64 = 64;
+pub const LINE_BYTES: u64 = CacheConfig::l1i_hpca2004().line_bytes;
+
+/// I-cache banks (Table 3) — the 2.X fetch unit's bank-conflict logic
+/// interleaves lines across them.
+pub(crate) const ICACHE_BANKS: u64 = CacheConfig::l1i_hpca2004().banks;
 
 /// Per-thread speculative front-end state, updated at prediction time and
 /// repaired on squashes.
@@ -241,12 +246,6 @@ pub(crate) fn branch_block(
     }
 }
 
-/// Maps a construction diagnostic into the `predictor.` config namespace.
-pub(crate) fn scoped(d: Diagnostic) -> Diagnostic {
-    let field = format!("predictor.{}", d.field);
-    d.in_field(field)
-}
-
 /// The fetch engine: one arm per shipped engine, each held inline.
 ///
 /// Every method is one `match` over the arms, so dispatch is a jump over
@@ -290,20 +289,19 @@ pub enum FrontEnd {
 }
 
 impl FrontEnd {
-    /// Builds the `kind` engine from the configuration's predictor
-    /// geometry.
+    /// Builds the `kind` engine with Table 3 tables and the configuration's
+    /// block caps.
     ///
     /// # Errors
     ///
-    /// Returns the first structural problem found in the requested tables
-    /// (`E0001`/`E0002` geometry, `E0012` block/stream caps). Use
-    /// [`SimConfig::validate`] to collect *all* problems at once.
+    /// `E0012` if the cap the engine uses (`max_ftb_block` or
+    /// `max_stream`) is zero.
     pub fn build(kind: FetchEngineKind, cfg: &SimConfig) -> Result<Self, Diagnostic> {
         Ok(match kind {
-            FetchEngineKind::GshareBtb => FrontEnd::GshareBtb(GshareBtb::build(cfg)?),
-            FetchEngineKind::GskewFtb => FrontEnd::GskewFtb(GskewFtb::build(cfg)?),
-            FetchEngineKind::Stream => FrontEnd::Stream(Stream::build(cfg)?),
-            FetchEngineKind::TraceCache => FrontEnd::TraceCache(TraceCache::build(cfg)?),
+            FetchEngineKind::GshareBtb => FrontEnd::GshareBtb(GshareBtb::hpca2004()),
+            FetchEngineKind::GskewFtb => FrontEnd::GskewFtb(GskewFtb::build(cfg.max_ftb_block)?),
+            FetchEngineKind::Stream => FrontEnd::Stream(Stream::build(cfg.max_stream)?),
+            FetchEngineKind::TraceCache => FrontEnd::TraceCache(TraceCache::hpca2004()),
         })
     }
 
@@ -311,11 +309,11 @@ impl FrontEnd {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` has invalid predictor geometry; prefer
-    /// [`FrontEnd::build`] for configurations that are not known-good.
-    #[expect(clippy::expect_used, reason = "Table 3 geometry is valid")]
+    /// Panics if `cfg` has a zero block cap; prefer [`FrontEnd::build`]
+    /// for configurations that are not known-good.
+    #[expect(clippy::expect_used, reason = "callers pass known-good caps")]
     pub fn hpca2004(kind: FetchEngineKind, cfg: &SimConfig) -> Self {
-        FrontEnd::build(kind, cfg).expect("Table 3 geometry is valid")
+        FrontEnd::build(kind, cfg).expect("nonzero block caps")
     }
 
     /// Which config-facing engine this is.
@@ -449,6 +447,19 @@ mod tests {
             let e = FrontEnd::build(kind, &cfg).expect("Table 3 builds");
             assert_eq!(e.kind(), kind);
             assert_eq!(e.history_bits(), bits, "{kind}");
+        }
+    }
+
+    #[test]
+    fn fetch_banks_lines_like_the_l1i() {
+        // The fetch stage's bank-conflict logic sees the L1I's own line size
+        // and bank interleaving.
+        let l1i = smt_mem::Cache::new(CacheConfig::l1i_hpca2004()).expect("Table 3 L1I");
+        let c = l1i.config();
+        assert_eq!((LINE_BYTES, ICACHE_BANKS), (c.line_bytes, c.banks));
+        for line in 0..2 * ICACHE_BANKS {
+            let a = Addr::new(0x40_0000 + line * LINE_BYTES + 4);
+            assert_eq!(a.bank(LINE_BYTES, ICACHE_BANKS), l1i.bank(a));
         }
     }
 

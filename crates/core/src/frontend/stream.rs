@@ -4,9 +4,7 @@
 use smt_bpred::{ObservedStream, StreamPath, StreamPredictor};
 use smt_isa::{Addr, BranchKind, Diagnostic, ThreadId};
 
-use crate::config::SimConfig;
-
-use super::{branch_block, scoped, sequential_block, BlockMeta, PredictedBlock, SpecState};
+use super::{branch_block, sequential_block, BlockMeta, PredictedBlock, SpecState};
 
 /// The paper's stream fetch unit: a cascaded predictor of *instruction
 /// streams* (taken-target to next taken branch). Stream-ending branches are
@@ -19,22 +17,15 @@ pub struct Stream {
 }
 
 impl Stream {
-    /// Builds the engine from the configuration's predictor geometry.
+    /// Builds the engine with Table 3's cascaded stream predictor, its
+    /// streams capped at `max_stream` instructions.
     ///
     /// # Errors
     ///
-    /// Returns the first structural problem found in the requested tables.
-    pub fn build(cfg: &SimConfig) -> Result<Self, Diagnostic> {
-        let p = &cfg.predictor;
+    /// `E0012` if `max_stream` is zero.
+    pub fn build(max_stream: u32) -> Result<Self, Diagnostic> {
         Ok(Stream {
-            predictor: StreamPredictor::new(
-                p.stream_l1_entries,
-                p.stream_l2_entries,
-                p.stream_ways,
-                smt_bpred::Dolc::HPCA2004,
-                cfg.max_stream,
-            )
-            .map_err(scoped)?,
+            predictor: StreamPredictor::hpca2004_with_cap(max_stream)?,
         })
     }
 
@@ -93,7 +84,6 @@ impl Stream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FetchPolicy;
     use smt_workloads::{BenchmarkProfile, Program, ProgramBuilder};
 
     fn program() -> Program {
@@ -104,7 +94,7 @@ mod tests {
     }
 
     fn engine() -> Stream {
-        Stream::build(&SimConfig::hpca2004(FetchPolicy::icount(1, 8))).expect("Table 3 builds")
+        Stream::build(StreamPredictor::HPCA2004_MAX_STREAM).expect("Table 3 builds")
     }
 
     #[test]

@@ -2,16 +2,13 @@
 //! a gshare+BTB core fetch unit, with a commit-side fill unit.
 
 use smt_bpred::{Btb, GlobalHistory, Gshare, Trace, TraceCache as TraceStore, TraceSegment};
-use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, InstClass, ThreadId, MAX_THREADS};
+use smt_isa::{Addr, BranchKind, DynInst, InstClass, ThreadId, MAX_THREADS};
 use smt_workloads::Program;
 
 use std::collections::VecDeque;
 
-use crate::config::SimConfig;
-
 use super::{
-    branch_block, classic_block, scoped, sequential_block, BlockMeta, BranchInfo, PredictedBlock,
-    SpecState,
+    branch_block, classic_block, sequential_block, BlockMeta, BranchInfo, PredictedBlock, SpecState,
 };
 
 /// The fill unit's per-thread collection buffer: committed instructions
@@ -53,28 +50,32 @@ pub struct TraceCache {
     fill: Vec<FillBuffer>,
 }
 
+// A history longer than the tables' index would alias distinct histories.
+const _: () = assert!(TraceCache::HIST_BITS <= TraceCache::CORE_ENTRIES.trailing_zeros());
+
 impl TraceCache {
     /// Global-history length of the core fetch unit's gshare and of the
     /// multiple-branch predictor (their 32K tables have 15 index bits).
     pub const HIST_BITS: u32 = 15;
 
-    /// Builds the engine from the configuration's predictor geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural problem found in the requested tables.
-    pub fn build(cfg: &SimConfig) -> Result<Self, Diagnostic> {
-        let p = &cfg.predictor;
-        Ok(TraceCache {
-            tc: TraceStore::new(p.tc_entries, p.tc_ways).map_err(scoped)?,
-            // The core fetch unit backing the trace cache uses a halved
-            // gshare so the comparator's total budget stays paper-like.
-            multi: Gshare::new(32 * 1024).map_err(scoped)?,
-            gshare: Gshare::new(32 * 1024).map_err(scoped)?,
-            btb: Btb::new(p.btb_entries, p.btb_ways).map_err(scoped)?,
+    /// Counters in the core fetch unit's gshare and in the
+    /// multiple-branch predictor: half of Table 3's gshare, so the
+    /// comparator's total budget stays paper-like.
+    const CORE_ENTRIES: usize = Gshare::HPCA2004_ENTRIES / 2;
+
+    /// Builds the engine: a 512-line, 4-way trace cache over a halved
+    /// gshare and Table 3's BTB.
+    #[expect(clippy::expect_used, reason = "a power-of-two table size")]
+    pub fn hpca2004() -> Self {
+        let core = || Gshare::new(TraceCache::CORE_ENTRIES).expect("power-of-two table");
+        TraceCache {
+            tc: TraceStore::typical(),
+            multi: core(),
+            gshare: core(),
+            btb: Btb::hpca2004(),
             next_group: 1,
             fill: vec![FillBuffer::default(); MAX_THREADS],
-        })
+        }
     }
 
     /// Trace prediction: way-select by the multiple-branch direction
@@ -249,7 +250,6 @@ impl TraceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FetchPolicy;
     use smt_workloads::{BenchmarkProfile, ProgramBuilder};
 
     fn program() -> Program {
@@ -260,7 +260,7 @@ mod tests {
     }
 
     fn engine() -> TraceCache {
-        TraceCache::build(&SimConfig::hpca2004(FetchPolicy::icount(1, 8))).expect("Table 3 builds")
+        TraceCache::hpca2004()
     }
 
     fn predict_blocks(

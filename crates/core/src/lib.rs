@@ -44,7 +44,8 @@ mod thread;
 mod window;
 
 pub use config::{
-    FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, PredictorConfig, SimConfig,
+    FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, SimConfig, COMMIT_WIDTH,
+    DECODE_WIDTH, FU_COUNTS, IQ_SIZES, REGS_FP, REGS_INT, ROB_SIZE,
 };
 pub use frontend::{
     BlockMeta, BranchInfo, FrontEnd, GshareBtb, GskewFtb, PredictedBlock, SpecState, Stream,
@@ -53,6 +54,6 @@ pub use frontend::{
 pub use metrics::StallBreakdown;
 pub use metrics::{FetchDistribution, SimStats};
 pub use sim::{BuildError, SimBuilder, Simulator};
-pub use smt_isa::{has_errors, Diagnostic, Severity};
+pub use smt_isa::Diagnostic;
 pub use thread::ThreadState;
 pub use window::{InFlightCtl, PhysReg, Window};

@@ -4,6 +4,7 @@
 use smt_bpred::ObservedStream;
 use smt_isa::InstClass;
 
+use crate::config::COMMIT_WIDTH;
 use crate::frontend::FrontEnd;
 
 use super::sched::{EventHorizon, SkipReason};
@@ -14,7 +15,7 @@ use super::{PipelineCtx, STALL_DCACHE_MISS};
 pub(crate) fn commit(ctx: &mut PipelineCtx) {
     let now = ctx.cycle;
     let n = ctx.threads.len();
-    let mut budget = ctx.cfg.commit_width;
+    let mut budget = COMMIT_WIDTH;
     #[expect(clippy::cast_possible_truncation, reason = "remainder < n, a usize")]
     let start = (ctx.cycle % n as u64) as usize;
     for k in 0..n {

@@ -20,6 +20,8 @@ use std::collections::VecDeque;
 
 use smt_isa::{Addr, ArchReg, InstClass, Presized, MAX_THREADS};
 
+use crate::config::{DECODE_WIDTH, IQ_SIZES, ROB_SIZE};
+
 use super::sched::EventHorizon;
 use super::{IqEntry, PipelineCtx, STALL_ROB_FULL};
 
@@ -134,30 +136,30 @@ impl FrontFifo {
     }
 }
 
-/// The decode latch: moves up to `decode_width` entries from the fetch
+/// The decode latch: moves up to `DECODE_WIDTH` entries from the fetch
 /// buffer into the decode latch (a region-counter update of the front
 /// FIFO).
 pub(crate) fn decode(ctx: &mut PipelineCtx) {
-    ctx.front.decode(ctx.cfg.decode_width as usize);
+    ctx.front.decode(DECODE_WIDTH as usize);
 }
 
 /// A pure latch acts exactly when a buffered entry meets downstream room.
 /// Unblocking needs another stage to act — no self-scheduled events.
 pub(crate) fn decode_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    if ctx.front.decode_len() < ctx.cfg.decode_width as usize && ctx.front.fetch_buffer_len() > 0 {
+    if ctx.front.decode_len() < DECODE_WIDTH as usize && ctx.front.fetch_buffer_len() > 0 {
         ev.act();
     }
 }
 
-/// The rename latch: moves up to `decode_width` entries from the decode
+/// The rename latch: moves up to `DECODE_WIDTH` entries from the decode
 /// latch into the rename latch.
 pub(crate) fn rename(ctx: &mut PipelineCtx) {
-    ctx.front.rename(ctx.cfg.decode_width as usize);
+    ctx.front.rename(DECODE_WIDTH as usize);
 }
 
 /// Same latch rule as decode, one stage later.
 pub(crate) fn rename_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    if ctx.front.rename_len() < ctx.cfg.decode_width as usize && ctx.front.decode_len() > 0 {
+    if ctx.front.rename_len() < DECODE_WIDTH as usize && ctx.front.decode_len() > 0 {
         ev.act();
     }
 }
@@ -168,11 +170,11 @@ pub(crate) fn rename_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
 /// thread observes — [`STALL_ROB_FULL`] for a full ROB, 0 for a full queue
 /// or an empty free list.
 fn blocker(ctx: &PipelineCtx, class: InstClass, dest: Option<ArchReg>) -> Option<u8> {
-    if ctx.rob_occ >= ctx.cfg.rob_size {
+    if ctx.rob_occ >= ROB_SIZE {
         return Some(STALL_ROB_FULL);
     }
     let q = PipelineCtx::queue_for(class);
-    let queue_full = ctx.iq[q].len() >= ctx.cfg.iq_sizes()[q] as usize;
+    let queue_full = ctx.iq[q].len() >= IQ_SIZES[q] as usize;
     let no_reg = dest.is_some_and(|d| ctx.free[PipelineCtx::file_for(d.class())].is_empty());
     (queue_full || no_reg).then_some(0)
 }
@@ -182,7 +184,7 @@ fn blocker(ctx: &PipelineCtx, class: InstClass, dest: Option<ArchReg>) -> Option
 /// shared ROB, the per-queue capacities, and the free physical registers.
 pub(crate) fn dispatch(ctx: &mut PipelineCtx) {
     let now = ctx.cycle;
-    let mut budget = ctx.cfg.decode_width;
+    let mut budget = DECODE_WIDTH;
     let mut stalled = [false; MAX_THREADS];
     // The FIFO is taken out for the walk so the closure can borrow the
     // rest of the machine; the take leaves an empty, unallocated deque.

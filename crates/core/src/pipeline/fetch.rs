@@ -7,7 +7,7 @@ use smt_isa::{inst_idx, InstClass, MAX_THREADS};
 use smt_mem::FetchOutcome;
 
 use crate::config::LongLatencyAction;
-use crate::frontend::{BranchInfo, LINE_BYTES};
+use crate::frontend::{BranchInfo, ICACHE_BANKS, LINE_BYTES};
 use crate::window::InFlightCtl;
 
 use super::sched::{EventHorizon, SkipReason};
@@ -234,7 +234,7 @@ fn fetch_from(
                 } else {
                     inst_idx((line.raw() - start_pc.raw()) / 4)
                 };
-                let bank = line.bank(LINE_BYTES, 8);
+                let bank = line.bank(LINE_BYTES, ICACHE_BANKS);
                 if second_port && banks_used.contains(bank) {
                     // Figure 3's bank-conflict logic: the lower-priority
                     // thread loses the conflicting access this cycle.

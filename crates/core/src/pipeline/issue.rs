@@ -5,7 +5,7 @@
 use smt_isa::InstClass;
 use smt_mem::DataOutcome;
 
-use crate::config::LongLatencyAction;
+use crate::config::{LongLatencyAction, FU_COUNTS};
 
 use super::recovery::flush_after_load;
 use super::sched::{EventHorizon, SkipReason};
@@ -54,7 +54,7 @@ pub(crate) fn issue_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
 
 fn issue_queue(ctx: &mut PipelineCtx, which: usize) {
     let now = ctx.cycle;
-    let fu_limit = ctx.cfg.fu_counts()[which];
+    let fu_limit = FU_COUNTS[which];
     let mut queue = std::mem::take(&mut ctx.iq[which]);
     // In-place two-pointer compaction: `kept` trails the read index, so
     // surviving entries shift down in order and the queue Vec is reused

@@ -41,7 +41,7 @@ pub(crate) mod sched;
 use smt_isa::{inst_idx, Addr, Cycle, InstClass, Presized, RegClass, MAX_THREADS};
 use smt_mem::MemoryHierarchy;
 
-use crate::config::{LongLatencyAction, PolicyKind, SimConfig};
+use crate::config::{LongLatencyAction, PolicyKind, SimConfig, REGS_FP, REGS_INT};
 use crate::frontend::FrontEnd;
 use crate::metrics::SimStats;
 use crate::thread::ThreadState;
@@ -235,7 +235,7 @@ impl PipelineCtx {
     /// The register a missing issue-queue source names: one past the last
     /// physical register, never allocated, so its `ready_at` stays 0.
     pub(crate) fn zero_reg(&self) -> PhysReg {
-        self.cfg.regs_int + self.cfg.regs_fp
+        REGS_INT + REGS_FP
     }
 
     /// The earliest cycle both sources of `e` are ready.

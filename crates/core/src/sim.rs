@@ -23,12 +23,14 @@
 
 use std::sync::Arc;
 
-use smt_bpred::ReturnStack;
 use smt_isa::{ArchReg, Cycle, Diagnostic, Presized, MAX_THREADS};
 use smt_mem::MemoryHierarchy;
 use smt_workloads::Program;
 
-use crate::config::{FetchEngineKind, FetchPolicy, SimConfig};
+use crate::config::{
+    FetchEngineKind, FetchPolicy, SimConfig, DECODE_WIDTH, FU_COUNTS, IQ_SIZES, REGS_FP, REGS_INT,
+    ROB_SIZE,
+};
 use crate::frontend::FrontEnd;
 use crate::metrics::SimStats;
 use crate::pipeline::{
@@ -49,8 +51,8 @@ pub enum BuildError {
         got: usize,
     },
     /// The configuration failed semantic validation
-    /// ([`SimConfig::validate_for_threads`]); the diagnostics describe
-    /// every error found.
+    /// ([`SimConfig::validate`]); the diagnostics describe every error
+    /// found.
     InvalidConfig(Vec<Diagnostic>),
 }
 
@@ -144,7 +146,8 @@ impl SimBuilder {
     ///
     /// # Errors
     ///
-    /// Fails if no programs or more than [`MAX_THREADS`] were supplied.
+    /// Fails if no programs or more than [`MAX_THREADS`] were supplied, or
+    /// if [`SimConfig::validate`] finds a problem.
     pub fn build(self) -> Result<Simulator, BuildError> {
         Simulator::new(self.programs, self.engine, self.cfg)
     }
@@ -186,23 +189,21 @@ impl Simulator {
             });
         }
         let n = programs.len();
-        let diags = cfg.validate_for_threads(n);
-        if smt_isa::has_errors(&diags) {
+        let diags = cfg.validate();
+        if !diags.is_empty() {
             return Err(BuildError::InvalidConfig(diags));
         }
         let frontend =
             FrontEnd::build(engine_kind, &cfg).map_err(|d| BuildError::InvalidConfig(vec![d]))?;
         let hist_bits = frontend.history_bits();
 
-        let total_regs = (cfg.regs_int + cfg.regs_fp) as usize;
-        let mut free_int: Vec<PhysReg> = (0..cfg.regs_int).rev().collect();
-        let mut free_fp: Vec<PhysReg> = (cfg.regs_int..cfg.regs_int + cfg.regs_fp).rev().collect();
+        let total_regs = (REGS_INT + REGS_FP) as usize;
+        let mut free_int: Vec<PhysReg> = (0..REGS_INT).rev().collect();
+        let mut free_fp: Vec<PhysReg> = (REGS_INT..REGS_INT + REGS_FP).rev().collect();
         // One extra, never-allocated register: the zero register missing
         // issue-queue sources name (`PipelineCtx::zero_reg`).
         let ready_at = vec![0u64; total_regs + 1];
 
-        let ras = ReturnStack::new(cfg.predictor.ras_depth)
-            .map_err(|d| BuildError::InvalidConfig(vec![d.in_field("predictor.ras_depth")]))?;
         let mut threads: Vec<ThreadState> = programs
             .into_iter()
             .enumerate()
@@ -211,12 +212,14 @@ impl Simulator {
         // Every window entry is either pre-dispatch (mirrored by a latch or
         // fetch-buffer slot) or dispatched (holds a ROB slot), so this bounds
         // the window — and with it the outstanding-miss list — for good.
-        let window_cap = (cfg.rob_size + cfg.fetch_buffer + 2 * cfg.decode_width) as usize;
+        let window_cap = (ROB_SIZE + cfg.fetch_buffer + 2 * DECODE_WIDTH) as usize;
         // Architect the initial register mappings.
         for th in &mut threads {
             th.presize(cfg.ftq_depth as usize, window_cap);
-            th.spec.ras = ras.clone();
-            #[expect(clippy::expect_used, reason = "validated config has enough registers")]
+            #[expect(
+                clippy::expect_used,
+                reason = "Table 3 registers cover MAX_THREADS contexts"
+            )]
             let rename_map = (0..ArchReg::flat_count())
                 .map(|flat| {
                     if flat < smt_isa::NUM_ARCH_INT as usize {
@@ -231,11 +234,9 @@ impl Simulator {
             th.rename_map = rename_map;
         }
 
-        // The configured per-thread I-MSHR count is a floor: the Table 3
-        // machine provisions one outstanding fetch miss per context.
-        let mut mem_cfg = cfg.mem.clone();
-        mem_cfg.i_mshrs = mem_cfg.i_mshrs.max(n);
-        let mem = MemoryHierarchy::new(mem_cfg).map_err(|d| BuildError::InvalidConfig(vec![d]))?;
+        // The Table 3 machine provisions one outstanding fetch miss per
+        // context.
+        let mem = MemoryHierarchy::hpca2004(n);
 
         let width = cfg.fetch_policy.width;
         // Every queue is built at its configuration-derived high-water mark,
@@ -246,8 +247,8 @@ impl Simulator {
             mem,
             threads,
             cycle: 0,
-            front: FrontFifo::new(cfg.fetch_buffer as usize, cfg.decode_width as usize),
-            iq: cfg.iq_sizes().map(|n| Presized::vec(n as usize)),
+            front: FrontFifo::new(cfg.fetch_buffer as usize, DECODE_WIDTH as usize),
+            iq: IQ_SIZES.map(|n| Presized::vec(n as usize)),
             stats_since: 0,
             free: [free_int.into(), free_fp.into()],
             ready_at,
@@ -257,7 +258,7 @@ impl Simulator {
             stats: SimStats::new(width),
             // Only issued loads request flushes, at most one per L/S unit.
             // Allocated last (see the field).
-            pending_flushes: Presized::vec(cfg.fu_ls as usize),
+            pending_flushes: Presized::vec(FU_COUNTS[1] as usize),
             cfg,
         };
         Ok(Simulator { ctx })
@@ -446,7 +447,7 @@ mod tests {
                 let free: usize = s.ctx.free.iter().map(|f| f.len()).sum();
                 assert_eq!(
                     free + held + mapped,
-                    (s.ctx.cfg.regs_int + s.ctx.cfg.regs_fp) as usize,
+                    (REGS_INT + REGS_FP) as usize,
                     "register leak or double-free"
                 );
             }

@@ -20,7 +20,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    smt_experiments::preflight_default();
     let len = RunLength::from_env();
     let mut md = String::from("# Regenerated evaluation artifacts\n\n");
     for (_, runner) in experiments {

@@ -140,49 +140,71 @@ pub fn table2() -> Experiment {
 
 /// **Table 3** — simulation parameters in force.
 pub fn table3() -> Experiment {
-    let c = smt_core::SimConfig::default();
-    let rows: Vec<Vec<String>> = vec![
-        vec!["Fetch width".into(), "8/16 instr.".into()],
-        vec!["Fetch policy".into(), "ICOUNT".into()],
-        vec!["Fetch buffer".into(), format!("{} instr.", c.fetch_buffer)],
-        vec![
-            "Dec. & Ren. width".into(),
-            format!("{} instr.", c.decode_width),
-        ],
-        vec!["Gshare".into(), "64K-entry, 16 bits history".into()],
-        vec!["Gskew".into(), "3 x 32K-entry, 15 bits history".into()],
-        vec!["BTB/FTB".into(), "2K-entry, 4-way".into()],
-        vec![
-            "Stream predictor".into(),
-            "1K-entry,4w + 4K-entry,4w; DOLC 16-2-4-10".into(),
-        ],
-        vec!["RAS (per thread)".into(), "64-entry".into()],
-        vec!["FTQ (per thread)".into(), format!("{}-entry", c.ftq_depth)],
-        vec![
-            "Functional units".into(),
-            format!("{} int, {} ld/st, {} fp", c.fu_int, c.fu_ls, c.fu_fp),
-        ],
-        vec![
-            "Instruction queues".into(),
-            format!("{}-entry int/ld-st/fp", c.iq_int),
-        ],
-        vec!["Reorder buffer".into(), format!("{}-entry", c.rob_size)],
-        vec![
-            "Physical registers".into(),
-            format!("{} int + {} fp", c.regs_int, c.regs_fp),
-        ],
-        vec![
-            "L1 I-cache".into(),
-            "32KB, 2-way, 8 banks, 64B lines".into(),
-        ],
-        vec![
-            "L1 D-cache".into(),
-            "32KB, 2-way, 8 banks, 64B lines".into(),
-        ],
-        vec!["L2 cache".into(), "1MB, 2-way, 8 banks, 10 cyc.".into()],
-        vec!["TLB".into(), "48-entry I + 128-entry D".into()],
-        vec!["Main memory".into(), "100 cycles".into()],
-    ];
+    use smt_bpred::{Btb, Dolc, Ftb, Gshare, Gskew, ReturnStack, StreamPredictor as Sp};
+    use smt_core::{GshareBtb, GskewFtb, DECODE_WIDTH, FU_COUNTS, IQ_SIZES, REGS_FP, REGS_INT};
+    use smt_mem::{CacheConfig, MemoryConfig, TlbConfig};
+
+    // One row describes both target buffers.
+    const _: () = assert!(
+        Btb::HPCA2004_ENTRIES == Ftb::HPCA2004_ENTRIES && Btb::HPCA2004_WAYS == Ftb::HPCA2004_WAYS
+    );
+    let c = SimConfig::default();
+    let (gshare, gshare_hist) = (Gshare::HPCA2004_ENTRIES >> 10, GshareBtb::HIST_BITS);
+    let (gskew, gskew_hist) = (Gskew::HPCA2004_ENTRIES_PER_BANK >> 10, GskewFtb::HIST_BITS);
+    let (btb, btb_ways) = (Btb::HPCA2004_ENTRIES >> 10, Btb::HPCA2004_WAYS);
+    let (s1, s2) = (Sp::HPCA2004_L1_ENTRIES >> 10, Sp::HPCA2004_L2_ENTRIES >> 10);
+    let Dolc {
+        depth,
+        older_bits,
+        last_bits,
+        current_bits,
+    } = Dolc::HPCA2004;
+    let [fu_int, fu_ls, fu_fp] = FU_COUNTS;
+    let l1 = |c: CacheConfig| {
+        let (kb, ways, banks, line) = (c.size_bytes >> 10, c.ways, c.banks, c.line_bytes);
+        format!("{kb}KB, {ways}-way, {banks} banks, {line}B lines")
+    };
+    let l2 = CacheConfig::l2_hpca2004();
+    let (itlb, dtlb) = (TlbConfig::itlb_hpca2004(), TlbConfig::dtlb_hpca2004());
+    let rows: Vec<Vec<String>> = [
+        ("Fetch width", "8/16 instr.".to_string()),
+        ("Fetch policy", "ICOUNT".to_string()),
+        ("Fetch buffer", format!("{} instr.", c.fetch_buffer)),
+        ("Dec. & Ren. width", format!("{DECODE_WIDTH} instr.")),
+        ("Gshare", format!("{gshare}K-entry, {gshare_hist} bits history")),
+        ("Gskew", format!("3 x {gskew}K-entry, {gskew_hist} bits history")),
+        ("BTB/FTB", format!("{btb}K-entry, {btb_ways}-way")),
+        (
+            "Stream predictor",
+            format!(
+                "{s1}K-entry,{w}w + {s2}K-entry,{w}w; DOLC {depth}-{older_bits}-{last_bits}-{current_bits}",
+                w = Sp::HPCA2004_WAYS
+            ),
+        ),
+        ("RAS (per thread)", format!("{}-entry", ReturnStack::HPCA2004_DEPTH)),
+        ("FTQ (per thread)", format!("{}-entry", c.ftq_depth)),
+        ("Functional units", format!("{fu_int} int, {fu_ls} ld/st, {fu_fp} fp")),
+        ("Instruction queues", format!("{}-entry int/ld-st/fp", IQ_SIZES[0])),
+        ("Reorder buffer", format!("{}-entry", smt_core::ROB_SIZE)),
+        ("Physical registers", format!("{REGS_INT} int + {REGS_FP} fp")),
+        ("L1 I-cache", l1(CacheConfig::l1i_hpca2004())),
+        ("L1 D-cache", l1(CacheConfig::l1d_hpca2004())),
+        (
+            "L2 cache",
+            format!(
+                "{}MB, {}-way, {} banks, {} cyc.",
+                l2.size_bytes >> 20,
+                l2.ways,
+                l2.banks,
+                l2.hit_latency
+            ),
+        ),
+        ("TLB", format!("{}-entry I + {}-entry D", itlb.entries, dtlb.entries)),
+        ("Main memory", format!("{} cycles", MemoryConfig::hpca2004(1).memory_latency)),
+    ]
+    .into_iter()
+    .map(|(resource, value)| vec![resource.to_string(), value])
+    .collect();
     table_experiment(
         "table3",
         "Simulation parameters (Table 3)",

@@ -51,5 +51,5 @@ pub use report::{
     render_grouped_bars, render_markdown, render_markdown_table, render_stall_breakdown,
     render_table, Metric,
 };
-pub use runner::{preflight, preflight_default, run, run_matrix, RunLength, RunResult, EXP_SEED};
+pub use runner::{run, run_matrix, RunLength, RunResult, EXP_SEED};
 pub use sweep::sweep_indexed;

@@ -130,33 +130,6 @@ impl RunResult {
 /// The seed every experiment uses (reproducibility).
 pub const EXP_SEED: u64 = 2004;
 
-/// Validates `cfg` for `threads` hardware contexts, printing every
-/// diagnostic (warnings included) to stderr.
-///
-/// Exits the process with status 2 when the configuration has errors:
-/// every experiment runs this through [`run`] / [`run_with_config`] before
-/// any cycle is simulated, so a bad
-/// configuration fails fast with stable diagnostic codes instead of
-/// producing garbage numbers.
-pub fn preflight(cfg: &SimConfig, threads: usize) {
-    let diags = cfg.validate_for_threads(threads);
-    for d in &diags {
-        eprintln!("{d}");
-    }
-    if smt_core::has_errors(&diags) {
-        eprintln!("smt-experiments: configuration rejected by validator");
-        std::process::exit(2);
-    }
-}
-
-/// [`preflight`] for the Table 3 default configuration at every hardware
-/// thread count — the one-line sanity gate the `all` binary runs first.
-pub fn preflight_default() {
-    for threads in 1..=smt_isa::MAX_THREADS {
-        preflight(&SimConfig::default(), threads);
-    }
-}
-
 /// Runs one `(workload, engine, policy)` configuration on the Table 3
 /// machine ([`SimConfig::hpca2004`]).
 ///
@@ -173,12 +146,14 @@ pub fn run(
     run_with_config(workload, engine, SimConfig::hpca2004(policy), len)
 }
 
-/// Runs one configuration with a fully custom [`SimConfig`]: preflight,
-/// warm up, reset statistics, measure, report.
+/// Runs one configuration with a fully custom [`SimConfig`]: build, warm
+/// up, reset statistics, measure, report.
 ///
 /// # Panics
 ///
-/// Panics if the workload's programs cannot be built.
+/// Panics if the workload's programs cannot be built, or if the
+/// configuration fails [`SimConfig::validate`] (the panic message carries
+/// the diagnostics).
 pub fn run_with_config(
     workload: &Workload,
     engine: FetchEngineKind,
@@ -186,19 +161,21 @@ pub fn run_with_config(
     len: RunLength,
 ) -> RunResult {
     let policy = cfg.fetch_policy;
-    preflight(&cfg, workload.num_threads());
     // Shared programs: every sweep cell for this workload reuses the same
     // cached `Arc<Program>`s instead of re-synthesising them per cell.
     #[expect(clippy::expect_used, reason = "table 2 workloads always build")]
     let programs = workload
         .programs_shared(EXP_SEED)
         .expect("table 2 workloads always build");
-    #[expect(clippy::expect_used, reason = "validated config, 1..=8 threads")]
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment configs validate, 1..=8 threads"
+    )]
     let mut sim = SimBuilder::new_shared(programs)
         .fetch_engine(engine)
         .config(cfg)
         .build()
-        .expect("1..=8 threads and a validated config");
+        .expect("1..=8 threads and a valid config");
     sim.run_cycles(len.warmup_cycles);
     sim.reset_stats();
     // Borrowed stats: sweeps summarize each cell without copying SimStats.

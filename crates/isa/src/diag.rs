@@ -1,57 +1,36 @@
 //! Structured configuration diagnostics.
 //!
 //! Every structural check in the workspace — branch-predictor geometry,
-//! cache shapes, fetch-policy compatibility — reports problems as
-//! [`Diagnostic`] values instead of panicking. A diagnostic carries a
-//! stable machine-readable code (`E0001`, `W0101`, …), the configuration
-//! field it refers to, a human-readable message, and a hint suggesting a
-//! fix. `E`-codes are errors (the configuration cannot be simulated
-//! faithfully); `W`-codes are warnings (legal but suspicious).
+//! cache shapes, fetch-policy shape — reports problems as [`Diagnostic`]
+//! values instead of panicking. A diagnostic carries a stable
+//! machine-readable code (`E0001`, …), the configuration field it refers
+//! to, a human-readable message, and a hint suggesting a fix. Every
+//! diagnostic is an error: the configuration cannot be simulated
+//! faithfully.
 //!
 //! The code table is documented in the repository README.
 
 use std::fmt;
-
-/// How serious a [`Diagnostic`] is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Legal but suspicious; simulation proceeds.
-    Warning,
-    /// Structurally illegal; the configuration must be rejected.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
 
 /// One structured finding about a configuration.
 ///
 /// # Example
 ///
 /// ```
-/// use smt_isa::{Diagnostic, Severity};
+/// use smt_isa::Diagnostic;
 ///
 /// let d = Diagnostic::error(
 ///     "E0001",
-///     "predictor.gshare_entries",
+///     "gshare_entries",
 ///     "gshare table has 1000 entries, which is not a power of two",
 ///     "use 1024",
 /// );
-/// assert_eq!(d.severity, Severity::Error);
 /// assert!(d.to_string().starts_with("error[E0001]"));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable machine-readable code (`E0001` … / `W0101` …).
+    /// Stable machine-readable code (`E0001` …).
     pub code: &'static str,
-    /// Error or warning.
-    pub severity: Severity,
     /// Dotted path of the offending configuration field.
     pub field: String,
     /// What is wrong.
@@ -70,32 +49,10 @@ impl Diagnostic {
     ) -> Self {
         Diagnostic {
             code,
-            severity: Severity::Error,
             field: field.into(),
             message: message.into(),
             hint: hint.into(),
         }
-    }
-
-    /// Creates a warning diagnostic.
-    pub fn warning(
-        code: &'static str,
-        field: impl Into<String>,
-        message: impl Into<String>,
-        hint: impl Into<String>,
-    ) -> Self {
-        Diagnostic {
-            code,
-            severity: Severity::Warning,
-            field: field.into(),
-            message: message.into(),
-            hint: hint.into(),
-        }
-    }
-
-    /// Whether this diagnostic is an error.
-    pub fn is_error(&self) -> bool {
-        self.severity == Severity::Error
     }
 
     /// Replaces the field path — composite structures use this to re-scope
@@ -110,15 +67,10 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}[{}] {}: {} (hint: {})",
-            self.severity, self.code, self.field, self.message, self.hint
+            "error[{}] {}: {} (hint: {})",
+            self.code, self.field, self.message, self.hint
         )
     }
-}
-
-/// Whether any diagnostic in `diags` is an error.
-pub fn has_errors(diags: &[Diagnostic]) -> bool {
-    diags.iter().any(Diagnostic::is_error)
 }
 
 #[cfg(test)]
@@ -132,22 +84,5 @@ mod tests {
             d.to_string(),
             "error[E0009] mem.l1i.ways: zero ways (hint: use 2)"
         );
-        let w = Diagnostic::warning("W0101", "x", "m", "h");
-        assert!(w.to_string().starts_with("warning[W0101]"));
-        assert!(!w.is_error());
-    }
-
-    #[test]
-    fn has_errors_ignores_warnings() {
-        let w = Diagnostic::warning("W0101", "a", "b", "c");
-        let e = Diagnostic::error("E0001", "a", "b", "c");
-        assert!(!has_errors(std::slice::from_ref(&w)));
-        assert!(has_errors(&[w, e]));
-        assert!(!has_errors(&[]));
-    }
-
-    #[test]
-    fn severity_orders_error_above_warning() {
-        assert!(Severity::Error > Severity::Warning);
     }
 }

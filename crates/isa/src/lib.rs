@@ -41,7 +41,7 @@ mod reg;
 
 pub use addr::{Addr, INST_BYTES};
 pub use block::{EndBranch, FetchBlock};
-pub use diag::{has_errors, Diagnostic, Severity};
+pub use diag::Diagnostic;
 pub use inst::{BranchKind, DynInst, InstClass, MemAccess, StaticInst, StaticInstId};
 pub use presized::Presized;
 pub use reg::{ArchReg, RegClass, NUM_ARCH_FP, NUM_ARCH_INT};

@@ -22,7 +22,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// The paper's 32 KB, 2-way, 8-bank, 64 B-line L1 instruction cache.
-    pub fn l1i_hpca2004() -> Self {
+    pub const fn l1i_hpca2004() -> Self {
         CacheConfig {
             name: "L1I",
             size_bytes: 32 * 1024,
@@ -34,7 +34,7 @@ impl CacheConfig {
     }
 
     /// The paper's 32 KB, 2-way, 8-bank, 64 B-line L1 data cache.
-    pub fn l1d_hpca2004() -> Self {
+    pub const fn l1d_hpca2004() -> Self {
         CacheConfig {
             name: "L1D",
             size_bytes: 32 * 1024,
@@ -46,7 +46,7 @@ impl CacheConfig {
     }
 
     /// The paper's 1 MB, 2-way, 8-bank, 10-cycle unified L2.
-    pub fn l2_hpca2004() -> Self {
+    pub const fn l2_hpca2004() -> Self {
         CacheConfig {
             name: "L2",
             size_bytes: 1024 * 1024,
@@ -335,6 +335,18 @@ mod tests {
         let d = Cache::new(cfg).unwrap_err();
         assert_eq!(d.code, "E0009");
         assert_eq!(d.field, "mem.l2.line_bytes");
+    }
+
+    #[test]
+    fn non_power_of_two_set_count_rejected() {
+        // 48 KB, 2-way, 64 B lines: 384 sets.
+        let cfg = CacheConfig {
+            size_bytes: 48 * 1024,
+            ..CacheConfig::l1d_hpca2004()
+        };
+        let d = Cache::new(cfg).unwrap_err();
+        assert_eq!(d.code, "E0009");
+        assert_eq!(d.field, "mem.l1d.size_bytes");
     }
 
     #[test]

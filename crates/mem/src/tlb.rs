@@ -163,6 +163,21 @@ mod tests {
     }
 
     #[test]
+    fn bad_geometry_rejected() {
+        let empty = Tlb::from_config(&TlbConfig {
+            entries: 0,
+            ..TlbConfig::itlb_hpca2004()
+        })
+        .unwrap_err();
+        assert_eq!((empty.code, empty.field.as_str()), ("E0011", "tlb.entries"));
+        let pages = Tlb::new(48, 6000, 30).unwrap_err();
+        assert_eq!(
+            (pages.code, pages.field.as_str()),
+            ("E0011", "tlb.page_bytes")
+        );
+    }
+
+    #[test]
     fn lru_eviction() {
         let mut t = Tlb::new(2, 8192, 30).unwrap();
         t.access(Addr::new(0x0000)); // page 0

@@ -159,12 +159,12 @@ fn resolve_workload(name: &str) -> Result<Workload, String> {
         .map_err(|e| format!("{e} (Table 2 names: 2_ILP, 2_MEM, 2_MIX, 4_ILP, 4_MEM, 4_MIX, 6_ILP, 6_MIX, 8_ILP, 8_MIX)"))
 }
 
-/// Builds the fetch policy and checks it with the configuration validator
-/// for a `threads`-context workload. The policy is assembled field by field
-/// rather than through `FetchPolicy::icount` and friends, whose asserts
-/// would panic on a bad `-n` or `--width` before the validator could
-/// reject it with a diagnostic (`E0004`).
-fn build_policy(o: &Options, threads: usize) -> Result<FetchPolicy, String> {
+/// Builds the fetch policy and checks it with the configuration validator.
+/// The policy is assembled field by field rather than through
+/// `FetchPolicy::icount` and friends, whose asserts would panic on a bad
+/// `-n` or `--width` before the validator could reject it with a
+/// diagnostic (`E0004`).
+fn build_policy(o: &Options) -> Result<FetchPolicy, String> {
     let mut policy = FetchPolicy {
         kind: o.policy_kind,
         threads_per_cycle: o.threads_per_cycle,
@@ -181,12 +181,7 @@ fn build_policy(o: &Options, threads: usize) -> Result<FetchPolicy, String> {
         fetch_policy: policy,
         ..SimConfig::default()
     };
-    let errors: Vec<String> = cfg
-        .validate_for_threads(threads)
-        .iter()
-        .filter(|d| d.is_error())
-        .map(ToString::to_string)
-        .collect();
+    let errors: Vec<String> = cfg.validate().iter().map(ToString::to_string).collect();
     if errors.is_empty() {
         Ok(policy)
     } else {
@@ -252,7 +247,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let policy = match build_policy(&o, w.num_threads()) {
+    let policy = match build_policy(&o) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");

@@ -484,6 +484,7 @@ fn same_seed_runs_identical_across_worker_threads() {
 /// splitmix64-driven variant: random *validated* configurations are just as
 /// deterministic — for each config the validator passes, two concurrent
 /// same-seed runs on separate worker threads produce identical statistics.
+/// The draws include values the validator rejects, and at least one is.
 #[test]
 #[expect(
     clippy::field_reassign_with_default,
@@ -491,23 +492,23 @@ fn same_seed_runs_identical_across_worker_threads() {
 )]
 fn random_valid_configs_run_deterministically() {
     let mut rng = Srng::new(0xcc);
-    let mut checked = 0u32;
+    let (mut checked, mut rejected) = (0u32, 0u32);
     for case in 0..40u64 {
-        if checked >= 8 {
-            break;
-        }
-        // Mutate a few axes the validator usually accepts; invalid draws
-        // are skipped (soundness of the gate is covered below).
+        // Mutate one knob per case; invalid draws are skipped (soundness
+        // of the gate is covered below), and at most 8 valid ones run.
         let mut cfg = SimConfig::default();
         cfg.fetch_policy = FetchPolicy::icount(1 + rng.range(0, 2) as u32, *rng.pick(&[8, 16]));
-        match rng.range(0, 5) {
-            0 => cfg.fetch_buffer = *rng.pick(&[16, 32, 48]),
-            1 => cfg.ftq_depth = 1 + rng.range(0, 5) as u32,
-            2 => cfg.predictor.gshare_entries = 1 << rng.range(10, 16),
-            3 => cfg.max_stream = 8 + rng.range(0, 24) as u32,
-            _ => cfg.mem.l1i.banks = *rng.pick(&[2, 4, 8]),
+        match rng.range(0, 4) {
+            0 => cfg.fetch_buffer = *rng.pick(&[8, 16, 32, 48]),
+            1 => cfg.ftq_depth = rng.range(0, 6) as u32,
+            2 => cfg.max_stream = rng.range(0, 32) as u32,
+            _ => cfg.max_ftb_block = rng.range(0, 24) as u32,
         }
-        if smtfetch::isa::has_errors(&cfg.validate_for_threads(2)) {
+        if !cfg.validate().is_empty() {
+            rejected += 1;
+            continue;
+        }
+        if checked >= 8 {
             continue;
         }
         let engine = FetchEngineKind::all()[rng.range(0, 3) as usize];
@@ -530,53 +531,35 @@ fn random_valid_configs_run_deterministically() {
         checked += 1;
     }
     assert!(checked >= 4, "only {checked} random configs exercised");
+    assert!(rejected > 0, "no draw hit the validator's reject side");
 }
 
 /// Any configuration the validator passes clean constructs a `Simulator`
 /// without panicking — the validator is a sound gate for construction.
 #[test]
-#[expect(
-    clippy::field_reassign_with_default,
-    reason = "mutation-style by design"
-)]
 fn validated_configs_always_build() {
     let mut rng = Srng::new(0xaa);
-    let mut built = 0u32;
+    let (mut built, mut rejected) = (0u32, 0u32);
     for case in 0..200 {
-        // Mutate a few axes of the Table 3 baseline per case. Each pool
-        // mixes values the validator accepts with ones it must reject, so
-        // the property exercises both sides of the gate.
+        // Mutate a few of the knobs per case. Each pool mixes values the
+        // validator accepts with ones it must reject, so the property
+        // exercises both sides of the gate.
         let mut cfg = SimConfig::default();
-        cfg.fetch_policy =
-            FetchPolicy::icount(1 + rng.range(0, 2) as u32, *rng.pick(&[4, 8, 16, 24]));
+        cfg.fetch_policy.threads_per_cycle = rng.range(0, 4) as u32;
+        cfg.fetch_policy.width = *rng.pick(&[0, 4, 8, 16, 24]);
         let mutations = 1 + rng.range(0, 3);
         for _ in 0..mutations {
-            match rng.range(0, 10) {
+            match rng.range(0, 4) {
                 0 => cfg.fetch_buffer = *rng.pick(&[0, 8, 16, 32, 48]),
                 1 => cfg.ftq_depth = rng.range(0, 6) as u32,
-                2 => cfg.rob_size = *rng.pick(&[0, 64, 256]),
-                3 => {
-                    cfg.regs_int = *rng.pick(&[16, 96, 160, 384, 512]);
-                    cfg.regs_fp = cfg.regs_int;
-                }
-                4 => cfg.predictor.gshare_entries = *rng.pick(&[0, 1000, 1 << 10, 1 << 16]),
-                5 => {
-                    cfg.predictor.btb_entries = *rng.pick(&[0, 512, 2048, 3000]);
-                    cfg.predictor.btb_ways = *rng.pick(&[1, 2, 4, 5]);
-                }
-                6 => cfg.predictor.ras_depth = rng.range(0, 80) as usize,
-                7 => cfg.mem.l1i.banks = 1 + rng.range(0, 8),
-                8 => cfg.mem.d_mshrs = rng.range(0, 20) as usize,
-                _ => {
-                    cfg.max_stream = rng.range(0, 80) as u32;
-                    cfg.max_ftb_block = rng.range(0, 24) as u32;
-                }
+                2 => cfg.max_stream = rng.range(0, 80) as u32,
+                _ => cfg.max_ftb_block = rng.range(0, 24) as u32,
             }
         }
 
         let threads = 1 + rng.range(0, 4) as usize;
-        let diags = cfg.validate_for_threads(threads);
-        if smtfetch::isa::has_errors(&diags) {
+        if !cfg.validate().is_empty() {
+            rejected += 1;
             continue;
         }
         let programs = Workload::mix4().programs(case).unwrap();
@@ -595,6 +578,7 @@ fn validated_configs_always_build() {
         built > 10,
         "only {built}/200 random configs validated clean"
     );
+    assert!(rejected > 0, "no draw hit the validator's reject side");
 }
 
 /// `Display` and `FromStr` are exact inverses for every fetch-engine kind
@@ -948,10 +932,10 @@ fn soa_window_equivalent_across_engines_and_policies() {
             match rng.range(0, 4) {
                 0 => mutated.fetch_buffer = *rng.pick(&[16, 32, 48]),
                 1 => mutated.ftq_depth = 1 + rng.range(0, 5) as u32,
-                2 => mutated.rob_size = *rng.pick(&[64, 256, 512]),
-                _ => mutated.mem.l1i.banks = *rng.pick(&[2, 4, 8]),
+                2 => mutated.max_stream = *rng.pick(&[16, 32, 64, 128]),
+                _ => mutated.max_ftb_block = *rng.pick(&[8, 16, 32]),
             }
-            if !smtfetch::isa::has_errors(&mutated.validate_for_threads(4)) {
+            if mutated.validate().is_empty() {
                 cfg = mutated;
             }
             let seed = 0xd1f ^ ((e as u64) << 8) ^ p as u64;

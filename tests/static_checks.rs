@@ -5,14 +5,14 @@
 //!    dependency policy, checked mechanically);
 //! 2. the simulator core keeps its pipeline decomposition;
 //! 3. every configuration the experiment suite simulates passes the
-//!    semantic validator with zero errors.
+//!    semantic validator with zero errors;
+//! 4. `SimConfig` keeps exactly the knobs an experiment varies.
 //!
 //! The determinism and robustness rules themselves are clippy lints: the
 //! `[workspace.lints]` table, the per-package `[lints]` tables and the
 //! `clippy.toml` files (DESIGN.md §12).
 
 use smtfetch::core::{FetchPolicy, SimConfig};
-use smtfetch::isa::MAX_THREADS;
 
 fn workspace_root() -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -107,8 +107,8 @@ fn core_pipeline_decomposition_is_pinned() {
 #[test]
 fn every_experiment_config_validates_clean() {
     // The experiment suite simulates the Table 3 baseline under the paper's
-    // policy sweep (and STALL/FLUSH variants) for 1..=8 threads; each such
-    // configuration must pass the validator with zero diagnostics.
+    // policy sweep (and STALL/FLUSH variants); each such configuration must
+    // pass the validator with zero diagnostics.
     let mut policies = FetchPolicy::paper_sweep().to_vec();
     policies.push(FetchPolicy::icount(1, 8).with_stall());
     policies.push(FetchPolicy::icount(1, 8).with_flush());
@@ -116,10 +116,37 @@ fn every_experiment_config_validates_clean() {
     policies.push(FetchPolicy::br_count(1, 8));
     policies.push(FetchPolicy::miss_count(1, 8));
     for policy in policies {
-        let cfg = SimConfig::hpca2004(policy);
-        for threads in 1..=MAX_THREADS {
-            let diags = cfg.validate_for_threads(threads);
-            assert!(diags.is_empty(), "{policy} × {threads} threads: {diags:?}");
-        }
+        let diags = SimConfig::hpca2004(policy).validate();
+        assert!(diags.is_empty(), "{policy}: {diags:?}");
     }
+}
+
+/// Pins the configuration surface: the Table 3 machine is constants, and
+/// `SimConfig` holds only the eight values an experiment varies (the four
+/// fetch-policy fields and four front-end sizes). Both destructurings are
+/// exhaustive, so a new knob fails to compile here until this pin, the
+/// validator and the README's diagnostics table are updated on purpose.
+#[test]
+fn sim_config_knob_set_is_pinned() {
+    let SimConfig {
+        fetch_policy,
+        fetch_buffer,
+        ftq_depth,
+        max_stream,
+        max_ftb_block,
+    } = SimConfig::default();
+    let FetchPolicy {
+        kind,
+        threads_per_cycle,
+        width,
+        long_latency,
+    } = fetch_policy;
+    assert_eq!(
+        format!("{kind}{long_latency}.{threads_per_cycle}.{width}"),
+        "ICOUNT.1.8"
+    );
+    assert_eq!(
+        (fetch_buffer, ftq_depth, max_stream, max_ftb_block),
+        (32, 4, 64, 16)
+    );
 }
