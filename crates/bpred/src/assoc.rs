@@ -1,7 +1,7 @@
 //! A generic set-associative table with true-LRU replacement, shared by the
 //! BTB, the FTB and the stream predictor.
 
-use smt_isa::{Diagnostic, Presized};
+use smt_isa::Presized;
 
 /// One way of a set.
 #[derive(Clone, Debug)]
@@ -29,43 +29,27 @@ impl<E> SetAssoc<E> {
     /// Creates a table with `entries` total entries organized as
     /// `entries / ways` sets of `ways` ways.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0002` if `entries` is not a positive multiple of `ways`;
-    /// `E0001` if the resulting set count is not a power of two.
-    pub fn new(entries: usize, ways: usize) -> Result<Self, Diagnostic> {
-        if ways == 0 || entries == 0 {
-            return Err(Diagnostic::error(
-                "E0002",
-                "entries/ways",
-                format!("empty table ({entries} entries, {ways} ways)"),
-                "use positive entry and way counts",
-            ));
-        }
-        if !entries.is_multiple_of(ways) {
-            return Err(Diagnostic::error(
-                "E0002",
-                "entries",
-                format!("{entries} entries is not a multiple of {ways} ways"),
-                "make entries a multiple of the associativity",
-            ));
-        }
+    /// Panics if `entries` is not a positive multiple of a positive `ways`,
+    /// or if the resulting set count is not a power of two.
+    pub fn new(entries: usize, ways: usize) -> Self {
+        assert!(
+            ways > 0 && entries > 0 && entries.is_multiple_of(ways),
+            "entries ({entries}) must be a positive multiple of ways ({ways})"
+        );
         let num_sets = entries / ways;
-        if !num_sets.is_power_of_two() {
-            return Err(Diagnostic::error(
-                "E0001",
-                "entries",
-                format!("set count must be a power of two (got {num_sets})"),
-                "choose entries so that entries / ways is a power of two",
-            ));
-        }
-        Ok(SetAssoc {
+        assert!(
+            num_sets.is_power_of_two(),
+            "set count must be a power of two (got {num_sets})"
+        );
+        SetAssoc {
             sets: (0..num_sets).map(|_| Presized::vec(ways)).collect(),
             ways,
             tick: 0,
             lookups: 0,
             hits: 0,
-        })
+        }
     }
 
     /// Number of sets.
@@ -171,7 +155,7 @@ mod tests {
 
     #[test]
     fn geometry() {
-        let t: SetAssoc<u32> = SetAssoc::new(2048, 4).unwrap();
+        let t: SetAssoc<u32> = SetAssoc::new(2048, 4);
         assert_eq!(t.num_sets(), 512);
         assert_eq!(t.ways(), 4);
         assert_eq!(t.set_mask(), 511);
@@ -179,7 +163,7 @@ mod tests {
 
     #[test]
     fn insert_then_lookup() {
-        let mut t: SetAssoc<u32> = SetAssoc::new(16, 4).unwrap();
+        let mut t: SetAssoc<u32> = SetAssoc::new(16, 4);
         assert!(t.insert(1, 100, 42).is_none());
         assert_eq!(t.lookup(1, 100), Some(&mut 42));
         assert_eq!(t.peek(1, 100), Some(&42));
@@ -189,7 +173,7 @@ mod tests {
 
     #[test]
     fn insert_same_tag_replaces() {
-        let mut t: SetAssoc<u32> = SetAssoc::new(16, 4).unwrap();
+        let mut t: SetAssoc<u32> = SetAssoc::new(16, 4);
         t.insert(0, 7, 1);
         let old = t.insert(0, 7, 2);
         assert_eq!(old, Some((7, 1)));
@@ -198,7 +182,7 @@ mod tests {
 
     #[test]
     fn lru_victim_is_least_recently_used() {
-        let mut t: SetAssoc<u32> = SetAssoc::new(8, 4).unwrap(); // 2 sets × 4 ways
+        let mut t: SetAssoc<u32> = SetAssoc::new(8, 4); // 2 sets × 4 ways
         for tag in 0..4u32 {
             t.insert(0, tag.into(), tag);
         }
@@ -214,7 +198,7 @@ mod tests {
 
     #[test]
     fn sets_are_independent() {
-        let mut t: SetAssoc<u32> = SetAssoc::new(8, 4).unwrap();
+        let mut t: SetAssoc<u32> = SetAssoc::new(8, 4);
         for tag in 0..4 {
             t.insert(0, tag, 0);
         }
@@ -224,7 +208,7 @@ mod tests {
 
     #[test]
     fn invalidate_removes() {
-        let mut t: SetAssoc<u32> = SetAssoc::new(16, 4).unwrap();
+        let mut t: SetAssoc<u32> = SetAssoc::new(16, 4);
         t.insert(3, 8, 5);
         assert_eq!(t.invalidate(3, 8), Some(5));
         assert!(t.peek(3, 8).is_none());
@@ -233,14 +217,14 @@ mod tests {
 
     #[test]
     fn set_index_wraps() {
-        let mut t: SetAssoc<u32> = SetAssoc::new(8, 4).unwrap(); // 2 sets
+        let mut t: SetAssoc<u32> = SetAssoc::new(8, 4); // 2 sets
         t.insert(5, 1, 9); // set 5 & 1 = 1
         assert_eq!(t.peek(1, 1), Some(&9));
     }
 
     #[test]
     fn stats_count_lookups_and_hits() {
-        let mut t: SetAssoc<u32> = SetAssoc::new(16, 4).unwrap();
+        let mut t: SetAssoc<u32> = SetAssoc::new(16, 4);
         t.insert(0, 1, 1);
         t.lookup(0, 1);
         t.lookup(0, 2);
@@ -248,12 +232,20 @@ mod tests {
     }
 
     #[test]
-    fn validates_geometry_with_diagnostics() {
-        let d = SetAssoc::<u32>::new(12, 4).unwrap_err();
-        assert_eq!(d.code, "E0001");
-        assert!(d.to_string().contains("power of two"));
-        assert_eq!(SetAssoc::<u32>::new(0, 4).unwrap_err().code, "E0002");
-        assert_eq!(SetAssoc::<u32>::new(16, 0).unwrap_err().code, "E0002");
-        assert_eq!(SetAssoc::<u32>::new(10, 4).unwrap_err().code, "E0002");
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_set_count_rejected() {
+        let _ = SetAssoc::<u32>::new(12, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive multiple of ways")]
+    fn empty_table_rejected() {
+        let _ = SetAssoc::<u32>::new(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive multiple of ways")]
+    fn entries_not_a_multiple_of_ways_rejected() {
+        let _ = SetAssoc::<u32>::new(10, 4);
     }
 }

@@ -1,7 +1,7 @@
 //! Branch target buffer (Lee & Smith, 1984) — the classical fetch unit's
 //! target store.
 
-use smt_isa::{Addr, BranchKind, Diagnostic};
+use smt_isa::{Addr, BranchKind};
 
 use crate::assoc::SetAssoc;
 
@@ -36,19 +36,18 @@ impl Btb {
 
     /// Creates a BTB with `entries` entries and `ways` associativity.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Fails under the same conditions as [`SetAssoc::new`].
-    pub fn new(entries: usize, ways: usize) -> Result<Self, Diagnostic> {
-        let table = SetAssoc::new(entries, ways).map_err(|d| d.in_field("btb_entries"))?;
+    /// Panics under the same conditions as [`SetAssoc::new`].
+    pub fn new(entries: usize, ways: usize) -> Self {
+        let table = SetAssoc::new(entries, ways);
         let set_bits = table.num_sets().trailing_zeros();
-        Ok(Btb { table, set_bits })
+        Btb { table, set_bits }
     }
 
     /// The paper's configuration: 2K entries, 4-way associative.
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Btb::new(Btb::HPCA2004_ENTRIES, Btb::HPCA2004_WAYS).expect("preset geometry is valid")
+        Btb::new(Btb::HPCA2004_ENTRIES, Btb::HPCA2004_WAYS)
     }
 
     fn set_and_tag(&self, pc: Addr) -> (u64, u64) {
@@ -83,11 +82,6 @@ impl Btb {
     pub fn entries(&self) -> usize {
         self.table.num_sets() * self.table.ways()
     }
-
-    /// Approximate hardware budget in bytes (tag + target + kind ≈ 12 B).
-    pub fn budget_bytes(&self) -> usize {
-        self.entries() * 12
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +90,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit_after_taken() {
-        let mut btb = Btb::new(64, 4).unwrap();
+        let mut btb = Btb::new(64, 4);
         let pc = Addr::new(0x1000);
         assert!(btb.lookup(pc).is_none());
         btb.record_taken(pc, Addr::new(0x2000), BranchKind::Cond);
@@ -107,7 +101,7 @@ mod tests {
 
     #[test]
     fn update_changes_target() {
-        let mut btb = Btb::new(64, 4).unwrap();
+        let mut btb = Btb::new(64, 4);
         let pc = Addr::new(0x1000);
         btb.record_taken(pc, Addr::new(0x2000), BranchKind::Indirect);
         btb.record_taken(pc, Addr::new(0x3000), BranchKind::Indirect);
@@ -116,8 +110,8 @@ mod tests {
 
     #[test]
     fn conflicting_branches_evict_lru() {
-        let mut btb = Btb::new(8, 2).unwrap(); // 4 sets × 2 ways
-                                               // Three branches mapping to the same set (stride = sets * 4 bytes).
+        let mut btb = Btb::new(8, 2); // 4 sets × 2 ways
+                                      // Three branches mapping to the same set (stride = sets * 4 bytes).
         let a = Addr::new(0x1000);
         let b = Addr::new(0x1000 + 4 * 4);
         let c = Addr::new(0x1000 + 8 * 4);
@@ -138,7 +132,7 @@ mod tests {
 
     #[test]
     fn distinct_pcs_do_not_alias_with_full_tags() {
-        let mut btb = Btb::new(2048, 4).unwrap();
+        let mut btb = Btb::new(2048, 4);
         let a = Addr::new(0x0010_0000);
         let b = Addr::new(0x0090_0000); // same set index, different tag
         btb.record_taken(a, Addr::new(0xaaaa), BranchKind::Jump);

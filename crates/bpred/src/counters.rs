@@ -1,7 +1,5 @@
 //! Saturating counters — the basic state element of direction predictors.
 
-use smt_isa::Diagnostic;
-
 /// A 2-bit saturating counter.
 ///
 /// States 0–1 predict not-taken, 2–3 predict taken. New counters start
@@ -28,11 +26,6 @@ impl TwoBit {
     /// The predicted direction.
     pub fn taken(self) -> bool {
         self.0 >= 2
-    }
-
-    /// Whether the counter is in a saturated (strong) state.
-    pub fn is_strong(self) -> bool {
-        self.0 == 0 || self.0 == 3
     }
 
     /// Trains the counter toward the actual outcome.
@@ -81,23 +74,19 @@ const INIT_WORD: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 impl CounterTable {
     /// Creates a table with `entries` counters, all weakly taken.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0001` if `entries` is not a power of two (zero included).
-    pub fn new(entries: usize) -> Result<Self, Diagnostic> {
-        if !entries.is_power_of_two() {
-            return Err(Diagnostic::error(
-                "E0001",
-                "entries",
-                format!("counter-table size must be a power of two (got {entries})"),
-                "round the table size to a power of two",
-            ));
-        }
-        Ok(CounterTable {
+    /// Panics if `entries` is not a power of two (zero included).
+    pub fn new(entries: usize) -> Self {
+        assert!(
+            entries.is_power_of_two(),
+            "counter-table size must be a power of two (got {entries})"
+        );
+        CounterTable {
             words: vec![INIT_WORD; entries.div_ceil(32)],
             entries,
             mask: entries as u64 - 1,
-        })
+        }
     }
 
     /// Number of counters.
@@ -154,11 +143,6 @@ impl CounterTable {
     pub fn mask(&self) -> u64 {
         self.mask
     }
-
-    /// Bytes of storage actually held (packed words).
-    pub fn storage_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +178,6 @@ mod tests {
     fn default_is_weakly_taken() {
         assert_eq!(TwoBit::default(), TwoBit::WEAK_T);
         assert!(TwoBit::default().taken());
-        assert!(!TwoBit::default().is_strong());
     }
 
     #[test]
@@ -204,7 +187,7 @@ mod tests {
 
     #[test]
     fn table_wraps_indices() {
-        let mut t = CounterTable::new(16).unwrap();
+        let mut t = CounterTable::new(16);
         assert_eq!(t.len(), 16);
         t.update(3, false);
         t.update(3 + 16, false);
@@ -214,18 +197,19 @@ mod tests {
 
     #[test]
     fn packed_table_initialises_weakly_taken() {
-        let t = CounterTable::new(128).unwrap();
+        let t = CounterTable::new(128);
         for i in 0..128 {
             assert_eq!(t.get(i), TwoBit::WEAK_T, "counter {i}");
         }
-        // 128 counters × 2 bits = 32 bytes, a quarter of the byte layout.
-        assert_eq!(t.storage_bytes(), 32);
+        // 128 counters × 2 bits = 4 words (32 bytes), a quarter of the byte
+        // layout.
+        assert_eq!(t.words.len(), 4);
     }
 
     #[test]
     fn packed_neighbours_are_independent() {
         // Updates to a counter never disturb the other 31 sharing its word.
-        let mut t = CounterTable::new(64).unwrap();
+        let mut t = CounterTable::new(64);
         t.update(33, false);
         t.update(33, false);
         assert_eq!(t.get(33), TwoBit::STRONG_NT);
@@ -239,7 +223,7 @@ mod tests {
     #[test]
     fn sub_word_table_works() {
         // Tables smaller than one packed word still hold `entries` counters.
-        let mut t = CounterTable::new(2).unwrap();
+        let mut t = CounterTable::new(2);
         assert_eq!(t.len(), 2);
         t.update(0, false);
         t.update(1, true);
@@ -250,10 +234,14 @@ mod tests {
     }
 
     #[test]
-    fn table_size_validated() {
-        let d = CounterTable::new(12).unwrap_err();
-        assert_eq!(d.code, "E0001");
-        assert!(d.message.contains("power of two"));
-        assert_eq!(CounterTable::new(0).unwrap_err().code, "E0001");
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_size_rejected() {
+        let _ = CounterTable::new(12);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn zero_size_rejected() {
+        let _ = CounterTable::new(0);
     }
 }

@@ -9,7 +9,7 @@
 //! paper §3.3). If an embedded branch is finally taken, the fetch was a
 //! misfetch; retraining splits the block.
 
-use smt_isa::{Addr, BranchKind, Diagnostic};
+use smt_isa::{Addr, BranchKind};
 
 use crate::assoc::SetAssoc;
 use crate::counters::TwoBit;
@@ -80,43 +80,35 @@ impl Ftb {
     /// Creates an FTB with `entries`×`ways` geometry and a maximum block
     /// length of `max_block` instructions.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Fails under the same conditions as [`SetAssoc::new`] (`E0001`/`E0002`),
-    /// or with `E0012` if `max_block` is zero.
-    pub fn new(entries: usize, ways: usize, max_block: u32) -> Result<Self, Diagnostic> {
-        if max_block == 0 {
-            return Err(Diagnostic::error(
-                "E0012",
-                "max_ftb_block",
-                "maximum fetch-block length must be positive",
-                "the paper uses 16-instruction blocks",
-            ));
-        }
-        let table = SetAssoc::new(entries, ways).map_err(|d| d.in_field("ftb_entries"))?;
+    /// Panics under the same conditions as [`SetAssoc::new`], or if
+    /// `max_block` is zero.
+    pub fn new(entries: usize, ways: usize, max_block: u32) -> Self {
+        assert!(max_block > 0, "maximum fetch-block length must be positive");
+        let table = SetAssoc::new(entries, ways);
         let set_bits = table.num_sets().trailing_zeros();
-        Ok(Ftb {
+        Ftb {
             table,
             set_bits,
             max_block,
             misfetch_trains: 0,
-        })
+        }
     }
 
     /// The paper's 2K-entry, 4-way FTB with blocks capped at `max_block`
     /// instructions.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0012` if `max_block` is zero.
-    pub fn hpca2004_with_cap(max_block: u32) -> Result<Self, Diagnostic> {
+    /// Panics if `max_block` is zero.
+    pub fn hpca2004_with_cap(max_block: u32) -> Self {
         Ftb::new(Ftb::HPCA2004_ENTRIES, Ftb::HPCA2004_WAYS, max_block)
     }
 
     /// The paper's configuration: 2K entries, 4-way, 16-instruction blocks.
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Ftb::hpca2004_with_cap(Ftb::HPCA2004_MAX_BLOCK).expect("preset geometry is valid")
+        Ftb::hpca2004_with_cap(Ftb::HPCA2004_MAX_BLOCK)
     }
 
     /// Maximum block length in instructions.
@@ -223,11 +215,6 @@ impl Ftb {
     pub fn entries(&self) -> usize {
         self.table.num_sets() * self.table.ways()
     }
-
-    /// Approximate hardware budget in bytes (tag + target + len + state ≈ 13 B).
-    pub fn budget_bytes(&self) -> usize {
-        self.entries() * 13
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +231,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit_after_training() {
-        let mut ftb = Ftb::new(64, 4, 16).unwrap();
+        let mut ftb = Ftb::new(64, 4, 16);
         let start = Addr::new(0x1000);
         assert!(ftb.lookup(start).is_none());
         // Taken branch 5 instructions in: block of length 6.
@@ -258,7 +245,7 @@ mod tests {
     fn blocks_embed_not_taken_branches() {
         // A block trained past a (never-taken) branch at 0x1008 ends at the
         // taken branch at 0x101c: the inner branch is embedded.
-        let mut ftb = Ftb::new(64, 4, 16).unwrap();
+        let mut ftb = Ftb::new(64, 4, 16);
         let start = Addr::new(0x1000);
         ftb.record_taken(start, observed(0x101c, 0x4000));
         let p = ftb.lookup(start).unwrap();
@@ -267,7 +254,7 @@ mod tests {
 
     #[test]
     fn embedded_branch_firing_splits_the_block() {
-        let mut ftb = Ftb::new(64, 4, 16).unwrap();
+        let mut ftb = Ftb::new(64, 4, 16);
         let start = Addr::new(0x1000);
         ftb.record_taken(start, observed(0x101c, 0x4000)); // len 8
                                                            // The embedded branch at 0x1008 is finally taken: misfetch, retrain.
@@ -280,7 +267,7 @@ mod tests {
 
     #[test]
     fn long_blocks_are_capped_as_sequential_chunks() {
-        let mut ftb = Ftb::new(64, 4, 16).unwrap();
+        let mut ftb = Ftb::new(64, 4, 16);
         let start = Addr::new(0x1000);
         // Taken branch 40 instructions away: beyond the 16-inst cap.
         ftb.record_taken(start, observed(0x1000 + 40 * 4, 0x9000));
@@ -291,7 +278,7 @@ mod tests {
 
     #[test]
     fn persistent_not_taken_end_invalidates_entry() {
-        let mut ftb = Ftb::new(64, 4, 16).unwrap();
+        let mut ftb = Ftb::new(64, 4, 16);
         let start = Addr::new(0x1000);
         ftb.record_taken(start, observed(0x1010, 0x2000));
         for _ in 0..4 {
@@ -305,7 +292,7 @@ mod tests {
 
     #[test]
     fn taken_again_strengthens_and_survives_one_not_taken() {
-        let mut ftb = Ftb::new(64, 4, 16).unwrap();
+        let mut ftb = Ftb::new(64, 4, 16);
         let start = Addr::new(0x1000);
         ftb.record_taken(start, observed(0x1010, 0x2000));
         ftb.record_taken(start, observed(0x1010, 0x2000));
@@ -315,7 +302,7 @@ mod tests {
 
     #[test]
     fn stale_training_from_unrelated_start_is_ignored() {
-        let mut ftb = Ftb::new(64, 4, 16).unwrap();
+        let mut ftb = Ftb::new(64, 4, 16);
         // Branch "before" the recorded start (squashed-path garbage).
         ftb.record_taken(Addr::new(0x2000), observed(0x1000, 0x99));
         assert!(ftb.lookup(Addr::new(0x2000)).is_none());
@@ -326,5 +313,11 @@ mod tests {
         let ftb = Ftb::hpca2004();
         assert_eq!(ftb.entries(), 2048);
         assert_eq!(ftb.max_block(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "block length must be positive")]
+    fn zero_block_cap_rejected() {
+        let _ = Ftb::hpca2004_with_cap(0);
     }
 }

@@ -1,6 +1,6 @@
 //! The gshare conditional-branch direction predictor (McFarling, 1993).
 
-use smt_isa::{Addr, Diagnostic};
+use smt_isa::Addr;
 
 use crate::counters::{CounterTable, TwoBit};
 use crate::history::GlobalHistory;
@@ -23,21 +23,20 @@ impl Gshare {
 
     /// Creates a gshare predictor with `entries` 2-bit counters.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0001` if `entries` is not a power of two.
-    pub fn new(entries: usize) -> Result<Self, Diagnostic> {
-        Ok(Gshare {
-            table: CounterTable::new(entries).map_err(|d| d.in_field("gshare_entries"))?,
+    /// Panics if `entries` is not a power of two.
+    pub fn new(entries: usize) -> Self {
+        Gshare {
+            table: CounterTable::new(entries),
             predictions: 0,
             correct: 0,
-        })
+        }
     }
 
     /// The paper's configuration: 64K entries (16-bit index), 16-bit history.
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Gshare::new(Gshare::HPCA2004_ENTRIES).expect("preset geometry is valid")
+        Gshare::new(Gshare::HPCA2004_ENTRIES)
     }
 
     fn index(&self, pc: Addr, history: GlobalHistory) -> u64 {
@@ -76,13 +75,6 @@ impl Gshare {
     pub fn entries(&self) -> usize {
         self.table.len()
     }
-
-    /// Hardware budget in bytes (2 bits per entry). Since the counter bank
-    /// is bit-packed 32-per-u64, this is also the simulator's actual table
-    /// footprint — the model budget and the host memory cost coincide.
-    pub fn budget_bytes(&self) -> usize {
-        self.table.len() / 4
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +91,7 @@ mod tests {
 
     #[test]
     fn learns_a_biased_branch() {
-        let mut g = Gshare::new(1024).unwrap();
+        let mut g = Gshare::new(1024);
         let pc = Addr::new(0x4000);
         let h = GlobalHistory::new(10);
         for _ in 0..10 {
@@ -112,7 +104,7 @@ mod tests {
     fn learns_an_alternating_pattern_through_history() {
         // Outcome = last outcome inverted: gshare keys on history, so the two
         // history values map to different counters and both learn perfectly.
-        let mut g = Gshare::new(1 << 14).unwrap();
+        let mut g = Gshare::new(1 << 14);
         let pc = Addr::new(0x1234_5678);
         let mut h = GlobalHistory::new(8);
         let mut correct = 0;
@@ -132,7 +124,7 @@ mod tests {
 
     #[test]
     fn different_histories_use_different_counters() {
-        let g = Gshare::new(1024).unwrap();
+        let g = Gshare::new(1024);
         let pc = Addr::new(0x4000);
         let c1 = g.counter(pc, hist(0b1010, 10));
         let c2 = g.counter(pc, hist(0b0101, 10));
@@ -149,12 +141,11 @@ mod tests {
     fn hpca_configuration_sizes() {
         let g = Gshare::hpca2004();
         assert_eq!(g.entries(), 65536);
-        assert_eq!(g.budget_bytes(), 16 * 1024);
     }
 
     #[test]
     fn stats_track_accuracy() {
-        let mut g = Gshare::new(256).unwrap();
+        let mut g = Gshare::new(256);
         let pc = Addr::new(0x100);
         let h = GlobalHistory::new(8);
         for _ in 0..8 {

@@ -1,7 +1,7 @@
 //! The gskew conditional-branch direction predictor
 //! (Michaud, Seznec & Uhlig, ISCA 1997).
 
-use smt_isa::{Addr, Diagnostic};
+use smt_isa::Addr;
 
 use crate::counters::{CounterTable, TwoBit};
 use crate::history::GlobalHistory;
@@ -76,24 +76,20 @@ impl Gskew {
 
     /// Creates a gskew predictor with `entries_per_bank` counters per bank.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0001` if `entries_per_bank` is not a power of two.
-    pub fn new(entries_per_bank: usize) -> Result<Self, Diagnostic> {
-        let bank = || {
-            CounterTable::new(entries_per_bank).map_err(|d| d.in_field("gskew_entries_per_bank"))
-        };
-        Ok(Gskew {
-            banks: [bank()?, bank()?, bank()?],
+    /// Panics if `entries_per_bank` is not a power of two.
+    pub fn new(entries_per_bank: usize) -> Self {
+        Gskew {
+            banks: std::array::from_fn(|_| CounterTable::new(entries_per_bank)),
             predictions: 0,
             correct: 0,
-        })
+        }
     }
 
     /// The paper's configuration: 3 banks of 32K entries, 15-bit history.
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        Gskew::new(Gskew::HPCA2004_ENTRIES_PER_BANK).expect("preset geometry is valid")
+        Gskew::new(Gskew::HPCA2004_ENTRIES_PER_BANK)
     }
 
     #[expect(clippy::cast_possible_truncation, reason = "bank < BANKS = 3")]
@@ -199,11 +195,6 @@ impl Gskew {
     pub fn entries(&self) -> usize {
         self.banks.iter().map(|b| b.len()).sum()
     }
-
-    /// Hardware budget in bytes (2 bits per entry).
-    pub fn budget_bytes(&self) -> usize {
-        self.entries() / 4
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +203,7 @@ mod tests {
 
     #[test]
     fn learns_biased_branches() {
-        let mut g = Gskew::new(1024).unwrap();
+        let mut g = Gskew::new(1024);
         let pc = Addr::new(0x8000);
         let h = GlobalHistory::new(15);
         for _ in 0..10 {
@@ -223,7 +214,7 @@ mod tests {
 
     #[test]
     fn majority_vote_outvotes_a_poisoned_bank() {
-        let mut g = Gskew::new(1 << 12).unwrap();
+        let mut g = Gskew::new(1 << 12);
         let h = GlobalHistory::new(15);
         let victim = Addr::new(0x4000);
         // Train the victim taken.
@@ -273,7 +264,7 @@ mod tests {
 
     #[test]
     fn partial_update_leaves_disagreeing_bank_for_its_own_branch() {
-        let mut g = Gskew::new(1024).unwrap();
+        let mut g = Gskew::new(1024);
         let pc = Addr::new(0xc000);
         let h = GlobalHistory::new(15);
         // All banks default to weak-taken; a taken outcome with the partial
@@ -292,8 +283,8 @@ mod tests {
         // Driving one predictor through the probe API and a twin through the
         // scalar predict/update calls must keep them bit-identical: the
         // probe is a batching of the same reads, not a different predictor.
-        let mut a = Gskew::new(1024).unwrap();
-        let mut b = Gskew::new(1024).unwrap();
+        let mut a = Gskew::new(1024);
+        let mut b = Gskew::new(1024);
         let h = GlobalHistory::new(15);
         let mut s = 0x9e37_79b9_7f4a_7c15u64;
         for i in 0..2000u64 {
@@ -318,12 +309,11 @@ mod tests {
     fn hpca_configuration_sizes() {
         let g = Gskew::hpca2004();
         assert_eq!(g.entries(), 3 * 32 * 1024);
-        assert_eq!(g.budget_bytes(), 24 * 1024);
     }
 
     #[test]
     fn indices_are_decorrelated_across_banks() {
-        let g = Gskew::new(1 << 15).unwrap();
+        let g = Gskew::new(1 << 15);
         let h = GlobalHistory::new(15);
         let mask = g.banks[0].mask();
         let mut collisions = [0u32; 3];

@@ -1,6 +1,6 @@
 //! Return address stack with low-cost misspeculation repair.
 
-use smt_isa::{Addr, Diagnostic};
+use smt_isa::Addr;
 
 /// A circular return-address stack, one per hardware thread (Table 3 marks
 /// the 64-entry RAS as replicated per thread).
@@ -33,34 +33,29 @@ pub struct RasCheckpoint {
 impl ReturnStack {
     /// Creates a stack with `capacity` entries.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0013` if `capacity` is zero.
-    pub fn new(capacity: usize) -> Result<Self, Diagnostic> {
-        if capacity == 0 {
-            return Err(Diagnostic::error(
-                "E0013",
-                "ras_depth",
-                "return-address stack capacity must be positive",
-                "the paper uses a 64-entry RAS per thread",
-            ));
-        }
-        Ok(ReturnStack {
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(
+            capacity > 0,
+            "return-address stack capacity must be positive"
+        );
+        ReturnStack {
             entries: vec![Addr::NULL; capacity],
             top: capacity - 1,
             depth: 0,
             pushes: 0,
             pops: 0,
-        })
+        }
     }
 
     /// Table 3's per-thread depth (64 entries).
     pub const HPCA2004_DEPTH: usize = 64;
 
     /// The paper's configuration: 64 entries.
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
-        ReturnStack::new(ReturnStack::HPCA2004_DEPTH).expect("preset geometry is valid")
+        ReturnStack::new(ReturnStack::HPCA2004_DEPTH)
     }
 
     /// Capacity in entries.
@@ -134,7 +129,7 @@ mod tests {
 
     #[test]
     fn lifo_order() {
-        let mut s = ReturnStack::new(8).unwrap();
+        let mut s = ReturnStack::new(8);
         s.push(Addr::new(0x10));
         s.push(Addr::new(0x20));
         s.push(Addr::new(0x30));
@@ -146,14 +141,14 @@ mod tests {
 
     #[test]
     fn empty_pop_returns_null() {
-        let mut s = ReturnStack::new(4).unwrap();
+        let mut s = ReturnStack::new(4);
         assert_eq!(s.pop(), Addr::NULL);
         assert!(s.peek().is_none());
     }
 
     #[test]
     fn circular_overwrite_keeps_recent_entries() {
-        let mut s = ReturnStack::new(4).unwrap();
+        let mut s = ReturnStack::new(4);
         for i in 1..=6u64 {
             s.push(Addr::new(i * 0x10));
         }
@@ -168,7 +163,7 @@ mod tests {
 
     #[test]
     fn checkpoint_repairs_push_pop_speculation() {
-        let mut s = ReturnStack::new(8).unwrap();
+        let mut s = ReturnStack::new(8);
         s.push(Addr::new(0x100));
         s.push(Addr::new(0x200));
         let ckpt = s.checkpoint();
@@ -184,7 +179,7 @@ mod tests {
 
     #[test]
     fn checkpoint_repairs_wrong_path_pop_of_top() {
-        let mut s = ReturnStack::new(8).unwrap();
+        let mut s = ReturnStack::new(8);
         s.push(Addr::new(0x42));
         let ckpt = s.checkpoint();
         let _ = s.pop();
@@ -195,8 +190,8 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let d = ReturnStack::new(0).unwrap_err();
-        assert_eq!(d.code, "E0013");
+        let _ = ReturnStack::new(0);
     }
 }

@@ -14,7 +14,7 @@
 //! (Depth-Older-Last-Current = 16-2-4-10). The second level is allocated
 //! only when the first level mispredicts, and wins on a hit.
 
-use smt_isa::{Addr, BranchKind, Diagnostic};
+use smt_isa::{Addr, BranchKind};
 
 use crate::assoc::SetAssoc;
 use crate::counters::TwoBit;
@@ -176,30 +176,23 @@ impl StreamPredictor {
 
     /// Creates a cascaded stream predictor.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Fails under the same conditions as [`SetAssoc::new`]
-    /// (`E0001`/`E0002`), or with `E0012` if `max_stream` is zero.
+    /// Panics under the same conditions as [`SetAssoc::new`], or if
+    /// `max_stream` is zero.
     pub fn new(
         l1_entries: usize,
         l2_entries: usize,
         ways: usize,
         dolc: Dolc,
         max_stream: u32,
-    ) -> Result<Self, Diagnostic> {
-        if max_stream == 0 {
-            return Err(Diagnostic::error(
-                "E0012",
-                "max_stream",
-                "maximum stream length must be positive",
-                "the paper caps streams at 64 instructions",
-            ));
-        }
-        let l1 = SetAssoc::new(l1_entries, ways).map_err(|d| d.in_field("stream_l1_entries"))?;
-        let l2 = SetAssoc::new(l2_entries, ways).map_err(|d| d.in_field("stream_l2_entries"))?;
+    ) -> Self {
+        assert!(max_stream > 0, "maximum stream length must be positive");
+        let l1 = SetAssoc::new(l1_entries, ways);
+        let l2 = SetAssoc::new(l2_entries, ways);
         let l1_set_bits = l1.num_sets().trailing_zeros();
         let l2_set_bits = l2.num_sets().trailing_zeros();
-        Ok(StreamPredictor {
+        StreamPredictor {
             l1,
             l2,
             l1_set_bits,
@@ -207,16 +200,16 @@ impl StreamPredictor {
             dolc,
             max_stream,
             l2_allocs: 0,
-        })
+        }
     }
 
     /// The paper's 1K-entry + 4K-entry, both 4-way, DOLC 16-2-4-10
     /// predictor with streams capped at `max_stream` instructions.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0012` if `max_stream` is zero.
-    pub fn hpca2004_with_cap(max_stream: u32) -> Result<Self, Diagnostic> {
+    /// Panics if `max_stream` is zero.
+    pub fn hpca2004_with_cap(max_stream: u32) -> Self {
         StreamPredictor::new(
             StreamPredictor::HPCA2004_L1_ENTRIES,
             StreamPredictor::HPCA2004_L2_ENTRIES,
@@ -227,10 +220,8 @@ impl StreamPredictor {
     }
 
     /// The paper's configuration, with streams capped at 64 instructions.
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004() -> Self {
         StreamPredictor::hpca2004_with_cap(StreamPredictor::HPCA2004_MAX_STREAM)
-            .expect("preset geometry is valid")
     }
 
     /// Maximum stream length in instructions.
@@ -361,11 +352,6 @@ impl StreamPredictor {
     pub fn stats(&self) -> ((u64, u64), (u64, u64), u64) {
         (self.l1.stats(), self.l2.stats(), self.l2_allocs)
     }
-
-    /// Approximate hardware budget in bytes (≈ 13 B per entry).
-    pub fn budget_bytes(&self) -> usize {
-        (self.l1.num_sets() * self.l1.ways() + self.l2.num_sets() * self.l2.ways()) * 13
-    }
 }
 
 #[cfg(test)]
@@ -382,7 +368,7 @@ mod tests {
 
     #[test]
     fn learns_a_stable_stream() {
-        let mut sp = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64).unwrap();
+        let mut sp = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64);
         let start = Addr::new(0x1000);
         let path = StreamPath::new();
         assert!(sp.predict(start, &path).is_none());
@@ -395,7 +381,7 @@ mod tests {
 
     #[test]
     fn long_streams_are_capped() {
-        let mut sp = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64).unwrap();
+        let mut sp = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64);
         let start = Addr::new(0x1000);
         let path = StreamPath::new();
         sp.train(start, &path, obs(200, 0x2000));
@@ -406,7 +392,7 @@ mod tests {
 
     #[test]
     fn path_correlated_streams_move_to_l2() {
-        let mut sp = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64).unwrap();
+        let mut sp = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64);
         let start = Addr::new(0x1000);
         let mut path_a = StreamPath::new();
         path_a.push(Addr::new(0x5014));
@@ -435,7 +421,7 @@ mod tests {
 
     #[test]
     fn hysteresis_resists_one_off_noise() {
-        let mut sp = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64).unwrap();
+        let mut sp = StreamPredictor::new(64, 256, 4, Dolc::HPCA2004, 64);
         let start = Addr::new(0x1000);
         let path = StreamPath::new();
         sp.train(start, &path, obs(12, 0x2000));
@@ -495,5 +481,11 @@ mod tests {
         assert_eq!(sp.max_stream(), 64);
         let ((l1_lookups, _), (l2_lookups, _), allocs) = sp.stats();
         assert_eq!((l1_lookups, l2_lookups, allocs), (0, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "stream length must be positive")]
+    fn zero_stream_cap_rejected() {
+        let _ = StreamPredictor::hpca2004_with_cap(0);
     }
 }

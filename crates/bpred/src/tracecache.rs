@@ -14,7 +14,7 @@
 //! of its conditional branches so that lookups can select the way whose
 //! directions agree with the current multiple-branch prediction.
 
-use smt_isa::{Addr, BranchKind, Diagnostic};
+use smt_isa::{Addr, BranchKind};
 
 use crate::assoc::SetAssoc;
 
@@ -84,27 +84,19 @@ pub struct TraceCache {
 impl TraceCache {
     /// Creates a trace cache with `entries` trace lines, `ways`-associative.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Fails under the same conditions as [`SetAssoc::new`].
-    pub fn new(entries: usize, ways: usize) -> Result<Self, Diagnostic> {
-        let table = SetAssoc::new(entries, ways).map_err(|d| d.in_field("tc_entries"))?;
+    /// Panics under the same conditions as [`SetAssoc::new`].
+    pub fn new(entries: usize, ways: usize) -> Self {
+        let table = SetAssoc::new(entries, ways);
         let set_bits = table.num_sets().trailing_zeros();
-        Ok(TraceCache {
+        TraceCache {
             table,
             set_bits,
             hits: 0,
             lookups: 0,
             fills: 0,
-        })
-    }
-
-    /// A typical configuration comparable to the paper-era literature:
-    /// 512 trace lines of up to 16 instructions (≈ 32 KB of instruction
-    /// storage), 4-way associative.
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
-    pub fn typical() -> Self {
-        TraceCache::new(512, 4).expect("preset geometry is valid")
+        }
     }
 
     fn set_and_tag(&self, start: Addr, dirs: &[bool]) -> (u64, u64) {
@@ -202,7 +194,7 @@ mod tests {
 
     #[test]
     fn fill_then_lookup_with_matching_directions() {
-        let mut tc = TraceCache::new(64, 4).unwrap();
+        let mut tc = TraceCache::new(64, 4);
         tc.fill(two_segment_trace());
         let hit = tc.lookup(Addr::new(0x1000), &[true, false, true]);
         assert_eq!(hit, Some(two_segment_trace()));
@@ -210,7 +202,7 @@ mod tests {
 
     #[test]
     fn lookup_with_mismatched_directions_misses() {
-        let mut tc = TraceCache::new(64, 4).unwrap();
+        let mut tc = TraceCache::new(64, 4);
         tc.fill(two_segment_trace());
         assert!(tc.lookup(Addr::new(0x1000), &[false, false]).is_none());
         assert!(tc.lookup(Addr::new(0x1000), &[true, true]).is_none());
@@ -219,7 +211,7 @@ mod tests {
 
     #[test]
     fn path_associativity_stores_both_paths() {
-        let mut tc = TraceCache::new(64, 4).unwrap();
+        let mut tc = TraceCache::new(64, 4);
         let a = two_segment_trace();
         let mut b = two_segment_trace();
         b.cond_dirs = vec![false];
@@ -234,7 +226,7 @@ mod tests {
 
     #[test]
     fn oversized_traces_are_rejected() {
-        let mut tc = TraceCache::new(64, 4).unwrap();
+        let mut tc = TraceCache::new(64, 4);
         let mut t = two_segment_trace();
         t.segments[0].len = 20; // 20 + 5 > 16
         tc.fill(t);
@@ -245,7 +237,7 @@ mod tests {
 
     #[test]
     fn refill_replaces_same_path() {
-        let mut tc = TraceCache::new(64, 4).unwrap();
+        let mut tc = TraceCache::new(64, 4);
         tc.fill(two_segment_trace());
         let mut updated = two_segment_trace();
         updated.next_pc = Addr::new(0x9999 & !3);

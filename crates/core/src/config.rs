@@ -15,8 +15,10 @@
 use std::fmt;
 
 use smt_bpred::{Ftb, StreamPredictor};
-use smt_isa::{Diagnostic, MAX_THREADS, NUM_ARCH_FP, NUM_ARCH_INT};
+use smt_isa::{MAX_THREADS, NUM_ARCH_FP, NUM_ARCH_INT};
 use smt_mem::CacheConfig;
+
+use crate::diag::Diagnostic;
 
 /// Decode and rename width (Table 3: 8 instructions per cycle).
 pub const DECODE_WIDTH: u32 = 8;
@@ -49,10 +51,10 @@ const _: () = {
     assert!(REGS_INT as usize >= MAX_THREADS * NUM_ARCH_INT as usize + headroom);
     assert!(REGS_FP as usize >= MAX_THREADS * NUM_ARCH_FP as usize + headroom);
     // The L2 holds both L1s (no inclusion thrashing).
-    let (l1i, l1d) = (CacheConfig::l1i_hpca2004(), CacheConfig::l1d_hpca2004());
-    assert!(CacheConfig::l2_hpca2004().size_bytes >= l1i.size_bytes + l1d.size_bytes);
+    let l1 = CacheConfig::HPCA2004_L1;
+    assert!(CacheConfig::HPCA2004_L2.size_bytes >= 2 * l1.size_bytes);
     // The 2.X fetch unit's two I-cache ports need at least two banks.
-    assert!(l1i.banks >= 2);
+    assert!(l1.banks >= 2);
 };
 
 /// Which high-performance fetch engine drives the front-end (paper §3.3).

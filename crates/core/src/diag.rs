@@ -1,12 +1,13 @@
 //! Structured configuration diagnostics.
 //!
-//! Every structural check in the workspace — branch-predictor geometry,
-//! cache shapes, fetch-policy shape — reports problems as [`Diagnostic`]
-//! values instead of panicking. A diagnostic carries a stable
-//! machine-readable code (`E0001`, …), the configuration field it refers
+//! The inputs from outside the program — a [`SimConfig`](crate::SimConfig)
+//! and the engine and policy names the CLI parses — report problems as
+//! [`Diagnostic`] values instead of panicking. A diagnostic carries a stable
+//! machine-readable code (`E0004`, …), the configuration field it refers
 //! to, a human-readable message, and a hint suggesting a fix. Every
 //! diagnostic is an error: the configuration cannot be simulated
-//! faithfully.
+//! faithfully. Hardware-structure constructors take Table 3 constants and
+//! assert their geometry instead.
 //!
 //! The code table is documented in the repository README.
 
@@ -17,15 +18,15 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use smt_isa::Diagnostic;
+/// use smt_core::Diagnostic;
 ///
 /// let d = Diagnostic::error(
-///     "E0001",
-///     "gshare_entries",
-///     "gshare table has 1000 entries, which is not a power of two",
-///     "use 1024",
+///     "E0005",
+///     "fetch_buffer",
+///     "fetch buffer of 2 entries is narrower than the fetch width 8",
+///     "use at least 8",
 /// );
-/// assert!(d.to_string().starts_with("error[E0001]"));
+/// assert!(d.to_string().starts_with("error[E0005]"));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -54,13 +55,6 @@ impl Diagnostic {
             hint: hint.into(),
         }
     }
-
-    /// Replaces the field path — composite structures use this to re-scope
-    /// a nested component's finding onto their own configuration field.
-    pub fn in_field(mut self, field: impl Into<String>) -> Self {
-        self.field = field.into();
-        self
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -79,10 +73,10 @@ mod tests {
 
     #[test]
     fn display_carries_code_field_and_hint() {
-        let d = Diagnostic::error("E0009", "mem.l1i.ways", "zero ways", "use 2");
+        let d = Diagnostic::error("E0006", "ftq_depth", "zero depth", "use 4");
         assert_eq!(
             d.to_string(),
-            "error[E0009] mem.l1i.ways: zero ways (hint: use 2)"
+            "error[E0006] ftq_depth: zero depth (hint: use 4)"
         );
     }
 }

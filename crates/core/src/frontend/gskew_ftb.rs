@@ -2,7 +2,7 @@
 //! never-taken branches.
 
 use smt_bpred::{Ftb, GlobalHistory, Gskew, ObservedEnd};
-use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, ThreadId};
+use smt_isa::{Addr, BranchKind, DynInst, ThreadId};
 
 use super::{branch_block, sequential_block, BlockMeta, BranchInfo, PredictedBlock, SpecState};
 
@@ -27,14 +27,14 @@ impl GskewFtb {
     /// Builds the engine with Table 3's 3×32K-entry gskew and 2K-entry,
     /// 4-way FTB, its blocks capped at `max_ftb_block` instructions.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0012` if `max_ftb_block` is zero.
-    pub fn build(max_ftb_block: u32) -> Result<Self, Diagnostic> {
-        Ok(GskewFtb {
+    /// Panics if `max_ftb_block` is zero.
+    pub fn build(max_ftb_block: u32) -> Self {
+        GskewFtb {
             gskew: Gskew::hpca2004(),
-            ftb: Ftb::hpca2004_with_cap(max_ftb_block)?,
-        })
+            ftb: Ftb::hpca2004_with_cap(max_ftb_block),
+        }
     }
 
     /// Predicts the next fetch block for `thread` starting at `pc` from the
@@ -130,7 +130,7 @@ mod tests {
     }
 
     fn engine() -> GskewFtb {
-        GskewFtb::build(Ftb::HPCA2004_MAX_BLOCK).expect("Table 3 builds")
+        GskewFtb::build(Ftb::HPCA2004_MAX_BLOCK)
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub use stream::Stream;
 pub use trace_cache::TraceCache;
 
 use smt_bpred::{Btb, GlobalHistory, Gshare, RasCheckpoint, ReturnStack, StreamPath};
-use smt_isa::{Addr, BranchKind, Diagnostic, DynInst, EndBranch, FetchBlock, ThreadId};
+use smt_isa::{Addr, BranchKind, DynInst, EndBranch, FetchBlock, ThreadId};
 use smt_mem::CacheConfig;
 use smt_workloads::Program;
 
@@ -38,11 +38,11 @@ use std::collections::VecDeque;
 use crate::config::{FetchEngineKind, SimConfig};
 
 /// I-cache line size in bytes (Table 3) — bounds classical fetch blocks.
-pub const LINE_BYTES: u64 = CacheConfig::l1i_hpca2004().line_bytes;
+pub const LINE_BYTES: u64 = CacheConfig::HPCA2004_L1.line_bytes;
 
 /// I-cache banks (Table 3) — the 2.X fetch unit's bank-conflict logic
 /// interleaves lines across them.
-pub(crate) const ICACHE_BANKS: u64 = CacheConfig::l1i_hpca2004().banks;
+pub(crate) const ICACHE_BANKS: u64 = CacheConfig::HPCA2004_L1.banks;
 
 /// Per-thread speculative front-end state, updated at prediction time and
 /// repaired on squashes.
@@ -292,28 +292,17 @@ impl FrontEnd {
     /// Builds the `kind` engine with Table 3 tables and the configuration's
     /// block caps.
     ///
-    /// # Errors
-    ///
-    /// `E0012` if the cap the engine uses (`max_ftb_block` or
-    /// `max_stream`) is zero.
-    pub fn build(kind: FetchEngineKind, cfg: &SimConfig) -> Result<Self, Diagnostic> {
-        Ok(match kind {
-            FetchEngineKind::GshareBtb => FrontEnd::GshareBtb(GshareBtb::hpca2004()),
-            FetchEngineKind::GskewFtb => FrontEnd::GskewFtb(GskewFtb::build(cfg.max_ftb_block)?),
-            FetchEngineKind::Stream => FrontEnd::Stream(Stream::build(cfg.max_stream)?),
-            FetchEngineKind::TraceCache => FrontEnd::TraceCache(TraceCache::hpca2004()),
-        })
-    }
-
-    /// Builds the engine in the paper's Table 3 configuration.
-    ///
     /// # Panics
     ///
-    /// Panics if `cfg` has a zero block cap; prefer [`FrontEnd::build`]
-    /// for configurations that are not known-good.
-    #[expect(clippy::expect_used, reason = "callers pass known-good caps")]
+    /// Panics if the cap the engine uses (`max_ftb_block` or `max_stream`)
+    /// is zero, which [`SimConfig::validate`] reports as `E0012`.
     pub fn hpca2004(kind: FetchEngineKind, cfg: &SimConfig) -> Self {
-        FrontEnd::build(kind, cfg).expect("nonzero block caps")
+        match kind {
+            FetchEngineKind::GshareBtb => FrontEnd::GshareBtb(GshareBtb::hpca2004()),
+            FetchEngineKind::GskewFtb => FrontEnd::GskewFtb(GskewFtb::build(cfg.max_ftb_block)),
+            FetchEngineKind::Stream => FrontEnd::Stream(Stream::build(cfg.max_stream)),
+            FetchEngineKind::TraceCache => FrontEnd::TraceCache(TraceCache::hpca2004()),
+        }
     }
 
     /// Which config-facing engine this is.
@@ -444,22 +433,9 @@ mod tests {
             .zip(bits)
         {
             assert_eq!(kind.to_string().parse::<FetchEngineKind>().ok(), Some(kind));
-            let e = FrontEnd::build(kind, &cfg).expect("Table 3 builds");
+            let e = FrontEnd::hpca2004(kind, &cfg);
             assert_eq!(e.kind(), kind);
             assert_eq!(e.history_bits(), bits, "{kind}");
-        }
-    }
-
-    #[test]
-    fn fetch_banks_lines_like_the_l1i() {
-        // The fetch stage's bank-conflict logic sees the L1I's own line size
-        // and bank interleaving.
-        let l1i = smt_mem::Cache::new(CacheConfig::l1i_hpca2004()).expect("Table 3 L1I");
-        let c = l1i.config();
-        assert_eq!((LINE_BYTES, ICACHE_BANKS), (c.line_bytes, c.banks));
-        for line in 0..2 * ICACHE_BANKS {
-            let a = Addr::new(0x40_0000 + line * LINE_BYTES + 4);
-            assert_eq!(a.bank(LINE_BYTES, ICACHE_BANKS), l1i.bank(a));
         }
     }
 

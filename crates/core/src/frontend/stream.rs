@@ -2,7 +2,7 @@
 //! direction predictor.
 
 use smt_bpred::{ObservedStream, StreamPath, StreamPredictor};
-use smt_isa::{Addr, BranchKind, Diagnostic, ThreadId};
+use smt_isa::{Addr, BranchKind, ThreadId};
 
 use super::{branch_block, sequential_block, BlockMeta, PredictedBlock, SpecState};
 
@@ -20,13 +20,13 @@ impl Stream {
     /// Builds the engine with Table 3's cascaded stream predictor, its
     /// streams capped at `max_stream` instructions.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0012` if `max_stream` is zero.
-    pub fn build(max_stream: u32) -> Result<Self, Diagnostic> {
-        Ok(Stream {
-            predictor: StreamPredictor::hpca2004_with_cap(max_stream)?,
-        })
+    /// Panics if `max_stream` is zero.
+    pub fn build(max_stream: u32) -> Self {
+        Stream {
+            predictor: StreamPredictor::hpca2004_with_cap(max_stream),
+        }
     }
 
     /// Predicts the next stream for `thread` starting at `pc` (a
@@ -94,7 +94,7 @@ mod tests {
     }
 
     fn engine() -> Stream {
-        Stream::build(StreamPredictor::HPCA2004_MAX_STREAM).expect("Table 3 builds")
+        Stream::build(StreamPredictor::HPCA2004_MAX_STREAM)
     }
 
     #[test]

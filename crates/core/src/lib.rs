@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod diag;
 mod frontend;
 mod metrics;
 mod pipeline;
@@ -47,6 +48,7 @@ pub use config::{
     FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, SimConfig, COMMIT_WIDTH,
     DECODE_WIDTH, FU_COUNTS, IQ_SIZES, REGS_FP, REGS_INT, ROB_SIZE,
 };
+pub use diag::Diagnostic;
 pub use frontend::{
     BlockMeta, BranchInfo, FrontEnd, GshareBtb, GskewFtb, PredictedBlock, SpecState, Stream,
     TraceCache, LINE_BYTES,
@@ -54,6 +56,5 @@ pub use frontend::{
 pub use metrics::StallBreakdown;
 pub use metrics::{FetchDistribution, SimStats};
 pub use sim::{BuildError, SimBuilder, Simulator};
-pub use smt_isa::Diagnostic;
 pub use thread::ThreadState;
 pub use window::{InFlightCtl, PhysReg, Window};

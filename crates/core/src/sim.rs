@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use smt_isa::{ArchReg, Cycle, Diagnostic, Presized, MAX_THREADS};
+use smt_isa::{ArchReg, Cycle, Presized, MAX_THREADS};
 use smt_mem::MemoryHierarchy;
 use smt_workloads::Program;
 
@@ -31,6 +31,7 @@ use crate::config::{
     FetchEngineKind, FetchPolicy, SimConfig, DECODE_WIDTH, FU_COUNTS, IQ_SIZES, REGS_FP, REGS_INT,
     ROB_SIZE,
 };
+use crate::diag::Diagnostic;
 use crate::frontend::FrontEnd;
 use crate::metrics::SimStats;
 use crate::pipeline::{
@@ -193,8 +194,7 @@ impl Simulator {
         if !diags.is_empty() {
             return Err(BuildError::InvalidConfig(diags));
         }
-        let frontend =
-            FrontEnd::build(engine_kind, &cfg).map_err(|d| BuildError::InvalidConfig(vec![d]))?;
+        let frontend = FrontEnd::hpca2004(engine_kind, &cfg);
         let hist_bits = frontend.history_bits();
 
         let total_regs = (REGS_INT + REGS_FP) as usize;

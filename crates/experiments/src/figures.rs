@@ -142,7 +142,7 @@ pub fn table2() -> Experiment {
 pub fn table3() -> Experiment {
     use smt_bpred::{Btb, Dolc, Ftb, Gshare, Gskew, ReturnStack, StreamPredictor as Sp};
     use smt_core::{GshareBtb, GskewFtb, DECODE_WIDTH, FU_COUNTS, IQ_SIZES, REGS_FP, REGS_INT};
-    use smt_mem::{CacheConfig, MemoryConfig, TlbConfig};
+    use smt_mem::{CacheConfig, MemoryHierarchy, Tlb};
 
     // One row describes both target buffers.
     const _: () = assert!(
@@ -160,12 +160,10 @@ pub fn table3() -> Experiment {
         current_bits,
     } = Dolc::HPCA2004;
     let [fu_int, fu_ls, fu_fp] = FU_COUNTS;
-    let l1 = |c: CacheConfig| {
-        let (kb, ways, banks, line) = (c.size_bytes >> 10, c.ways, c.banks, c.line_bytes);
-        format!("{kb}KB, {ways}-way, {banks} banks, {line}B lines")
-    };
-    let l2 = CacheConfig::l2_hpca2004();
-    let (itlb, dtlb) = (TlbConfig::itlb_hpca2004(), TlbConfig::dtlb_hpca2004());
+    let (l1, l2) = (CacheConfig::HPCA2004_L1, CacheConfig::HPCA2004_L2);
+    let (kb, ways, banks, line) = (l1.size_bytes >> 10, l1.ways, l1.banks, l1.line_bytes);
+    let l1 = format!("{kb}KB, {ways}-way, {banks} banks, {line}B lines");
+    let (itlb, dtlb) = (Tlb::HPCA2004_ITLB_ENTRIES, Tlb::HPCA2004_DTLB_ENTRIES);
     let rows: Vec<Vec<String>> = [
         ("Fetch width", "8/16 instr.".to_string()),
         ("Fetch policy", "ICOUNT".to_string()),
@@ -187,8 +185,8 @@ pub fn table3() -> Experiment {
         ("Instruction queues", format!("{}-entry int/ld-st/fp", IQ_SIZES[0])),
         ("Reorder buffer", format!("{}-entry", smt_core::ROB_SIZE)),
         ("Physical registers", format!("{REGS_INT} int + {REGS_FP} fp")),
-        ("L1 I-cache", l1(CacheConfig::l1i_hpca2004())),
-        ("L1 D-cache", l1(CacheConfig::l1d_hpca2004())),
+        ("L1 I-cache", l1.clone()),
+        ("L1 D-cache", l1),
         (
             "L2 cache",
             format!(
@@ -199,8 +197,8 @@ pub fn table3() -> Experiment {
                 l2.hit_latency
             ),
         ),
-        ("TLB", format!("{}-entry I + {}-entry D", itlb.entries, dtlb.entries)),
-        ("Main memory", format!("{} cycles", MemoryConfig::hpca2004(1).memory_latency)),
+        ("TLB", format!("{itlb}-entry I + {dtlb}-entry D")),
+        ("Main memory", format!("{} cycles", MemoryHierarchy::HPCA2004_MEMORY_LATENCY)),
     ]
     .into_iter()
     .map(|(resource, value)| vec![resource.to_string(), value])

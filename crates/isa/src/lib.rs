@@ -19,6 +19,9 @@
 //! * [`FetchBlock`] — a front-end fetch request: the unit of work placed in a
 //!   fetch target queue (FTQ) by the prediction stage.
 //!
+//! Configuration diagnostics live in `smt-core`, whose `SimConfig` is the
+//! only configuration a caller supplies.
+//!
 //! # Example
 //!
 //! ```
@@ -34,14 +37,12 @@
 
 mod addr;
 mod block;
-mod diag;
 mod inst;
 mod presized;
 mod reg;
 
 pub use addr::{Addr, INST_BYTES};
 pub use block::{EndBranch, FetchBlock};
-pub use diag::Diagnostic;
 pub use inst::{BranchKind, DynInst, InstClass, MemAccess, StaticInst, StaticInstId};
 pub use presized::Presized;
 pub use reg::{ArchReg, RegClass, NUM_ARCH_FP, NUM_ARCH_INT};

@@ -1,12 +1,10 @@
 //! A set-associative cache tag model with LRU replacement and banking.
 
-use smt_isa::{Addr, Diagnostic};
+use smt_isa::Addr;
 
 /// Configuration of one cache level.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Human-readable name used in statistics (`"L1I"`, `"L1D"`, `"L2"`).
-    pub name: &'static str,
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity.
@@ -21,41 +19,24 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// The paper's 32 KB, 2-way, 8-bank, 64 B-line L1 instruction cache.
-    pub const fn l1i_hpca2004() -> Self {
-        CacheConfig {
-            name: "L1I",
-            size_bytes: 32 * 1024,
-            ways: 2,
-            line_bytes: 64,
-            banks: 8,
-            hit_latency: 0,
-        }
-    }
-
-    /// The paper's 32 KB, 2-way, 8-bank, 64 B-line L1 data cache.
-    pub const fn l1d_hpca2004() -> Self {
-        CacheConfig {
-            name: "L1D",
-            size_bytes: 32 * 1024,
-            ways: 2,
-            line_bytes: 64,
-            banks: 8,
-            hit_latency: 0,
-        }
-    }
+    /// The paper's 32 KB, 2-way, 8-bank, 64 B-line L1 (the instruction and
+    /// data caches share it).
+    pub const HPCA2004_L1: CacheConfig = CacheConfig {
+        size_bytes: 32 * 1024,
+        ways: 2,
+        line_bytes: 64,
+        banks: 8,
+        hit_latency: 0,
+    };
 
     /// The paper's 1 MB, 2-way, 8-bank, 10-cycle unified L2.
-    pub const fn l2_hpca2004() -> Self {
-        CacheConfig {
-            name: "L2",
-            size_bytes: 1024 * 1024,
-            ways: 2,
-            line_bytes: 64,
-            banks: 8,
-            hit_latency: 10,
-        }
-    }
+    pub const HPCA2004_L2: CacheConfig = CacheConfig {
+        size_bytes: 1024 * 1024,
+        ways: 2,
+        line_bytes: 64,
+        banks: 8,
+        hit_latency: 10,
+    };
 
     /// Number of sets implied by the geometry.
     pub fn num_sets(&self) -> u64 {
@@ -115,58 +96,31 @@ pub struct Cache {
 impl Cache {
     /// Creates a cache from its configuration.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0009` if geometry values are zero, the line size or the set count
-    /// is not a power of two, or the bank count is zero or not a power of
-    /// two.
-    pub fn new(cfg: CacheConfig) -> Result<Self, Diagnostic> {
-        let field = |suffix: &str| format!("mem.{}.{}", cfg.name.to_lowercase(), suffix);
-        if cfg.ways == 0 || cfg.line_bytes == 0 || cfg.size_bytes == 0 {
-            return Err(Diagnostic::error(
-                "E0009",
-                field("geometry"),
-                format!(
-                    "cache geometry must be positive (size {} B, {} ways, {} B lines)",
-                    cfg.size_bytes, cfg.ways, cfg.line_bytes
-                ),
-                "use positive size, associativity and line size",
-            ));
-        }
-        if !cfg.line_bytes.is_power_of_two() {
-            return Err(Diagnostic::error(
-                "E0009",
-                field("line_bytes"),
-                format!(
-                    "line size must be a power of two (got {} B)",
-                    cfg.line_bytes
-                ),
-                "use the 64 B line size of Table 3",
-            ));
-        }
+    /// Panics if a geometry value is zero, or if the line size, the set
+    /// count or the bank count is not a power of two.
+    pub fn new(cfg: CacheConfig) -> Self {
+        assert!(
+            cfg.ways > 0 && cfg.line_bytes.is_power_of_two(),
+            "cache ways must be positive and the line size a power of two ({cfg:?})"
+        );
         let num_sets = cfg.num_sets();
-        if num_sets == 0 || !num_sets.is_power_of_two() {
-            return Err(Diagnostic::error(
-                "E0009",
-                field("size_bytes"),
-                format!("set count must be a power of two (got {num_sets})"),
-                "choose size / line / ways so the set count is a power of two",
-            ));
-        }
-        if !cfg.banks.is_power_of_two() {
-            return Err(Diagnostic::error(
-                "E0009",
-                field("banks"),
-                format!("bank count must be a power of two (got {})", cfg.banks),
-                "the paper uses 8 banks",
-            ));
-        }
+        assert!(
+            num_sets.is_power_of_two(),
+            "cache set count must be a power of two (got {num_sets})"
+        );
+        assert!(
+            cfg.banks.is_power_of_two(),
+            "cache bank count must be a power of two (got {})",
+            cfg.banks
+        );
         #[expect(
             clippy::cast_possible_truncation,
             reason = "a line count too large for usize could not be allocated anyway"
         )]
         let num_lines = (num_sets * cfg.ways as u64) as usize;
-        Ok(Cache {
+        Cache {
             lines: vec![
                 Line {
                     tag: 0,
@@ -182,7 +136,7 @@ impl Cache {
             cfg,
             tick: 0,
             stats: CacheStats::default(),
-        })
+        }
     }
 
     /// The configuration.
@@ -286,11 +240,6 @@ impl Cache {
         writeback
     }
 
-    /// Bank index of `addr`'s line.
-    pub fn bank(&self, addr: Addr) -> u64 {
-        addr.bank(self.cfg.line_bytes, self.cfg.banks)
-    }
-
     /// Statistics since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -303,50 +252,46 @@ mod tests {
 
     fn tiny() -> Cache {
         Cache::new(CacheConfig {
-            name: "T",
             size_bytes: 1024, // 4 sets × 4 ways × 64 B
             ways: 4,
             line_bytes: 64,
             banks: 2,
             hit_latency: 0,
         })
-        .unwrap()
     }
 
     #[test]
     fn geometry_matches_table3() {
-        let l1 = Cache::new(CacheConfig::l1i_hpca2004()).unwrap();
-        assert_eq!(l1.config().num_sets(), 256);
-        let l2 = Cache::new(CacheConfig::l2_hpca2004()).unwrap();
-        assert_eq!(l2.config().num_sets(), 8192);
-        assert_eq!(l2.config().hit_latency, 10);
+        assert_eq!(CacheConfig::HPCA2004_L1.num_sets(), 256);
+        assert_eq!(CacheConfig::HPCA2004_L2.num_sets(), 8192);
+        assert_eq!(
+            Cache::new(CacheConfig::HPCA2004_L2).config().hit_latency,
+            10
+        );
     }
 
     #[test]
+    #[should_panic(expected = "line size a power of two")]
     fn non_power_of_two_line_rejected() {
         // 1.5 MiB, 2-way, 48 B lines: 16384 sets, a power of two, so only
         // the line-size check catches it.
         let cfg = CacheConfig {
             size_bytes: 1536 * 1024,
             line_bytes: 48,
-            ..CacheConfig::l2_hpca2004()
+            ..CacheConfig::HPCA2004_L2
         };
         assert_eq!(cfg.num_sets(), 16384);
-        let d = Cache::new(cfg).unwrap_err();
-        assert_eq!(d.code, "E0009");
-        assert_eq!(d.field, "mem.l2.line_bytes");
+        let _ = Cache::new(cfg);
     }
 
     #[test]
+    #[should_panic(expected = "set count must be a power of two")]
     fn non_power_of_two_set_count_rejected() {
         // 48 KB, 2-way, 64 B lines: 384 sets.
-        let cfg = CacheConfig {
+        let _ = Cache::new(CacheConfig {
             size_bytes: 48 * 1024,
-            ..CacheConfig::l1d_hpca2004()
-        };
-        let d = Cache::new(cfg).unwrap_err();
-        assert_eq!(d.code, "E0009");
-        assert_eq!(d.field, "mem.l1d.size_bytes");
+            ..CacheConfig::HPCA2004_L1
+        });
     }
 
     #[test]
@@ -412,14 +357,6 @@ mod tests {
         assert_eq!(s.accesses, 3);
         assert_eq!(s.hits, 2);
         assert!((s.miss_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn banks_interleave() {
-        let c = tiny();
-        assert_eq!(c.bank(Addr::new(0)), 0);
-        assert_eq!(c.bank(Addr::new(64)), 1);
-        assert_eq!(c.bank(Addr::new(128)), 0);
     }
 
     #[test]

@@ -1,48 +1,11 @@
 //! The full memory hierarchy of Table 3: split 32 KB L1s, unified 1 MB L2,
 //! 100-cycle main memory, TLBs and per-cache MSHR files.
 
-use smt_isa::{Addr, Cycle, Diagnostic};
+use smt_isa::{Addr, Cycle};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::tlb::{Tlb, TlbConfig};
-
-/// Configuration of the whole hierarchy.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MemoryConfig {
-    /// L1 instruction cache geometry.
-    pub l1i: CacheConfig,
-    /// L1 data cache geometry.
-    pub l1d: CacheConfig,
-    /// Unified L2 geometry.
-    pub l2: CacheConfig,
-    /// Main-memory latency in cycles (Table 3: 100).
-    pub memory_latency: u64,
-    /// MSHR entries on the instruction side (the paper: one per thread).
-    pub i_mshrs: usize,
-    /// MSHR entries on the data side.
-    pub d_mshrs: usize,
-    /// Instruction TLB geometry.
-    pub itlb: TlbConfig,
-    /// Data TLB geometry.
-    pub dtlb: TlbConfig,
-}
-
-impl MemoryConfig {
-    /// The paper's configuration for `threads` hardware contexts.
-    pub fn hpca2004(threads: usize) -> Self {
-        MemoryConfig {
-            l1i: CacheConfig::l1i_hpca2004(),
-            l1d: CacheConfig::l1d_hpca2004(),
-            l2: CacheConfig::l2_hpca2004(),
-            memory_latency: 100,
-            i_mshrs: threads.max(1),
-            d_mshrs: 16,
-            itlb: TlbConfig::itlb_hpca2004(),
-            dtlb: TlbConfig::dtlb_hpca2004(),
-        }
-    }
-}
+use crate::tlb::Tlb;
 
 /// Outcome of an instruction-fetch access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,35 +48,28 @@ pub struct MemoryHierarchy {
     dmshr: MshrFile,
     itlb: Tlb,
     dtlb: Tlb,
-    memory_latency: u64,
 }
 
 impl MemoryHierarchy {
-    /// Builds the hierarchy from a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first structural problem found in any component:
-    /// `E0009` (cache geometry), `E0010` (MSHR file), `E0011` (TLB).
-    pub fn new(cfg: MemoryConfig) -> Result<Self, Diagnostic> {
-        let line = cfg.l1i.line_bytes;
-        let dline = cfg.l1d.line_bytes;
-        Ok(MemoryHierarchy {
-            imshr: MshrFile::new(cfg.i_mshrs, line).map_err(|d| d.in_field("mem.i_mshrs"))?,
-            dmshr: MshrFile::new(cfg.d_mshrs, dline).map_err(|d| d.in_field("mem.d_mshrs"))?,
-            l1i: Cache::new(cfg.l1i)?,
-            l1d: Cache::new(cfg.l1d)?,
-            l2: Cache::new(cfg.l2)?,
-            itlb: Tlb::from_config(&cfg.itlb).map_err(|d| d.in_field("mem.itlb"))?,
-            dtlb: Tlb::from_config(&cfg.dtlb).map_err(|d| d.in_field("mem.dtlb"))?,
-            memory_latency: cfg.memory_latency,
-        })
-    }
+    /// Table 3's main-memory latency in cycles (100).
+    pub const HPCA2004_MEMORY_LATENCY: u64 = 100;
+    /// Table 3's data-side MSHR entries (16). The instruction side has one
+    /// per thread.
+    pub const HPCA2004_D_MSHRS: usize = 16;
 
     /// The paper's hierarchy for `threads` contexts.
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
     pub fn hpca2004(threads: usize) -> Self {
-        MemoryHierarchy::new(MemoryConfig::hpca2004(threads)).expect("preset geometry is valid")
+        let (l1, l2) = (CacheConfig::HPCA2004_L1, CacheConfig::HPCA2004_L2);
+        let tlb = |entries| Tlb::new(entries, Tlb::HPCA2004_PAGE_BYTES, Tlb::HPCA2004_WALK_CYCLES);
+        MemoryHierarchy {
+            imshr: MshrFile::new(threads.max(1), l1.line_bytes),
+            dmshr: MshrFile::new(Self::HPCA2004_D_MSHRS, l1.line_bytes),
+            l1i: Cache::new(l1),
+            l1d: Cache::new(l1),
+            l2: Cache::new(l2),
+            itlb: tlb(Tlb::HPCA2004_ITLB_ENTRIES),
+            dtlb: tlb(Tlb::HPCA2004_DTLB_ENTRIES),
+        }
     }
 
     /// Latency of an L2-and-beyond access for a line, filling as it goes.
@@ -121,7 +77,7 @@ impl MemoryHierarchy {
         if self.l2.access(addr, write) {
             self.l2.config().hit_latency
         } else {
-            let lat = self.l2.config().hit_latency + self.memory_latency;
+            let lat = self.l2.config().hit_latency + Self::HPCA2004_MEMORY_LATENCY;
             self.l2.fill(addr, write);
             lat
         }
@@ -211,21 +167,6 @@ impl MemoryHierarchy {
     pub fn cache_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
         (self.l1i.stats(), self.l1d.stats(), self.l2.stats())
     }
-
-    /// `(ITLB, DTLB)` `(accesses, misses)` statistics.
-    pub fn tlb_stats(&self) -> ((u64, u64), (u64, u64)) {
-        (self.itlb.stats(), self.dtlb.stats())
-    }
-
-    /// The L1 instruction cache (for bank-conflict queries).
-    pub fn l1i(&self) -> &Cache {
-        &self.l1i
-    }
-
-    /// The L1 data cache.
-    pub fn l1d(&self) -> &Cache {
-        &self.l1d
-    }
 }
 
 #[cfg(test)]
@@ -274,11 +215,8 @@ mod tests {
 
     #[test]
     fn fetch_mshr_full_stalls_and_merge_shares() {
-        let mut h = MemoryHierarchy::new(MemoryConfig {
-            i_mshrs: 1,
-            ..MemoryConfig::hpca2004(1)
-        })
-        .unwrap();
+        // One thread: a one-entry instruction MSHR file.
+        let mut h = MemoryHierarchy::hpca2004(1);
         let a = Addr::new(0x10_0000);
         let b = Addr::new(0x20_0000);
         let FetchOutcome::Miss { ready } = h.fetch(a, 0) else {
@@ -300,10 +238,9 @@ mod tests {
             panic!()
         };
         assert!(ready > 100, "cold load misses to memory");
-        let DataOutcome::Done { ready } = h.load(a, ready + 1) else {
-            panic!()
-        };
-        assert_eq!(ready, ready, "L1 hit");
+        // The TLB and the L1D hit, and the MSHR entry retired at `ready`.
+        let t = ready + 1;
+        assert_eq!(h.load(a, t), DataOutcome::Done { ready: t }, "L1 hit");
         let DataOutcome::Done { ready: r2 } = h.load(a + 8, 500) else {
             panic!()
         };
@@ -359,9 +296,6 @@ mod tests {
             panic!()
         };
         assert!(ready >= 130);
-        let ((ia, im), (da, dm)) = h.tlb_stats();
-        assert_eq!((ia, im), (0, 0));
-        assert_eq!(da, 1);
-        assert_eq!(dm, 1);
+        assert_eq!((h.itlb.stats(), h.dtlb.stats()), ((0, 0), (1, 1)));
     }
 }

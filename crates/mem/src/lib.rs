@@ -11,6 +11,10 @@
 //! * [`MemoryHierarchy`] — the assembled hierarchy with a 100-cycle main
 //!   memory.
 //!
+//! [`MemoryHierarchy::hpca2004`] is the one constructor of the hierarchy;
+//! each Table 3 value is a named constant (`HPCA2004_*`). The component
+//! constructors cannot fail: they assert their geometry with a message.
+//!
 //! # Example
 //!
 //! ```
@@ -31,6 +35,6 @@ mod mshr;
 mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use hierarchy::{DataOutcome, FetchOutcome, MemoryConfig, MemoryHierarchy};
+pub use hierarchy::{DataOutcome, FetchOutcome, MemoryHierarchy};
 pub use mshr::{MshrFile, MshrOutcome};
-pub use tlb::{Tlb, TlbConfig};
+pub use tlb::Tlb;

@@ -1,6 +1,6 @@
 //! Miss status holding registers: bounded outstanding-miss tracking.
 
-use smt_isa::{Addr, Cycle, Diagnostic, Presized};
+use smt_isa::{Addr, Cycle, Presized};
 
 /// A file of MSHRs for one cache.
 ///
@@ -18,9 +18,6 @@ pub struct MshrFile {
     earliest: Cycle,
     capacity: usize,
     line_bytes: u64,
-    merges: u64,
-    allocs: u64,
-    full_stalls: u64,
 }
 
 /// Result of an MSHR allocation attempt.
@@ -38,35 +35,21 @@ pub enum MshrOutcome {
 impl MshrFile {
     /// Creates a file with `capacity` entries for lines of `line_bytes`.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0010` if `capacity` is zero or `line_bytes` is not a power of two.
-    pub fn new(capacity: usize, line_bytes: u64) -> Result<Self, Diagnostic> {
-        if capacity == 0 {
-            return Err(Diagnostic::error(
-                "E0010",
-                "mshrs",
-                "MSHR capacity must be positive",
-                "the paper requires an I-MSHR per thread and 16 D-MSHRs",
-            ));
-        }
-        if !line_bytes.is_power_of_two() {
-            return Err(Diagnostic::error(
-                "E0010",
-                "mshrs.line_bytes",
-                format!("line size must be a power of two (got {line_bytes})"),
-                "use the 64 B line size of Table 3",
-            ));
-        }
-        Ok(MshrFile {
+    /// Panics if `capacity` is zero or `line_bytes` is not a power of two.
+    pub fn new(capacity: usize, line_bytes: u64) -> Self {
+        assert!(capacity > 0, "MSHR capacity must be positive");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "MSHR line size must be a power of two (got {line_bytes})"
+        );
+        MshrFile {
             slots: Presized::vec(capacity),
             earliest: Cycle::MAX,
             capacity,
             line_bytes,
-            merges: 0,
-            allocs: 0,
-            full_stalls: 0,
-        })
+        }
     }
 
     /// Number of outstanding misses at `now` (expired entries are retired).
@@ -105,16 +88,13 @@ impl MshrFile {
         self.retire(now);
         let line = addr.line(self.line_bytes);
         if let Some(&(_, r)) = self.slots.iter().find(|&&(l, _)| l == line) {
-            self.merges += 1;
             return MshrOutcome::Merged(r);
         }
         if self.slots.len() >= self.capacity {
-            self.full_stalls += 1;
             return MshrOutcome::Full;
         }
         self.slots.push((line, ready));
         self.earliest = self.earliest.min(ready);
-        self.allocs += 1;
         MshrOutcome::Allocated
     }
 
@@ -131,16 +111,6 @@ impl MshrFile {
             .filter(|&ready| ready > now)
             .min()
     }
-
-    /// `(allocations, merges, full-stalls)` counts.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.allocs, self.merges, self.full_stalls)
-    }
-
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +119,7 @@ mod tests {
 
     #[test]
     fn allocate_then_merge_same_line() {
-        let mut m = MshrFile::new(4, 64).unwrap();
+        let mut m = MshrFile::new(4, 64);
         assert_eq!(
             m.allocate(Addr::new(0x1000), 0, 100),
             MshrOutcome::Allocated
@@ -164,17 +134,16 @@ mod tests {
 
     #[test]
     fn full_file_stalls() {
-        let mut m = MshrFile::new(2, 64).unwrap();
+        let mut m = MshrFile::new(2, 64);
         m.allocate(Addr::new(0x0), 0, 50);
         m.allocate(Addr::new(0x40), 0, 50);
         assert_eq!(m.allocate(Addr::new(0x80), 0, 50), MshrOutcome::Full);
-        let (allocs, merges, stalls) = m.stats();
-        assert_eq!((allocs, merges, stalls), (2, 0, 1));
+        assert_eq!(m.outstanding(0), 2);
     }
 
     #[test]
     fn entries_retire_when_fill_completes() {
-        let mut m = MshrFile::new(1, 64).unwrap();
+        let mut m = MshrFile::new(1, 64);
         m.allocate(Addr::new(0x0), 0, 10);
         assert_eq!(m.allocate(Addr::new(0x40), 5, 60), MshrOutcome::Full);
         // At cycle 10 the first fill is done: slot frees.
@@ -185,7 +154,7 @@ mod tests {
 
     #[test]
     fn next_ready_after_reports_earliest_live_fill() {
-        let mut m = MshrFile::new(4, 64).unwrap();
+        let mut m = MshrFile::new(4, 64);
         assert_eq!(m.next_ready_after(0), None);
         m.allocate(Addr::new(0x000), 0, 90);
         m.allocate(Addr::new(0x040), 0, 40);
@@ -196,7 +165,7 @@ mod tests {
 
     #[test]
     fn pending_reports_completion_cycle() {
-        let mut m = MshrFile::new(2, 64).unwrap();
+        let mut m = MshrFile::new(2, 64);
         m.allocate(Addr::new(0x100), 0, 42);
         assert_eq!(m.pending(Addr::new(0x13c), 1), Some(42));
         assert_eq!(m.pending(Addr::new(0x140), 1), None);
@@ -204,9 +173,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let d = MshrFile::new(0, 64).unwrap_err();
-        assert_eq!(d.code, "E0010");
-        assert_eq!(MshrFile::new(4, 48).unwrap_err().code, "E0010");
+        let _ = MshrFile::new(0, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn non_power_of_two_line_rejected() {
+        let _ = MshrFile::new(4, 48);
     }
 }

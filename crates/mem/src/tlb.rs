@@ -1,37 +1,6 @@
 //! Translation lookaside buffers.
 
-use smt_isa::{Addr, Diagnostic, Presized};
-
-/// Configuration of one TLB.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TlbConfig {
-    /// Number of (fully-associative) entries.
-    pub entries: usize,
-    /// Page size in bytes.
-    pub page_bytes: u64,
-    /// Page-walk penalty in cycles, charged per miss.
-    pub miss_penalty: u64,
-}
-
-impl TlbConfig {
-    /// Table 3's 48-entry instruction TLB (8 KB pages, 30-cycle walk).
-    pub fn itlb_hpca2004() -> Self {
-        TlbConfig {
-            entries: 48,
-            page_bytes: 8192,
-            miss_penalty: 30,
-        }
-    }
-
-    /// Table 3's 128-entry data TLB (8 KB pages, 30-cycle walk).
-    pub fn dtlb_hpca2004() -> Self {
-        TlbConfig {
-            entries: 128,
-            page_bytes: 8192,
-            miss_penalty: 30,
-        }
-    }
-}
+use smt_isa::{Addr, Presized};
 
 /// A fully-associative, LRU TLB over fixed-size pages.
 ///
@@ -50,39 +19,28 @@ pub struct Tlb {
 }
 
 impl Tlb {
-    /// Builds a TLB from a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tlb::new`] (`E0011`).
-    pub fn from_config(cfg: &TlbConfig) -> Result<Self, Diagnostic> {
-        Tlb::new(cfg.entries, cfg.page_bytes, cfg.miss_penalty)
-    }
+    /// Table 3's instruction-TLB entries (48).
+    pub const HPCA2004_ITLB_ENTRIES: usize = 48;
+    /// Table 3's data-TLB entries (128).
+    pub const HPCA2004_DTLB_ENTRIES: usize = 128;
+    /// Table 3's page size (8 KB).
+    pub const HPCA2004_PAGE_BYTES: u64 = 8192;
+    /// Table 3's page-walk penalty in cycles (30).
+    pub const HPCA2004_WALK_CYCLES: u64 = 30;
 
     /// Creates a TLB with `capacity` entries over `page_bytes` pages,
     /// charging `miss_penalty` cycles per miss.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// `E0011` if `capacity` is zero or `page_bytes` is not a power of two.
-    pub fn new(capacity: usize, page_bytes: u64, miss_penalty: u64) -> Result<Self, Diagnostic> {
-        if capacity == 0 {
-            return Err(Diagnostic::error(
-                "E0011",
-                "tlb.entries",
-                "TLB capacity must be positive",
-                "Table 3 uses 48 I-TLB / 128 D-TLB entries",
-            ));
-        }
-        if !page_bytes.is_power_of_two() {
-            return Err(Diagnostic::error(
-                "E0011",
-                "tlb.page_bytes",
-                format!("page size must be a power of two (got {page_bytes})"),
-                "the paper uses 8 KB pages",
-            ));
-        }
-        Ok(Tlb {
+    /// Panics if `capacity` is zero or `page_bytes` is not a power of two.
+    pub fn new(capacity: usize, page_bytes: u64, miss_penalty: u64) -> Self {
+        assert!(capacity > 0, "TLB capacity must be positive");
+        assert!(
+            page_bytes.is_power_of_two(),
+            "page size must be a power of two (got {page_bytes})"
+        );
+        Tlb {
             entries: Presized::vec(capacity),
             capacity,
             page_shift: page_bytes.trailing_zeros(),
@@ -90,19 +48,7 @@ impl Tlb {
             tick: 0,
             accesses: 0,
             misses: 0,
-        })
-    }
-
-    /// The paper's 48-entry instruction TLB (8 KB pages, 30-cycle walk).
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
-    pub fn itlb_hpca2004() -> Self {
-        Tlb::from_config(&TlbConfig::itlb_hpca2004()).expect("preset geometry is valid")
-    }
-
-    /// The paper's 128-entry data TLB (8 KB pages, 30-cycle walk).
-    #[expect(clippy::expect_used, reason = "preset geometry is valid")]
-    pub fn dtlb_hpca2004() -> Self {
-        Tlb::from_config(&TlbConfig::dtlb_hpca2004()).expect("preset geometry is valid")
+        }
     }
 
     /// Translates `addr`, returning the added latency (0 on a hit, the walk
@@ -156,30 +102,27 @@ mod tests {
 
     #[test]
     fn hit_after_fill() {
-        let mut t = Tlb::new(4, 8192, 30).unwrap();
+        let mut t = Tlb::new(4, 8192, 30);
         assert_eq!(t.access(Addr::new(0x1_0000)), 30);
         assert_eq!(t.access(Addr::new(0x1_1fff)), 0, "same page hits");
         assert_eq!(t.access(Addr::new(0x1_2000)), 30, "next page misses");
     }
 
     #[test]
-    fn bad_geometry_rejected() {
-        let empty = Tlb::from_config(&TlbConfig {
-            entries: 0,
-            ..TlbConfig::itlb_hpca2004()
-        })
-        .unwrap_err();
-        assert_eq!((empty.code, empty.field.as_str()), ("E0011", "tlb.entries"));
-        let pages = Tlb::new(48, 6000, 30).unwrap_err();
-        assert_eq!(
-            (pages.code, pages.field.as_str()),
-            ("E0011", "tlb.page_bytes")
-        );
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_rejected() {
+        let _ = Tlb::new(0, 8192, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "page size must be a power of two")]
+    fn non_power_of_two_page_rejected() {
+        let _ = Tlb::new(48, 6000, 30);
     }
 
     #[test]
     fn lru_eviction() {
-        let mut t = Tlb::new(2, 8192, 30).unwrap();
+        let mut t = Tlb::new(2, 8192, 30);
         t.access(Addr::new(0x0000)); // page 0
         t.access(Addr::new(0x2000)); // page 1
         t.access(Addr::new(0x0000)); // touch page 0 → page 1 is LRU
@@ -190,7 +133,7 @@ mod tests {
 
     #[test]
     fn huge_working_set_thrashes() {
-        let mut t = Tlb::new(16, 8192, 30).unwrap();
+        let mut t = Tlb::new(16, 8192, 30);
         for i in 0..64u64 {
             t.access(Addr::new(i * 8192));
         }
@@ -204,8 +147,9 @@ mod tests {
 
     #[test]
     fn table3_capacities() {
-        let mut i = Tlb::itlb_hpca2004();
-        let mut d = Tlb::dtlb_hpca2004();
+        let (page, walk) = (Tlb::HPCA2004_PAGE_BYTES, Tlb::HPCA2004_WALK_CYCLES);
+        let mut i = Tlb::new(Tlb::HPCA2004_ITLB_ENTRIES, page, walk);
+        let mut d = Tlb::new(Tlb::HPCA2004_DTLB_ENTRIES, page, walk);
         for n in 0..48u64 {
             i.access(Addr::new(n * 8192));
         }

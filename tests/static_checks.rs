@@ -6,16 +6,21 @@
 //! 2. the simulator core keeps its pipeline decomposition;
 //! 3. every configuration the experiment suite simulates passes the
 //!    semantic validator with zero errors;
-//! 4. `SimConfig` keeps exactly the knobs an experiment varies.
+//! 4. `SimConfig` keeps exactly the knobs an experiment varies;
+//! 5. the README's diagnostic-code table lists exactly the codes the
+//!    program emits.
 //!
 //! The determinism and robustness rules themselves are clippy lints: the
 //! `[workspace.lints]` table, the per-package `[lints]` tables and the
 //! `clippy.toml` files (DESIGN.md §12).
 
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
 use smtfetch::core::{FetchPolicy, SimConfig};
 
-fn workspace_root() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
 /// The lockfile lines that betray an external package. Registry and git
@@ -149,4 +154,60 @@ fn sim_config_knob_set_is_pinned() {
         (fetch_buffer, ftq_depth, max_stream, max_ftb_block),
         (32, 4, 64, 16)
     );
+}
+
+/// The diagnostic-code literals (`"E0004"`, …) in `src`'s code before its
+/// `#[cfg(test)]` module, comments skipped.
+fn code_literals(src: &str) -> impl Iterator<Item = String> + '_ {
+    src.lines()
+        .take_while(|l| l.trim() != "#[cfg(test)]")
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .flat_map(|l| l.split('"').skip(1).step_by(2))
+        .filter(|s| s.len() == 5 && s.starts_with("E0") && s[1..].parse::<u16>().is_ok())
+        .map(str::to_string)
+}
+
+/// [`code_literals`] of every `.rs` file under `dir`, recursively.
+fn emitted_codes(dir: &Path, codes: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            emitted_codes(&path, codes);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            codes.extend(code_literals(
+                &std::fs::read_to_string(&path).expect("read"),
+            ));
+        }
+    }
+}
+
+/// The README's diagnostic table and the codes the program emits agree in
+/// both directions: every row not marked retired names a code some non-test
+/// source emits, and every emitted code has such a row. Retiring a check
+/// means marking its row, never deleting or renumbering it.
+#[test]
+fn diagnostic_codes_match_the_readme() {
+    let root = workspace_root();
+    let mut emitted = BTreeSet::new();
+    emitted_codes(&root.join("crates"), &mut emitted);
+    emitted_codes(&root.join("src"), &mut emitted);
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("read README.md");
+    let live: BTreeSet<String> = readme
+        .lines()
+        .filter_map(|l| {
+            let mut cells = l.strip_prefix("| ")?.split(" | ");
+            let code = cells.next().filter(|c| c.starts_with("E0"))?;
+            (!cells.next()?.starts_with("retired")).then(|| code.to_string())
+        })
+        .collect();
+    assert!(!emitted.is_empty(), "no diagnostic code in crates/ or src/");
+    assert_eq!(
+        emitted, live,
+        "emitted (left) vs README rows not retired (right)"
+    );
+
+    // The scan still bites: a code in a comment or a test module is not
+    // emitted, one in library code is.
+    let src = "// \"E0001\"\nlet d = \"E0002\";\n#[cfg(test)]\nlet t = \"E0003\";";
+    assert_eq!(code_literals(src).collect::<Vec<_>>(), ["E0002"]);
 }
