@@ -110,8 +110,9 @@ mod tests {
 
     #[test]
     fn conflicting_branches_evict_lru() {
-        let mut btb = Btb::new(8, 2); // 4 sets × 2 ways
-                                      // Three branches mapping to the same set (stride = sets * 4 bytes).
+        // 4 sets × 2 ways; three branches mapping to the same set (stride =
+        // sets * 4 bytes).
+        let mut btb = Btb::new(8, 2);
         let a = Addr::new(0x1000);
         let b = Addr::new(0x1000 + 4 * 4);
         let c = Addr::new(0x1000 + 8 * 4);
