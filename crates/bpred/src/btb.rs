@@ -82,6 +82,11 @@ impl Btb {
     pub fn entries(&self) -> usize {
         self.table.num_sets() * self.table.ways()
     }
+
+    /// Approximate hardware budget in bytes (tag + target + kind ≈ 12 B).
+    pub fn budget_bytes(&self) -> usize {
+        self.entries() * 12
+    }
 }
 
 #[cfg(test)]

@@ -28,6 +28,11 @@ impl TwoBit {
         self.0 >= 2
     }
 
+    /// Whether the counter is in a saturated (strong) state.
+    pub fn is_strong(self) -> bool {
+        self.0 == 0 || self.0 == 3
+    }
+
     /// Trains the counter toward the actual outcome.
     pub fn update(&mut self, taken: bool) {
         if taken {
@@ -143,6 +148,11 @@ impl CounterTable {
     pub fn mask(&self) -> u64 {
         self.mask
     }
+
+    /// Bytes of storage actually held (packed words).
+    pub fn storage_bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
+    }
 }
 
 #[cfg(test)]
@@ -178,6 +188,7 @@ mod tests {
     fn default_is_weakly_taken() {
         assert_eq!(TwoBit::default(), TwoBit::WEAK_T);
         assert!(TwoBit::default().taken());
+        assert!(!TwoBit::default().is_strong());
     }
 
     #[test]
@@ -201,9 +212,8 @@ mod tests {
         for i in 0..128 {
             assert_eq!(t.get(i), TwoBit::WEAK_T, "counter {i}");
         }
-        // 128 counters × 2 bits = 4 words (32 bytes), a quarter of the byte
-        // layout.
-        assert_eq!(t.words.len(), 4);
+        // 128 counters × 2 bits = 32 bytes, a quarter of the byte layout.
+        assert_eq!(t.storage_bytes(), 32);
     }
 
     #[test]

@@ -215,6 +215,11 @@ impl Ftb {
     pub fn entries(&self) -> usize {
         self.table.num_sets() * self.table.ways()
     }
+
+    /// Approximate hardware budget in bytes (tag + target + len + state ≈ 13 B).
+    pub fn budget_bytes(&self) -> usize {
+        self.entries() * 13
+    }
 }
 
 #[cfg(test)]

@@ -75,6 +75,13 @@ impl Gshare {
     pub fn entries(&self) -> usize {
         self.table.len()
     }
+
+    /// Hardware budget in bytes (2 bits per entry). Since the counter bank
+    /// is bit-packed 32-per-u64, this is also the simulator's actual table
+    /// footprint — the model budget and the host memory cost coincide.
+    pub fn budget_bytes(&self) -> usize {
+        self.table.len() / 4
+    }
 }
 
 #[cfg(test)]
@@ -141,6 +148,7 @@ mod tests {
     fn hpca_configuration_sizes() {
         let g = Gshare::hpca2004();
         assert_eq!(g.entries(), 65536);
+        assert_eq!(g.budget_bytes(), 16 * 1024);
     }
 
     #[test]

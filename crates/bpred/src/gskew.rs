@@ -195,6 +195,11 @@ impl Gskew {
     pub fn entries(&self) -> usize {
         self.banks.iter().map(|b| b.len()).sum()
     }
+
+    /// Hardware budget in bytes (2 bits per entry).
+    pub fn budget_bytes(&self) -> usize {
+        self.entries() / 4
+    }
 }
 
 #[cfg(test)]
@@ -309,6 +314,7 @@ mod tests {
     fn hpca_configuration_sizes() {
         let g = Gskew::hpca2004();
         assert_eq!(g.entries(), 3 * 32 * 1024);
+        assert_eq!(g.budget_bytes(), 24 * 1024);
     }
 
     #[test]

@@ -352,6 +352,11 @@ impl StreamPredictor {
     pub fn stats(&self) -> ((u64, u64), (u64, u64), u64) {
         (self.l1.stats(), self.l2.stats(), self.l2_allocs)
     }
+
+    /// Approximate hardware budget in bytes (≈ 13 B per entry).
+    pub fn budget_bytes(&self) -> usize {
+        (self.l1.num_sets() * self.l1.ways() + self.l2.num_sets() * self.l2.ways()) * 13
+    }
 }
 
 #[cfg(test)]

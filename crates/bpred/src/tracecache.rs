@@ -99,6 +99,13 @@ impl TraceCache {
         }
     }
 
+    /// A typical configuration comparable to the paper-era literature:
+    /// 512 trace lines of up to 16 instructions (≈ 32 KB of instruction
+    /// storage), 4-way associative.
+    pub fn typical() -> Self {
+        TraceCache::new(512, 4)
+    }
+
     fn set_and_tag(&self, start: Addr, dirs: &[bool]) -> (u64, u64) {
         let word = start.raw() >> 2;
         // Fold the direction vector into the tag so different paths from

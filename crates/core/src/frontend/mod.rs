@@ -440,6 +440,19 @@ mod tests {
     }
 
     #[test]
+    fn fetch_banks_lines_like_the_l1i() {
+        // The fetch stage's bank-conflict logic sees the L1I's own line size
+        // and bank interleaving.
+        let l1i = smt_mem::Cache::new(CacheConfig::HPCA2004_L1);
+        let c = l1i.config();
+        assert_eq!((LINE_BYTES, ICACHE_BANKS), (c.line_bytes, c.banks));
+        for line in 0..2 * ICACHE_BANKS {
+            let a = Addr::new(0x40_0000 + line * LINE_BYTES + 4);
+            assert_eq!(a.bank(LINE_BYTES, ICACHE_BANKS), l1i.bank(a));
+        }
+    }
+
+    #[test]
     fn repair_restores_history_ras_and_path() {
         let prog = program();
         let e = FrontEnd::hpca2004(FetchEngineKind::GshareBtb, &cfg());

@@ -63,13 +63,12 @@ impl TraceCache {
     /// comparator's total budget stays paper-like.
     const CORE_ENTRIES: usize = Gshare::HPCA2004_ENTRIES / 2;
 
-    /// Builds the engine: a 512-line, 4-way trace cache (traces of up to 16
-    /// instructions, ≈ 32 KB of instruction storage, as in the paper-era
-    /// literature) over a halved gshare and Table 3's BTB.
+    /// Builds the engine: a 512-line, 4-way trace cache over a halved
+    /// gshare and Table 3's BTB.
     pub fn hpca2004() -> Self {
         let core = || Gshare::new(TraceCache::CORE_ENTRIES);
         TraceCache {
-            tc: TraceStore::new(512, 4),
+            tc: TraceStore::typical(),
             multi: core(),
             gshare: core(),
             btb: Btb::hpca2004(),

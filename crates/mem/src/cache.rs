@@ -240,6 +240,11 @@ impl Cache {
         writeback
     }
 
+    /// Bank index of `addr`'s line.
+    pub fn bank(&self, addr: Addr) -> u64 {
+        addr.bank(self.cfg.line_bytes, self.cfg.banks)
+    }
+
     /// Statistics since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -357,6 +362,14 @@ mod tests {
         assert_eq!(s.accesses, 3);
         assert_eq!(s.hits, 2);
         assert!((s.miss_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn banks_interleave() {
+        let c = tiny();
+        assert_eq!(c.bank(Addr::new(0)), 0);
+        assert_eq!(c.bank(Addr::new(64)), 1);
+        assert_eq!(c.bank(Addr::new(128)), 0);
     }
 
     #[test]

@@ -167,6 +167,11 @@ impl MemoryHierarchy {
     pub fn cache_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
         (self.l1i.stats(), self.l1d.stats(), self.l2.stats())
     }
+
+    /// `(ITLB, DTLB)` `(accesses, misses)` statistics.
+    pub fn tlb_stats(&self) -> ((u64, u64), (u64, u64)) {
+        (self.itlb.stats(), self.dtlb.stats())
+    }
 }
 
 #[cfg(test)]
@@ -296,6 +301,9 @@ mod tests {
             panic!()
         };
         assert!(ready >= 130);
-        assert_eq!((h.itlb.stats(), h.dtlb.stats()), ((0, 0), (1, 1)));
+        let ((ia, im), (da, dm)) = h.tlb_stats();
+        assert_eq!((ia, im), (0, 0));
+        assert_eq!(da, 1);
+        assert_eq!(dm, 1);
     }
 }

@@ -319,6 +319,7 @@ fn tlb_matches_linear_scan_lru() {
 struct EagerMshr {
     slots: Vec<(Addr, u64)>,
     capacity: usize,
+    stats: (u64, u64, u64),
 }
 
 impl EagerMshr {
@@ -336,12 +337,15 @@ impl EagerMshr {
         self.retire(now);
         let line = addr.line(64);
         if let Some(&(_, r)) = self.slots.iter().find(|s| s.0 == line) {
+            self.stats.1 += 1;
             return MshrOutcome::Merged(r);
         }
         if self.slots.len() >= self.capacity {
+            self.stats.2 += 1;
             return MshrOutcome::Full;
         }
         self.slots.push((line, ready));
+        self.stats.0 += 1;
         MshrOutcome::Allocated
     }
 
@@ -351,8 +355,8 @@ impl EagerMshr {
 }
 
 /// `MshrFile` with its early-returning `retire` gives the same outcomes,
-/// outstanding counts and `next_ready_after` as a file that retires on
-/// every call, over random address/cycle traces.
+/// outstanding counts, `next_ready_after` and statistics as a file that
+/// retires on every call, over random address/cycle traces.
 #[test]
 fn mshr_matches_eager_retire_reference() {
     for case in 0..CASES {
@@ -362,6 +366,7 @@ fn mshr_matches_eager_retire_reference() {
         let mut reference = EagerMshr {
             slots: Vec::new(),
             capacity,
+            stats: (0, 0, 0),
         };
         let mut now = 0u64;
         for i in 0..1_000 {
@@ -388,6 +393,7 @@ fn mshr_matches_eager_retire_reference() {
                 }
             }
         }
+        assert_eq!(m.stats(), reference.stats, "case {case}");
     }
 }
 
