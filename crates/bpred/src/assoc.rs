@@ -21,8 +21,6 @@ pub struct SetAssoc<E> {
     sets: Vec<Presized<Vec<Way<E>>>>,
     ways: usize,
     tick: u64,
-    lookups: u64,
-    hits: u64,
 }
 
 impl<E> SetAssoc<E> {
@@ -47,8 +45,6 @@ impl<E> SetAssoc<E> {
             sets: (0..num_sets).map(|_| Presized::vec(ways)).collect(),
             ways,
             tick: 0,
-            lookups: 0,
-            hits: 0,
         }
     }
 
@@ -77,24 +73,16 @@ impl<E> SetAssoc<E> {
         &mut self.sets[i]
     }
 
-    /// Looks up `(set, tag)`, updating LRU and hit statistics on hit.
+    /// Looks up `(set, tag)`, updating LRU on hit.
     pub fn lookup(&mut self, set: u64, tag: u64) -> Option<&mut E> {
-        self.lookups += 1;
         self.tick += 1;
         let tick = self.tick;
-        let i = self.set_index(set);
-        let ways = &mut self.sets[i];
-        match ways.iter_mut().find(|w| w.tag == tag) {
-            Some(w) => {
-                w.lru = tick;
-                self.hits += 1;
-                Some(&mut w.entry)
-            }
-            None => None,
-        }
+        let w = self.set_of(set).iter_mut().find(|w| w.tag == tag)?;
+        w.lru = tick;
+        Some(&mut w.entry)
     }
 
-    /// Looks up `(set, tag)` without touching LRU or statistics.
+    /// Looks up `(set, tag)` without touching LRU.
     pub fn peek(&self, set: u64, tag: u64) -> Option<&E> {
         self.sets[self.set_index(set)]
             .iter()
@@ -141,11 +129,6 @@ impl<E> SetAssoc<E> {
         let ways = self.set_of(set);
         let pos = ways.iter().position(|w| w.tag == tag)?;
         Some(ways.swap_remove(pos).entry)
-    }
-
-    /// `(lookups, hits)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.lookups, self.hits)
     }
 }
 
@@ -220,15 +203,6 @@ mod tests {
         let mut t: SetAssoc<u32> = SetAssoc::new(8, 4); // 2 sets
         t.insert(5, 1, 9); // set 5 & 1 = 1
         assert_eq!(t.peek(1, 1), Some(&9));
-    }
-
-    #[test]
-    fn stats_count_lookups_and_hits() {
-        let mut t: SetAssoc<u32> = SetAssoc::new(16, 4);
-        t.insert(0, 1, 1);
-        t.lookup(0, 1);
-        t.lookup(0, 2);
-        assert_eq!(t.stats(), (2, 1));
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Btb {
         self.table.lookup(set, tag).map(|e| *e)
     }
 
-    /// Looks up without touching replacement state or statistics.
+    /// Looks up without touching replacement state.
     pub fn peek(&self, pc: Addr) -> Option<BtbEntry> {
         let (set, tag) = self.set_and_tag(pc);
         self.table.peek(set, tag).copied()
@@ -73,19 +73,9 @@ impl Btb {
         self.table.insert(set, tag, BtbEntry { target, kind });
     }
 
-    /// `(lookups, hits)` counts.
-    pub fn stats(&self) -> (u64, u64) {
-        self.table.stats()
-    }
-
     /// Total entry count.
     pub fn entries(&self) -> usize {
         self.table.num_sets() * self.table.ways()
-    }
-
-    /// Approximate hardware budget in bytes (tag + target + kind ≈ 12 B).
-    pub fn budget_bytes(&self) -> usize {
-        self.entries() * 12
     }
 }
 

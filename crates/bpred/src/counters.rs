@@ -18,19 +18,9 @@ impl TwoBit {
     /// Strongly taken.
     pub const STRONG_T: TwoBit = TwoBit(3);
 
-    /// Creates a counter in the given state (clamped to 0..=3).
-    pub fn new(state: u8) -> Self {
-        TwoBit(state.min(3))
-    }
-
     /// The predicted direction.
     pub fn taken(self) -> bool {
         self.0 >= 2
-    }
-
-    /// Whether the counter is in a saturated (strong) state.
-    pub fn is_strong(self) -> bool {
-        self.0 == 0 || self.0 == 3
     }
 
     /// Trains the counter toward the actual outcome.
@@ -148,11 +138,6 @@ impl CounterTable {
     pub fn mask(&self) -> u64 {
         self.mask
     }
-
-    /// Bytes of storage actually held (packed words).
-    pub fn storage_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -188,12 +173,6 @@ mod tests {
     fn default_is_weakly_taken() {
         assert_eq!(TwoBit::default(), TwoBit::WEAK_T);
         assert!(TwoBit::default().taken());
-        assert!(!TwoBit::default().is_strong());
-    }
-
-    #[test]
-    fn new_clamps() {
-        assert_eq!(TwoBit::new(9), TwoBit::STRONG_T);
     }
 
     #[test]
@@ -212,8 +191,8 @@ mod tests {
         for i in 0..128 {
             assert_eq!(t.get(i), TwoBit::WEAK_T, "counter {i}");
         }
-        // 128 counters × 2 bits = 32 bytes, a quarter of the byte layout.
-        assert_eq!(t.storage_bytes(), 32);
+        // 128 counters × 2 bits = 4 words, a quarter of the byte layout.
+        assert_eq!(t.words.len(), 4);
     }
 
     #[test]

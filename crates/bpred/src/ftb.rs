@@ -66,7 +66,6 @@ pub struct Ftb {
     table: SetAssoc<FtbEntry>,
     set_bits: u32,
     max_block: u32,
-    misfetch_trains: u64,
 }
 
 impl Ftb {
@@ -92,7 +91,6 @@ impl Ftb {
             table,
             set_bits,
             max_block,
-            misfetch_trains: 0,
         }
     }
 
@@ -168,9 +166,6 @@ impl Ftb {
                 e.strength.update(true);
                 return;
             }
-            if len < e.len {
-                self.misfetch_trains += 1; // an embedded branch fired: split
-            }
         }
         self.table.insert(
             set,
@@ -201,24 +196,9 @@ impl Ftb {
         }
     }
 
-    /// `(lookups, hits)` counts.
-    pub fn stats(&self) -> (u64, u64) {
-        self.table.stats()
-    }
-
-    /// Number of trainings triggered by embedded branches firing.
-    pub fn misfetch_trains(&self) -> u64 {
-        self.misfetch_trains
-    }
-
     /// Total entry count.
     pub fn entries(&self) -> usize {
         self.table.num_sets() * self.table.ways()
-    }
-
-    /// Approximate hardware budget in bytes (tag + target + len + state ≈ 13 B).
-    pub fn budget_bytes(&self) -> usize {
-        self.entries() * 13
     }
 }
 
@@ -262,12 +242,12 @@ mod tests {
         let mut ftb = Ftb::new(64, 4, 16);
         let start = Addr::new(0x1000);
         ftb.record_taken(start, observed(0x101c, 0x4000)); // len 8
-                                                           // The embedded branch at 0x1008 is finally taken: misfetch, retrain.
+        assert_eq!(ftb.lookup(start).unwrap().len, 8);
+        // The embedded branch at 0x1008 is finally taken: misfetch, retrain.
         ftb.record_taken(start, observed(0x1008, 0x3000));
         let p = ftb.lookup(start).unwrap();
         assert_eq!(p.len, 3);
         assert_eq!(p.end.unwrap().target, Addr::new(0x3000));
-        assert_eq!(ftb.misfetch_trains(), 1);
     }
 
     #[test]

@@ -13,8 +13,6 @@ use crate::history::GlobalHistory;
 #[derive(Clone, Debug)]
 pub struct Gshare {
     table: CounterTable,
-    predictions: u64,
-    correct: u64,
 }
 
 impl Gshare {
@@ -29,8 +27,6 @@ impl Gshare {
     pub fn new(entries: usize) -> Self {
         Gshare {
             table: CounterTable::new(entries),
-            predictions: 0,
-            correct: 0,
         }
     }
 
@@ -44,12 +40,11 @@ impl Gshare {
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
-    pub fn predict(&mut self, pc: Addr, history: GlobalHistory) -> bool {
-        self.predictions += 1;
+    pub fn predict(&self, pc: Addr, history: GlobalHistory) -> bool {
         self.counter(pc, history).taken()
     }
 
-    /// The counter state a `(pc, history)` pair maps to (no statistics).
+    /// The counter state a `(pc, history)` pair maps to.
     pub fn counter(&self, pc: Addr, history: GlobalHistory) -> TwoBit {
         self.table.get(self.index(pc, history))
     }
@@ -59,28 +54,12 @@ impl Gshare {
     /// `history` must be the history value used at prediction time
     /// (checkpointed by the front-end), not the current speculative value.
     pub fn update(&mut self, pc: Addr, history: GlobalHistory, taken: bool) {
-        let idx = self.index(pc, history);
-        if self.table.get(idx).taken() == taken {
-            self.correct += 1;
-        }
-        self.table.update(idx, taken);
-    }
-
-    /// `(predictions, correct-at-update)` counts.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.predictions, self.correct)
+        self.table.update(self.index(pc, history), taken);
     }
 
     /// Table size in 2-bit counters.
     pub fn entries(&self) -> usize {
         self.table.len()
-    }
-
-    /// Hardware budget in bytes (2 bits per entry). Since the counter bank
-    /// is bit-packed 32-per-u64, this is also the simulator's actual table
-    /// footprint — the model budget and the host memory cost coincide.
-    pub fn budget_bytes(&self) -> usize {
-        self.table.len() / 4
     }
 }
 
@@ -148,20 +127,5 @@ mod tests {
     fn hpca_configuration_sizes() {
         let g = Gshare::hpca2004();
         assert_eq!(g.entries(), 65536);
-        assert_eq!(g.budget_bytes(), 16 * 1024);
-    }
-
-    #[test]
-    fn stats_track_accuracy() {
-        let mut g = Gshare::new(256);
-        let pc = Addr::new(0x100);
-        let h = GlobalHistory::new(8);
-        for _ in 0..8 {
-            let _ = g.predict(pc, h);
-            g.update(pc, h, true);
-        }
-        let (preds, correct) = g.stats();
-        assert_eq!(preds, 8);
-        assert_eq!(correct, 8); // default weak-taken is already correct
     }
 }

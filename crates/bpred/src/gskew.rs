@@ -36,17 +36,15 @@ const SALTS: [u64; BANKS] = [
 #[derive(Clone, Debug)]
 pub struct Gskew {
     banks: [CounterTable; BANKS],
-    predictions: u64,
-    correct: u64,
 }
 
 /// One batched read of all three gskew banks for a single `(pc, history)`
 /// lookup: the three decorrelated indices and the three counters they
 /// addressed, captured together by [`Gskew::probe`].
 ///
-/// A probe is valid for [`Gskew::predict_with`] and [`Gskew::update_with`]
-/// only while no bank has been written since it was taken; within one
-/// front-end block prediction or one branch training that always holds.
+/// A probe is valid for [`Gskew::update_with`] only while no bank has been
+/// written since it was taken; within one front-end block prediction or one
+/// branch training that always holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GskewProbe {
     indices: [u64; BANKS],
@@ -82,8 +80,6 @@ impl Gskew {
     pub fn new(entries_per_bank: usize) -> Self {
         Gskew {
             banks: std::array::from_fn(|_| CounterTable::new(entries_per_bank)),
-            predictions: 0,
-            correct: 0,
         }
     }
 
@@ -133,17 +129,10 @@ impl Gskew {
         self.probe(pc, history).votes()
     }
 
-    /// Records and returns the majority prediction carried by `probe`.
-    pub fn predict_with(&mut self, probe: &GskewProbe) -> bool {
-        self.predictions += 1;
-        probe.taken()
-    }
-
     /// Predicts the direction of the conditional branch at `pc` by majority
     /// vote.
-    pub fn predict(&mut self, pc: Addr, history: GlobalHistory) -> bool {
-        let probe = self.probe(pc, history);
-        self.predict_with(&probe)
+    pub fn predict(&self, pc: Addr, history: GlobalHistory) -> bool {
+        self.probe(pc, history).taken()
     }
 
     /// Trains the predictor from a probe taken against the current table
@@ -163,7 +152,6 @@ impl Gskew {
             c
         };
         if majority == taken {
-            self.correct += 1;
             // Partial update: strengthen only the agreeing banks.
             for (b, &vote) in votes.iter().enumerate() {
                 if vote == majority {
@@ -186,19 +174,9 @@ impl Gskew {
         self.update_with(&probe, taken);
     }
 
-    /// `(predictions, correct-at-update)` counts.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.predictions, self.correct)
-    }
-
     /// Total number of 2-bit counters across banks.
     pub fn entries(&self) -> usize {
         self.banks.iter().map(|b| b.len()).sum()
-    }
-
-    /// Hardware budget in bytes (2 bits per entry).
-    pub fn budget_bytes(&self) -> usize {
-        self.entries() / 4
     }
 }
 
@@ -299,22 +277,20 @@ mod tests {
             let pc = Addr::new(((s >> 16) & 0xffff) * 4);
             let taken = s & 1 == 0;
             let p = a.probe(pc, h);
-            let pa = a.predict_with(&p);
-            // predict_with never writes a bank, so the probe is still fresh.
             a.update_with(&p, taken);
             let pb = b.predict(pc, h);
             b.update(pc, h, taken);
-            assert_eq!(pa, pb, "prediction diverged at step {i}");
-            assert_eq!(a.stats(), b.stats(), "stats diverged at step {i}");
+            assert_eq!(p.taken(), pb, "prediction diverged at step {i}");
         }
-        assert_eq!(a.votes(Addr::new(0x40), h), b.votes(Addr::new(0x40), h));
+        for (ba, bb) in a.banks.iter().zip(&b.banks) {
+            assert!((0..1024).all(|i| ba.get(i) == bb.get(i)), "banks diverged");
+        }
     }
 
     #[test]
     fn hpca_configuration_sizes() {
         let g = Gskew::hpca2004();
         assert_eq!(g.entries(), 3 * 32 * 1024);
-        assert_eq!(g.budget_bytes(), 24 * 1024);
     }
 
     #[test]

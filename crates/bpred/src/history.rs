@@ -49,13 +49,6 @@ impl GlobalHistory {
         };
         self.bits = ((self.bits << 1) | taken as u64) & mask;
     }
-
-    /// Restores the register from a checkpoint taken before a mispredicted
-    /// branch, then applies that branch's actual outcome.
-    pub fn restore_and_fix(&mut self, checkpoint: GlobalHistory, actual_taken: bool) {
-        *self = checkpoint;
-        self.push(actual_taken);
-    }
 }
 
 #[cfg(test)]
@@ -82,18 +75,6 @@ mod tests {
             h.push(true);
         }
         assert_eq!(h.bits(), u64::MAX);
-    }
-
-    #[test]
-    fn checkpoint_restore_fixes_the_mispredicted_outcome() {
-        let mut h = GlobalHistory::new(8);
-        h.push(true);
-        h.push(true);
-        let ckpt = h; // checkpoint before predicting the branch
-        h.push(false); // speculative (wrong) outcome
-        h.push(true); // younger speculative branch
-        h.restore_and_fix(ckpt, true); // branch actually taken
-        assert_eq!(h.bits(), 0b111);
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct ReturnStack {
     top: usize,
     /// Logical depth, saturating at capacity (circular overwrite).
     depth: usize,
-    pushes: u64,
-    pops: u64,
 }
 
 /// A repair checkpoint: captures the stack's top state at prediction time.
@@ -45,8 +43,6 @@ impl ReturnStack {
             entries: vec![Addr::NULL; capacity],
             top: capacity - 1,
             depth: 0,
-            pushes: 0,
-            pops: 0,
         }
     }
 
@@ -58,11 +54,6 @@ impl ReturnStack {
         ReturnStack::new(ReturnStack::HPCA2004_DEPTH)
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Current logical depth (saturates at capacity).
     pub fn depth(&self) -> usize {
         self.depth
@@ -70,7 +61,6 @@ impl ReturnStack {
 
     /// Pushes a return address (call predicted/observed).
     pub fn push(&mut self, ret: Addr) {
-        self.pushes += 1;
         self.top = (self.top + 1) % self.entries.len();
         self.entries[self.top] = ret;
         self.depth = (self.depth + 1).min(self.entries.len());
@@ -82,7 +72,6 @@ impl ReturnStack {
     /// through, which resolves as a misprediction — like hardware reading a
     /// garbage entry).
     pub fn pop(&mut self) -> Addr {
-        self.pops += 1;
         if self.depth == 0 {
             return Addr::NULL;
         }
@@ -115,11 +104,6 @@ impl ReturnStack {
         self.top = ckpt.top;
         self.depth = ckpt.depth;
         self.entries[self.top] = ckpt.top_value;
-    }
-
-    /// `(pushes, pops)` counts.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.pushes, self.pops)
     }
 }
 

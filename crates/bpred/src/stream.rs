@@ -161,7 +161,6 @@ pub struct StreamPredictor {
     l2_set_bits: u32,
     dolc: Dolc,
     max_stream: u32,
-    l2_allocs: u64,
 }
 
 impl StreamPredictor {
@@ -199,7 +198,6 @@ impl StreamPredictor {
             l2_set_bits,
             dolc,
             max_stream,
-            l2_allocs: 0,
         }
     }
 
@@ -334,7 +332,6 @@ impl StreamPredictor {
                             ..entry
                         },
                     );
-                    self.l2_allocs += 1;
                 }
                 if e.hyst.taken() {
                     e.hyst.update(false);
@@ -346,16 +343,6 @@ impl StreamPredictor {
                 self.l1.insert(s1, t1, entry);
             }
         }
-    }
-
-    /// `((l1 lookups, l1 hits), (l2 lookups, l2 hits), l2 allocations)`.
-    pub fn stats(&self) -> ((u64, u64), (u64, u64), u64) {
-        (self.l1.stats(), self.l2.stats(), self.l2_allocs)
-    }
-
-    /// Approximate hardware budget in bytes (≈ 13 B per entry).
-    pub fn budget_bytes(&self) -> usize {
-        (self.l1.num_sets() * self.l1.ways() + self.l2.num_sets() * self.l2.ways()) * 13
     }
 }
 
@@ -482,10 +469,11 @@ mod tests {
 
     #[test]
     fn hpca_configuration() {
-        let sp = StreamPredictor::hpca2004();
+        let mut sp = StreamPredictor::hpca2004();
         assert_eq!(sp.max_stream(), 64);
-        let ((l1_lookups, _), (l2_lookups, _), allocs) = sp.stats();
-        assert_eq!((l1_lookups, l2_lookups, allocs), (0, 0, 0));
+        assert_eq!(sp.l1.num_sets() * sp.l1.ways(), 1024);
+        assert_eq!(sp.l2.num_sets() * sp.l2.ways(), 4096);
+        assert!(sp.predict(Addr::new(0x1000), &StreamPath::new()).is_none());
     }
 
     #[test]

@@ -76,9 +76,6 @@ impl Trace {
 pub struct TraceCache {
     table: SetAssoc<Trace>,
     set_bits: u32,
-    hits: u64,
-    lookups: u64,
-    fills: u64,
 }
 
 impl TraceCache {
@@ -90,13 +87,7 @@ impl TraceCache {
     pub fn new(entries: usize, ways: usize) -> Self {
         let table = SetAssoc::new(entries, ways);
         let set_bits = table.num_sets().trailing_zeros();
-        TraceCache {
-            table,
-            set_bits,
-            hits: 0,
-            lookups: 0,
-            fills: 0,
-        }
+        TraceCache { table, set_bits }
     }
 
     /// A typical configuration comparable to the paper-era literature:
@@ -125,7 +116,6 @@ impl TraceCache {
     /// conditionals are compared; `pred_dirs` must supply at least as many
     /// bits as the stored trace used).
     pub fn lookup(&mut self, start: Addr, pred_dirs: &[bool]) -> Option<Trace> {
-        self.lookups += 1;
         // Try the longest direction prefixes first: a trace with more
         // matching conditionals is the better (longer) fetch.
         for take in (0..=pred_dirs.len().min(8)).rev() {
@@ -134,7 +124,6 @@ impl TraceCache {
                 if t.cond_dirs.len() == take
                     && t.cond_dirs.iter().zip(pred_dirs).all(|(a, b)| a == b)
                 {
-                    self.hits += 1;
                     return Some(t.clone());
                 }
             }
@@ -156,13 +145,7 @@ impl TraceCache {
             return;
         }
         let (set, tag) = self.set_and_tag(trace.start(), &trace.cond_dirs);
-        self.fills += 1;
         self.table.insert(set, tag, trace);
-    }
-
-    /// `(lookups, hits, fills)`.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.lookups, self.hits, self.fills)
     }
 }
 
@@ -236,10 +219,15 @@ mod tests {
         let mut tc = TraceCache::new(64, 4);
         let mut t = two_segment_trace();
         t.segments[0].len = 20; // 20 + 5 > 16
-        tc.fill(t);
+        tc.fill(t.clone());
         assert!(tc.lookup(Addr::new(0x1000), &[true, false]).is_none());
-        let (_, _, fills) = tc.stats();
-        assert_eq!(fills, 0);
+        // A rejected fill does not replace the stored trace of its path.
+        tc.fill(two_segment_trace());
+        tc.fill(t);
+        assert_eq!(
+            tc.lookup(Addr::new(0x1000), &[true, false]),
+            Some(two_segment_trace())
+        );
     }
 
     #[test]

@@ -53,8 +53,9 @@ const _: () = {
     // The L2 holds both L1s (no inclusion thrashing).
     let l1 = CacheConfig::HPCA2004_L1;
     assert!(CacheConfig::HPCA2004_L2.size_bytes >= 2 * l1.size_bytes);
-    // The 2.X fetch unit's two I-cache ports need at least two banks.
-    assert!(l1.banks >= 2);
+    // The 2.X fetch unit's two I-cache ports need at least two banks, and
+    // `Addr::bank` interleaves lines by masking with the bank count.
+    assert!(l1.banks >= 2 && l1.banks.is_power_of_two());
 };
 
 /// Which high-performance fetch engine drives the front-end (paper §3.3).

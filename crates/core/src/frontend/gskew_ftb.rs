@@ -61,11 +61,10 @@ impl GskewFtb {
                                 // counter-word accesses) issue together
                                 // instead of per scalar lookup.
                                 let probe = self.gskew.probe(end_pc, spec.hist);
-                                let t = self.gskew.predict_with(&probe);
                                 // FTB entries always carry a target, but
                                 // stay defensive about null targets the
                                 // same way the BTB path is.
-                                let t = t && !end.target.is_null();
+                                let t = probe.taken() && !end.target.is_null();
                                 spec.hist.push(t);
                                 (t, end.target)
                             }

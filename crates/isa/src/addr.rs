@@ -66,12 +66,6 @@ impl Addr {
         self.0 & (line_bytes - 1)
     }
 
-    /// Instruction-slot offset of `self` within its cache line.
-    #[inline]
-    pub fn offset_insts(self, line_bytes: u64) -> u64 {
-        self.line_offset(line_bytes) / INST_BYTES
-    }
-
     /// Number of instruction slots from `self` (inclusive) to the end of its
     /// cache line.
     ///
@@ -176,10 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn line_offset_and_inst_offset() {
-        let a = Addr::new(0x1210);
-        assert_eq!(a.line_offset(64), 0x10);
-        assert_eq!(a.offset_insts(64), 4);
+    fn line_offset_masks_high_bits() {
+        assert_eq!(Addr::new(0x1210).line_offset(64), 0x10);
     }
 
     #[test]

@@ -144,12 +144,6 @@ impl StaticInst {
     pub fn fall_through(&self) -> Addr {
         self.addr.add_insts(1)
     }
-
-    /// Whether this instruction ends a classical (BTB-style) fetch block,
-    /// i.e. is any branch.
-    pub fn ends_basic_block(&self) -> bool {
-        self.class.is_branch()
-    }
 }
 
 /// A data-memory access performed by a dynamic load or store.
@@ -272,10 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn static_inst_fall_through_and_block_end() {
+    fn static_inst_fall_through() {
         let b = static_branch();
         assert_eq!(b.fall_through(), Addr::new(0x104));
-        assert!(b.ends_basic_block());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! let pc = Addr::new(0x1000);
 //! assert_eq!(pc.line(64), Addr::new(0x1000));
-//! assert_eq!(pc.offset_insts(64), 0);
+//! assert_eq!(pc.insts_to_line_end(64), 16);
 //! assert!(InstClass::Branch(BranchKind::Cond).is_branch());
 //! ```
 

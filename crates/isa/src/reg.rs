@@ -39,7 +39,7 @@ impl fmt::Display for RegClass {
 ///
 /// let r = ArchReg::int(5);
 /// assert_eq!(r.class(), RegClass::Int);
-/// assert_eq!(r.index(), 5);
+/// assert_eq!(r.flat_index(), 5);
 /// assert_eq!(r.to_string(), "r5");
 /// assert_eq!(ArchReg::fp(3).to_string(), "f3");
 /// ```
@@ -79,11 +79,6 @@ impl ArchReg {
     /// The register-file class.
     pub fn class(self) -> RegClass {
         self.class
-    }
-
-    /// Index within the register-file class.
-    pub fn index(self) -> u16 {
-        self.index
     }
 
     /// Dense index across both register files (int first, then fp), suitable

@@ -1,4 +1,4 @@
-//! A set-associative cache tag model with LRU replacement and banking.
+//! A set-associative cache tag model with LRU replacement.
 
 use smt_isa::Addr;
 
@@ -11,7 +11,8 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Line size in bytes.
     pub line_bytes: u64,
-    /// Number of interleaved banks (for conflict modeling).
+    /// Number of interleaved banks. The cache does not model them; the
+    /// fetch stage reads the L1's count for its bank-conflict check.
     pub banks: u64,
     /// Access latency in cycles charged on a hit *beyond* the pipelined
     /// first cycle (L1s use 0, the paper's L2 uses 10).
@@ -98,8 +99,8 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if a geometry value is zero, or if the line size, the set
-    /// count or the bank count is not a power of two.
+    /// Panics if a geometry value is zero, or if the line size or the set
+    /// count is not a power of two.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(
             cfg.ways > 0 && cfg.line_bytes.is_power_of_two(),
@@ -109,11 +110,6 @@ impl Cache {
         assert!(
             num_sets.is_power_of_two(),
             "cache set count must be a power of two (got {num_sets})"
-        );
-        assert!(
-            cfg.banks.is_power_of_two(),
-            "cache bank count must be a power of two (got {})",
-            cfg.banks
         );
         #[expect(
             clippy::cast_possible_truncation,
@@ -240,11 +236,6 @@ impl Cache {
         writeback
     }
 
-    /// Bank index of `addr`'s line.
-    pub fn bank(&self, addr: Addr) -> u64 {
-        addr.bank(self.cfg.line_bytes, self.cfg.banks)
-    }
-
     /// Statistics since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -362,14 +353,6 @@ mod tests {
         assert_eq!(s.accesses, 3);
         assert_eq!(s.hits, 2);
         assert!((s.miss_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn banks_interleave() {
-        let c = tiny();
-        assert_eq!(c.bank(Addr::new(0)), 0);
-        assert_eq!(c.bank(Addr::new(64)), 1);
-        assert_eq!(c.bank(Addr::new(128)), 0);
     }
 
     #[test]

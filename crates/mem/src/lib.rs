@@ -3,8 +3,8 @@
 //! Timing models for the caches, TLBs and main memory the HPCA 2004
 //! simulator uses:
 //!
-//! * [`Cache`] — set-associative tag arrays with LRU, banking and dirty
-//!   eviction (L1I/L1D: 32 KB, 2-way, 8 banks; L2: 1 MB, 2-way, 10 cycles);
+//! * [`Cache`] — set-associative tag arrays with LRU and dirty eviction
+//!   (L1I/L1D: 32 KB, 2-way; L2: 1 MB, 2-way, 10 cycles);
 //! * [`MshrFile`] — bounded outstanding-miss tracking with hit-under-miss
 //!   merging (the paper's non-blocking caches, "an MSHR for each thread");
 //! * [`Tlb`] — 48-entry I-TLB / 128-entry D-TLB;

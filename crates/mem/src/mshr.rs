@@ -18,9 +18,6 @@ pub struct MshrFile {
     earliest: Cycle,
     capacity: usize,
     line_bytes: u64,
-    merges: u64,
-    allocs: u64,
-    full_stalls: u64,
 }
 
 /// Result of an MSHR allocation attempt.
@@ -52,9 +49,6 @@ impl MshrFile {
             earliest: Cycle::MAX,
             capacity,
             line_bytes,
-            merges: 0,
-            allocs: 0,
-            full_stalls: 0,
         }
     }
 
@@ -94,16 +88,13 @@ impl MshrFile {
         self.retire(now);
         let line = addr.line(self.line_bytes);
         if let Some(&(_, r)) = self.slots.iter().find(|&&(l, _)| l == line) {
-            self.merges += 1;
             return MshrOutcome::Merged(r);
         }
         if self.slots.len() >= self.capacity {
-            self.full_stalls += 1;
             return MshrOutcome::Full;
         }
         self.slots.push((line, ready));
         self.earliest = self.earliest.min(ready);
-        self.allocs += 1;
         MshrOutcome::Allocated
     }
 
@@ -119,11 +110,6 @@ impl MshrFile {
             .map(|&(_, ready)| ready)
             .filter(|&ready| ready > now)
             .min()
-    }
-
-    /// `(allocations, merges, full-stalls)` counts.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.allocs, self.merges, self.full_stalls)
     }
 }
 
@@ -149,11 +135,11 @@ mod tests {
     #[test]
     fn full_file_stalls() {
         let mut m = MshrFile::new(2, 64);
-        m.allocate(Addr::new(0x0), 0, 50);
-        m.allocate(Addr::new(0x40), 0, 50);
+        assert_eq!(m.allocate(Addr::new(0x0), 0, 50), MshrOutcome::Allocated);
+        assert_eq!(m.allocate(Addr::new(0x40), 0, 50), MshrOutcome::Allocated);
         assert_eq!(m.allocate(Addr::new(0x80), 0, 50), MshrOutcome::Full);
-        let (allocs, merges, stalls) = m.stats();
-        assert_eq!((allocs, merges, stalls), (2, 0, 1));
+        assert_eq!(m.outstanding(0), 2, "a stalled miss takes no entry");
+        assert_eq!(m.pending(Addr::new(0x80), 0), None);
     }
 
     #[test]

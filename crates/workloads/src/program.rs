@@ -112,11 +112,6 @@ impl Program {
         self.insts.is_empty()
     }
 
-    /// Static code footprint in bytes.
-    pub fn code_bytes(&self) -> u64 {
-        self.insts.len() as u64 * INST_BYTES
-    }
-
     /// Approximate data footprint in bytes (max over the access generators).
     pub fn data_footprint(&self) -> u64 {
         self.data_footprint

@@ -172,11 +172,6 @@ impl Walker {
         &self.program
     }
 
-    /// The thread this walker sequences.
-    pub fn thread(&self) -> ThreadId {
-        self.thread
-    }
-
     /// PC of the next correct-path instruction.
     pub fn pc(&self) -> Addr {
         self.pc
