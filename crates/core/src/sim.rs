@@ -274,7 +274,7 @@ impl Simulator {
         self.ctx.frontend.kind()
     }
 
-    /// The fetch engine itself (predictor structures and their statistics).
+    /// The fetch engine itself, with its predictor structures.
     pub fn front_end(&self) -> &FrontEnd {
         &self.ctx.frontend
     }
