@@ -310,47 +310,6 @@ impl fmt::Display for FetchPolicy {
     }
 }
 
-impl std::str::FromStr for FetchPolicy {
-    type Err = Diagnostic;
-
-    /// Parses the paper's `POLICY[-STALL|-FLUSH].n.X` notation — the exact
-    /// strings `Display` produces (e.g. `"ICOUNT.2.8"`,
-    /// `"ICOUNT-FLUSH.1.16"`).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let bad = |why: &str| {
-            Diagnostic::error(
-                "E0017",
-                "policy",
-                format!("malformed fetch policy {s:?}: {why}"),
-                "expected POLICY[-STALL|-FLUSH].n.X, e.g. ICOUNT.2.8",
-            )
-        };
-        let (rest, width_s) = s.rsplit_once('.').ok_or_else(|| bad("missing .X"))?;
-        let (head, n_s) = rest.rsplit_once('.').ok_or_else(|| bad("missing .n"))?;
-        let width: u32 = width_s.parse().map_err(|_| bad("X is not an integer"))?;
-        let n: u32 = n_s.parse().map_err(|_| bad("n is not an integer"))?;
-        if !(1..=2).contains(&n) {
-            return Err(bad("n must be 1 or 2"));
-        }
-        if width == 0 {
-            return Err(bad("X must be positive"));
-        }
-        let (kind_s, long_latency) = if let Some(k) = head.strip_suffix("-STALL") {
-            (k, LongLatencyAction::Stall)
-        } else if let Some(k) = head.strip_suffix("-FLUSH") {
-            (k, LongLatencyAction::Flush)
-        } else {
-            (head, LongLatencyAction::None)
-        };
-        Ok(FetchPolicy {
-            kind: kind_s.parse()?,
-            threads_per_cycle: n,
-            width,
-            long_latency,
-        })
-    }
-}
-
 /// The values an experiment varies on the Table 3 machine.
 ///
 /// Passive configuration record (public fields by design); everything else

@@ -161,9 +161,14 @@ pub struct SimStats {
     pub bank_conflicts: u64,
     /// Distribution of instructions per fetch cycle.
     pub distribution: FetchDistribution,
-    /// Committed predicted conditionals whose prediction-time history
-    /// checkpoint disagreed with the architectural history (diagnostic;
-    /// should be ~0 for the gshare+BTB engine).
+    /// Committed conditional branches that end a predicted block and whose
+    /// prediction-time history checkpoint differs, in up to its 16 low
+    /// bits, from the commit-time history `commit_hist`, which shifts on
+    /// every committed conditional. A diagnostic that is not yet exact:
+    /// gshare+BTB, where every conditional ends a block, counts 1.1–2.4%
+    /// of its committed conditionals on the ILP workloads, and the block
+    /// engines should compare against the block-end history
+    /// `commit_hist_end` instead (ROADMAP item 3).
     pub hist_mismatches: u64,
     /// Long-latency-load FLUSH events (Tullsen & Brown mechanism).
     pub flushes: u64,

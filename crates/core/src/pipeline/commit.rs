@@ -7,12 +7,11 @@ use smt_isa::InstClass;
 use crate::config::COMMIT_WIDTH;
 use crate::frontend::FrontEnd;
 
-use super::sched::{EventHorizon, SkipReason};
 use super::{PipelineCtx, STALL_DCACHE_MISS};
 
 /// The commit stage: retires completed instructions in order, round-robin
-/// across threads under the shared commit width.
-pub(crate) fn commit(ctx: &mut PipelineCtx) {
+/// across threads under the shared commit width. Acts when it commits.
+pub(crate) fn commit(ctx: &mut PipelineCtx) -> bool {
     let now = ctx.cycle;
     let n = ctx.threads.len();
     let mut budget = COMMIT_WIDTH;
@@ -133,34 +132,5 @@ pub(crate) fn commit(ctx: &mut PipelineCtx) {
             ctx.note_stall(tid, STALL_DCACHE_MISS);
         }
     }
-}
-
-/// Commit acts when any ROB head is dispatched and complete. An issued but
-/// incomplete head is a completion timer — the stage's event — and an issued
-/// load head also records the per-cycle dcache-miss bit, the same
-/// observation the tick's trailing loop makes. Heads that are not yet issued
-/// (or dispatched) are another stage's problem.
-pub(crate) fn commit_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    let now = ctx.cycle;
-    for (tid, th) in ctx.threads.iter().enumerate() {
-        let Some(head) = th.window.front() else {
-            continue;
-        };
-        if !head.dispatched() {
-            continue;
-        }
-        if head.completed(now) {
-            ev.act();
-            return;
-        }
-        if head.issued() {
-            let reason = if head.is_load() {
-                ev.flag(tid, STALL_DCACHE_MISS);
-                SkipReason::MemWait
-            } else {
-                SkipReason::IssueWait
-            };
-            ev.event(head.done_at, reason);
-        }
-    }
+    budget < COMMIT_WIDTH
 }

@@ -6,8 +6,8 @@
 //! the owning thread in order when any resource is exhausted. Decode and
 //! rename are pure one-cycle latches.
 //!
-//! Each stage ticks before the stage that feeds it (`Simulator::step` runs
-//! dispatch, rename, decode, fetch in that order), so an entry a stage
+//! Each stage ticks before the stage that feeds it (`tick` runs dispatch,
+//! rename, decode, fetch in that order), so an entry a stage
 //! finds in its input latch always arrived in an earlier cycle: the latches
 //! never need an arrival timestamp. Entries also never overtake each other,
 //! so the fetch buffer and the two latches together hold the pre-dispatch
@@ -22,7 +22,6 @@ use smt_isa::{Addr, ArchReg, InstClass, Presized, MAX_THREADS};
 
 use crate::config::{DECODE_WIDTH, IQ_SIZES, ROB_SIZE};
 
-use super::sched::EventHorizon;
 use super::{IqEntry, PipelineCtx, STALL_ROB_FULL};
 
 /// One pre-dispatch instruction.
@@ -62,24 +61,9 @@ impl FrontFifo {
         self.q.len() - self.renamed - self.decoded
     }
 
-    /// Entries in the decode latch region.
-    pub(crate) fn decode_len(&self) -> usize {
-        self.decoded
-    }
-
-    /// Entries in the rename latch region.
-    pub(crate) fn rename_len(&self) -> usize {
-        self.renamed
-    }
-
     /// All entries, oldest (rename region) first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &LatchEntry> {
         self.q.iter()
-    }
-
-    /// The rename latch region, oldest first.
-    pub(crate) fn renamed(&self) -> impl Iterator<Item = &LatchEntry> {
-        self.q.range(..self.renamed)
     }
 
     /// Fetch: appends an entry to the fetch buffer.
@@ -88,23 +72,26 @@ impl FrontFifo {
     }
 
     /// Decode: moves up to `width` entries from the fetch buffer into the
-    /// decode latch, which holds at most `width`.
-    pub(crate) fn decode(&mut self, width: usize) {
-        self.decoded += (width - self.decoded).min(self.fetch_buffer_len());
+    /// decode latch, which holds at most `width`. Returns whether any moved.
+    pub(crate) fn decode(&mut self, width: usize) -> bool {
+        let k = (width - self.decoded).min(self.fetch_buffer_len());
+        self.decoded += k;
+        k > 0
     }
 
     /// Rename: moves up to `width` entries from the decode latch into the
-    /// rename latch, which holds at most `width`.
-    pub(crate) fn rename(&mut self, width: usize) {
+    /// rename latch, which holds at most `width`. Returns whether any moved.
+    pub(crate) fn rename(&mut self, width: usize) -> bool {
         let k = (width - self.renamed).min(self.decoded);
         self.renamed += k;
         self.decoded -= k;
+        k > 0
     }
 
     /// Dispatch: offers each rename-latch entry to `keep` in order; the
     /// entries it returns `true` for stay in the latch (in order), the rest
-    /// leave the FIFO.
-    pub(crate) fn dispatch(&mut self, mut keep: impl FnMut(LatchEntry) -> bool) {
+    /// leave the FIFO. Returns whether any left.
+    pub(crate) fn dispatch(&mut self, mut keep: impl FnMut(LatchEntry) -> bool) -> bool {
         let mut kept = 0;
         for i in 0..self.renamed {
             let e = self.q[i];
@@ -113,8 +100,10 @@ impl FrontFifo {
                 kept += 1;
             }
         }
+        let left = kept < self.renamed;
         self.q.drain(kept..self.renamed);
         self.renamed = kept;
+        left
     }
 
     /// Squash and FLUSH: drops every entry `keep` rejects, from whichever
@@ -138,30 +127,15 @@ impl FrontFifo {
 
 /// The decode latch: moves up to `DECODE_WIDTH` entries from the fetch
 /// buffer into the decode latch (a region-counter update of the front
-/// FIFO).
-pub(crate) fn decode(ctx: &mut PipelineCtx) {
-    ctx.front.decode(DECODE_WIDTH as usize);
-}
-
-/// A pure latch acts exactly when a buffered entry meets downstream room.
-/// Unblocking needs another stage to act — no self-scheduled events.
-pub(crate) fn decode_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    if ctx.front.decode_len() < DECODE_WIDTH as usize && ctx.front.fetch_buffer_len() > 0 {
-        ev.act();
-    }
+/// FIFO). Acts when an entry moves.
+pub(crate) fn decode(ctx: &mut PipelineCtx) -> bool {
+    ctx.front.decode(DECODE_WIDTH as usize)
 }
 
 /// The rename latch: moves up to `DECODE_WIDTH` entries from the decode
-/// latch into the rename latch.
-pub(crate) fn rename(ctx: &mut PipelineCtx) {
-    ctx.front.rename(DECODE_WIDTH as usize);
-}
-
-/// Same latch rule as decode, one stage later.
-pub(crate) fn rename_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    if ctx.front.rename_len() < DECODE_WIDTH as usize && ctx.front.decode_len() > 0 {
-        ev.act();
-    }
+/// latch into the rename latch. Acts when an entry moves.
+pub(crate) fn rename(ctx: &mut PipelineCtx) -> bool {
+    ctx.front.rename(DECODE_WIDTH as usize)
 }
 
 /// Which resource keeps a live rename-latch entry of `class` writing `dest`
@@ -182,14 +156,15 @@ fn blocker(ctx: &PipelineCtx, class: InstClass, dest: Option<ArchReg>) -> Option
 /// The dispatch stage: renames registers and moves instructions from the
 /// rename latch into the issue queues, in order per thread, bounded by the
 /// shared ROB, the per-queue capacities, and the free physical registers.
-pub(crate) fn dispatch(ctx: &mut PipelineCtx) {
+/// Acts when an entry dispatches or evaporates.
+pub(crate) fn dispatch(ctx: &mut PipelineCtx) -> bool {
     let now = ctx.cycle;
     let mut budget = DECODE_WIDTH;
     let mut stalled = [false; MAX_THREADS];
     // The FIFO is taken out for the walk so the closure can borrow the
     // rest of the machine; the take leaves an empty, unallocated deque.
     let mut front = std::mem::take(&mut ctx.front);
-    front.dispatch(|e| {
+    let acted = front.dispatch(|e| {
         if budget == 0 || stalled[e.tid] {
             return true;
         }
@@ -260,38 +235,7 @@ pub(crate) fn dispatch(ctx: &mut PipelineCtx) {
         false
     });
     ctx.front = front;
-}
-
-/// Replays the tick's resource walk without acquiring anything: the first
-/// latch entry that would dispatch (or evaporate) is an act; a thread
-/// blocked by the full shared ROB records the per-cycle ROB stall bit.
-/// Queue slots, registers and ROB space are only freed by other stages
-/// acting, so dispatch reports no self-scheduled events.
-pub(crate) fn dispatch_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    let mut stalled = [false; MAX_THREADS];
-    for e in ctx.front.renamed() {
-        if stalled[e.tid] {
-            continue;
-        }
-        let w = &ctx.threads[e.tid].window;
-        if w.ctl(e.seq).is_none() {
-            // A squashed entry would evaporate (mutating the ICOUNT
-            // bookkeeping): that is an act.
-            ev.act();
-            return;
-        }
-        let di = w.di(e.seq);
-        match blocker(ctx, di.class, di.dest) {
-            Some(bit) => {
-                ev.flag(e.tid, bit);
-                stalled[e.tid] = true;
-            }
-            None => {
-                ev.act();
-                return;
-            }
-        }
-    }
+    acted
 }
 
 #[cfg(test)]
@@ -343,7 +287,7 @@ mod tests {
 
     fn assert_same(fifo: &FrontFifo, old: &Latches, what: &str) {
         let regions: Vec<LatchEntry> = fifo.iter().copied().collect();
-        let (r, d) = (fifo.rename_len(), fifo.decode_len());
+        let (r, d) = (fifo.renamed, fifo.decoded);
         let strip = |q: &VecDeque<(LatchEntry, Cycle)>| q.iter().map(|e| e.0).collect::<Vec<_>>();
         assert_eq!(
             regions[..r],

@@ -10,7 +10,6 @@ use crate::config::LongLatencyAction;
 use crate::frontend::{BranchInfo, ICACHE_BANKS, LINE_BYTES};
 use crate::window::InFlightCtl;
 
-use super::sched::{EventHorizon, SkipReason};
 use super::{
     BankSet, LatchEntry, PipelineCtx, STALL_BANK_CONFLICT, STALL_FETCH_STARVED, STALL_ICACHE_MISS,
 };
@@ -18,7 +17,8 @@ use super::{
 /// The prediction stage: serves up to `n` threads per cycle, asking the
 /// front-end engine for fetch blocks. The engine appends straight into the
 /// served thread's FTQ — each predicted block is written exactly once.
-pub(crate) fn predict(ctx: &mut PipelineCtx) {
+/// Acts when it serves a thread.
+pub(crate) fn predict(ctx: &mut PipelineCtx) -> bool {
     let ports = ctx.cfg.fetch_policy.threads_per_cycle as usize;
     let width = ctx.cfg.fetch_policy.width;
     let ftq_depth = ctx.cfg.ftq_depth as usize;
@@ -61,33 +61,15 @@ pub(crate) fn predict(ctx: &mut PipelineCtx) {
         stats.blocks_predicted += (th.ftq.len() - depth) as u64;
         served += 1;
     }
-}
-
-/// Prediction acts whenever any thread has FTQ space and is not gated; a
-/// STALL/FLUSH gate is a timer, so its expiry is the stage's event.
-pub(crate) fn predict_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    let ftq_depth = ctx.cfg.ftq_depth as usize;
-    let now = ctx.cycle;
-    for (tid, th) in ctx.threads.iter().enumerate() {
-        if th.ftq.len() < ftq_depth && !ctx.gated(tid) {
-            ev.act();
-            return;
-        }
-        if ctx.cfg.fetch_policy.long_latency != LongLatencyAction::None {
-            if let Some(until) = th.mem_stall_until {
-                if until > now {
-                    ev.event(until, SkipReason::PolicyIdle);
-                }
-            }
-        }
-    }
+    served > 0
 }
 
 /// The fetch stage: drains FTQ heads through the I-cache into the shared
 /// fetch buffer, under the policy's port/width budget. The stage carries no
 /// scratch: the walker's bulk decode writes straight into the window's
-/// payload column ([`Window::payload_slots`](crate::window::Window)).
-pub(crate) fn fetch(ctx: &mut PipelineCtx) {
+/// payload column ([`Window::payload_slots`](crate::window::Window)). Acts
+/// when it serves a thread, even if the I-cache access misses or stalls.
+pub(crate) fn fetch(ctx: &mut PipelineCtx) -> bool {
     let now = ctx.cycle;
     let ports = ctx.cfg.fetch_policy.threads_per_cycle as usize;
     let mut budget = ctx.cfg.fetch_policy.width;
@@ -140,39 +122,7 @@ pub(crate) fn fetch(ctx: &mut PipelineCtx) {
     if buffer_full_seen {
         ctx.stats.fetch_buffer_stalls += 1;
     }
-}
-
-/// Fetch acts whenever an eligible, ungated thread meets a fetch buffer with
-/// room (even a miss or MSHR-full retry touches the I-cache). Its events are
-/// I-block miss returns; its standing stall bits mirror the tick exactly:
-/// icache-miss for blocked FTQ heads, fetch-starved for every eligible
-/// thread when only the full buffer blocks them (in which case the
-/// per-cycle buffer-full counter runs too).
-pub(crate) fn fetch_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    let now = ctx.cycle;
-    let room = ctx.front.fetch_buffer_len() < ctx.cfg.fetch_buffer as usize;
-    let mut starved = false;
-    for (tid, th) in ctx.threads.iter().enumerate() {
-        if !th.ftq.is_empty() {
-            if let Some(ready) = th.iblock_until {
-                if ready > now {
-                    ev.flag(tid, STALL_ICACHE_MISS);
-                    ev.event(ready, SkipReason::FtqWait);
-                }
-            }
-        }
-        if th.fetch_eligible(now) && !ctx.gated(tid) {
-            if room {
-                ev.act();
-                return;
-            }
-            starved = true;
-            ev.flag(tid, STALL_FETCH_STARVED);
-        }
-    }
-    if starved {
-        ev.buffer_full();
-    }
+    port > 0
 }
 
 /// Fetches up to `budget` instructions from `tid`'s FTQ head.

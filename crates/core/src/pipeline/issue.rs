@@ -8,14 +8,16 @@ use smt_mem::DataOutcome;
 use crate::config::{LongLatencyAction, FU_COUNTS};
 
 use super::recovery::flush_after_load;
-use super::sched::{EventHorizon, SkipReason};
 use super::{PipelineCtx, LONG_LATENCY, STALL_ISSUE_WIDTH};
 
 /// The issue stage: one pass per issue queue (int, load/store, fp), then
-/// any FLUSH events the load/store pass requested.
-pub(crate) fn issue(ctx: &mut PipelineCtx) {
+/// any FLUSH events the load/store pass requested. Acts when an entry's
+/// operands are ready: it issues, or a load retries against a full MSHR
+/// file.
+pub(crate) fn issue(ctx: &mut PipelineCtx) -> bool {
+    let mut acted = false;
     for which in 0..ctx.iq.len() {
-        issue_queue(ctx, which);
+        acted |= issue_queue(ctx, which);
     }
     // Take/restore rather than drain-by-value so the buffer keeps its
     // capacity across cycles (flush_after_load never requests flushes).
@@ -25,34 +27,10 @@ pub(crate) fn issue(ctx: &mut PipelineCtx) {
     }
     flushes.clear();
     ctx.pending_flushes = flushes;
+    acted
 }
 
-/// Issue acts as soon as any queue entry's operands are ready (even an
-/// MSHR-full load retry touches the data cache); an entry whose sources
-/// become ready at a finite future cycle is an issue-wait event. Sources are
-/// recomputed from `ready_at` rather than read from the cached `wake` field,
-/// which the skipped ticks would have refreshed. Unresolved (`u64::MAX`)
-/// sources report nothing: the producer's own queue entry bounds the wait.
-pub(crate) fn issue_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    debug_assert!(ctx.pending_flushes.is_empty(), "flushes drain every tick");
-    let now = ctx.cycle;
-    // Every entry was dispatched in an earlier step, so only its sources
-    // can hold it back.
-    for queue in &ctx.iq {
-        for e in queue.iter() {
-            let ready = ctx.sources_ready(e);
-            if ready <= now {
-                ev.act();
-                return;
-            }
-            if ready != u64::MAX {
-                ev.event(ready, SkipReason::IssueWait);
-            }
-        }
-    }
-}
-
-fn issue_queue(ctx: &mut PipelineCtx, which: usize) {
+fn issue_queue(ctx: &mut PipelineCtx, which: usize) -> bool {
     let now = ctx.cycle;
     let fu_limit = FU_COUNTS[which];
     let mut queue = std::mem::take(&mut ctx.iq[which]);
@@ -61,6 +39,7 @@ fn issue_queue(ctx: &mut PipelineCtx, which: usize) {
     // without a per-cycle allocation.
     let mut kept = 0usize;
     let mut issued = 0u32;
+    let mut acted = false;
     let len = queue.len();
     for idx in 0..len {
         if issued == fu_limit {
@@ -109,6 +88,7 @@ fn issue_queue(ctx: &mut PipelineCtx, which: usize) {
             kept += 1;
             continue;
         }
+        acted = true;
         let done_at = match e.class {
             InstClass::Load => {
                 match ctx.mem.load(e.mem_addr, now) {
@@ -167,4 +147,5 @@ fn issue_queue(ctx: &mut PipelineCtx, which: usize) {
     }
     queue.truncate(kept);
     ctx.iq[which] = queue;
+    acted
 }

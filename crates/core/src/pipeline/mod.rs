@@ -1,21 +1,16 @@
 //! The pipeline stages of the cycle loop, as plain functions over one
 //! shared [`PipelineCtx`].
 //!
-//! Every stage is two functions: a tick (`commit(ctx)`) that advances it
-//! one cycle, and a horizon (`commit_horizon(ctx, ev)`) that reports,
-//! without mutating anything, whether the tick would change machine state
-//! this cycle (`ev.act()`) and, if not, the earliest future cycle at which
-//! the stage's inputs change on their own (`ev.event(at, reason)`) plus the
-//! per-thread stall bits it would charge on every idle cycle until then
-//! (`ev.flag`). A stage whose unblocking depends solely on another stage
-//! acting reports nothing. `Simulator::step` calls the ticks in reverse
-//! pipeline order (commit side first); [`sched::fast_forward`] polls the
-//! horizons and jumps to the minimum reported event when no stage acts
-//! (DESIGN.md §14).
+//! Every stage is one tick function (`commit(ctx)`) that advances it one
+//! cycle and returns whether it *acted*: changed machine state beyond its
+//! stall observations. [`tick`] runs the ticks in reverse pipeline order
+//! (commit side first) and reports whether any acted; after a cycle in
+//! which none did, [`sched::advance`] skips to the earliest timer that
+//! [`sched::next_event`] lists (DESIGN.md §14).
 //!
 //! The stages also *attribute stalls*: as each stage runs it marks, per
 //! thread, which bottleneck it observed this cycle (bits in
-//! [`PipelineCtx::stall_flags`]); [`attribute_stalls`] then charges each
+//! [`PipelineCtx::stall_flags`]); [`end_cycles`] then charges each
 //! active thread's cycle to exactly one [`StallBreakdown`] bucket (highest
 //! severity wins) or to the idle/overlap residual, so the buckets plus the
 //! residual always sum to total cycles per thread.
@@ -47,12 +42,13 @@ use crate::metrics::SimStats;
 use crate::thread::ThreadState;
 use crate::window::PhysReg;
 
-pub(crate) use commit::commit;
-pub(crate) use decode_rename::{decode, dispatch, rename, FrontFifo, LatchEntry};
-pub(crate) use fetch::{fetch, predict};
-pub(crate) use issue::issue;
-pub(crate) use recovery::resolve;
-pub(crate) use sched::fast_forward;
+use commit::commit;
+use decode_rename::{decode, dispatch, rename};
+pub(crate) use decode_rename::{FrontFifo, LatchEntry};
+use fetch::{fetch, predict};
+use issue::issue;
+use recovery::resolve;
+pub(crate) use sched::advance;
 
 /// A data access slower than this many cycles counts as a long-latency
 /// (memory) miss for the STALL/FLUSH mechanisms and the MISSCOUNT metric —
@@ -60,7 +56,7 @@ pub(crate) use sched::fast_forward;
 pub(crate) const LONG_LATENCY: u64 = 30;
 
 // Per-thread stall-observation bits, set by the stages as they run and
-// consumed (then cleared) by `attribute_stalls` at the end of the cycle.
+// consumed (then cleared) by `end_cycles` at the end of the cycle.
 /// Fetch blocked on an I-cache miss (or a miss was taken this cycle).
 pub(crate) const STALL_ICACHE_MISS: u8 = 1 << 0;
 /// Fetch lost an I-cache bank to a higher-priority thread (2.X only).
@@ -219,7 +215,7 @@ pub(crate) struct PipelineCtx {
     /// full recount on every use.
     pub(crate) preissue: [u32; MAX_THREADS],
     /// Per-thread stall-observation bits for the cycle in progress
-    /// (`STALL_*` constants), consumed by [`attribute_stalls`].
+    /// (`STALL_*` constants), consumed by [`end_cycles`].
     pub(crate) stall_flags: [u8; MAX_THREADS],
     pub(crate) stats: SimStats,
     /// Threads whose long-latency load requested a FLUSH this cycle, as
@@ -352,19 +348,39 @@ impl PipelineCtx {
     }
 }
 
-/// End-of-cycle stall accounting: charges each active thread's cycle to
-/// exactly one breakdown bucket — the most severe bottleneck any stage
-/// observed for it this cycle ([`StallBreakdown::charge`]) — or to the
-/// idle/overlap residual, then clears the observation bits. One increment
-/// per thread per cycle, so per thread the buckets plus the residual always
-/// sum to total cycles.
+/// One cycle of every stage, in reverse pipeline order — the idiom that
+/// advances each in-flight instruction at most one stage per cycle without
+/// intra-cycle forwarding. Returns whether any stage acted; the cycle's
+/// stall bits stay set for [`end_cycles`].
+pub(crate) fn tick(ctx: &mut PipelineCtx) -> bool {
+    // Resolve must precede commit: a mispredicted branch that completes
+    // this cycle must squash and redirect before it can retire. `|`, not
+    // `||`: every stage ticks.
+    resolve(ctx)
+        | commit(ctx)
+        | issue(ctx)
+        | dispatch(ctx)
+        | rename(ctx)
+        | decode(ctx)
+        | fetch(ctx)
+        | predict(ctx)
+}
+
+/// Ends the ticked cycle and `cycles - 1` idle copies of it (a skip):
+/// charges each active thread's cycles to exactly one breakdown bucket —
+/// the most severe bottleneck any stage observed for it
+/// ([`StallBreakdown::charge`]) — or to the idle/overlap residual, clears
+/// the observation bits, and advances the clock. Per thread the buckets
+/// plus the residual therefore always sum to total cycles.
 ///
 /// [`StallBreakdown::charge`]: crate::metrics::StallBreakdown::charge
-pub(crate) fn attribute_stalls(ctx: &mut PipelineCtx) {
+pub(crate) fn end_cycles(ctx: &mut PipelineCtx, cycles: u64) {
     for tid in 0..ctx.threads.len() {
-        ctx.stats.stalls.charge(tid, ctx.stall_flags[tid], 1);
+        ctx.stats.stalls.charge(tid, ctx.stall_flags[tid], cycles);
         ctx.stall_flags[tid] = 0;
     }
+    ctx.cycle += cycles;
+    ctx.stats.cycles = ctx.cycle - ctx.stats_since;
 }
 
 #[cfg(test)]

@@ -6,14 +6,14 @@
 
 use smt_isa::inst_idx;
 
-use super::sched::{EventHorizon, SkipReason};
 use super::PipelineCtx;
 
 /// The resolve stage: detects resolved mispredictions (decode-detectable
 /// misfetches after one stage, the rest at completion) and squashes the
-/// wrong path.
-pub(crate) fn resolve(ctx: &mut PipelineCtx) {
+/// wrong path. Acts when it squashes.
+pub(crate) fn resolve(ctx: &mut PipelineCtx) -> bool {
     let now = ctx.cycle;
+    let mut acted = false;
     for tid in 0..ctx.threads.len() {
         let Some(seq) = ctx.threads[tid].pending_redirect else {
             continue;
@@ -31,45 +31,10 @@ pub(crate) fn resolve(ctx: &mut PipelineCtx) {
             .unwrap_or(false);
         if resolved {
             squash_after(ctx, tid, seq);
+            acted = true;
         }
     }
-}
-
-/// Resolution is timer-driven: a decode-detectable misfetch redirects
-/// `fetched_at + 2` cycles after fetch, everything else at the diverging
-/// instruction's completion. A redirect whose timer has expired is an act
-/// (the squash mutates half the machine); one still pending reports the
-/// timer as its event. An unissued, non-decode redirect is bounded by its
-/// own issue-queue entry.
-pub(crate) fn resolve_horizon(ctx: &PipelineCtx, ev: &mut EventHorizon) {
-    let now = ctx.cycle;
-    for th in &ctx.threads {
-        let Some(seq) = th.pending_redirect else {
-            continue;
-        };
-        let Some(c) = th.window.ctl(seq) else {
-            continue;
-        };
-        if c.decode_redirect() {
-            if now >= c.fetched_at + 2 {
-                ev.act();
-                return;
-            }
-            ev.event(c.fetched_at + 2, SkipReason::IssueWait);
-        }
-        if c.completed(now) {
-            ev.act();
-            return;
-        }
-        if c.issued() {
-            let reason = if c.is_load() {
-                SkipReason::MemWait
-            } else {
-                SkipReason::IssueWait
-            };
-            ev.event(c.done_at, reason);
-        }
-    }
+    acted
 }
 
 /// Removes every instruction of thread `tid` from sequence number `from`

@@ -1,208 +1,197 @@
-//! Event-driven cycle skipping: the next-interesting-event scheduler
-//! (DESIGN.md §14).
+//! Event-driven cycle skipping: step a cycle, and if no stage acted in it,
+//! skip to the next timer (DESIGN.md §14).
 //!
-//! Between steps, every pipeline stage answers two questions through its
-//! horizon function (`commit_horizon`, `issue_horizon`, …): *can you
-//! change machine state this cycle?* and, if not, *what is the earliest
-//! future cycle at which your inputs change on their own?* Self-scheduled changes are always timer expiries —
-//! a load's `done_at`, an I-block's miss return, a STALL/FLUSH gate, an
-//! issue-queue operand becoming ready, an MSHR fill — so when no stage can
-//! act, the machine is frozen until the minimum reported expiry and the
-//! scheduler jumps straight to it.
+//! Every tick reports whether it changed machine state ([`tick`]). A cycle
+//! in which none acts leaves the machine as it found it: only the clock,
+//! the stall buckets and the buffer-full counter move. From then on the
+//! state changes only when a timer expires — a load's `done_at`, an
+//! I-block's miss return, a STALL/FLUSH gate, an issue-queue operand
+//! becoming ready, an MSHR fill — and [`next_event`] lists every one. Until
+//! the earliest, each cycle would repeat the idle one exactly, so
+//! [`advance`] charges the idle cycle's stall bits and buffer-full
+//! increment once per cycle up to it and jumps the clock there.
 //!
-//! The jump is behavior-invariant by construction: a cycle in which no
-//! stage acts only runs `attribute_stalls`, and every stall bit a stage
-//! would set on such a cycle is a pure function of state that cannot change
-//! before the horizon (the stages record those bits in
-//! [`EventHorizon::flag`], and [`apply`] charges them once per skipped
-//! cycle through the same `StallBreakdown::charge` that `attribute_stalls`
-//! uses). The stall-partition invariant `stalls.total(tid) == cycles`
-//! therefore holds through skipped regions, and a skip clamped at a chunk
-//! boundary re-derives the identical classification when the resumed
-//! simulator calls the scheduler again on the same frozen state.
-//!
-//! No stage is special-cased: the contract covers every fetch policy
-//! (RR/ICOUNT/BRCOUNT/MISSCOUNT, with or without STALL/FLUSH) and every
-//! front-end engine, and skips backend-frozen windows — latches occupied,
-//! dispatch blocked on a full ROB, a data miss at the ROB head — that a
-//! whole-machine-idle predicate could never touch.
+//! The stall-partition invariant `stalls.total(tid) == cycles` therefore
+//! holds through skips, and a skip clamped at a chunk boundary re-derives
+//! the identical charges when the resumed run steps the same idle cycle
+//! again. No stage, policy or front-end engine is special-cased: the skip
+//! covers backend-frozen windows — latches occupied, dispatch blocked on a
+//! full ROB, a data miss at the ROB head — as well as whole-machine idle.
 
-use smt_isa::{Cycle, MAX_THREADS};
+use smt_isa::Cycle;
 
-use super::commit::commit_horizon;
-use super::decode_rename::{decode_horizon, dispatch_horizon, rename_horizon};
-use super::fetch::{fetch_horizon, predict_horizon};
-use super::issue::issue_horizon;
-use super::recovery::resolve_horizon;
-use super::PipelineCtx;
+use crate::config::LongLatencyAction;
+use crate::window::InFlightCtl;
 
-/// Why the scheduler skipped: the classification of the binding (earliest)
-/// event. The discriminant is the tie-break priority — when several sources
-/// expire on the same cycle, the skip is charged to the highest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+use super::{end_cycles, tick, PipelineCtx};
+
+/// Why the scheduler skipped: the kind of the earliest timer. Declared in
+/// tie-break order — when several timers expire on the same cycle, the skip
+/// is booked under the greatest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum SkipReason {
     /// An issue-side expiry: operand readiness in an issue queue, a
     /// non-load completion, or a decode-redirect resolution timer.
-    IssueWait = 0,
+    IssueWait,
     /// An I-cache miss return the FTQ head is blocked on.
-    FtqWait = 1,
+    FtqWait,
     /// A data-side memory expiry: a load's completion at the ROB head or
     /// an MSHR fill return.
-    MemWait = 2,
+    MemWait,
     /// A STALL/FLUSH long-latency gate: fetch deliberately idle until the
     /// offending load returns.
-    PolicyIdle = 3,
+    PolicyIdle,
 }
 
-impl SkipReason {
-    /// Tie-break priority (mirrors the discriminant; spelled as a match so
-    /// the hot path needs no numeric cast).
-    fn priority(self) -> u8 {
-        match self {
-            SkipReason::IssueWait => 0,
-            SkipReason::FtqWait => 1,
-            SkipReason::MemWait => 2,
-            SkipReason::PolicyIdle => 3,
+/// The earliest cycle after `now` at which a machine in which no stage can
+/// act changes on its own, and the reason a skip to it is booked under;
+/// `None` if no timer is pending. Every timer that can unblock a stage is
+/// listed; one that unblocks nothing merely splits a skip, and the resumed
+/// run charges the remainder identically.
+pub(crate) fn next_event(ctx: &PipelineCtx, now: Cycle) -> Option<(Cycle, SkipReason)> {
+    let mut next: Option<(Cycle, SkipReason)> = None;
+    let mut event = |at: Cycle, reason: SkipReason| {
+        debug_assert!(at > now, "a timer of an idle machine lies in the future");
+        if next.is_none_or(|(w, r)| at < w || (at == w && reason > r)) {
+            next = Some((at, reason));
         }
-    }
-}
-
-/// Accumulates one scheduling decision: whether any stage can act this
-/// cycle, the minimum future event with its classification, the per-thread
-/// stall bits that hold on every cycle of the idle window, and whether the
-/// full fetch buffer blocks an otherwise-ready fetch (charged to
-/// `fetch_buffer_stalls` per skipped cycle, as the fetch stage would).
-#[derive(Debug)]
-pub(crate) struct EventHorizon {
-    now: Cycle,
-    acted: bool,
-    wake: Cycle,
-    reason: SkipReason,
-    flags: [u8; MAX_THREADS],
-    buffer_full: bool,
-}
-
-impl EventHorizon {
-    pub(crate) fn new(now: Cycle) -> Self {
-        EventHorizon {
-            now,
-            acted: false,
-            wake: u64::MAX,
-            reason: SkipReason::IssueWait,
-            flags: [0; MAX_THREADS],
-            buffer_full: false,
+    };
+    let completion = |c: &InFlightCtl| {
+        if c.is_load() {
+            SkipReason::MemWait
+        } else {
+            SkipReason::IssueWait
         }
-    }
-
-    /// The reporting stage would mutate machine state this cycle: the
-    /// scheduler must step, not skip.
-    #[inline]
-    pub(crate) fn act(&mut self) {
-        self.acted = true;
-    }
-
-    #[inline]
-    pub(crate) fn acted(&self) -> bool {
-        self.acted
-    }
-
-    /// Registers a self-scheduled state change at cycle `at` (strictly in
-    /// the future). Minimum wins; on a tie the higher-priority reason does.
-    #[inline]
-    pub(crate) fn event(&mut self, at: Cycle, reason: SkipReason) {
-        debug_assert!(at > self.now, "horizon event must be in the future");
-        if at < self.wake || (at == self.wake && reason.priority() > self.reason.priority()) {
-            self.wake = at;
-            self.reason = reason;
+    };
+    let gating = ctx.cfg.fetch_policy.long_latency != LongLatencyAction::None;
+    for th in &ctx.threads {
+        // The ROB head's completion (commit).
+        if let Some(head) = th.window.front().filter(|h| h.dispatched() && h.issued()) {
+            event(head.done_at, completion(head));
         }
-    }
-
-    /// Records a stall bit that holds for `tid` on every cycle of the idle
-    /// window (the bit the stage would `note_stall` each stepped cycle).
-    #[inline]
-    pub(crate) fn flag(&mut self, tid: usize, bit: u8) {
-        self.flags[tid] |= bit;
-    }
-
-    /// Records that fetch is blocked solely by a full fetch buffer (the
-    /// condition behind the per-cycle `fetch_buffer_stalls` counter).
-    #[inline]
-    pub(crate) fn buffer_full(&mut self) {
-        self.buffer_full = true;
-    }
-}
-
-/// Tries to jump to the next interesting event: returns the number of
-/// cycles skipped (stats updated as if each had been stepped), or 0 if some
-/// stage can act this cycle and a real step is required.
-///
-/// Stages are polled cheapest-first so busy cycles bail out after one or
-/// two O(1)/O(threads) probes; the issue-queue scan — the only O(queue)
-/// probe — runs last.
-pub(crate) fn fast_forward(ctx: &mut PipelineCtx, max: u64) -> u64 {
-    if max == 0 {
-        return 0;
-    }
-    let mut ev = EventHorizon::new(ctx.cycle);
-    macro_rules! poll {
-        ($($horizon:ident),*) => {$(
-            $horizon(ctx, &mut ev);
-            if ev.acted() {
-                return 0;
+        // A pending redirect's decode timer or completion (resolve).
+        if let Some(c) = th.pending_redirect.and_then(|seq| th.window.ctl(seq)) {
+            if c.decode_redirect() {
+                event(c.fetched_at + 2, SkipReason::IssueWait);
             }
-        )*};
+            if c.issued() {
+                event(c.done_at, completion(c));
+            }
+        }
+        // The miss return a blocked FTQ head waits on (fetch).
+        if let Some(ready) = th.iblock_until.filter(|&r| r > now && !th.ftq.is_empty()) {
+            event(ready, SkipReason::FtqWait);
+        }
+        // A STALL/FLUSH gate's expiry (predict and fetch).
+        if let Some(until) = th.mem_stall_until.filter(|&u| gating && u > now) {
+            event(until, SkipReason::PolicyIdle);
+        }
     }
-    poll!(
-        decode_horizon,
-        rename_horizon,
-        commit_horizon,
-        predict_horizon,
-        fetch_horizon,
-        resolve_horizon,
-        dispatch_horizon,
-        issue_horizon
-    );
-    // The memory model reports its own horizon: pending MSHR fills on
-    // either side. It is a conservative bound — an expiry that enables no
-    // stage merely splits the skip, and the re-derived classification
-    // charges the remainder identically. The front-end engines need no
-    // horizon: their tables only move inside predict/train calls.
-    if let Some(at) = ctx.mem.next_event(ctx.cycle) {
-        ev.event(at, SkipReason::MemWait);
+    // Operands that become ready at a known cycle (issue). An unresolved
+    // (`u64::MAX`) source waits on its producer's own entry.
+    for e in ctx.iq.iter().flat_map(|q| q.iter()) {
+        let ready = ctx.sources_ready(e);
+        if ready != u64::MAX {
+            event(ready, SkipReason::IssueWait);
+        }
     }
-    apply(ctx, &ev, max)
+    // MSHR fills on either side. The front-end engines need no timer:
+    // their tables only move inside predict and train calls.
+    if let Some(at) = ctx.mem.next_event(now) {
+        event(at, SkipReason::MemWait);
+    }
+    next
 }
 
-/// Executes a skip decided by [`fast_forward`]: charges each thread's
-/// recorded stall bits once per skipped cycle (issue-width and
-/// bank-conflict bits require an acting stage and thus cannot occur in an
-/// idle window), advances the clock, and books the skip under its reason
-/// counter. Returns the skip length, 0 if no finite future event exists.
-fn apply(ctx: &mut PipelineCtx, ev: &EventHorizon, max: u64) -> u64 {
-    if ev.wake == u64::MAX {
-        // Fully blocked with no self-scheduled event (unreachable with the
-        // synthetic workloads): fall back to stepping.
-        return 0;
+/// Steps one cycle and, if no stage acted in it, skips on to the earliest
+/// timer, `max` cycles at most in all. Every cycle of the idle window,
+/// the stepped one included, is charged as the stepped one was and booked
+/// under the timer's reason. Returns the cycles advanced.
+pub(crate) fn advance(ctx: &mut PipelineCtx, max: u64) -> u64 {
+    let buffer_stalls = ctx.stats.fetch_buffer_stalls;
+    let next = if tick(ctx) {
+        None
+    } else {
+        next_event(ctx, ctx.cycle)
+    };
+    // No timer after an idle cycle is unreachable with the synthetic
+    // workloads; such a cycle is stepped on its own, like a busy one.
+    let Some((wake, reason)) = next else {
+        end_cycles(ctx, 1);
+        return 1;
+    };
+    let cycles = (wake - ctx.cycle).min(max);
+    let stats = &mut ctx.stats;
+    // The idle cycle's buffer-full increment, if it made one, repeats.
+    if stats.fetch_buffer_stalls > buffer_stalls {
+        stats.fetch_buffer_stalls += cycles - 1;
     }
-    debug_assert!(ev.wake > ctx.cycle);
-    let skip = (ev.wake - ctx.cycle).min(max);
-    for tid in 0..ctx.threads.len() {
-        debug_assert_eq!(
-            ctx.stall_flags[tid], 0,
-            "stall flags must be consumed before the scheduler runs"
-        );
-        ctx.stats.stalls.charge(tid, ev.flags[tid], skip);
+    *match reason {
+        SkipReason::IssueWait => &mut stats.skip_issue_wait,
+        SkipReason::FtqWait => &mut stats.skip_ftq_wait,
+        SkipReason::MemWait => &mut stats.skip_mem_wait,
+        SkipReason::PolicyIdle => &mut stats.skip_policy_idle,
+    } += cycles;
+    end_cycles(ctx, cycles);
+    cycles
+}
+
+#[cfg(test)]
+mod tests {
+    use smt_workloads::Workload;
+
+    use super::*;
+    use crate::config::{FetchEngineKind, FetchPolicy};
+    use crate::sim::SimBuilder;
+
+    /// Every cycle the scheduler skips is idle: a pure-stepping twin, ticked
+    /// in lockstep with the skipping run, acts on none of the cycles the
+    /// skipping run books as skipped — so `next_event` misses no timer — and
+    /// both runs end with equal statistics once the skip counters are
+    /// cleared. Memory-bound cells under FLUSH and STALL, and a plain
+    /// ICOUNT mix, for every engine.
+    #[test]
+    fn skipped_cycles_are_idle_in_a_stepping_twin() {
+        const CYCLES: u64 = 10_000;
+        let cells = [
+            (Workload::mem2(), FetchPolicy::icount(1, 8).with_flush()),
+            (Workload::mem2(), FetchPolicy::icount(2, 8).with_stall()),
+            (Workload::mix4(), FetchPolicy::icount(2, 8)),
+        ];
+        for (workload, policy) in cells {
+            let programs = workload.programs_shared(2004).expect("programs");
+            for engine in FetchEngineKind::all_with_trace_cache() {
+                let cell = format!("{workload} × {engine} × {policy}");
+                let mut run = SimBuilder::new_shared(programs.clone())
+                    .fetch_engine(engine)
+                    .fetch_policy(policy)
+                    .build()
+                    .expect("build")
+                    .ctx;
+                let mut twin = run.clone();
+                while run.cycle < CYCLES {
+                    let (skipped_before, left) = (run.stats.skipped_cycles(), CYCLES - run.cycle);
+                    let cycles = advance(&mut run, left);
+                    let skipped = run.stats.skipped_cycles() - skipped_before;
+                    assert!(skipped == 0 || skipped == cycles, "{cell}");
+                    for _ in 0..cycles {
+                        let acted = tick(&mut twin);
+                        assert!(
+                            skipped == 0 || !acted,
+                            "{cell}: the twin acted on skipped cycle {}",
+                            twin.cycle
+                        );
+                        end_cycles(&mut twin, 1);
+                    }
+                }
+                let mut stats = run.stats.clone();
+                assert!(stats.skipped_cycles() > 0, "{cell}: nothing skipped");
+                stats.skip_issue_wait = 0;
+                stats.skip_ftq_wait = 0;
+                stats.skip_mem_wait = 0;
+                stats.skip_policy_idle = 0;
+                assert_eq!(stats, twin.stats, "{cell}: the runs diverged");
+            }
+        }
     }
-    if ev.buffer_full {
-        ctx.stats.fetch_buffer_stalls += skip;
-    }
-    ctx.cycle += skip;
-    ctx.stats.cycles = ctx.cycle - ctx.stats_since;
-    match ev.reason {
-        SkipReason::IssueWait => ctx.stats.skip_issue_wait += skip,
-        SkipReason::FtqWait => ctx.stats.skip_ftq_wait += skip,
-        SkipReason::MemWait => ctx.stats.skip_mem_wait += skip,
-        SkipReason::PolicyIdle => ctx.stats.skip_policy_idle += skip,
-    }
-    skip
 }

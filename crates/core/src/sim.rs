@@ -15,11 +15,12 @@
 //! **1.X** (Figure 1: one thread per cycle, single I-cache port) and **2.X**
 //! (Figure 3: two threads, two ports, bank-conflict logic, merge).
 //!
-//! Each stage lives in [`crate::pipeline`] as a tick function and a
-//! horizon function over the shared `PipelineCtx`; the `Simulator` here is
-//! the thin composition root: it builds that context, calls the ticks in
-//! reverse pipeline order every [`Simulator::step`], and lets the
-//! event-driven scheduler skip idle cycles in [`Simulator::run_cycles`].
+//! Each stage lives in [`crate::pipeline`] as a tick function over the
+//! shared `PipelineCtx` that reports whether it acted; the `Simulator` here
+//! is the thin composition root: it builds that context, ticks every stage
+//! once per [`Simulator::step`], and in [`Simulator::run_cycles`] lets the
+//! event-driven scheduler skip the cycles after one in which no stage
+//! acted.
 
 use std::sync::Arc;
 
@@ -34,10 +35,7 @@ use crate::config::{
 use crate::diag::Diagnostic;
 use crate::frontend::FrontEnd;
 use crate::metrics::SimStats;
-use crate::pipeline::{
-    attribute_stalls, commit, decode, dispatch, fast_forward, fetch, issue, predict, rename,
-    resolve, FrontFifo, PipelineCtx,
-};
+use crate::pipeline::{advance, end_cycles, tick, FrontFifo, PipelineCtx};
 use crate::thread::ThreadState;
 use crate::window::PhysReg;
 
@@ -309,34 +307,15 @@ impl Simulator {
     pub fn run_cycles(&mut self, n: u64) -> &SimStats {
         let mut left = n;
         while left > 0 {
-            match fast_forward(&mut self.ctx, left) {
-                0 => {
-                    self.step();
-                    left -= 1;
-                }
-                k => left -= k,
-            }
+            left -= advance(&mut self.ctx, left);
         }
         &self.ctx.stats
     }
 
-    /// Advances the machine one cycle.
+    /// Advances the machine one cycle, never skipping.
     pub fn step(&mut self) {
-        let ctx = &mut self.ctx;
-        // Resolve must precede commit: a mispredicted branch that completes
-        // this cycle must squash and redirect before it can retire.
-        resolve(ctx);
-        commit(ctx);
-        issue(ctx);
-        dispatch(ctx);
-        rename(ctx);
-        decode(ctx);
-        fetch(ctx);
-        predict(ctx);
-        // Charge each thread's cycle to its most severe observed stall.
-        attribute_stalls(ctx);
-        ctx.cycle += 1;
-        ctx.stats.cycles = ctx.cycle - ctx.stats_since;
+        tick(&mut self.ctx);
+        end_cycles(&mut self.ctx, 1);
     }
 }
 

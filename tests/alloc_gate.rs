@@ -146,8 +146,8 @@ fn steady_state_is_allocation_free_across_policies() {
 /// windows the scheduler skips — across every fetch engine and every
 /// policy kind (plain ICOUNT/RR and the STALL/FLUSH long-latency gates),
 /// and require both that skipping actually engaged in the measured window
-/// and that it allocated nothing. The horizon probes run *every* cycle (not
-/// just idle ones), so this also gates the probes themselves.
+/// and that it allocated nothing. Each skip steps an idle cycle and then
+/// lists the pending timers, so this gates the timer scan too.
 #[test]
 fn event_skip_heavy_steady_state_is_allocation_free() {
     for engine in [

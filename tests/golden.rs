@@ -257,7 +257,8 @@ fn normalize_skips(stats: &mut smtfetch::core::SimStats) -> u64 {
 /// through `run_cycles` (which jumps to the next interesting event whenever
 /// no stage can act), one stepped cycle by cycle (which never does) —
 /// produce `==`-equal `SimStats` (all integer counters, so equality is
-/// exact) for every fetch engine, both fetch architectures, and every
+/// exact) for every fetch engine (the trace cache included), both fetch
+/// architectures, and every
 /// fetch-policy kind. Only the four per-reason skip counters may differ
 /// between the two drive modes; they are normalized away before comparing
 /// and their sum separately required to be non-zero, so the fast path is
@@ -269,7 +270,7 @@ fn normalize_skips(stats: &mut smtfetch::core::SimStats) -> u64 {
 fn optimized_step_matches_run_cycles_same_seed() {
     const CYCLES: u64 = 6_000;
     let mut total_skipped = 0;
-    for engine in FetchEngineKind::all() {
+    for engine in FetchEngineKind::all_with_trace_cache() {
         for policy in [
             FetchPolicy::icount(1, 8),
             FetchPolicy::icount(2, 8),

@@ -563,8 +563,9 @@ fn validated_configs_always_build() {
 }
 
 /// `Display` and `FromStr` are exact inverses for every fetch-engine kind
-/// and for randomized fetch policies (all four mnemonics, both n values,
-/// random widths, with and without the -STALL/-FLUSH suffixes).
+/// and every fetch-policy kind (the names the CLI's `--engine` and
+/// `--policy` parse), and unknown names are rejected with the documented
+/// codes.
 #[test]
 fn engine_and_policy_names_round_trip() {
     use smtfetch::core::PolicyKind;
@@ -577,48 +578,24 @@ fn engine_and_policy_names_round_trip() {
         assert_eq!(parsed, kind, "engine round-trip changed the kind");
     }
 
-    let kinds = [
+    for kind in [
         PolicyKind::Icount,
         PolicyKind::RoundRobin,
         PolicyKind::BrCount,
         PolicyKind::MissCount,
-    ];
-    for case in 0..CASES {
-        let mut rng = Srng::new(0x90117 ^ case);
-        let base = match kinds[rng.range(0, 4) as usize] {
-            PolicyKind::Icount => FetchPolicy::icount,
-            PolicyKind::RoundRobin => FetchPolicy::round_robin,
-            PolicyKind::BrCount => FetchPolicy::br_count,
-            PolicyKind::MissCount => FetchPolicy::miss_count,
-        };
-        let mut policy = base(1 + rng.range(0, 2) as u32, 1 + rng.range(0, 63) as u32);
-        policy = match rng.range(0, 3) {
-            0 => policy,
-            1 => policy.with_stall(),
-            _ => policy.with_flush(),
-        };
-        let text = policy.to_string();
-        let parsed: FetchPolicy = text.parse().unwrap_or_else(|e| {
-            panic!("policy {text:?} failed to parse back (case {case}): {e:?}");
+    ] {
+        let name = kind.to_string();
+        let parsed: PolicyKind = name.parse().unwrap_or_else(|e| {
+            panic!("policy name {name:?} failed to parse back: {e:?}");
         });
-        assert_eq!(parsed, policy, "policy round-trip drifted (case {case})");
-        assert_eq!(
-            parsed.long_latency, policy.long_latency,
-            "long-latency suffix lost (case {case})"
-        );
+        assert_eq!(parsed, kind, "policy round-trip changed the kind");
     }
 
     // Rejections carry the documented diagnostic codes.
     let err = "frobnicator".parse::<FetchEngineKind>().unwrap_err();
     assert_eq!(err.code, "E0016");
-    for junk in [
-        "ICOUNT",
-        "ICOUNT.3.8",
-        "ICOUNT.2.0",
-        "WRONG.1.8",
-        "ICOUNT-SPIN.1.8",
-    ] {
-        let err = junk.parse::<FetchPolicy>().unwrap_err();
+    for junk in ["frobnicator", "ICOUNT.2.8", "ICOUNT-FLUSH", "Icount", ""] {
+        let err = junk.parse::<PolicyKind>().unwrap_err();
         assert_eq!(err.code, "E0017", "{junk:?} accepted or wrong code");
     }
 }
