@@ -175,10 +175,10 @@ pub struct SimStats {
     /// Per-thread stall attribution (one bucket per thread per cycle).
     pub stalls: StallBreakdown,
     /// Cycles skipped while the binding event was a data-side memory
-    /// expiry (a load's completion or an MSHR fill return). Skipped cycles
-    /// are already included in `cycles`; the four `skip_*` counters are
-    /// diagnostics for how much of the run the event-driven scheduler
-    /// jumped over, split by the reason of the earliest event.
+    /// expiry (a load's completion). Skipped cycles are already included in
+    /// `cycles`; the four `skip_*` counters are diagnostics for how much of
+    /// the run the event-driven scheduler jumped over, split by the reason
+    /// of the earliest event.
     pub skip_mem_wait: u64,
     /// Cycles skipped waiting on issue-side events: operand readiness in
     /// the issue queues, a non-load completion, or a decode-redirect timer.

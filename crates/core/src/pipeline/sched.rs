@@ -6,8 +6,10 @@
 //! the stall buckets and the buffer-full counter move. From then on the
 //! state changes only when a timer expires — a load's `done_at`, an
 //! I-block's miss return, a STALL/FLUSH gate, an issue-queue operand
-//! becoming ready, an MSHR fill — and [`next_event`] lists every one. Until
-//! the earliest, each cycle would repeat the idle one exactly, so
+//! becoming ready — and [`next_event`] lists every one. The memory
+//! hierarchy keeps no timer of its own: every fill a stalled stage waits on
+//! is one of these, and an MSHR-full retry is itself an act. Until the
+//! earliest, each cycle would repeat the idle one exactly, so
 //! [`advance`] charges the idle cycle's stall bits and buffer-full
 //! increment once per cycle up to it and jumps the clock there.
 //!
@@ -36,7 +38,7 @@ pub(crate) enum SkipReason {
     /// An I-cache miss return the FTQ head is blocked on.
     FtqWait,
     /// A data-side memory expiry: a load's completion at the ROB head or
-    /// an MSHR fill return.
+    /// at a pending redirect.
     MemWait,
     /// A STALL/FLUSH long-latency gate: fetch deliberately idle until the
     /// offending load returns.
@@ -95,11 +97,6 @@ pub(crate) fn next_event(ctx: &PipelineCtx, now: Cycle) -> Option<(Cycle, SkipRe
             event(ready, SkipReason::IssueWait);
         }
     }
-    // MSHR fills on either side. The front-end engines need no timer:
-    // their tables only move inside predict and train calls.
-    if let Some(at) = ctx.mem.next_event(now) {
-        event(at, SkipReason::MemWait);
-    }
     next
 }
 
@@ -149,7 +146,9 @@ mod tests {
     /// skipping run books as skipped — so `next_event` misses no timer — and
     /// both runs end with equal statistics once the skip counters are
     /// cleared. Memory-bound cells under FLUSH and STALL, and a plain
-    /// ICOUNT mix, for every engine.
+    /// ICOUNT mix, for every engine. Skips are booked under the timer that
+    /// ends them: every run waits on the FTQ, and a gated run waits on its
+    /// gate more than on the load behind it.
     #[test]
     fn skipped_cycles_are_idle_in_a_stepping_twin() {
         const CYCLES: u64 = 10_000;
@@ -186,6 +185,17 @@ mod tests {
                 }
                 let mut stats = run.stats.clone();
                 assert!(stats.skipped_cycles() > 0, "{cell}: nothing skipped");
+                // I-cache misses end skips at the FTQ timer, and a
+                // STALL/FLUSH gate outlasts the load it waits on.
+                assert!(stats.skip_ftq_wait > 0, "{cell}: no FTQ wait booked");
+                if policy.long_latency != LongLatencyAction::None {
+                    assert!(
+                        stats.skip_policy_idle > stats.skip_mem_wait,
+                        "{cell}: policy-idle {} <= mem-wait {}",
+                        stats.skip_policy_idle,
+                        stats.skip_mem_wait
+                    );
+                }
                 stats.skip_issue_wait = 0;
                 stats.skip_ftq_wait = 0;
                 stats.skip_mem_wait = 0;

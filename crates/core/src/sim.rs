@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use smt_isa::{ArchReg, Cycle, Presized, MAX_THREADS};
+use smt_isa::{ArchReg, Presized, MAX_THREADS};
 use smt_mem::MemoryHierarchy;
 use smt_workloads::Program;
 
@@ -262,31 +262,6 @@ impl Simulator {
         Ok(Simulator { ctx })
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SimConfig {
-        &self.ctx.cfg
-    }
-
-    /// The fetch engine in force.
-    pub fn engine_kind(&self) -> FetchEngineKind {
-        self.ctx.frontend.kind()
-    }
-
-    /// The fetch engine itself, with its predictor structures.
-    pub fn front_end(&self) -> &FrontEnd {
-        &self.ctx.frontend
-    }
-
-    /// Number of hardware threads.
-    pub fn num_threads(&self) -> usize {
-        self.ctx.threads.len()
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> Cycle {
-        self.ctx.cycle
-    }
-
     /// Statistics since construction or the last [`Simulator::reset_stats`].
     pub fn stats(&self) -> &SimStats {
         &self.ctx.stats
@@ -349,21 +324,11 @@ mod tests {
     }
 
     #[test]
-    fn accessors_report_configuration() {
-        let s = sim(FetchEngineKind::Stream, FetchPolicy::icount(2, 16));
-        assert_eq!(s.engine_kind(), FetchEngineKind::Stream);
-        assert_eq!(s.num_threads(), 2);
-        assert_eq!(s.config().fetch_policy.width, 16);
-        assert_eq!(s.cycle(), 0);
-        assert!(matches!(s.front_end(), FrontEnd::Stream(_)));
-    }
-
-    #[test]
     fn step_advances_exactly_one_cycle() {
         let mut s = sim(FetchEngineKind::GskewFtb, FetchPolicy::icount(1, 8));
         for expect in 1..=10u64 {
             s.step();
-            assert_eq!(s.cycle(), expect);
+            assert_eq!(s.ctx.cycle, expect);
         }
     }
 
@@ -413,7 +378,7 @@ mod tests {
         let stream = sim(FetchEngineKind::Stream, FetchPolicy::icount(2, 16));
         let [_, flush] = rollback_cells();
         for (mut s, flushing) in [(stream, false), flush] {
-            let mapped = s.num_threads() * smt_isa::ArchReg::flat_count();
+            let mapped = s.ctx.threads.len() * smt_isa::ArchReg::flat_count();
             for _ in 0..100 {
                 s.run_cycles(100);
                 let held: usize = s
@@ -437,7 +402,7 @@ mod tests {
     #[test]
     fn stall_buckets_sum_to_cycles_per_thread() {
         let mut s = sim(FetchEngineKind::GshareBtb, FetchPolicy::icount(2, 8));
-        let n = s.num_threads();
+        let n = s.ctx.threads.len();
         s.run_cycles(3_000);
         let stats = s.stats();
         for tid in 0..n {

@@ -154,11 +154,6 @@ impl ThreadState {
         self.meta_ring[slot] = meta;
     }
 
-    /// The program this thread runs.
-    pub fn program(&self) -> &Program {
-        self.walker.program()
-    }
-
     /// Whether fetch can serve this thread at `now`.
     pub fn fetch_eligible(&self, now: Cycle) -> bool {
         !self.ftq.is_empty() && self.iblock_until.is_none_or(|r| r <= now)
@@ -182,7 +177,7 @@ mod tests {
     #[test]
     fn fresh_thread_starts_at_entry() {
         let t = thread();
-        assert_eq!(t.next_fetch_pc, t.program().entry());
+        assert_eq!(t.next_fetch_pc, t.walker.program().entry());
         assert!(!t.diverged);
         assert!(!t.fetch_eligible(0), "empty FTQ is not eligible");
     }
@@ -215,10 +210,10 @@ mod tests {
         let block = crate::frontend::PredictedBlock {
             block: smt_isa::FetchBlock {
                 thread: 0,
-                start: t.program().entry(),
+                start: t.walker.program().entry(),
                 len: 4,
                 end_branch: None,
-                next_fetch: t.program().entry().add_insts(4),
+                next_fetch: t.walker.program().entry().add_insts(4),
             },
             meta: crate::frontend::BlockMeta::capture(&t.spec),
             trace_group: None,

@@ -148,21 +148,6 @@ impl MemoryHierarchy {
         self.l1d.fill(addr, true);
     }
 
-    /// The hierarchy's event horizon: the earliest future cycle at which
-    /// its own state changes without an access reaching it — the next MSHR
-    /// fill completion on either side. Non-mutating; the event-driven
-    /// scheduler bounds its skips by this so a fill return (which frees an
-    /// MSHR slot and unblocks retries) is never jumped over.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        [
-            self.imshr.next_ready_after(now),
-            self.dmshr.next_ready_after(now),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
-
     /// `(L1I, L1D, L2)` statistics.
     pub fn cache_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
         (self.l1i.stats(), self.l1d.stats(), self.l2.stats())

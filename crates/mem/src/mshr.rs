@@ -97,20 +97,6 @@ impl MshrFile {
         self.earliest = self.earliest.min(ready);
         MshrOutcome::Allocated
     }
-
-    /// Earliest fill-completion cycle strictly after `now`, if any fill is
-    /// still outstanding. Non-mutating (expired entries are skipped, not
-    /// retired): the event-driven scheduler polls this between cycles.
-    pub fn next_ready_after(&self, now: Cycle) -> Option<Cycle> {
-        if self.earliest > now {
-            return (!self.slots.is_empty()).then_some(self.earliest);
-        }
-        self.slots
-            .iter()
-            .map(|&(_, ready)| ready)
-            .filter(|&ready| ready > now)
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -151,17 +137,6 @@ mod tests {
         assert_eq!(m.allocate(Addr::new(0x40), 10, 60), MshrOutcome::Allocated);
         assert_eq!(m.outstanding(10), 1);
         assert_eq!(m.outstanding(60), 0);
-    }
-
-    #[test]
-    fn next_ready_after_reports_earliest_live_fill() {
-        let mut m = MshrFile::new(4, 64);
-        assert_eq!(m.next_ready_after(0), None);
-        m.allocate(Addr::new(0x000), 0, 90);
-        m.allocate(Addr::new(0x040), 0, 40);
-        assert_eq!(m.next_ready_after(0), Some(40));
-        assert_eq!(m.next_ready_after(40), Some(90), "expired fills skipped");
-        assert_eq!(m.next_ready_after(90), None);
     }
 
     #[test]

@@ -73,7 +73,8 @@ impl std::error::Error for UnknownBenchmarkError {}
 const THREAD_SPACE: u64 = 0x4000_0000;
 
 impl Workload {
-    /// Creates a custom workload from benchmark names.
+    /// Creates a custom workload from benchmark names. The workload keeps
+    /// each profile's own name, so the caller's strings need not outlive it.
     ///
     /// # Errors
     ///
@@ -82,24 +83,27 @@ impl Workload {
     pub fn custom(
         name: impl Into<String>,
         class: WorkloadClass,
-        benchmarks: &[&'static str],
+        benchmarks: &[&str],
     ) -> Result<Self, UnknownBenchmarkError> {
-        for b in benchmarks {
-            if BenchmarkProfile::by_name(b).is_none() {
-                return Err(UnknownBenchmarkError {
-                    name: (*b).to_string(),
-                });
-            }
-        }
+        let benchmarks = benchmarks
+            .iter()
+            .map(|&b| {
+                BenchmarkProfile::by_name(b)
+                    .map(|p| p.name)
+                    .ok_or_else(|| UnknownBenchmarkError {
+                        name: b.to_string(),
+                    })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Workload {
             name: name.into(),
             class,
-            benchmarks: benchmarks.to_vec(),
+            benchmarks,
         })
     }
 
     #[expect(clippy::expect_used, reason = "table 2 names are valid")]
-    fn table2(name: &str, class: WorkloadClass, benchmarks: &[&'static str]) -> Self {
+    fn table2(name: &str, class: WorkloadClass, benchmarks: &[&str]) -> Self {
         Workload::custom(name, class, benchmarks).expect("table 2 names are valid")
     }
 

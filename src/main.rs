@@ -151,11 +151,7 @@ fn resolve_workload(name: &str) -> Result<Workload, String> {
     if names.is_empty() {
         return Err("empty workload".into());
     }
-    let leaked: Vec<&'static str> = names
-        .iter()
-        .map(|n| Box::leak(n.to_string().into_boxed_str()) as &'static str)
-        .collect();
-    Workload::custom(name.to_string(), WorkloadClass::Mix, &leaked)
+    Workload::custom(name.to_string(), WorkloadClass::Mix, &names)
         .map_err(|e| format!("{e} (Table 2 names: 2_ILP, 2_MEM, 2_MIX, 4_ILP, 4_MEM, 4_MIX, 6_ILP, 6_MIX, 8_ILP, 8_MIX)"))
 }
 
