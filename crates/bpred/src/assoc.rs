@@ -17,7 +17,7 @@ struct Way<E> {
 /// pairs; helpers for deriving them from addresses live with the callers,
 /// since index/tag splits differ between structures.
 #[derive(Clone, Debug)]
-pub struct SetAssoc<E> {
+pub(crate) struct SetAssoc<E> {
     sets: Vec<Presized<Vec<Way<E>>>>,
     ways: usize,
     tick: u64,
@@ -31,7 +31,7 @@ impl<E> SetAssoc<E> {
     ///
     /// Panics if `entries` is not a positive multiple of a positive `ways`,
     /// or if the resulting set count is not a power of two.
-    pub fn new(entries: usize, ways: usize) -> Self {
+    pub(crate) fn new(entries: usize, ways: usize) -> Self {
         assert!(
             ways > 0 && entries > 0 && entries.is_multiple_of(ways),
             "entries ({entries}) must be a positive multiple of ways ({ways})"
@@ -49,17 +49,18 @@ impl<E> SetAssoc<E> {
     }
 
     /// Number of sets.
-    pub fn num_sets(&self) -> usize {
+    pub(crate) fn num_sets(&self) -> usize {
         self.sets.len()
     }
 
     /// Associativity.
-    pub fn ways(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn ways(&self) -> usize {
         self.ways
     }
 
     /// Set-index mask (`num_sets - 1`).
-    pub fn set_mask(&self) -> u64 {
+    pub(crate) fn set_mask(&self) -> u64 {
         self.sets.len() as u64 - 1
     }
 
@@ -74,7 +75,7 @@ impl<E> SetAssoc<E> {
     }
 
     /// Looks up `(set, tag)`, updating LRU on hit.
-    pub fn lookup(&mut self, set: u64, tag: u64) -> Option<&mut E> {
+    pub(crate) fn lookup(&mut self, set: u64, tag: u64) -> Option<&mut E> {
         self.tick += 1;
         let tick = self.tick;
         let w = self.set_of(set).iter_mut().find(|w| w.tag == tag)?;
@@ -83,7 +84,7 @@ impl<E> SetAssoc<E> {
     }
 
     /// Looks up `(set, tag)` without touching LRU.
-    pub fn peek(&self, set: u64, tag: u64) -> Option<&E> {
+    pub(crate) fn peek(&self, set: u64, tag: u64) -> Option<&E> {
         self.sets[self.set_index(set)]
             .iter()
             .find(|w| w.tag == tag)
@@ -94,7 +95,7 @@ impl<E> SetAssoc<E> {
     ///
     /// On conflict the least-recently-used way is evicted; the evicted
     /// payload is returned (with its tag) so callers can model writebacks.
-    pub fn insert(&mut self, set: u64, tag: u64, entry: E) -> Option<(u64, E)> {
+    pub(crate) fn insert(&mut self, set: u64, tag: u64, entry: E) -> Option<(u64, E)> {
         self.tick += 1;
         let tick = self.tick;
         let cap = self.ways;
@@ -125,7 +126,7 @@ impl<E> SetAssoc<E> {
     }
 
     /// Invalidates `(set, tag)` if present, returning the payload.
-    pub fn invalidate(&mut self, set: u64, tag: u64) -> Option<E> {
+    pub(crate) fn invalidate(&mut self, set: u64, tag: u64) -> Option<E> {
         let ways = self.set_of(set);
         let pos = ways.iter().position(|w| w.tag == tag)?;
         Some(ways.swap_remove(pos).entry)
@@ -135,6 +136,7 @@ impl<E> SetAssoc<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_workloads::Srng;
 
     #[test]
     fn geometry() {
@@ -221,5 +223,23 @@ mod tests {
     #[should_panic(expected = "positive multiple of ways")]
     fn entries_not_a_multiple_of_ways_rejected() {
         let _ = SetAssoc::<u32>::new(10, 4);
+    }
+
+    /// A generic set-associative table never reports a tag that was not
+    /// inserted, and always finds one of the last `ways` tags of a set.
+    #[test]
+    fn set_assoc_finds_recent_inserts() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x55 ^ case);
+            let mut t: SetAssoc<u64> = SetAssoc::new(16, 4);
+            let n = 1 + rng.range(0, 100);
+            for i in 0..n {
+                let tag = rng.range(0, 1000);
+                t.insert(0, tag, i);
+                assert_eq!(t.peek(0, tag), Some(&i), "case {case}");
+            }
+            // A tag never inserted is never found.
+            assert!(t.peek(0, 10_000).is_none(), "case {case}");
+        }
     }
 }

@@ -39,7 +39,7 @@ impl Btb {
     /// # Panics
     ///
     /// Panics under the same conditions as [`SetAssoc::new`].
-    pub fn new(entries: usize, ways: usize) -> Self {
+    pub(crate) fn new(entries: usize, ways: usize) -> Self {
         let table = SetAssoc::new(entries, ways);
         let set_bits = table.num_sets().trailing_zeros();
         Btb { table, set_bits }
@@ -62,7 +62,8 @@ impl Btb {
     }
 
     /// Looks up without touching replacement state.
-    pub fn peek(&self, pc: Addr) -> Option<BtbEntry> {
+    #[cfg(test)]
+    fn peek(&self, pc: Addr) -> Option<BtbEntry> {
         let (set, tag) = self.set_and_tag(pc);
         self.table.peek(set, tag).copied()
     }
@@ -72,16 +73,14 @@ impl Btb {
         let (set, tag) = self.set_and_tag(pc);
         self.table.insert(set, tag, BtbEntry { target, kind });
     }
-
-    /// Total entry count.
-    pub fn entries(&self) -> usize {
-        self.table.num_sets() * self.table.ways()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    use smt_workloads::Srng;
 
     #[test]
     fn miss_then_hit_after_taken() {
@@ -123,7 +122,7 @@ mod tests {
     #[test]
     fn hpca_configuration() {
         let btb = Btb::hpca2004();
-        assert_eq!(btb.entries(), 2048);
+        assert_eq!(btb.table.num_sets() * btb.table.ways(), 2048);
     }
 
     #[test]
@@ -133,5 +132,27 @@ mod tests {
         let b = Addr::new(0x0090_0000); // same set index, different tag
         btb.record_taken(a, Addr::new(0xaaaa), BranchKind::Jump);
         assert!(btb.lookup(b).is_none());
+    }
+
+    /// The BTB only ever returns targets that were recorded for that PC.
+    #[test]
+    fn btb_returns_recorded_targets() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x66 ^ case);
+            let mut btb = Btb::new(256, 4);
+            let mut last = BTreeMap::new();
+            let n = 1 + rng.range(0, 100);
+            for _ in 0..n {
+                let pc = Addr::new(rng.range(0, 1 << 16) & !3);
+                let tgt = Addr::new((4 + rng.range(0, 1 << 20)) & !3);
+                btb.record_taken(pc, tgt, BranchKind::Jump);
+                last.insert(pc, tgt);
+            }
+            for (&pc, &tgt) in &last {
+                if let Some(e) = btb.peek(pc) {
+                    assert_eq!(e.target, tgt, "stale target for {pc} (case {case})");
+                }
+            }
+        }
     }
 }

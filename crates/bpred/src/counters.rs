@@ -6,25 +6,26 @@
 /// weakly taken (2), which favours the loop branches that dominate dynamic
 /// conditional branches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TwoBit(u8);
+pub(crate) struct TwoBit(u8);
 
 impl TwoBit {
     /// Strongly not-taken.
-    pub const STRONG_NT: TwoBit = TwoBit(0);
+    pub(crate) const STRONG_NT: TwoBit = TwoBit(0);
     /// Weakly not-taken.
-    pub const WEAK_NT: TwoBit = TwoBit(1);
+    pub(crate) const WEAK_NT: TwoBit = TwoBit(1);
     /// Weakly taken.
-    pub const WEAK_T: TwoBit = TwoBit(2);
+    pub(crate) const WEAK_T: TwoBit = TwoBit(2);
     /// Strongly taken.
-    pub const STRONG_T: TwoBit = TwoBit(3);
+    #[cfg(test)]
+    const STRONG_T: TwoBit = TwoBit(3);
 
     /// The predicted direction.
-    pub fn taken(self) -> bool {
+    pub(crate) fn taken(self) -> bool {
         self.0 >= 2
     }
 
     /// Trains the counter toward the actual outcome.
-    pub fn update(&mut self, taken: bool) {
+    pub(crate) fn update(&mut self, taken: bool) {
         if taken {
             self.0 = (self.0 + 1).min(3);
         } else {
@@ -33,7 +34,7 @@ impl TwoBit {
     }
 
     /// Raw state, 0..=3.
-    pub fn state(self) -> u8 {
+    pub(crate) fn state(self) -> u8 {
         self.0
     }
 }
@@ -52,13 +53,12 @@ impl Default for TwoBit {
 /// fit in 16 KB instead of 64 KB and stay resident in the host L1/L2 while
 /// the simulator runs. Packing is an implementation detail: the API is
 /// value-based ([`TwoBit`] in, [`TwoBit`] out) and behaves identically to
-/// the byte-array layout — proven by the differential property test in
-/// `tests/properties.rs` (`packed_counter_table_matches_byte_reference`).
+/// the byte-array layout — proven by the differential property test
+/// `packed_counter_table_matches_byte_reference` below.
 #[derive(Clone, Debug)]
-pub struct CounterTable {
+pub(crate) struct CounterTable {
     /// 32 two-bit counters per word, counter `i` at bits `2*(i%32)..`.
     words: Vec<u64>,
-    entries: usize,
     mask: u64,
 }
 
@@ -72,26 +72,21 @@ impl CounterTable {
     /// # Panics
     ///
     /// Panics if `entries` is not a power of two (zero included).
-    pub fn new(entries: usize) -> Self {
+    pub(crate) fn new(entries: usize) -> Self {
         assert!(
             entries.is_power_of_two(),
             "counter-table size must be a power of two (got {entries})"
         );
         CounterTable {
             words: vec![INIT_WORD; entries.div_ceil(32)],
-            entries,
             mask: entries as u64 - 1,
         }
     }
 
     /// Number of counters.
-    pub fn len(&self) -> usize {
-        self.entries
-    }
-
-    /// Whether the table is empty (never: construction requires ≥ 1).
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> u64 {
+        self.mask + 1
     }
 
     /// The packed slot of `index` (wrapped into range).
@@ -101,13 +96,13 @@ impl CounterTable {
     }
 
     /// The counter at `index` (wrapped into range).
-    pub fn get(&self, index: u64) -> TwoBit {
+    pub(crate) fn get(&self, index: u64) -> TwoBit {
         let i = self.slot(index);
         TwoBit(((self.words[i >> 5] >> ((i & 31) * 2)) & 0b11) as u8)
     }
 
     /// Trains the counter at `index` (wrapped into range).
-    pub fn update(&mut self, index: u64, taken: bool) {
+    pub(crate) fn update(&mut self, index: u64, taken: bool) {
         let i = self.slot(index);
         let shift = (i & 31) * 2;
         let word = &mut self.words[i >> 5];
@@ -127,7 +122,7 @@ impl CounterTable {
     /// writes the result back without re-reading the packed word's counter
     /// bits. `set(i, trained(get(i)))` is exactly [`CounterTable::update`]
     /// as long as the table was not touched between the read and the write.
-    pub fn set(&mut self, index: u64, state: TwoBit) {
+    pub(crate) fn set(&mut self, index: u64, state: TwoBit) {
         let i = self.slot(index);
         let shift = (i & 31) * 2;
         let word = &mut self.words[i >> 5];
@@ -135,7 +130,8 @@ impl CounterTable {
     }
 
     /// Index mask (`len - 1`).
-    pub fn mask(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn mask(&self) -> u64 {
         self.mask
     }
 }
@@ -143,6 +139,7 @@ impl CounterTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_workloads::Srng;
 
     #[test]
     fn two_bit_saturates_both_ends() {
@@ -232,5 +229,37 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn zero_size_rejected() {
         let _ = CounterTable::new(0);
+    }
+
+    /// The bit-packed counter table is observably identical to the plain
+    /// byte-array reference model: over random interleaved update/read
+    /// sequences on random power-of-two geometries, every read agrees.
+    #[test]
+    fn packed_counter_table_matches_byte_reference() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x2b17 ^ case);
+            // Sizes straddle the 32-counters-per-word boundary on purpose.
+            let entries = 1usize << rng.range(0, 12);
+            let mut packed = CounterTable::new(entries);
+            let mut reference: Vec<TwoBit> = vec![TwoBit::default(); entries];
+            let ops = 1 + rng.range(0, 2_000);
+            for _ in 0..ops {
+                // Indices beyond the table exercise the wrap-around path too.
+                let index = rng.range(0, 4 * entries as u64);
+                let slot = usize::try_from(index).unwrap() & (entries - 1);
+                if rng.chance(0.7) {
+                    let taken = rng.chance(0.5);
+                    packed.update(index, taken);
+                    reference[slot].update(taken);
+                }
+                let got = packed.get(index);
+                let want = reference[slot];
+                assert_eq!(got, want, "index {index} of {entries} (case {case})");
+            }
+            // Full sweep at the end: no neighbour was silently disturbed.
+            for (i, want) in reference.iter().enumerate() {
+                assert_eq!(packed.get(i as u64), *want, "sweep {i} (case {case})");
+            }
+        }
     }
 }

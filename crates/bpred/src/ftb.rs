@@ -83,7 +83,7 @@ impl Ftb {
     ///
     /// Panics under the same conditions as [`SetAssoc::new`], or if
     /// `max_block` is zero.
-    pub fn new(entries: usize, ways: usize, max_block: u32) -> Self {
+    pub(crate) fn new(entries: usize, ways: usize, max_block: u32) -> Self {
         assert!(max_block > 0, "maximum fetch-block length must be positive");
         let table = SetAssoc::new(entries, ways);
         let set_bits = table.num_sets().trailing_zeros();
@@ -109,11 +109,6 @@ impl Ftb {
         Ftb::hpca2004_with_cap(Ftb::HPCA2004_MAX_BLOCK)
     }
 
-    /// Maximum block length in instructions.
-    pub fn max_block(&self) -> u32 {
-        self.max_block
-    }
-
     fn set_and_tag(&self, start: Addr) -> (u64, u64) {
         let word = start.raw() >> 2;
         (word & self.table.set_mask(), word >> self.set_bits)
@@ -131,8 +126,9 @@ impl Ftb {
     /// Trains with a completed block: a taken branch at `observed.branch_pc`
     /// ended the block that started at `start`.
     ///
-    /// Distances beyond [`Self::max_block`] store a capped sequential chunk;
-    /// the block chains through a follow-on lookup at `start + max_block`.
+    /// Distances beyond the block cap `max_block` store a capped sequential
+    /// chunk; the block chains through a follow-on lookup at
+    /// `start + max_block`.
     pub fn record_taken(&mut self, start: Addr, observed: ObservedEnd) {
         let Some(dist) = start.insts_until(observed.branch_pc) else {
             return; // stale/misaligned training from a squashed path
@@ -195,16 +191,12 @@ impl Ftb {
             self.table.invalidate(set, tag);
         }
     }
-
-    /// Total entry count.
-    pub fn entries(&self) -> usize {
-        self.table.num_sets() * self.table.ways()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_workloads::Srng;
 
     fn observed(pc: u64, target: u64) -> ObservedEnd {
         ObservedEnd {
@@ -296,13 +288,42 @@ mod tests {
     #[test]
     fn hpca_configuration() {
         let ftb = Ftb::hpca2004();
-        assert_eq!(ftb.entries(), 2048);
-        assert_eq!(ftb.max_block(), 16);
+        assert_eq!(ftb.table.num_sets() * ftb.table.ways(), 2048);
+        assert_eq!(ftb.max_block, 16);
     }
 
     #[test]
     #[should_panic(expected = "block length must be positive")]
     fn zero_block_cap_rejected() {
         let _ = Ftb::hpca2004_with_cap(0);
+    }
+
+    /// FTB blocks never exceed the configured maximum length and never have
+    /// zero length.
+    #[test]
+    fn ftb_blocks_bounded() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x77 ^ case);
+            let mut ftb = Ftb::new(64, 4, 16);
+            let start = Addr::new(rng.range(0, 1 << 20) & !3);
+            let n = 1 + rng.range(0, 60);
+            for _ in 0..n {
+                ftb.record_taken(
+                    start,
+                    ObservedEnd {
+                        branch_pc: start.add_insts(rng.range(0, 100)),
+                        kind: BranchKind::Cond,
+                        target: Addr::new(0x9000),
+                    },
+                );
+                if let Some(p) = ftb.lookup(start) {
+                    assert!(
+                        p.len >= 1 && p.len <= 16,
+                        "block length {} (case {case})",
+                        p.len
+                    );
+                }
+            }
+        }
     }
 }

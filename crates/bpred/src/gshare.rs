@@ -45,7 +45,7 @@ impl Gshare {
     }
 
     /// The counter state a `(pc, history)` pair maps to.
-    pub fn counter(&self, pc: Addr, history: GlobalHistory) -> TwoBit {
+    pub(crate) fn counter(&self, pc: Addr, history: GlobalHistory) -> TwoBit {
         self.table.get(self.index(pc, history))
     }
 
@@ -55,11 +55,6 @@ impl Gshare {
     /// (checkpointed by the front-end), not the current speculative value.
     pub fn update(&mut self, pc: Addr, history: GlobalHistory, taken: bool) {
         self.table.update(self.index(pc, history), taken);
-    }
-
-    /// Table size in 2-bit counters.
-    pub fn entries(&self) -> usize {
-        self.table.len()
     }
 }
 
@@ -126,6 +121,6 @@ mod tests {
     #[test]
     fn hpca_configuration_sizes() {
         let g = Gshare::hpca2004();
-        assert_eq!(g.entries(), 65536);
+        assert_eq!(g.table.len(), 65536);
     }
 }

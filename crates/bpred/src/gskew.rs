@@ -31,7 +31,7 @@ const SALTS: [u64; BANKS] = [
 ///
 /// The paper pairs a 3 × 32K-entry gskew with 15 bits of history and the FTB
 /// (Table 3), which [`Gskew::hpca2004`] reproduces. Each bank is a
-/// bit-packed [`CounterTable`] (32 counters per `u64`), so the three
+/// bit-packed `CounterTable` (32 counters per `u64`), so the three
 /// hpca2004 banks together occupy 24 KB of host memory rather than 96 KB.
 #[derive(Clone, Debug)]
 pub struct Gskew {
@@ -53,7 +53,7 @@ pub struct GskewProbe {
 
 impl GskewProbe {
     /// The three banks' individual votes.
-    pub fn votes(&self) -> [bool; BANKS] {
+    pub(crate) fn votes(&self) -> [bool; BANKS] {
         [
             self.counters[0].taken(),
             self.counters[1].taken(),
@@ -77,7 +77,7 @@ impl Gskew {
     /// # Panics
     ///
     /// Panics if `entries_per_bank` is not a power of two.
-    pub fn new(entries_per_bank: usize) -> Self {
+    pub(crate) fn new(entries_per_bank: usize) -> Self {
         Gskew {
             banks: std::array::from_fn(|_| CounterTable::new(entries_per_bank)),
         }
@@ -125,7 +125,8 @@ impl Gskew {
     }
 
     /// The three banks' individual votes for `(pc, history)`.
-    pub fn votes(&self, pc: Addr, history: GlobalHistory) -> [bool; BANKS] {
+    #[cfg(test)]
+    fn votes(&self, pc: Addr, history: GlobalHistory) -> [bool; BANKS] {
         self.probe(pc, history).votes()
     }
 
@@ -139,7 +140,7 @@ impl Gskew {
     /// state (partial update).
     ///
     /// The probe's registered counter values stand in for re-reads: each
-    /// trained bank is written back with [`CounterTable::set`], so training
+    /// trained bank is written back with `CounterTable::set`, so training
     /// costs the one batched read in [`Gskew::probe`] plus at most three
     /// word writes. The probe must not be stale — no bank may have been
     /// written between the probe and this call.
@@ -173,16 +174,12 @@ impl Gskew {
         let probe = self.probe(pc, history);
         self.update_with(&probe, taken);
     }
-
-    /// Total number of 2-bit counters across banks.
-    pub fn entries(&self) -> usize {
-        self.banks.iter().map(|b| b.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_workloads::Srng;
 
     #[test]
     fn learns_biased_branches() {
@@ -290,7 +287,8 @@ mod tests {
     #[test]
     fn hpca_configuration_sizes() {
         let g = Gskew::hpca2004();
-        assert_eq!(g.entries(), 3 * 32 * 1024);
+        let entries: u64 = g.banks.iter().map(CounterTable::len).sum();
+        assert_eq!(entries, 3 * 32 * 1024);
     }
 
     #[test]
@@ -312,6 +310,30 @@ mod tests {
         // well under 1; allow a little slack.
         for (b, &c) in collisions.iter().enumerate() {
             assert!(c <= 2, "bank {b} had {c} collisions");
+        }
+    }
+
+    /// gskew's majority vote equals at least two of its bank votes.
+    #[test]
+    fn gskew_majority_is_consistent() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x44 ^ case);
+            let mut g = Gskew::new(1024);
+            let mut h = GlobalHistory::new(15);
+            let n = 1 + rng.range(0, 60);
+            for _ in 0..n {
+                let pc = Addr::new(rng.range(0, 1 << 22) & !3);
+                let outcome = rng.chance(0.5);
+                let votes = g.votes(pc, h);
+                let pred = g.predict(pc, h);
+                let agreeing = votes.iter().filter(|&&v| v == pred).count();
+                assert!(
+                    agreeing >= 2,
+                    "prediction disagrees with majority (case {case})"
+                );
+                g.update(pc, h, outcome);
+                h.push(outcome);
+            }
         }
     }
 }

@@ -25,14 +25,8 @@ impl GlobalHistory {
     }
 
     /// History length in bits.
-    pub fn len(&self) -> u32 {
+    pub fn width(&self) -> u32 {
         self.len
-    }
-
-    /// Whether no outcomes have been shifted in yet *and* the register is
-    /// all-zero (indistinguishable from a run of not-taken outcomes).
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
     }
 
     /// The history bits (low `len` bits valid).
@@ -81,13 +75,5 @@ mod tests {
     #[should_panic(expected = "history length")]
     fn zero_length_rejected() {
         let _ = GlobalHistory::new(0);
-    }
-
-    #[test]
-    fn is_empty_reflects_bits() {
-        let mut h = GlobalHistory::new(8);
-        assert!(h.is_empty());
-        h.push(true);
-        assert!(!h.is_empty());
     }
 }

@@ -32,7 +32,7 @@
 
 #![warn(missing_docs)]
 
-pub mod assoc;
+mod assoc;
 mod btb;
 mod counters;
 mod ftb;
@@ -43,12 +43,10 @@ mod ras;
 mod stream;
 mod tracecache;
 
-pub use assoc::SetAssoc;
 pub use btb::{Btb, BtbEntry};
-pub use counters::{CounterTable, TwoBit};
 pub use ftb::{Ftb, FtbEnd, FtbPrediction, ObservedEnd};
 pub use gshare::Gshare;
-pub use gskew::{Gskew, GskewProbe};
+pub use gskew::Gskew;
 pub use history::GlobalHistory;
 pub use ras::{RasCheckpoint, ReturnStack};
 pub use stream::{Dolc, ObservedStream, StreamEnd, StreamPath, StreamPrediction, StreamPredictor};

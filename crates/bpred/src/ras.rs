@@ -18,13 +18,6 @@ pub struct ReturnStack {
     top: usize,
     /// Logical depth, saturating at capacity (circular overwrite).
     depth: usize,
-    /// Pushes and pops since construction, read only through
-    /// [`ReturnStack::stats`]. They stay for their size: without them
-    /// `ThreadState` drops below 656 bytes, and every simulator that
-    /// perfbench's `mem_fig7` builds then extends and trims the heap (about
-    /// 100 more page faults per build, `setup_s` about 50% higher).
-    pushes: u64,
-    pops: u64,
 }
 
 /// A repair checkpoint: captures the stack's top state at prediction time.
@@ -41,7 +34,7 @@ impl ReturnStack {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(
             capacity > 0,
             "return-address stack capacity must be positive"
@@ -50,8 +43,6 @@ impl ReturnStack {
             entries: vec![Addr::NULL; capacity],
             top: capacity - 1,
             depth: 0,
-            pushes: 0,
-            pops: 0,
         }
     }
 
@@ -70,7 +61,6 @@ impl ReturnStack {
 
     /// Pushes a return address (call predicted/observed).
     pub fn push(&mut self, ret: Addr) {
-        self.pushes += 1;
         self.top = (self.top + 1) % self.entries.len();
         self.entries[self.top] = ret;
         self.depth = (self.depth + 1).min(self.entries.len());
@@ -82,7 +72,6 @@ impl ReturnStack {
     /// through, which resolves as a misprediction — like hardware reading a
     /// garbage entry).
     pub fn pop(&mut self) -> Addr {
-        self.pops += 1;
         if self.depth == 0 {
             return Addr::NULL;
         }
@@ -116,16 +105,12 @@ impl ReturnStack {
         self.depth = ckpt.depth;
         self.entries[self.top] = ckpt.top_value;
     }
-
-    /// `(pushes, pops)` counts.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.pushes, self.pops)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_workloads::Srng;
 
     #[test]
     fn lifo_order() {
@@ -193,5 +178,33 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = ReturnStack::new(0);
+    }
+
+    /// The RAS checkpoint/restore round-trips a push-pop speculation window.
+    #[test]
+    fn ras_checkpoint_roundtrip() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x33 ^ case);
+            let depth = 1 + rng.range_usize(0, 39);
+            let mut ras = ReturnStack::new(64);
+            for _ in 0..depth {
+                ras.push(Addr::new((4 + rng.range(0, 1 << 30)) & !3));
+            }
+            let top_before = ras.peek();
+            let depth_before = ras.depth();
+            let ckpt = ras.checkpoint();
+            // A short wrong-path burst of pushes and pops.
+            let burst = rng.range(0, 8);
+            for i in 0..burst {
+                if rng.chance(0.5) {
+                    ras.push(Addr::new(0xdead_0000 + i * 4));
+                } else {
+                    let _ = ras.pop();
+                }
+            }
+            ras.restore(ckpt);
+            assert_eq!(ras.depth(), depth_before, "case {case}");
+            assert_eq!(ras.peek(), top_before, "case {case}");
+        }
     }
 }

@@ -82,7 +82,7 @@ impl StreamPath {
     }
 
     /// DOLC hash of this path combined with the `current` stream start.
-    pub fn dolc_hash(&self, current: Addr, dolc: Dolc) -> u64 {
+    pub(crate) fn dolc_hash(&self, current: Addr, dolc: Dolc) -> u64 {
         let mask = |bits: u32| -> u64 {
             if bits >= 64 {
                 u64::MAX
@@ -179,7 +179,7 @@ impl StreamPredictor {
     ///
     /// Panics under the same conditions as [`SetAssoc::new`], or if
     /// `max_stream` is zero.
-    pub fn new(
+    pub(crate) fn new(
         l1_entries: usize,
         l2_entries: usize,
         ways: usize,
@@ -220,11 +220,6 @@ impl StreamPredictor {
     /// The paper's configuration, with streams capped at 64 instructions.
     pub fn hpca2004() -> Self {
         StreamPredictor::hpca2004_with_cap(StreamPredictor::HPCA2004_MAX_STREAM)
-    }
-
-    /// Maximum stream length in instructions.
-    pub fn max_stream(&self) -> u32 {
-        self.max_stream
     }
 
     fn l1_set_tag(&self, start: Addr) -> (u64, u64) {
@@ -470,7 +465,7 @@ mod tests {
     #[test]
     fn hpca_configuration() {
         let mut sp = StreamPredictor::hpca2004();
-        assert_eq!(sp.max_stream(), 64);
+        assert_eq!(sp.max_stream, 64);
         assert_eq!(sp.l1.num_sets() * sp.l1.ways(), 1024);
         assert_eq!(sp.l2.num_sets() * sp.l2.ways(), 4096);
         assert!(sp.predict(Addr::new(0x1000), &StreamPath::new()).is_none());

@@ -51,12 +51,12 @@ impl Trace {
     pub const MAX_SEGMENTS: usize = 3;
 
     /// Total instructions in the trace.
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.segments.iter().map(|s| s.len).sum()
     }
 
     /// Whether the trace has no segments.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
 
@@ -65,7 +65,7 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if the trace is empty.
-    pub fn start(&self) -> Addr {
+    pub(crate) fn start(&self) -> Addr {
         self.segments[0].start
     }
 }
@@ -84,7 +84,7 @@ impl TraceCache {
     /// # Panics
     ///
     /// Panics under the same conditions as [`SetAssoc::new`].
-    pub fn new(entries: usize, ways: usize) -> Self {
+    pub(crate) fn new(entries: usize, ways: usize) -> Self {
         let table = SetAssoc::new(entries, ways);
         let set_bits = table.num_sets().trailing_zeros();
         TraceCache { table, set_bits }

@@ -23,7 +23,7 @@ use crate::diag::Diagnostic;
 /// Decode and rename width (Table 3: 8 instructions per cycle).
 pub const DECODE_WIDTH: u32 = 8;
 /// Commit width (8).
-pub const COMMIT_WIDTH: u32 = 8;
+pub(crate) const COMMIT_WIDTH: u32 = 8;
 /// Shared reorder-buffer capacity (256).
 pub const ROB_SIZE: u32 = 256;
 /// Integer physical registers (384).

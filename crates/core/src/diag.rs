@@ -18,15 +18,11 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use smt_core::Diagnostic;
+/// use smt_core::SimConfig;
 ///
-/// let d = Diagnostic::error(
-///     "E0005",
-///     "fetch_buffer",
-///     "fetch buffer of 2 entries is narrower than the fetch width 8",
-///     "use at least 8",
-/// );
-/// assert!(d.to_string().starts_with("error[E0005]"));
+/// let cfg = SimConfig { fetch_buffer: 2, ..SimConfig::default() };
+/// let diags = cfg.validate();
+/// assert!(diags[0].to_string().starts_with("error[E0005]"));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -42,7 +38,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// Creates an error diagnostic.
-    pub fn error(
+    pub(crate) fn error(
         code: &'static str,
         field: impl Into<String>,
         message: impl Into<String>,

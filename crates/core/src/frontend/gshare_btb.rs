@@ -27,7 +27,7 @@ impl GshareBtb {
 
     /// Builds the engine with Table 3's 64K-entry gshare and 2K-entry,
     /// 4-way BTB.
-    pub fn hpca2004() -> Self {
+    pub(crate) fn hpca2004() -> Self {
         GshareBtb {
             gshare: Gshare::hpca2004(),
             btb: Btb::hpca2004(),
@@ -36,7 +36,7 @@ impl GshareBtb {
 
     /// Predicts the next basic block for `thread` starting at `pc`,
     /// speculatively updating `spec`.
-    pub fn predict_block(
+    pub(crate) fn predict_block(
         &mut self,
         thread: ThreadId,
         pc: Addr,
@@ -63,7 +63,7 @@ impl GshareBtb {
 
     /// Trains gshare and the BTB with a committed branch predicted under
     /// `hist`.
-    pub fn train_resolve(&mut self, hist: GlobalHistory, di: &DynInst) {
+    pub(crate) fn train_resolve(&mut self, hist: GlobalHistory, di: &DynInst) {
         if di.is_cond_branch() {
             // Every correct-path conditional ends a block under this engine,
             // so each one was genuinely predicted.

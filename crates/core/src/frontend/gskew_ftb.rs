@@ -30,7 +30,7 @@ impl GskewFtb {
     /// # Panics
     ///
     /// Panics if `max_ftb_block` is zero.
-    pub fn build(max_ftb_block: u32) -> Self {
+    pub(crate) fn build(max_ftb_block: u32) -> Self {
         GskewFtb {
             gskew: Gskew::hpca2004(),
             ftb: Ftb::hpca2004_with_cap(max_ftb_block),
@@ -40,7 +40,7 @@ impl GskewFtb {
     /// Predicts the next fetch block for `thread` starting at `pc` from the
     /// FTB (a `width`-long sequential block on a miss), speculatively
     /// updating `spec`.
-    pub fn predict_block(
+    pub(crate) fn predict_block(
         &mut self,
         thread: ThreadId,
         pc: Addr,
@@ -91,7 +91,7 @@ impl GskewFtb {
 
     /// Trains gskew and the FTB with a committed branch predicted under
     /// `hist` in the block `info` describes.
-    pub fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
+    pub(crate) fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
         if info.is_end && di.is_cond_branch() {
             // Same batched shape at train time: one probe gathers all three
             // bank counters, then the partial update writes back through it.
@@ -159,8 +159,6 @@ mod tests {
             block_start: pc,
             is_end: false,
             spec_taken: false,
-            spec_next: di.pc.add_insts(1),
-            mispredicted: true,
             decode_redirect: false,
         };
         e.train_resolve(&info, pb.meta.hist, &di);

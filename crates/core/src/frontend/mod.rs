@@ -25,8 +25,8 @@ mod trace_cache;
 
 pub use gshare_btb::GshareBtb;
 pub use gskew_ftb::GskewFtb;
-pub use stream::Stream;
-pub use trace_cache::TraceCache;
+pub(crate) use stream::Stream;
+pub(crate) use trace_cache::TraceCache;
 
 use smt_bpred::{Btb, GlobalHistory, Gshare, RasCheckpoint, ReturnStack, StreamPath};
 use smt_isa::{Addr, BranchKind, DynInst, EndBranch, FetchBlock, ThreadId};
@@ -47,7 +47,7 @@ pub(crate) const ICACHE_BANKS: u64 = CacheConfig::HPCA2004_L1.banks;
 /// Per-thread speculative front-end state, updated at prediction time and
 /// repaired on squashes.
 #[derive(Clone, Debug)]
-pub struct SpecState {
+pub(crate) struct SpecState {
     /// Global branch history (gshare: 16 bits, gskew: 15 bits).
     pub hist: GlobalHistory,
     /// Return address stack (64 entries, per thread).
@@ -60,7 +60,7 @@ pub struct SpecState {
 
 impl SpecState {
     /// Fresh state for a thread entering at `entry`.
-    pub fn new(hist_bits: u32, entry: Addr) -> Self {
+    pub(crate) fn new(hist_bits: u32, entry: Addr) -> Self {
         SpecState {
             hist: GlobalHistory::new(hist_bits),
             ras: ReturnStack::hpca2004(),
@@ -72,7 +72,7 @@ impl SpecState {
     /// Restores every register a block checkpoint holds — history, RAS,
     /// stream path and stream start — to its value when `meta` was
     /// captured.
-    pub fn restore(&mut self, meta: &BlockMeta) {
+    pub(crate) fn restore(&mut self, meta: &BlockMeta) {
         self.hist = meta.hist;
         self.ras.restore(meta.ras);
         self.path = meta.path;
@@ -83,7 +83,7 @@ impl SpecState {
 /// Checkpoints captured when a block is predicted, used to repair the
 /// speculative state when a branch in that block squashes.
 #[derive(Clone, Copy, Debug)]
-pub struct BlockMeta {
+pub(crate) struct BlockMeta {
     /// History before the block's end-branch prediction was shifted in.
     pub hist: GlobalHistory,
     /// RAS repair checkpoint before the block's call/return effect.
@@ -97,7 +97,7 @@ pub struct BlockMeta {
 impl BlockMeta {
     /// Captures the checkpoints for a block about to be predicted from
     /// `spec`.
-    pub fn capture(spec: &SpecState) -> Self {
+    pub(crate) fn capture(spec: &SpecState) -> Self {
         BlockMeta {
             hist: spec.hist,
             ras: spec.ras.checkpoint(),
@@ -116,7 +116,7 @@ impl BlockMeta {
 /// ([`crate::thread::ThreadState::meta`]), so the per-instruction window
 /// entries stay small and window pushes/pops never copy the checkpoint.
 #[derive(Clone, Copy, Debug)]
-pub struct BranchInfo {
+pub(crate) struct BranchInfo {
     /// Start address of the fetch block that contained the branch.
     pub block_start: Addr,
     /// Whether the branch terminated its fetch block (i.e. was actually
@@ -124,10 +124,6 @@ pub struct BranchInfo {
     pub is_end: bool,
     /// Speculative direction applied at fetch.
     pub spec_taken: bool,
-    /// Speculative next PC applied at fetch.
-    pub spec_next: Addr,
-    /// Whether fetch already knows this branch diverged from the oracle.
-    pub mispredicted: bool,
     /// Whether the divergence is detectable at decode (a statically-known
     /// misfetch: a direct unconditional branch with the wrong speculative
     /// next PC, or a predicted branch that is not a branch at all), so the
@@ -138,7 +134,7 @@ pub struct BranchInfo {
 /// A predicted fetch block plus its recovery metadata. `Copy` so the FTQ and
 /// fetch stage move blocks by value, allocation-free.
 #[derive(Clone, Copy, Debug)]
-pub struct PredictedBlock {
+pub(crate) struct PredictedBlock {
     /// The block, ready for the FTQ.
     pub block: FetchBlock,
     /// Recovery checkpoints.
@@ -277,7 +273,7 @@ pub(crate) fn branch_block(
 ///   squashing branch (`di`). Never touches predictor tables (training
 ///   happens at commit, on the correct path only).
 #[derive(Clone, Debug)]
-pub enum FrontEnd {
+pub(crate) enum FrontEnd {
     /// gshare + BTB (the baseline SMT front-end).
     GshareBtb(GshareBtb),
     /// gskew + FTB.
@@ -296,7 +292,7 @@ impl FrontEnd {
     ///
     /// Panics if the cap the engine uses (`max_ftb_block` or `max_stream`)
     /// is zero, which [`SimConfig::validate`] reports as `E0012`.
-    pub fn hpca2004(kind: FetchEngineKind, cfg: &SimConfig) -> Self {
+    pub(crate) fn hpca2004(kind: FetchEngineKind, cfg: &SimConfig) -> Self {
         match kind {
             FetchEngineKind::GshareBtb => FrontEnd::GshareBtb(GshareBtb::hpca2004()),
             FetchEngineKind::GskewFtb => FrontEnd::GskewFtb(GskewFtb::build(cfg.max_ftb_block)),
@@ -307,7 +303,7 @@ impl FrontEnd {
 
     /// History length this engine's direction predictor uses. The stream
     /// front-end has none but keeps a uniform 16-bit register.
-    pub fn history_bits(&self) -> u32 {
+    pub(crate) fn history_bits(&self) -> u32 {
         match self {
             FrontEnd::GshareBtb(_) | FrontEnd::Stream(_) => GshareBtb::HIST_BITS,
             FrontEnd::GskewFtb(_) => GskewFtb::HIST_BITS,
@@ -323,7 +319,7 @@ impl FrontEnd {
     /// Every engine emits one block except the trace cache, which on a hit
     /// emits up to `max_blocks` segments of one trace.
     #[expect(clippy::too_many_arguments, reason = "writes straight into the FTQ")]
-    pub fn predict_blocks_into(
+    pub(crate) fn predict_blocks_into(
         &mut self,
         thread: ThreadId,
         pc: Addr,
@@ -352,7 +348,7 @@ impl FrontEnd {
     /// prediction was made under); `di` the actual outcome. The stream
     /// front-end trains on completed streams instead
     /// ([`Stream::train_commit`]).
-    pub fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
+    pub(crate) fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
         match self {
             FrontEnd::GshareBtb(e) => e.train_resolve(hist, di),
             FrontEnd::GskewFtb(e) => e.train_resolve(info, hist, di),
@@ -374,7 +370,13 @@ impl FrontEnd {
     /// neither pushes/pops a return address nor closes the current stream.
     /// Gating them *together* keeps `SpecState.path` and the RAS consistent
     /// after a mispredicted call/return.
-    pub fn repair(&self, spec: &mut SpecState, info: &BranchInfo, meta: &BlockMeta, di: &DynInst) {
+    pub(crate) fn repair(
+        &self,
+        spec: &mut SpecState,
+        info: &BranchInfo,
+        meta: &BlockMeta,
+        di: &DynInst,
+    ) {
         spec.restore(meta);
         // Shift in the actual direction if this branch was a predicted
         // (block-ending) conditional.
@@ -401,7 +403,7 @@ mod tests {
     use super::*;
     use crate::config::FetchPolicy;
     use smt_isa::InstClass;
-    use smt_workloads::{BenchmarkProfile, ProgramBuilder};
+    use smt_workloads::{BenchmarkProfile, ProgramBuilder, Srng};
 
     fn program() -> Program {
         ProgramBuilder::new(BenchmarkProfile::gzip())
@@ -464,8 +466,6 @@ mod tests {
             block_start: Addr::new(0x40_0100),
             is_end: true,
             spec_taken: false,
-            spec_next: Addr::new(0x40_0104),
-            mispredicted: true,
             decode_redirect: false,
         };
         e.repair(&mut spec, &info, &meta, &di);
@@ -513,8 +513,6 @@ mod tests {
                 block_start: Addr::new(0x40_0100),
                 is_end: true,
                 spec_taken: true,
-                spec_next: Addr::new(0x40_0200),
-                mispredicted: true,
                 decode_redirect: false,
             };
             e.repair(&mut spec, &info, &meta, &di);
@@ -526,6 +524,180 @@ mod tests {
             );
             assert_eq!(spec.path, path_at_ckpt, "{kind}: stream path");
             assert_eq!(spec.stream_start, start_at_ckpt, "{kind}: stream start");
+        }
+    }
+
+    /// A two-thread workload whose block-ending branches are 40% calls —
+    /// several times the Table 1 rates — so squashes constantly land near
+    /// speculative RAS activity (the programs of `tests/recovery.rs`).
+    fn call_heavy_programs() -> Vec<Program> {
+        (0..2u64)
+            .map(|t| {
+                let mut profile = BenchmarkProfile::vortex();
+                profile.call_frac = 0.40;
+                ProgramBuilder::new(profile)
+                    .base(Addr::new(0x40_0000))
+                    .seed(0xCA11 + t)
+                    .build()
+            })
+            .collect()
+    }
+
+    /// One 8-wide prediction from `pc` (a single block, even on a trace
+    /// hit).
+    fn predict(e: &mut FrontEnd, pc: Addr, spec: &mut SpecState, prog: &Program) -> PredictedBlock {
+        let mut out = VecDeque::new();
+        e.predict_blocks_into(0, pc, spec, prog, 8, 1, &mut out);
+        out.pop_back().expect("one block per prediction")
+    }
+
+    /// Where prediction goes after `b`: its predicted next fetch, or the
+    /// fall-through when the predictor had none.
+    fn follow(b: &FetchBlock) -> Addr {
+        if b.next_fetch.is_null() {
+            b.start.add_insts(u64::from(b.len))
+        } else {
+            b.next_fetch
+        }
+    }
+
+    /// Mid-burst squash recovery, per engine. Each case enriches the
+    /// speculative state by letting the engine run a burst of real
+    /// predictions down its own predicted path, snapshots the state
+    /// entering the squashing branch's block, keeps predicting down the
+    /// (now wrong) path, then calls `repair` with a synthetic resolved
+    /// outcome. The repaired state must equal a reference reconstructed
+    /// from the snapshot plus the `FrontEnd::repair` contract alone: the
+    /// checkpoint restored, then the actual outcome applied (history shift
+    /// for predicted conditionals, RAS push/pop and stream-close only for
+    /// taken control transfers).
+    #[test]
+    fn mid_burst_repair_matches_reconstructed_reference() {
+        let programs = call_heavy_programs();
+        let prog = &programs[0];
+        let cfg = SimConfig::hpca2004(FetchPolicy::icount(2, 8));
+        for (k, kind) in FetchEngineKind::all_with_trace_cache()
+            .into_iter()
+            .enumerate()
+        {
+            for case in 0..48u64 {
+                let mut rng = Srng::new(0x5EC0 ^ (case << 4) ^ k as u64);
+                let mut e = FrontEnd::hpca2004(kind, &cfg);
+                let mut spec = SpecState::new(e.history_bits(), prog.entry());
+                let mut pc = prog.entry();
+
+                // Enrich: a burst of real predictions down the engine's own
+                // predicted path (calls/returns exercise the RAS).
+                for _ in 0..4 + rng.range(0, 48) {
+                    let pb = predict(&mut e, pc, &mut spec, prog);
+                    pc = follow(&pb.block);
+                }
+
+                // Snapshot the state entering the squashing branch's block;
+                // the engine's own checkpoints must agree with it.
+                let hist_ref = spec.hist;
+                let path_ref = spec.path;
+                let start_ref = spec.stream_start;
+                let ras_depth_ref = spec.ras.depth();
+                let ras_top_ref = spec.ras.peek();
+                let pb = predict(&mut e, pc, &mut spec, prog);
+                let meta = pb.meta;
+                assert_eq!(meta.hist, hist_ref, "{kind} case {case}: hist checkpoint");
+                assert_eq!(meta.path, path_ref, "{kind} case {case}: path checkpoint");
+                assert_eq!(
+                    meta.stream_start, start_ref,
+                    "{kind} case {case}: stream-start checkpoint"
+                );
+
+                // Keep speculating past the checkpoint — all wrong path.
+                let mut wpc = pb.block.next_fetch;
+                for _ in 0..1 + rng.range(0, 6) {
+                    let p = predict(&mut e, wpc, &mut spec, prog);
+                    wpc = follow(&p.block);
+                }
+
+                // Synthetic resolved outcome for the block-ending branch.
+                let branch_pc = pb.block.last_pc();
+                let kind_pick = rng.range(0, 4);
+                let bkind = match kind_pick {
+                    0 => BranchKind::Cond,
+                    1 => BranchKind::Call,
+                    // A return needs something to pop; fall back to a jump
+                    // when the burst left the RAS empty.
+                    2 if ras_depth_ref > 0 => BranchKind::Return,
+                    2 => BranchKind::Jump,
+                    _ => BranchKind::Jump,
+                };
+                let taken = bkind != BranchKind::Cond || rng.chance(0.5);
+                let target = Addr::new(0x40_0000 + 4 * rng.range(0, 4096));
+                let di = DynInst {
+                    thread: 0,
+                    static_id: 0,
+                    pc: branch_pc,
+                    class: InstClass::Branch(bkind),
+                    dest: None,
+                    srcs: [None, None],
+                    mem: None,
+                    taken,
+                    next_pc: if taken {
+                        target
+                    } else {
+                        branch_pc.add_insts(1)
+                    },
+                    wrong_path: false,
+                };
+                let info = BranchInfo {
+                    block_start: pc,
+                    is_end: true,
+                    spec_taken: !taken,
+                    decode_redirect: false,
+                };
+                e.repair(&mut spec, &info, &meta, &di);
+
+                // History: checkpoint + the actual direction, iff the engine
+                // keeps per-branch history (the stream front-end does not).
+                let mut hist_want = hist_ref;
+                if kind != FetchEngineKind::Stream && bkind == BranchKind::Cond {
+                    hist_want.push(taken);
+                }
+                assert_eq!(spec.hist, hist_want, "{kind} case {case}: history");
+
+                // RAS: checkpoint + the actual call/return effect, applied
+                // only when the branch actually transferred control.
+                match (taken, bkind) {
+                    (true, BranchKind::Call) => {
+                        assert_eq!(spec.ras.depth(), ras_depth_ref + 1, "{kind} case {case}");
+                        assert_eq!(
+                            spec.ras.peek(),
+                            Some(branch_pc.add_insts(1)),
+                            "{kind} case {case}: pushed return address"
+                        );
+                    }
+                    (true, BranchKind::Return) => {
+                        assert_eq!(
+                            spec.ras.depth(),
+                            ras_depth_ref - 1,
+                            "{kind} case {case}: popped"
+                        );
+                    }
+                    _ => {
+                        assert_eq!(spec.ras.depth(), ras_depth_ref, "{kind} case {case}");
+                        assert_eq!(spec.ras.peek(), ras_top_ref, "{kind} case {case}: RAS top");
+                    }
+                }
+
+                // Stream registers: a taken branch closes the stream at the
+                // checkpointed start and opens one at the actual target.
+                if taken {
+                    let mut path_want = path_ref;
+                    path_want.push(start_ref);
+                    assert_eq!(spec.path, path_want, "{kind} case {case}: stream path");
+                    assert_eq!(spec.stream_start, di.next_pc, "{kind} case {case}");
+                } else {
+                    assert_eq!(spec.path, path_ref, "{kind} case {case}: stream path");
+                    assert_eq!(spec.stream_start, start_ref, "{kind} case {case}");
+                }
+            }
         }
     }
 }

@@ -11,7 +11,7 @@ use super::{branch_block, sequential_block, BlockMeta, PredictedBlock, SpecState
 /// taken by definition, so no separate direction predictor exists and the
 /// speculative history register never shifts.
 #[derive(Clone, Debug)]
-pub struct Stream {
+pub(crate) struct Stream {
     /// Cascaded stream predictor.
     predictor: StreamPredictor,
 }
@@ -23,7 +23,7 @@ impl Stream {
     /// # Panics
     ///
     /// Panics if `max_stream` is zero.
-    pub fn build(max_stream: u32) -> Self {
+    pub(crate) fn build(max_stream: u32) -> Self {
         Stream {
             predictor: StreamPredictor::hpca2004_with_cap(max_stream),
         }
@@ -32,7 +32,7 @@ impl Stream {
     /// Predicts the next stream for `thread` starting at `pc` (a
     /// `width`-long sequential block on a miss), speculatively updating
     /// `spec`.
-    pub fn predict_block(
+    pub(crate) fn predict_block(
         &mut self,
         thread: ThreadId,
         pc: Addr,
@@ -76,7 +76,7 @@ impl Stream {
 
     /// Trains the stream predictor with an instruction stream completed at
     /// commit (a taken branch closed the stream).
-    pub fn train_commit(&mut self, start: Addr, path: &StreamPath, obs: ObservedStream) {
+    pub(crate) fn train_commit(&mut self, start: Addr, path: &StreamPath, obs: ObservedStream) {
         self.predictor.train(start, path, obs);
     }
 }

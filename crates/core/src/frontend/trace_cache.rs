@@ -32,7 +32,7 @@ struct FillBuffer {
 /// classical basic block. The trace store and the multiple-branch predictor
 /// are trained by the fill unit at commit.
 #[derive(Clone, Debug)]
-pub struct TraceCache {
+pub(crate) struct TraceCache {
     /// The trace storage and its path-associative tags.
     tc: TraceStore,
     /// Multiple-branch direction predictor for way selection
@@ -56,7 +56,7 @@ const _: () = assert!(TraceCache::HIST_BITS <= TraceCache::CORE_ENTRIES.trailing
 impl TraceCache {
     /// Global-history length of the core fetch unit's gshare and of the
     /// multiple-branch predictor (their 32K tables have 15 index bits).
-    pub const HIST_BITS: u32 = 15;
+    pub(crate) const HIST_BITS: u32 = 15;
 
     /// Counters in the core fetch unit's gshare and in the
     /// multiple-branch predictor: half of Table 3's gshare, so the
@@ -65,7 +65,7 @@ impl TraceCache {
 
     /// Builds the engine: a 512-line, 4-way trace cache over a halved
     /// gshare and Table 3's BTB.
-    pub fn hpca2004() -> Self {
+    pub(crate) fn hpca2004() -> Self {
         let core = || Gshare::new(TraceCache::CORE_ENTRIES);
         TraceCache {
             tc: TraceStore::typical(),
@@ -161,7 +161,7 @@ impl TraceCache {
 
     /// Trains the core fetch unit with a committed branch predicted under
     /// `hist` in the block `info` describes.
-    pub fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
+    pub(crate) fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
         // The core fetch unit trains like gshare+BTB; the trace cache
         // itself and the multiple-branch predictor are trained by the fill
         // unit at commit.
@@ -178,7 +178,7 @@ impl TraceCache {
     /// Feeds one committed instruction to the fill unit, into the buffer
     /// of its thread. `commit_hist_end` is the thread's committed
     /// end-conditional history *before* this instruction.
-    pub fn fill_commit(&mut self, di: &DynInst, commit_hist_end: u64) {
+    pub(crate) fn fill_commit(&mut self, di: &DynInst, commit_hist_end: u64) {
         let fill = &mut self.fill[di.thread];
         if fill.entries.is_empty() {
             fill.start_hist = commit_hist_end;

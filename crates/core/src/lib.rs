@@ -13,7 +13,7 @@
 //!
 //! Front-ends: gshare+BTB (baseline), gskew+FTB, the stream fetch unit and
 //! a trace-cache comparator ([`FetchEngineKind`]), the four arms of the
-//! [`FrontEnd`] enum. Thread priority: ICOUNT or round-robin
+//! internal `FrontEnd` enum. Thread priority: ICOUNT or round-robin
 //! ([`FetchPolicy`]).
 //!
 //! # Example
@@ -45,16 +45,11 @@ mod thread;
 mod window;
 
 pub use config::{
-    FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, SimConfig, COMMIT_WIDTH,
-    DECODE_WIDTH, FU_COUNTS, IQ_SIZES, REGS_FP, REGS_INT, ROB_SIZE,
+    FetchEngineKind, FetchPolicy, LongLatencyAction, PolicyKind, SimConfig, DECODE_WIDTH,
+    FU_COUNTS, IQ_SIZES, REGS_FP, REGS_INT, ROB_SIZE,
 };
 pub use diag::Diagnostic;
-pub use frontend::{
-    BlockMeta, BranchInfo, FrontEnd, GshareBtb, GskewFtb, PredictedBlock, SpecState, Stream,
-    TraceCache, LINE_BYTES,
-};
+pub use frontend::{GshareBtb, GskewFtb, LINE_BYTES};
 pub use metrics::StallBreakdown;
 pub use metrics::{FetchDistribution, SimStats};
 pub use sim::{BuildError, SimBuilder, Simulator};
-pub use thread::ThreadState;
-pub use window::{InFlightCtl, PhysReg, Window};

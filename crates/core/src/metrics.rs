@@ -16,14 +16,14 @@ pub struct FetchDistribution {
 
 impl FetchDistribution {
     /// Creates an empty distribution for widths up to `max_width`.
-    pub fn new(max_width: u32) -> Self {
+    pub(crate) fn new(max_width: u32) -> Self {
         FetchDistribution {
             buckets: vec![0; max_width as usize + 1],
         }
     }
 
     /// Records one fetch cycle that delivered `n` instructions.
-    pub fn record(&mut self, n: u32) {
+    pub(crate) fn record(&mut self, n: u32) {
         let idx = (n as usize).min(self.buckets.len() - 1);
         self.buckets[idx] += 1;
     }
@@ -192,7 +192,7 @@ pub struct SimStats {
 
 impl SimStats {
     /// Creates zeroed statistics for a given maximum fetch width.
-    pub fn new(max_width: u32) -> Self {
+    pub(crate) fn new(max_width: u32) -> Self {
         SimStats {
             distribution: FetchDistribution::new(max_width),
             ..SimStats::default()

@@ -78,7 +78,7 @@ pub(crate) fn commit(ctx: &mut PipelineCtx) -> bool {
                             ctx.stats.cond_mispredicts += 1;
                         }
                         if info.is_end {
-                            let bits = meta_hist.len().min(16);
+                            let bits = meta_hist.width().min(16);
                             let mask = (1u64 << bits) - 1;
                             if meta_hist.bits() & mask != ctx.threads[tid].commit_hist & mask {
                                 ctx.stats.hist_mismatches += 1;

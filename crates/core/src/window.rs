@@ -30,12 +30,12 @@
 
 use std::collections::VecDeque;
 
-use smt_isa::{inst_idx, Addr, Cycle, DynInst, InstClass, InstIdx, Presized};
+use smt_isa::{Addr, Cycle, DynInst, InstClass, Presized};
 
 use crate::frontend::BranchInfo;
 
 /// Physical register id (dense across int + fp spaces).
-pub type PhysReg = u32;
+pub(crate) type PhysReg = u32;
 
 /// Status bit: the instruction passed dispatch (holds backend resources).
 const DISPATCHED: u8 = 1 << 0;
@@ -61,7 +61,7 @@ const DECODE_REDIRECT: u8 = 1 << 6;
 /// classification bits are immutable after [`InFlightCtl::at_fetch`], which
 /// is what lets the scans run without touching the payload column.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InFlightCtl {
+pub(crate) struct InFlightCtl {
     /// Per-thread fetch-order sequence number.
     pub seq: u64,
     /// Cycle the instruction was fetched.
@@ -79,7 +79,12 @@ impl InFlightCtl {
     /// Builds the control entry for a just-fetched instruction, deriving
     /// the immutable classification bits from the payload and its optional
     /// branch record.
-    pub fn at_fetch(seq: u64, fetched_at: Cycle, di: &DynInst, binfo: Option<&BranchInfo>) -> Self {
+    pub(crate) fn at_fetch(
+        seq: u64,
+        fetched_at: Cycle,
+        di: &DynInst,
+        binfo: Option<&BranchInfo>,
+    ) -> Self {
         let mut flags = 0u8;
         if di.wrong_path {
             flags |= WRONG_PATH;
@@ -107,52 +112,52 @@ impl InFlightCtl {
     }
 
     /// Whether the instruction passed dispatch.
-    pub fn dispatched(&self) -> bool {
+    pub(crate) fn dispatched(&self) -> bool {
         self.flags & DISPATCHED != 0
     }
 
     /// Marks the instruction dispatched.
-    pub fn set_dispatched(&mut self) {
+    pub(crate) fn set_dispatched(&mut self) {
         self.flags |= DISPATCHED;
     }
 
     /// Whether the instruction has issued to a functional unit.
-    pub fn issued(&self) -> bool {
+    pub(crate) fn issued(&self) -> bool {
         self.flags & ISSUED != 0
     }
 
     /// Marks the instruction issued.
-    pub fn set_issued(&mut self) {
+    pub(crate) fn set_issued(&mut self) {
         self.flags |= ISSUED;
     }
 
     /// Whether the payload was fetched down a wrong (divergent) path.
-    pub fn wrong_path(&self) -> bool {
+    pub(crate) fn wrong_path(&self) -> bool {
         self.flags & WRONG_PATH != 0
     }
 
     /// Whether the payload is a load.
-    pub fn is_load(&self) -> bool {
+    pub(crate) fn is_load(&self) -> bool {
         self.flags & IS_LOAD != 0
     }
 
     /// Whether the payload is a branch of any kind.
-    pub fn is_branch(&self) -> bool {
+    pub(crate) fn is_branch(&self) -> bool {
         self.flags & IS_BRANCH != 0
     }
 
     /// Whether a [`BranchInfo`] record rides in the binfo column.
-    pub fn has_binfo(&self) -> bool {
+    pub(crate) fn has_binfo(&self) -> bool {
         self.flags & HAS_BINFO != 0
     }
 
     /// Whether the attached branch record carries `decode_redirect`.
-    pub fn decode_redirect(&self) -> bool {
+    pub(crate) fn decode_redirect(&self) -> bool {
         self.flags & DECODE_REDIRECT != 0
     }
 
     /// Whether execution finished by cycle `now`.
-    pub fn completed(&self, now: Cycle) -> bool {
+    pub(crate) fn completed(&self, now: Cycle) -> bool {
         self.issued() && self.done_at <= now
     }
 }
@@ -177,7 +182,7 @@ const PAYLOAD_FILL: DynInst = DynInst {
 /// deque and both rings are sized once by [`Window::presize`]; steady-state
 /// pushes and pops never allocate.
 #[derive(Clone, Debug, Default)]
-pub struct Window {
+pub(crate) struct Window {
     ctl: Presized<VecDeque<InFlightCtl>>,
     payload: Vec<DynInst>,
     binfo: Vec<Option<BranchInfo>>,
@@ -187,14 +192,14 @@ pub struct Window {
 impl Window {
     /// Creates an empty, un-sized window; [`Window::presize`] must run
     /// before the first push.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Window::default()
     }
 
     /// Sizes the control deque for `window_cap` entries and both columns to
     /// the strictly-larger power of two, establishing the no-collision
     /// property for `seq & mask` indexing.
-    pub fn presize(&mut self, window_cap: usize) {
+    pub(crate) fn presize(&mut self, window_cap: usize) {
         self.ctl.reserve(window_cap);
         let cap = (window_cap + 1).next_power_of_two();
         self.payload = vec![PAYLOAD_FILL; cap];
@@ -208,40 +213,42 @@ impl Window {
     }
 
     /// Number of in-flight instructions.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.ctl.len()
     }
 
     /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.ctl.is_empty()
     }
 
     /// The oldest in-flight instruction's control entry.
-    pub fn front(&self) -> Option<&InFlightCtl> {
+    pub(crate) fn front(&self) -> Option<&InFlightCtl> {
         self.ctl.front()
     }
 
     /// The youngest in-flight instruction's control entry.
-    pub fn back(&self) -> Option<&InFlightCtl> {
+    pub(crate) fn back(&self) -> Option<&InFlightCtl> {
         self.ctl.back()
     }
 
     /// Iterates the control entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &InFlightCtl> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &InFlightCtl> {
         self.ctl.iter()
     }
 
     /// Looks up a live instruction's control entry by sequence number.
     ///
     /// The window is contiguous in `seq`, so this is O(1).
-    pub fn ctl(&self, seq: u64) -> Option<&InFlightCtl> {
+    pub(crate) fn ctl(&self, seq: u64) -> Option<&InFlightCtl> {
         let head = self.ctl.front()?.seq;
         self.ctl.get(usize::try_from(seq.checked_sub(head)?).ok()?)
     }
 
     /// Mutable variant of [`Window::ctl`].
-    pub fn ctl_mut(&mut self, seq: u64) -> Option<&mut InFlightCtl> {
+    pub(crate) fn ctl_mut(&mut self, seq: u64) -> Option<&mut InFlightCtl> {
         let head = self.ctl.front()?.seq;
         self.ctl
             .get_mut(usize::try_from(seq.checked_sub(head)?).ok()?)
@@ -251,19 +258,19 @@ impl Window {
     ///
     /// Valid for live sequence numbers, or for an entry popped in the same
     /// stage tick (no intervening push can reuse the slot; see module docs).
-    pub fn di(&self, seq: u64) -> &DynInst {
+    pub(crate) fn di(&self, seq: u64) -> &DynInst {
         &self.payload[self.slot(seq)]
     }
 
     /// The branch record of instruction `seq`, if one was attached at
     /// fetch. Same validity contract as [`Window::di`].
-    pub fn binfo(&self, seq: u64) -> Option<BranchInfo> {
+    pub(crate) fn binfo(&self, seq: u64) -> Option<BranchInfo> {
         self.binfo[self.slot(seq)]
     }
 
     /// Writes the payload for the upcoming instruction `seq` (the non-bulk
     /// fetch path); must be followed by the matching [`Window::push`].
-    pub fn set_di(&mut self, seq: u64, di: DynInst) {
+    pub(crate) fn set_di(&mut self, seq: u64, di: DynInst) {
         let slot = self.slot(seq);
         self.payload[slot] = di;
     }
@@ -276,7 +283,11 @@ impl Window {
     /// The slots are dead: `n` is bounded by the fetch width and the window
     /// has room for the push, so by the contiguity argument none of the
     /// returned slots aliases a live instruction.
-    pub fn payload_slots(&mut self, start_seq: u64, n: usize) -> (&mut [DynInst], &mut [DynInst]) {
+    pub(crate) fn payload_slots(
+        &mut self,
+        start_seq: u64,
+        n: usize,
+    ) -> (&mut [DynInst], &mut [DynInst]) {
         let cap = self.payload.len();
         debug_assert!(n <= cap, "payload_slots asked for {n} of {cap} slots");
         let s = self.slot(start_seq);
@@ -288,7 +299,7 @@ impl Window {
     /// Pushes a fetched instruction: the control entry and its branch
     /// record column. The payload slot for `ctl.seq` must already hold the
     /// instruction (via [`Window::set_di`] or [`Window::payload_slots`]).
-    pub fn push(&mut self, ctl: InFlightCtl, binfo: Option<BranchInfo>) {
+    pub(crate) fn push(&mut self, ctl: InFlightCtl, binfo: Option<BranchInfo>) {
         debug_assert!(
             self.ctl.back().is_none_or(|b| b.seq + 1 == ctl.seq),
             "window seqs must stay contiguous"
@@ -305,20 +316,21 @@ impl Window {
     /// Pops the oldest instruction (commit). Its payload columns stay
     /// readable through [`Window::di`]/[`Window::binfo`] for the rest of
     /// the popping stage's tick.
-    pub fn pop_front(&mut self) -> Option<InFlightCtl> {
+    pub(crate) fn pop_front(&mut self) -> Option<InFlightCtl> {
         self.ctl.pop_front()
     }
 
     /// Pops the youngest instruction (squash/flush walks). Same post-pop
     /// read contract as [`Window::pop_front`].
-    pub fn pop_back(&mut self) -> Option<InFlightCtl> {
+    pub(crate) fn pop_back(&mut self) -> Option<InFlightCtl> {
         self.ctl.pop_back()
     }
 
     /// Number of instructions at or after `seq` (tail length from `seq`).
-    pub fn tail_len_from(&self, seq: u64) -> InstIdx {
+    #[cfg(test)]
+    fn tail_len_from(&self, seq: u64) -> smt_isa::InstIdx {
         match self.ctl.back() {
-            Some(b) if b.seq >= seq => inst_idx(b.seq - seq + 1),
+            Some(b) if b.seq >= seq => smt_isa::inst_idx(b.seq - seq + 1),
             _ => 0,
         }
     }
@@ -327,6 +339,8 @@ impl Window {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_isa::BranchKind;
+    use smt_workloads::Srng;
 
     fn di_at(pc: u64, next: u64) -> DynInst {
         DynInst {
@@ -418,5 +432,166 @@ mod tests {
         assert_eq!(w.tail_len_from(3), 6);
         assert_eq!(w.tail_len_from(7), 2);
         assert_eq!(w.tail_len_from(9), 0);
+    }
+
+    /// One record of the naive array-of-structs reference window: the control
+    /// entry, its payload, and its branch record side by side in a plain deque.
+    #[derive(Clone, Copy, Debug)]
+    struct AosInst {
+        ctl: InFlightCtl,
+        di: DynInst,
+        binfo: Option<BranchInfo>,
+    }
+
+    /// A deterministic random instruction (and, for branches, a branch record)
+    /// for sequence number `seq`.
+    fn random_inst(rng: &mut Srng, seq: u64) -> (DynInst, Option<BranchInfo>) {
+        let pc = Addr::new(0x40_0000 + seq * 4);
+        let class = match rng.range(0, 5) {
+            0 => InstClass::IntAlu,
+            1 => InstClass::Load,
+            2 => InstClass::Store,
+            3 => InstClass::FpAlu,
+            _ => InstClass::Branch(BranchKind::Cond),
+        };
+        let taken = rng.chance(0.4);
+        let next_pc = if taken {
+            Addr::new(0x40_0000 + rng.range(0, 1 << 16) * 4)
+        } else {
+            pc.add_insts(1)
+        };
+        let di = DynInst {
+            thread: 0,
+            static_id: rng.range_u32(0, 1 << 16),
+            pc,
+            class,
+            dest: None,
+            srcs: [None, None],
+            mem: None,
+            taken,
+            next_pc,
+            wrong_path: rng.chance(0.1),
+        };
+        let binfo = matches!(class, InstClass::Branch(_)).then(|| BranchInfo {
+            block_start: pc,
+            is_end: rng.chance(0.5),
+            spec_taken: rng.chance(0.5),
+            decode_redirect: rng.chance(0.2),
+        });
+        (di, binfo)
+    }
+
+    /// The structure-of-arrays window is observably identical to a naive
+    /// array-of-structs reference deque: over random operation traces — pushes
+    /// (including sequence-number reuse after a pop-back, the squash pattern),
+    /// pops from both ends, and control-entry mutations — every lookup agrees
+    /// after every operation, on random window capacities that force the
+    /// payload ring to wrap many times.
+    #[test]
+    fn soa_window_matches_aos_reference() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x50a0 ^ case);
+            let cap = 4 + rng.range_usize(0, 60);
+            let mut soa = Window::new();
+            soa.presize(cap);
+            let mut aos: VecDeque<AosInst> = VecDeque::new();
+            let mut next_seq = rng.range(0, 1000);
+            let ops = 200 + rng.range(0, 800);
+            for _ in 0..ops {
+                match rng.range(0, 10) {
+                    0..=4 => {
+                        if soa.len() < cap {
+                            let seq = next_seq;
+                            next_seq += 1;
+                            let (di, binfo) = random_inst(&mut rng, seq);
+                            soa.set_di(seq, di);
+                            let ctl = InFlightCtl::at_fetch(
+                                seq,
+                                rng.range(0, 1 << 20),
+                                &di,
+                                binfo.as_ref(),
+                            );
+                            soa.push(ctl, binfo);
+                            aos.push_back(AosInst { ctl, di, binfo });
+                        }
+                    }
+                    5 => {
+                        assert_eq!(
+                            soa.pop_front(),
+                            aos.pop_front().map(|r| r.ctl),
+                            "case {case}"
+                        );
+                    }
+                    6 => {
+                        let popped = aos.pop_back();
+                        assert_eq!(soa.pop_back(), popped.map(|r| r.ctl), "case {case}");
+                        if let Some(r) = popped {
+                            // Squash semantics: the popped seq is reused next.
+                            next_seq = r.ctl.seq;
+                        }
+                    }
+                    7 => {
+                        if !aos.is_empty() {
+                            let k = rng.range_usize(0, aos.len());
+                            let seq = aos[k].ctl.seq;
+                            let c = soa.ctl_mut(seq).expect("live seq has a control entry");
+                            if rng.chance(0.5) {
+                                c.set_dispatched();
+                                aos[k].ctl.set_dispatched();
+                            }
+                            if rng.chance(0.5) {
+                                c.set_issued();
+                                aos[k].ctl.set_issued();
+                            }
+                            let done = rng.range(0, 1 << 20);
+                            c.done_at = done;
+                            aos[k].ctl.done_at = done;
+                            let p = rng.range_u32(0, 512);
+                            c.phys_dest = Some(p);
+                            aos[k].ctl.phys_dest = Some(p);
+                        }
+                    }
+                    _ => {
+                        if !aos.is_empty() {
+                            let k = rng.range_usize(0, aos.len());
+                            let seq = aos[k].ctl.seq;
+                            assert_eq!(
+                                soa.tail_len_from(seq),
+                                u32::try_from(aos.len() - k).unwrap(),
+                                "case {case}"
+                            );
+                        }
+                    }
+                }
+                // Full observable-state comparison after every operation.
+                assert_eq!(soa.len(), aos.len(), "case {case}");
+                assert_eq!(soa.is_empty(), aos.is_empty(), "case {case}");
+                assert_eq!(soa.front(), aos.front().map(|r| &r.ctl), "case {case}");
+                assert_eq!(soa.back(), aos.back().map(|r| &r.ctl), "case {case}");
+                for (got, want) in soa.iter().zip(aos.iter()) {
+                    assert_eq!(got, &want.ctl, "case {case}");
+                    assert_eq!(soa.di(want.ctl.seq), &want.di, "case {case}");
+                    assert_eq!(
+                        format!("{:?}", soa.binfo(want.ctl.seq)),
+                        format!("{:?}", want.binfo),
+                        "case {case}"
+                    );
+                    assert_eq!(got.has_binfo(), want.binfo.is_some(), "case {case}");
+                    assert_eq!(
+                        got.is_load(),
+                        want.di.class == InstClass::Load,
+                        "case {case}"
+                    );
+                    assert_eq!(got.is_branch(), want.di.class.is_branch(), "case {case}");
+                }
+                // A never-pushed seq resolves to no control entry.
+                assert!(soa.ctl(next_seq).is_none(), "case {case}");
+                if let Some(front) = aos.front() {
+                    if front.ctl.seq > 0 {
+                        assert!(soa.ctl(front.ctl.seq - 1).is_none(), "case {case}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -61,7 +61,7 @@ impl Addr {
 
     /// Byte offset of `self` within its cache line.
     #[inline]
-    pub fn line_offset(self, line_bytes: u64) -> u64 {
+    pub(crate) fn line_offset(self, line_bytes: u64) -> u64 {
         debug_assert!(line_bytes.is_power_of_two());
         self.0 & (line_bytes - 1)
     }

@@ -49,11 +49,6 @@ pub struct FetchBlock {
 }
 
 impl FetchBlock {
-    /// Address one past the last instruction of the block.
-    pub fn end(&self) -> Addr {
-        self.start.add_insts(self.len as u64)
-    }
-
     /// Address of the last instruction in the block.
     pub fn last_pc(&self) -> Addr {
         self.start.add_insts(self.len as u64 - 1)
@@ -82,7 +77,6 @@ mod tests {
     #[test]
     fn geometry() {
         let b = block();
-        assert_eq!(b.end(), Addr::new(0x1018));
         assert_eq!(b.last_pc(), Addr::new(0x1014));
     }
 }

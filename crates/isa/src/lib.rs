@@ -56,12 +56,6 @@ pub type ThreadId = usize;
 /// Maximum number of hardware thread contexts supported by the model.
 pub const MAX_THREADS: usize = 8;
 
-/// Global (per-simulation) dynamic-instruction sequence number.
-///
-/// Sequence numbers are allocated at fetch in program order *per thread*, and
-/// are used for age comparisons inside one thread (squash on misprediction).
-pub type SeqNum = u64;
-
 /// A simulation cycle count.
 pub type Cycle = u64;
 

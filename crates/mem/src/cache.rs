@@ -40,7 +40,7 @@ impl CacheConfig {
     };
 
     /// Number of sets implied by the geometry.
-    pub fn num_sets(&self) -> u64 {
+    pub(crate) fn num_sets(&self) -> u64 {
         self.size_bytes / self.line_bytes / self.ways as u64
     }
 }
@@ -82,7 +82,7 @@ impl CacheStats {
 /// Fills are performed eagerly by the hierarchy when it charges the miss
 /// latency (the standard "functional fill, timed latency" simplification).
 #[derive(Clone, Debug)]
-pub struct Cache {
+pub(crate) struct Cache {
     cfg: CacheConfig,
     lines: Vec<Line>,
     set_mask: u64,
@@ -101,7 +101,7 @@ impl Cache {
     ///
     /// Panics if a geometry value is zero, or if the line size or the set
     /// count is not a power of two.
-    pub fn new(cfg: CacheConfig) -> Self {
+    pub(crate) fn new(cfg: CacheConfig) -> Self {
         assert!(
             cfg.ways > 0 && cfg.line_bytes.is_power_of_two(),
             "cache ways must be positive and the line size a power of two ({cfg:?})"
@@ -136,7 +136,7 @@ impl Cache {
     }
 
     /// The configuration.
-    pub fn config(&self) -> &CacheConfig {
+    pub(crate) fn config(&self) -> &CacheConfig {
         &self.cfg
     }
 
@@ -160,7 +160,7 @@ impl Cache {
     /// Looks up `addr`; returns `true` on hit. Updates LRU and statistics;
     /// a write hit marks the line dirty. Misses do **not** fill — callers
     /// charge latency and then call [`Cache::fill`].
-    pub fn access(&mut self, addr: Addr, write: bool) -> bool {
+    pub(crate) fn access(&mut self, addr: Addr, write: bool) -> bool {
         self.stats.accesses += 1;
         self.tick += 1;
         let tick = self.tick;
@@ -185,7 +185,8 @@ impl Cache {
     }
 
     /// Whether `addr` is present, without perturbing any state.
-    pub fn probe(&self, addr: Addr) -> bool {
+    #[cfg(test)]
+    fn probe(&self, addr: Addr) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let base = self.base(set);
         self.lines[base..base + self.cfg.ways]
@@ -197,7 +198,7 @@ impl Cache {
     ///
     /// Returns the evicted line's address if the victim was dirty (for
     /// writeback modeling).
-    pub fn fill(&mut self, addr: Addr, dirty: bool) -> Option<Addr> {
+    pub(crate) fn fill(&mut self, addr: Addr, dirty: bool) -> Option<Addr> {
         self.stats.fills += 1;
         self.tick += 1;
         let tick = self.tick;
@@ -237,7 +238,7 @@ impl Cache {
     }
 
     /// Statistics since construction.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 }
@@ -245,6 +246,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_workloads::Srng;
 
     fn tiny() -> Cache {
         Cache::new(CacheConfig {
@@ -370,5 +372,48 @@ mod tests {
             c.fill(a, false);
         }
         assert_eq!(c.stats().hits, before, "capacity thrash must not hit");
+    }
+
+    fn small_cache() -> Cache {
+        Cache::new(CacheConfig {
+            size_bytes: 2048,
+            ways: 2,
+            line_bytes: 64,
+            banks: 2,
+            hit_latency: 0,
+        })
+    }
+
+    /// A cache access immediately after filling the same line always hits,
+    /// no matter what other fills happened before.
+    #[test]
+    fn cache_fill_then_access_hits() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x11 ^ case);
+            let mut c = small_cache();
+            let n = 1 + rng.range(0, 200);
+            for _ in 0..n {
+                let a = Addr::new(rng.range(0, 1 << 20));
+                c.fill(a, false);
+                assert!(c.access(a, false), "just-filled line missed (case {case})");
+            }
+        }
+    }
+
+    /// LRU never evicts the line touched most recently.
+    #[test]
+    fn cache_mru_line_survives_one_fill() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x22 ^ case);
+            let mut c = small_cache();
+            let probe = Addr::new(rng.range(0, 1 << 18) & !63);
+            c.fill(probe, false);
+            c.access(probe, false); // make it MRU
+            c.fill(Addr::new(rng.range(0, 1 << 18) & !63), false);
+            assert!(
+                c.probe(probe),
+                "MRU line evicted by a single fill (case {case})"
+            );
+        }
     }
 }

@@ -55,7 +55,7 @@ impl MemoryHierarchy {
     pub const HPCA2004_MEMORY_LATENCY: u64 = 100;
     /// Table 3's data-side MSHR entries (16). The instruction side has one
     /// per thread.
-    pub const HPCA2004_D_MSHRS: usize = 16;
+    const HPCA2004_D_MSHRS: usize = 16;
 
     /// The paper's hierarchy for `threads` contexts.
     pub fn hpca2004(threads: usize) -> Self {

@@ -3,9 +3,9 @@
 //! Timing models for the caches, TLBs and main memory the HPCA 2004
 //! simulator uses:
 //!
-//! * [`Cache`] — set-associative tag arrays with LRU and dirty eviction
+//! * `Cache` — set-associative tag arrays with LRU and dirty eviction
 //!   (L1I/L1D: 32 KB, 2-way; L2: 1 MB, 2-way, 10 cycles);
-//! * [`MshrFile`] — bounded outstanding-miss tracking with hit-under-miss
+//! * `MshrFile` — bounded outstanding-miss tracking with hit-under-miss
 //!   merging (the paper's non-blocking caches, "an MSHR for each thread");
 //! * [`Tlb`] — 48-entry I-TLB / 128-entry D-TLB;
 //! * [`MemoryHierarchy`] — the assembled hierarchy with a 100-cycle main
@@ -34,7 +34,7 @@ mod hierarchy;
 mod mshr;
 mod tlb;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{CacheConfig, CacheStats};
 pub use hierarchy::{DataOutcome, FetchOutcome, MemoryHierarchy};
-pub use mshr::{MshrFile, MshrOutcome};
+
 pub use tlb::Tlb;

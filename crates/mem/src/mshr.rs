@@ -11,7 +11,7 @@ use smt_isa::{Addr, Cycle, Presized};
 /// thread"; the simulator gives each cache a small file and lets the caller
 /// partition it.
 #[derive(Clone, Debug)]
-pub struct MshrFile {
+pub(crate) struct MshrFile {
     slots: Presized<Vec<(Addr, Cycle)>>, // (line address, ready cycle)
     /// The earliest `ready` among `slots` (`Cycle::MAX` when empty): no
     /// entry can expire before it, so [`MshrFile::retire`] returns at once.
@@ -22,7 +22,7 @@ pub struct MshrFile {
 
 /// Result of an MSHR allocation attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MshrOutcome {
+pub(crate) enum MshrOutcome {
     /// A new entry was allocated.
     Allocated,
     /// The line was already pending; the access merged. The payload is the
@@ -38,7 +38,7 @@ impl MshrFile {
     /// # Panics
     ///
     /// Panics if `capacity` is zero or `line_bytes` is not a power of two.
-    pub fn new(capacity: usize, line_bytes: u64) -> Self {
+    pub(crate) fn new(capacity: usize, line_bytes: u64) -> Self {
         assert!(capacity > 0, "MSHR capacity must be positive");
         assert!(
             line_bytes.is_power_of_two(),
@@ -53,13 +53,14 @@ impl MshrFile {
     }
 
     /// Number of outstanding misses at `now` (expired entries are retired).
-    pub fn outstanding(&mut self, now: Cycle) -> usize {
+    #[cfg(test)]
+    fn outstanding(&mut self, now: Cycle) -> usize {
         self.retire(now);
         self.slots.len()
     }
 
     /// Retires entries whose fills completed at or before `now`.
-    pub fn retire(&mut self, now: Cycle) {
+    pub(crate) fn retire(&mut self, now: Cycle) {
         if self.earliest > now {
             return;
         }
@@ -74,7 +75,7 @@ impl MshrFile {
 
     /// Whether the line containing `addr` has a fill pending at `now`;
     /// returns its completion cycle.
-    pub fn pending(&mut self, addr: Addr, now: Cycle) -> Option<Cycle> {
+    pub(crate) fn pending(&mut self, addr: Addr, now: Cycle) -> Option<Cycle> {
         self.retire(now);
         let line = addr.line(self.line_bytes);
         self.slots
@@ -84,7 +85,7 @@ impl MshrFile {
     }
 
     /// Tries to track a miss of `addr`'s line completing at `ready`.
-    pub fn allocate(&mut self, addr: Addr, now: Cycle, ready: Cycle) -> MshrOutcome {
+    pub(crate) fn allocate(&mut self, addr: Addr, now: Cycle, ready: Cycle) -> MshrOutcome {
         self.retire(now);
         let line = addr.line(self.line_bytes);
         if let Some(&(_, r)) = self.slots.iter().find(|&&(l, _)| l == line) {
@@ -102,6 +103,7 @@ impl MshrFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_workloads::Srng;
 
     #[test]
     fn allocate_then_merge_same_line() {
@@ -158,5 +160,96 @@ mod tests {
     #[should_panic(expected = "line size must be a power of two")]
     fn non_power_of_two_line_rejected() {
         let _ = MshrFile::new(4, 48);
+    }
+
+    /// MSHR occupancy never exceeds capacity and always drains by the last
+    /// completion time.
+    #[test]
+    fn mshr_occupancy_bounded() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x88 ^ case);
+            let mut m = MshrFile::new(4, 64);
+            let mut horizon = 0;
+            let n = 1 + rng.range(0, 80);
+            for now in 0..n {
+                let addr = Addr::new(rng.range(0, 1 << 14));
+                let ready = now + 1 + rng.range(0, 299);
+                match m.allocate(addr, now, ready) {
+                    MshrOutcome::Allocated | MshrOutcome::Merged(_) => {}
+                    MshrOutcome::Full => {}
+                }
+                assert!(m.outstanding(now) <= 4, "case {case}");
+                horizon = horizon.max(ready);
+            }
+            assert_eq!(m.outstanding(horizon), 0, "case {case}");
+        }
+    }
+
+    /// An MSHR file that retires expired entries on every call: the `MshrFile`
+    /// behaviour before it kept the earliest ready cycle.
+    struct EagerMshr {
+        slots: Vec<(Addr, u64)>,
+        capacity: usize,
+    }
+
+    impl EagerMshr {
+        fn retire(&mut self, now: u64) {
+            self.slots.retain(|&(_, ready)| ready > now);
+        }
+
+        fn pending(&mut self, addr: Addr, now: u64) -> Option<u64> {
+            self.retire(now);
+            let line = addr.line(64);
+            self.slots.iter().find(|s| s.0 == line).map(|s| s.1)
+        }
+
+        fn allocate(&mut self, addr: Addr, now: u64, ready: u64) -> MshrOutcome {
+            self.retire(now);
+            let line = addr.line(64);
+            if let Some(&(_, r)) = self.slots.iter().find(|s| s.0 == line) {
+                return MshrOutcome::Merged(r);
+            }
+            if self.slots.len() >= self.capacity {
+                return MshrOutcome::Full;
+            }
+            self.slots.push((line, ready));
+            MshrOutcome::Allocated
+        }
+    }
+
+    /// `MshrFile` with its early-returning `retire` gives the same outcomes and
+    /// outstanding counts as a file that retires on every call, over random
+    /// address/cycle traces.
+    #[test]
+    fn mshr_matches_eager_retire_reference() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x35E ^ case);
+            let capacity = rng.range_usize(1, 17);
+            let mut m = MshrFile::new(capacity, 64);
+            let mut reference = EagerMshr {
+                slots: Vec::new(),
+                capacity,
+            };
+            let mut now = 0u64;
+            for i in 0..1_000 {
+                now += rng.range(0, 4) * rng.range(0, 8);
+                let addr = Addr::new(rng.range(0, 1 << 11));
+                match rng.range(0, 4) {
+                    0 => assert_eq!(m.pending(addr, now), reference.pending(addr, now)),
+                    1 => {
+                        reference.retire(now);
+                        assert_eq!(m.outstanding(now), reference.slots.len());
+                    }
+                    _ => {
+                        let ready = now + 1 + rng.range(0, 120);
+                        assert_eq!(
+                            m.allocate(addr, now, ready),
+                            reference.allocate(addr, now, ready),
+                            "case {case}, op {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

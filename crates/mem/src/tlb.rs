@@ -22,9 +22,9 @@ impl Tlb {
     /// Table 3's data-TLB entries (128).
     pub const HPCA2004_DTLB_ENTRIES: usize = 128;
     /// Table 3's page size (8 KB).
-    pub const HPCA2004_PAGE_BYTES: u64 = 8192;
+    pub(crate) const HPCA2004_PAGE_BYTES: u64 = 8192;
     /// Table 3's page-walk penalty in cycles (30).
-    pub const HPCA2004_WALK_CYCLES: u64 = 30;
+    pub(crate) const HPCA2004_WALK_CYCLES: u64 = 30;
 
     /// Creates a TLB with `capacity` entries over `page_bytes` pages,
     /// charging `miss_penalty` cycles per miss.
@@ -32,7 +32,7 @@ impl Tlb {
     /// # Panics
     ///
     /// Panics if `capacity` is zero or `page_bytes` is not a power of two.
-    pub fn new(capacity: usize, page_bytes: u64, miss_penalty: u64) -> Self {
+    pub(crate) fn new(capacity: usize, page_bytes: u64, miss_penalty: u64) -> Self {
         assert!(capacity > 0, "TLB capacity must be positive");
         assert!(
             page_bytes.is_power_of_two(),
@@ -49,7 +49,7 @@ impl Tlb {
 
     /// Translates `addr`, returning the added latency (0 on a hit, the walk
     /// penalty on a miss). The missing page is filled.
-    pub fn access(&mut self, addr: Addr) -> u64 {
+    pub(crate) fn access(&mut self, addr: Addr) -> u64 {
         self.tick += 1;
         let tick = self.tick;
         let page = addr.raw() >> self.page_shift;
@@ -88,6 +88,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_workloads::Srng;
 
     #[test]
     fn hit_after_fill() {
@@ -146,6 +147,71 @@ mod tests {
         }
         for n in 0..128u64 {
             assert_eq!(d.access(Addr::new(n * 8192)), 0, "128 pages fit the DTLB");
+        }
+    }
+
+    /// A fully-associative LRU TLB as a linear scan: the lookup `Tlb` replaced
+    /// with a sorted array and a page shift.
+    struct ScanTlb {
+        entries: Vec<(u64, u64)>,
+        capacity: usize,
+        page_bytes: u64,
+        penalty: u64,
+        tick: u64,
+    }
+
+    impl ScanTlb {
+        fn access(&mut self, addr: Addr) -> u64 {
+            self.tick += 1;
+            let page = addr.raw() / self.page_bytes;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == page) {
+                e.1 = self.tick;
+                return 0;
+            }
+            if self.entries.len() == self.capacity {
+                let lru = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].1)
+                    .unwrap();
+                self.entries.remove(lru);
+            }
+            self.entries.push((page, self.tick));
+            self.penalty
+        }
+    }
+
+    /// `Tlb` gives the same penalty on every access as the linear-scan LRU
+    /// reference, over page-local random traces.
+    #[test]
+    fn tlb_matches_linear_scan_lru() {
+        for case in 0..64 {
+            let mut rng = Srng::new(0x71B ^ case);
+            let capacity = rng.range_usize(1, 130);
+            let page_bytes = 1 << rng.range(6, 14);
+            let mut tlb = Tlb::new(capacity, page_bytes, 30);
+            let mut reference = ScanTlb {
+                entries: Vec::new(),
+                capacity,
+                page_bytes,
+                penalty: 30,
+                tick: 0,
+            };
+            // Mostly the same or a nearby page, sometimes a far one, over a
+            // footprint of up to twice the capacity.
+            let pages = 2 * capacity as u64 + 1;
+            let mut page = 0u64;
+            for i in 0..2_000 {
+                page = match rng.range(0, 10) {
+                    0..=5 => page,
+                    6..=8 => (page + rng.range(0, 4)) % pages,
+                    _ => rng.range(0, pages),
+                };
+                let addr = Addr::new(page * page_bytes + rng.range(0, page_bytes));
+                assert_eq!(
+                    tlb.access(addr),
+                    reference.access(addr),
+                    "case {case}, access {i}"
+                );
+            }
         }
     }
 }

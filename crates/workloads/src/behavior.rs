@@ -20,7 +20,7 @@ use smt_isa::Addr;
 /// Used to derive per-occurrence pseudo-random values from a salt and an
 /// occurrence counter without any mutable RNG state.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -29,7 +29,7 @@ pub fn mix64(mut z: u64) -> u64 {
 
 /// Direction behaviour of a static conditional branch.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BranchBehavior {
+pub(crate) enum BranchBehavior {
     /// Loop back-edge: taken `period - 1` consecutive times, then not taken
     /// once. Perfectly predictable by a history predictor whose history
     /// covers the period; near-perfect (1/period miss rate) for bimodal.
@@ -90,7 +90,7 @@ impl BranchBehavior {
     ///
     /// Only [`BranchBehavior::Correlated`] consults the history; the other
     /// behaviours are pure functions of `n`.
-    pub fn taken(&self, n: u64, path_hist: u64) -> bool {
+    pub(crate) fn taken(&self, n: u64, path_hist: u64) -> bool {
         match *self {
             BranchBehavior::Loop { period } => (n % period as u64) != (period as u64 - 1),
             BranchBehavior::Pattern { bits, len } => (bits >> (n % len as u64)) & 1 == 1,
@@ -113,29 +113,11 @@ impl BranchBehavior {
             }
         }
     }
-
-    /// Long-run fraction of executions that are taken, in [0, 1]
-    /// (approximate for correlated branches: the marginal bias).
-    pub fn taken_rate(&self) -> f64 {
-        match *self {
-            BranchBehavior::Loop { period } => (period as f64 - 1.0) / period as f64,
-            BranchBehavior::Pattern { bits, len } => {
-                let mask = if len == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << len) - 1
-                };
-                (bits & mask).count_ones() as f64 / len as f64
-            }
-            BranchBehavior::Biased { p_taken_milli, .. }
-            | BranchBehavior::Correlated { p_taken_milli, .. } => p_taken_milli as f64 / 1000.0,
-        }
-    }
 }
 
 /// Target behaviour of a static indirect jump.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IndirectBehavior {
+pub(crate) struct IndirectBehavior {
     /// Candidate targets (switch arms, virtual-call receivers).
     pub targets: Vec<Addr>,
     /// Hash salt selecting among targets per occurrence.
@@ -153,7 +135,7 @@ impl IndirectBehavior {
     ///
     /// Panics if `targets` is empty.
     #[expect(clippy::cast_possible_truncation, reason = "idx < targets.len()")]
-    pub fn target(&self, n: u64) -> Addr {
+    pub(crate) fn target(&self, n: u64) -> Addr {
         assert!(!self.targets.is_empty(), "indirect branch with no targets");
         let idx = if self.sticky_run > 1 {
             mix64(self.salt ^ (n / self.sticky_run as u64)) % self.targets.len() as u64
@@ -166,7 +148,7 @@ impl IndirectBehavior {
 
 /// Effective-address behaviour of a static load or store.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MemBehavior {
+pub(crate) enum MemBehavior {
     /// Sequential/strided access over a small region — the cache-friendly
     /// pattern of ILP benchmarks.
     Stride {
@@ -202,11 +184,11 @@ pub enum MemBehavior {
 }
 
 /// Data accesses are aligned to this many bytes.
-pub const ACCESS_ALIGN: u64 = 8;
+pub(crate) const ACCESS_ALIGN: u64 = 8;
 
 impl MemBehavior {
     /// Effective address of the `n`-th dynamic execution.
-    pub fn address(&self, n: u64) -> Addr {
+    pub(crate) fn address(&self, n: u64) -> Addr {
         match *self {
             MemBehavior::Stride {
                 base,
@@ -221,22 +203,14 @@ impl MemBehavior {
     }
 
     /// Whether this is a pointer-chase access (serialized by construction).
-    pub fn is_chase(&self) -> bool {
+    pub(crate) fn is_chase(&self) -> bool {
         matches!(self, MemBehavior::Chase { .. })
-    }
-
-    /// Size in bytes of the region this access pattern touches.
-    pub fn footprint(&self) -> u64 {
-        match *self {
-            MemBehavior::Stride { stride, period, .. } => stride as u64 * period as u64,
-            MemBehavior::Region { size, .. } | MemBehavior::Chase { size, .. } => size,
-        }
     }
 }
 
 /// Per-static-instruction behaviour, stored alongside the instruction table.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Behavior {
+pub(crate) enum Behavior {
     /// No dynamic behaviour (plain ALU instruction, direct jump/call/return).
     None,
     /// Conditional-branch direction generator.
@@ -256,7 +230,6 @@ mod tests {
         let b = BranchBehavior::Loop { period: 4 };
         let dirs: Vec<bool> = (0..8).map(|n| b.taken(n, 0)).collect();
         assert_eq!(dirs, [true, true, true, false, true, true, true, false]);
-        assert!((b.taken_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -267,7 +240,6 @@ mod tests {
         };
         let dirs: Vec<bool> = (0..8).map(|n| b.taken(n, 0)).collect();
         assert_eq!(dirs, [false, true, true, false, false, true, true, false]);
-        assert!((b.taken_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -280,7 +252,6 @@ mod tests {
         let taken = (0..100_000).filter(|&n| b.taken(n, 0)).count();
         let rate = taken as f64 / 100_000.0;
         assert!((rate - 0.8).abs() < 0.01, "observed rate {rate}");
-        assert!((b.taken_rate() - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -334,7 +305,6 @@ mod tests {
         assert_eq!(m.address(0), Addr::new(0x1_0000));
         assert_eq!(m.address(1), Addr::new(0x1_0008));
         assert_eq!(m.address(4), Addr::new(0x1_0000));
-        assert_eq!(m.footprint(), 32);
         assert!(!m.is_chase());
     }
 
@@ -401,6 +371,5 @@ mod tests {
             salt: 1,
         };
         assert!(m.is_chase());
-        assert_eq!(m.footprint(), 1 << 24);
     }
 }

@@ -43,7 +43,7 @@ const DATA_OFFSET: u64 = 0x1000_0000;
 ///     .base(Addr::new(0x40_0000))
 ///     .seed(7)
 ///     .build();
-/// assert!(prog.len() > 500);
+/// assert!(prog.end() > prog.base().add_insts(500)); // over 500 instructions
 /// assert_eq!(prog.name(), "gzip");
 /// ```
 #[derive(Clone, Debug)]

@@ -35,7 +35,7 @@
 
 #![warn(missing_docs)]
 
-pub mod behavior;
+mod behavior;
 mod builder;
 mod program;
 mod rng;
@@ -43,10 +43,9 @@ mod spec;
 mod walker;
 mod workloads;
 
-pub use behavior::{Behavior, BranchBehavior, IndirectBehavior, MemBehavior};
 pub use builder::ProgramBuilder;
-pub use program::{Program, StaticStats};
+pub use program::Program;
 pub use rng::Srng;
-pub use spec::{BenchmarkProfile, InstMix, MemClass};
+pub use spec::BenchmarkProfile;
 pub use walker::{DynStats, Walker};
 pub use workloads::{UnknownBenchmarkError, Workload, WorkloadClass};

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use smt_isa::{Addr, InstClass, StaticInst, StaticInstId, INST_BYTES};
+use smt_isa::{Addr, StaticInst, StaticInstId, INST_BYTES};
 
 use crate::behavior::Behavior;
 
@@ -29,7 +29,12 @@ pub struct Program {
     /// Precomputed once so the fetch hot path resolves block boundaries in
     /// O(1) instead of scanning the instruction table.
     branch_dist: Arc<Vec<u32>>,
-    data_footprint: u64,
+    /// The profile's data working set. Nothing reads it; it stays for its
+    /// size, like `ThreadState`'s pad: perfbench's `mem_fig7` builds a
+    /// program per cell, and 8 bytes smaller every build extends and trims
+    /// glibc's heap (`setup_s` about 50% higher; the CHANGES.md `FOUND:`
+    /// line on `ThreadState`).
+    _data_footprint: u64,
 }
 
 /// Sentinel in the block-extent table: no branch between here and the end.
@@ -43,7 +48,7 @@ impl Program {
     /// Panics if the tables have different lengths, the table is empty, if
     /// instruction addresses are not contiguous from `base`, or if `entry`
     /// is outside the program.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         base: Addr,
         entry: Addr,
@@ -80,7 +85,7 @@ impl Program {
             insts: Arc::new(insts),
             behaviors: Arc::new(behaviors),
             branch_dist: Arc::new(branch_dist),
-            data_footprint,
+            _data_footprint: data_footprint,
         };
         assert!(prog.contains(entry), "entry point outside program");
         prog
@@ -102,19 +107,8 @@ impl Program {
     }
 
     /// Number of static instructions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.insts.len()
-    }
-
-    /// `true` if the program has no instructions (never: construction
-    /// forbids it; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-
-    /// Approximate data footprint in bytes (max over the access generators).
-    pub fn data_footprint(&self) -> u64 {
-        self.data_footprint
     }
 
     /// One past the highest instruction address.
@@ -137,12 +131,12 @@ impl Program {
     }
 
     /// The static instruction with table index `id`.
-    pub fn inst(&self, id: StaticInstId) -> &StaticInst {
+    pub(crate) fn inst(&self, id: StaticInstId) -> &StaticInst {
         &self.insts[id as usize]
     }
 
     /// The behaviour generator for static instruction `id`.
-    pub fn behavior(&self, id: StaticInstId) -> &Behavior {
+    pub(crate) fn behavior(&self, id: StaticInstId) -> &Behavior {
         &self.behaviors[id as usize]
     }
 
@@ -183,18 +177,21 @@ impl Program {
     /// O(1): read from the precomputed block-extent table. This is what
     /// lets [`crate::Walker::next_block`] decode a whole straight-line run
     /// with one bounds check and no per-instruction class dispatch.
-    pub fn dist_to_branch(&self, id: StaticInstId) -> Option<u32> {
+    pub(crate) fn dist_to_branch(&self, id: StaticInstId) -> Option<u32> {
         let dist = self.branch_dist[id as usize];
         (dist != NO_BRANCH).then_some(dist)
     }
 
     /// Iterates over the static instructions.
-    pub fn iter(&self) -> impl Iterator<Item = &StaticInst> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &StaticInst> {
         self.insts.iter()
     }
 
     /// Static statistics useful for calibration checks.
-    pub fn static_stats(&self) -> StaticStats {
+    #[cfg(test)]
+    pub(crate) fn static_stats(&self) -> StaticStats {
+        use smt_isa::InstClass;
         let mut s = StaticStats::default();
         for inst in self.insts.iter() {
             s.insts += 1;
@@ -216,8 +213,9 @@ impl Program {
 }
 
 /// Static instruction-mix counts for a program.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StaticStats {
+pub(crate) struct StaticStats {
     /// Total static instructions.
     pub insts: u64,
     /// Static loads.
@@ -232,9 +230,10 @@ pub struct StaticStats {
     pub fp: u64,
 }
 
+#[cfg(test)]
 impl StaticStats {
     /// Mean distance between branches ≈ static basic-block size.
-    pub fn avg_bb_size(&self) -> f64 {
+    pub(crate) fn avg_bb_size(&self) -> f64 {
         if self.branches == 0 {
             return self.insts as f64;
         }
@@ -245,7 +244,7 @@ impl StaticStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smt_isa::BranchKind;
+    use smt_isa::{BranchKind, InstClass};
 
     fn tiny_program() -> Program {
         // 4 instructions: alu, load, cond-branch, alu.
@@ -281,7 +280,6 @@ mod tests {
     fn lookup_by_address() {
         let p = tiny_program();
         assert_eq!(p.len(), 4);
-        assert!(!p.is_empty());
         assert!(p.contains(Addr::new(0x1000)));
         assert!(p.contains(Addr::new(0x100c)));
         assert!(!p.contains(Addr::new(0x1010)));

@@ -47,7 +47,7 @@ impl Srng {
 
     /// [`Srng::range`] narrowed to `u16` (architectural register indices).
     #[expect(clippy::cast_possible_truncation, reason = "draw < hi ≤ 2^16")]
-    pub fn range_u16(&mut self, lo: u64, hi: u64) -> u16 {
+    pub(crate) fn range_u16(&mut self, lo: u64, hi: u64) -> u16 {
         debug_assert!(hi <= 1 << 16, "range_u16 bound {hi} exceeds u16");
         self.range(lo, hi) as u16
     }
@@ -59,7 +59,7 @@ impl Srng {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn f64(&mut self) -> f64 {
+    pub(crate) fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -72,7 +72,7 @@ impl Srng {
     ///
     /// Used for basic-block sizes: integer-code block sizes are short-tailed
     /// and skewed, which a clamped geometric reproduces well.
-    pub fn geometric(&mut self, mean: f64, cap: u64) -> u64 {
+    pub(crate) fn geometric(&mut self, mean: f64, cap: u64) -> u64 {
         if mean <= 1.0 {
             return 1;
         }

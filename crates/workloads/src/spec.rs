@@ -23,13 +23,6 @@ pub enum MemClass {
     Mem,
 }
 
-impl MemClass {
-    /// Whether the class counts as memory-bounded for workload construction.
-    pub fn is_mem(self) -> bool {
-        !matches!(self, MemClass::Ilp)
-    }
-}
-
 /// Calibration profile for one synthetic benchmark clone.
 ///
 /// Passive configuration record (public fields by design); consumed by
@@ -96,7 +89,7 @@ pub struct InstMix {
 
 impl InstMix {
     /// Typical SPECint mix.
-    pub const INT: InstMix = InstMix {
+    const INT: InstMix = InstMix {
         load: 0.24,
         store: 0.10,
         fp: 0.01,
@@ -117,7 +110,7 @@ impl BenchmarkProfile {
     /// # Errors
     ///
     /// Returns `None` for an unknown name.
-    pub fn by_name(name: &str) -> Option<BenchmarkProfile> {
+    pub(crate) fn by_name(name: &str) -> Option<BenchmarkProfile> {
         Some(match name {
             "gzip" => Self::gzip(),
             "vpr" => Self::vpr(),
@@ -188,7 +181,7 @@ impl BenchmarkProfile {
     }
 
     /// 175.vpr — place & route; mildly memory-bounded, harder branches.
-    pub fn vpr() -> BenchmarkProfile {
+    pub(crate) fn vpr() -> BenchmarkProfile {
         BenchmarkProfile {
             hard_frac: 0.02,
             working_set: 3 * MB,
@@ -201,7 +194,7 @@ impl BenchmarkProfile {
 
     /// 176.gcc — compiler; short blocks, big code footprint, many calls and
     /// indirect jumps.
-    pub fn gcc() -> BenchmarkProfile {
+    pub(crate) fn gcc() -> BenchmarkProfile {
         BenchmarkProfile {
             num_funcs: 28,
             runs_per_func: 26,
@@ -217,7 +210,7 @@ impl BenchmarkProfile {
 
     /// 181.mcf — network simplex; tiny blocks, huge pointer-chased working
     /// set. The canonical memory-bounded thread.
-    pub fn mcf() -> BenchmarkProfile {
+    pub(crate) fn mcf() -> BenchmarkProfile {
         BenchmarkProfile {
             hard_frac: 0.03,
             working_set: 32 * MB,
@@ -235,7 +228,7 @@ impl BenchmarkProfile {
     }
 
     /// 186.crafty — chess; high ILP, long blocks, predictable.
-    pub fn crafty() -> BenchmarkProfile {
+    pub(crate) fn crafty() -> BenchmarkProfile {
         BenchmarkProfile {
             hard_frac: 0.025,
             dep_chains: 16,
@@ -245,7 +238,7 @@ impl BenchmarkProfile {
     }
 
     /// 197.parser — link parser; shortish blocks, moderate memory.
-    pub fn parser() -> BenchmarkProfile {
+    pub(crate) fn parser() -> BenchmarkProfile {
         BenchmarkProfile {
             hard_frac: 0.025,
             working_set: 128 * KB,
@@ -256,7 +249,7 @@ impl BenchmarkProfile {
     }
 
     /// 252.eon — C++ ray tracer; some FP, deep call chains, high ILP.
-    pub fn eon() -> BenchmarkProfile {
+    pub(crate) fn eon() -> BenchmarkProfile {
         BenchmarkProfile {
             call_frac: 0.16,
             indirect_frac: 0.04,
@@ -275,7 +268,7 @@ impl BenchmarkProfile {
 
     /// 253.perlbmk — interpreter; indirect-branch heavy, mildly
     /// memory-bounded (grouped with MEM in the paper's 4_MEM workload).
-    pub fn perlbmk() -> BenchmarkProfile {
+    pub(crate) fn perlbmk() -> BenchmarkProfile {
         BenchmarkProfile {
             num_funcs: 18,
             call_frac: 0.12,
@@ -289,7 +282,7 @@ impl BenchmarkProfile {
     }
 
     /// 254.gap — group theory; high ILP.
-    pub fn gap() -> BenchmarkProfile {
+    pub(crate) fn gap() -> BenchmarkProfile {
         BenchmarkProfile {
             hard_frac: 0.025,
             dep_chains: 14,
@@ -311,7 +304,7 @@ impl BenchmarkProfile {
     }
 
     /// 256.bzip2 — compression; high ILP, predictable, strided.
-    pub fn bzip2() -> BenchmarkProfile {
+    pub(crate) fn bzip2() -> BenchmarkProfile {
         BenchmarkProfile {
             pattern_frac: 0.03,
             hard_frac: 0.02,
@@ -323,7 +316,7 @@ impl BenchmarkProfile {
     }
 
     /// 300.twolf — place & route; strongly memory-bounded, hard branches.
-    pub fn twolf() -> BenchmarkProfile {
+    pub(crate) fn twolf() -> BenchmarkProfile {
         BenchmarkProfile {
             hard_frac: 0.025,
             working_set: 12 * MB,
@@ -391,15 +384,15 @@ mod tests {
 
     #[test]
     fn mem_classes_match_table2_grouping() {
-        assert!(BenchmarkProfile::mcf().mem_class.is_mem());
-        assert!(BenchmarkProfile::twolf().mem_class.is_mem());
-        assert!(BenchmarkProfile::vpr().mem_class.is_mem());
-        assert!(BenchmarkProfile::perlbmk().mem_class.is_mem());
+        assert!(BenchmarkProfile::mcf().mem_class != MemClass::Ilp);
+        assert!(BenchmarkProfile::twolf().mem_class != MemClass::Ilp);
+        assert!(BenchmarkProfile::vpr().mem_class != MemClass::Ilp);
+        assert!(BenchmarkProfile::perlbmk().mem_class != MemClass::Ilp);
         for ilp in [
             "gzip", "gcc", "crafty", "parser", "eon", "gap", "vortex", "bzip2",
         ] {
             assert!(
-                !BenchmarkProfile::by_name(ilp).unwrap().mem_class.is_mem(),
+                BenchmarkProfile::by_name(ilp).unwrap().mem_class == MemClass::Ilp,
                 "{ilp} should be ILP"
             );
         }

@@ -134,7 +134,6 @@ pub struct Walker {
     pc: Addr,
     counters: Vec<u64>,
     ret_stack: Presized<Vec<Addr>>,
-    produced: u64,
     /// Architectural conditional-outcome history (most recent in bit 0);
     /// the input of `BranchBehavior::Correlated` generators.
     path_hist: u64,
@@ -161,7 +160,6 @@ impl Walker {
             // Pre-sized to the hard depth bound: a call can never grow the
             // stack mid-simulation (the steady-state loop is allocation-free).
             ret_stack: Presized::vec(MAX_CALL_DEPTH),
-            produced: 0,
             path_hist: 0,
             undo: UndoRing::new(),
         }
@@ -175,16 +173,6 @@ impl Walker {
     /// PC of the next correct-path instruction.
     pub fn pc(&self) -> Addr {
         self.pc
-    }
-
-    /// Number of correct-path instructions produced so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
-
-    /// Current call-stack depth.
-    pub fn call_depth(&self) -> usize {
-        self.ret_stack.len()
     }
 
     /// Produces the next correct-path dynamic instruction and advances.
@@ -271,7 +259,6 @@ impl Walker {
         };
 
         self.pc = next_pc;
-        self.produced += 1;
         self.undo.push(undo);
         DynInst {
             thread: self.thread,
@@ -300,7 +287,7 @@ impl Walker {
     /// unchanged. Proven by `next_block_equals_repeated_next_inst`.
     ///
     /// The fast path: the program's precomputed block-extent table
-    /// ([`Program::dist_to_branch`]) identifies the whole non-branch run up
+    /// (`Program::dist_to_branch`) identifies the whole non-branch run up
     /// front, which amortizes the per-instruction `inst_at` bounds check
     /// and skips behaviour dispatch for everything but loads and stores.
     /// Branches fall back to the full [`Walker::next_inst`] logic.
@@ -374,7 +361,6 @@ impl Walker {
                 };
             }
             self.pc = first.addr.add_insts(run as u64);
-            self.produced += run as u64;
             produced += run;
         }
         produced
@@ -410,7 +396,6 @@ impl Walker {
                 }
                 StackOp::Popped(a) => self.ret_stack.push(a),
             }
-            self.produced -= 1;
         }
     }
 
@@ -579,9 +564,8 @@ mod tests {
         let mut w = walker("vortex", 2);
         for _ in 0..300_000 {
             let _ = w.next_inst();
-            assert!(w.call_depth() < 100);
+            assert!(w.ret_stack.len() < 100);
         }
-        assert_eq!(w.produced(), 300_000);
     }
 
     #[test]
@@ -686,8 +670,18 @@ mod tests {
                     );
                 }
                 assert_eq!(bulk.pc(), single.pc(), "{} round {round}", profile.name);
-                assert_eq!(bulk.produced(), single.produced(), "{}", profile.name);
-                assert_eq!(bulk.call_depth(), single.call_depth(), "{}", profile.name);
+                assert_eq!(
+                    bulk.clone().next_inst(),
+                    single.clone().next_inst(),
+                    "{} round {round}: next instruction",
+                    profile.name
+                );
+                assert_eq!(
+                    bulk.ret_stack.len(),
+                    single.ret_stack.len(),
+                    "{}",
+                    profile.name
+                );
                 // Mid-block rollback: rewind both walkers into the block
                 // just produced and replay.
                 if rng.chance(0.2) && k > 1 {
@@ -729,13 +723,11 @@ mod tests {
         }
         // Snapshot the next 300 instructions, roll back, re-produce.
         let pc = w.pc();
-        let depth = w.call_depth();
-        let produced = w.produced();
+        let depth = w.ret_stack.len();
         let first: Vec<_> = (0..300).map(|_| w.next_inst()).collect();
         w.rollback(300);
         assert_eq!(w.pc(), pc);
-        assert_eq!(w.call_depth(), depth);
-        assert_eq!(w.produced(), produced);
+        assert_eq!(w.ret_stack.len(), depth);
         let second: Vec<_> = (0..300).map(|_| w.next_inst()).collect();
         assert_eq!(first, second, "rollback must be exact");
     }
@@ -764,15 +756,19 @@ mod tests {
             let _ = w.next_inst();
         }
         let pc_before = w.pc();
-        let produced_before = w.produced();
+        let mut untouched = w.clone();
         let wp = w.wrong_path(pc_before, false, Addr::NULL);
         assert!(wp.wrong_path);
         assert_eq!(w.pc(), pc_before);
-        assert_eq!(w.produced(), produced_before);
-        // Correct path resumes untouched.
+        // Correct path resumes untouched: the same stream as a copy taken
+        // before the wrong-path instruction.
         let d = w.next_inst();
         assert_eq!(d.pc, pc_before);
         assert!(!d.wrong_path);
+        assert_eq!(d, untouched.next_inst());
+        for _ in 0..100 {
+            assert_eq!(w.next_inst(), untouched.next_inst());
+        }
     }
 
     #[test]
@@ -809,7 +805,7 @@ mod tests {
     #[test]
     fn mem_instructions_get_addresses_in_working_set() {
         let mut w = walker("mcf", 9);
-        let ws = w.program().data_footprint();
+        let ws = BenchmarkProfile::mcf().working_set;
         let mut seen_mem = 0;
         for _ in 0..50_000 {
             let d = w.next_inst();

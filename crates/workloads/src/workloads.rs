@@ -150,7 +150,7 @@ impl Workload {
     }
 
     /// `6_ILP`: eon, gcc, gzip, bzip2, crafty, vortex.
-    pub fn ilp6() -> Self {
+    pub(crate) fn ilp6() -> Self {
         Self::table2(
             "6_ILP",
             WorkloadClass::Ilp,
@@ -159,7 +159,7 @@ impl Workload {
     }
 
     /// `6_MIX`: gzip, twolf, bzip2, mcf, vpr, eon.
-    pub fn mix6() -> Self {
+    pub(crate) fn mix6() -> Self {
         Self::table2(
             "6_MIX",
             WorkloadClass::Mix,
@@ -378,7 +378,8 @@ mod tests {
         assert_eq!(progs.len(), 4);
         for (i, a) in progs.iter().enumerate() {
             for b in progs.iter().skip(i + 1) {
-                let a_end = a.base().raw() + 0x1000_0000 + a.data_footprint();
+                let ws = BenchmarkProfile::by_name(a.name()).unwrap().working_set;
+                let a_end = a.base().raw() + 0x1000_0000 + ws;
                 assert!(
                     a_end <= b.base().raw() || b.base().raw() + THREAD_SPACE <= a.base().raw(),
                     "address overlap between {} and {}",

@@ -17,8 +17,10 @@
 //! ```
 //!
 //! Each run's report ends with its per-thread stall breakdown: the share of
-//! measured cycles each thread lost to each stall cause.
+//! measured cycles each thread lost to each stall cause. A reader that
+//! closes the pipe early (`smtfetch … | head`) ends the run quietly.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use smtfetch::core::{
@@ -202,15 +204,22 @@ fn simulate(
     Ok(sim.stats().clone())
 }
 
-fn report(engine: FetchEngineKind, policy: FetchPolicy, w: &Workload, s: &SimStats) {
-    println!("\n{engine} with {policy}");
-    println!("  fetch throughput   {:>7.2} IPFC", s.ipfc());
-    println!("  commit throughput  {:>7.2} IPC", s.ipc());
-    println!(
+fn report(
+    out: &mut impl Write,
+    engine: FetchEngineKind,
+    policy: FetchPolicy,
+    w: &Workload,
+    s: &SimStats,
+) -> io::Result<()> {
+    writeln!(out, "\n{engine} with {policy}")?;
+    writeln!(out, "  fetch throughput   {:>7.2} IPFC", s.ipfc())?;
+    writeln!(out, "  commit throughput  {:>7.2} IPC", s.ipc())?;
+    writeln!(
+        out,
         "  branch accuracy    {:>6.1}%   wrong-path fetch {:>5.1}%",
         s.branch_accuracy() * 100.0,
         s.wrong_path_fraction() * 100.0
-    );
+    )?;
     let per: Vec<String> = (0..w.num_threads())
         .map(|t| {
             format!(
@@ -220,12 +229,46 @@ fn report(engine: FetchEngineKind, policy: FetchPolicy, w: &Workload, s: &SimSta
             )
         })
         .collect();
-    println!("  per-thread IPC     {}", per.join("  "));
+    writeln!(out, "  per-thread IPC     {}", per.join("  "))?;
     if s.flushes > 0 {
-        println!("  long-latency flushes {}", s.flushes);
+        writeln!(out, "  long-latency flushes {}", s.flushes)?;
     }
     let title = format!("{} / {engine} / {policy}", w.name());
-    print!("{}", render_stall_breakdown(&title, s, w.num_threads()));
+    write!(
+        out,
+        "{}",
+        render_stall_breakdown(&title, s, w.num_threads())
+    )
+}
+
+/// Simulates and reports every requested engine; `Err` is a failed write.
+fn run(
+    o: &Options,
+    w: &Workload,
+    policy: FetchPolicy,
+    out: &mut impl Write,
+) -> io::Result<ExitCode> {
+    writeln!(out, "{w}")?;
+    writeln!(
+        out,
+        "seed {}  warmup {}  measured {} cycles",
+        o.seed, o.warmup, o.cycles
+    )?;
+    let engines: Vec<FetchEngineKind> = if o.all_engines {
+        FetchEngineKind::all_with_trace_cache().to_vec()
+    } else {
+        vec![o.engine]
+    };
+    for e in engines {
+        match simulate(w, e, policy, o) {
+            Ok(s) => report(out, e, policy, w, &s)?,
+            Err(err) => {
+                eprintln!("error: {err}");
+                return Ok(ExitCode::FAILURE);
+            }
+        }
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -250,24 +293,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    println!("{w}");
-    println!(
-        "seed {}  warmup {}  measured {} cycles",
-        o.seed, o.warmup, o.cycles
-    );
-    let engines: Vec<FetchEngineKind> = if o.all_engines {
-        FetchEngineKind::all_with_trace_cache().to_vec()
-    } else {
-        vec![o.engine]
-    };
-    for e in engines {
-        match simulate(&w, e, policy, &o) {
-            Ok(s) => report(e, policy, &w, &s),
-            Err(err) => {
-                eprintln!("error: {err}");
-                return ExitCode::FAILURE;
-            }
+    match run(&o, &w, policy, &mut io::stdout().lock()) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: writing the report: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

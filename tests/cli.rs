@@ -1,7 +1,8 @@
 //! The `smtfetch` binary turns bad input into a diagnostic and exit code 2,
 //! never a panic.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 use smtfetch::core::{FetchEngineKind, PolicyKind};
 
@@ -90,4 +91,27 @@ fn every_run_reports_a_per_thread_stall_breakdown() {
     for (t, row) in rows.iter().enumerate() {
         assert!(row.starts_with(&format!("T{t} ")), "{row}");
     }
+}
+
+/// A reader that closes the pipe after one line (`smtfetch … | head -1`)
+/// ends the run quietly: no panic, no backtrace, no exit status 101.
+#[test]
+fn closed_stdout_ends_the_run_without_panicking() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_smtfetch"))
+        .args(["-w", "gzip,twolf", "-c", "2000", "--warmup", "100"])
+        .arg("--all-engines")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run smtfetch");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.contains("gzip"), "first line: {first}");
+    // The reader above is dropped: the pipe is closed.
+    let out = child.wait_with_output().expect("wait for smtfetch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "panicked:\n{stderr}");
 }
