@@ -21,7 +21,7 @@ pub struct ReturnStack {
 }
 
 /// A repair checkpoint: captures the stack's top state at prediction time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RasCheckpoint {
     top: usize,
     depth: usize,

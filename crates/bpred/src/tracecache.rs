@@ -19,7 +19,7 @@ use smt_isa::{Addr, BranchKind};
 use crate::assoc::SetAssoc;
 
 /// One contiguous segment of a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceSegment {
     /// First instruction of the segment.
     pub start: Addr,
@@ -33,13 +33,14 @@ pub struct TraceSegment {
     pub end_taken: bool,
 }
 
-/// A stored dynamic instruction sequence.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A stored dynamic instruction sequence. Its segments are held inline, so
+/// a trace is `Copy` and filling or hitting one never allocates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Trace {
-    /// Contiguous segments, in dynamic order.
-    pub segments: Vec<TraceSegment>,
-    /// Direction bits of the trace's conditional branches, oldest first.
-    pub cond_dirs: Vec<bool>,
+    /// Contiguous segments in dynamic order; the first `num_segments` are
+    /// live, the rest stay default.
+    segments: [TraceSegment; Trace::MAX_SEGMENTS],
+    num_segments: usize,
     /// Address execution continues at after the trace.
     pub next_pc: Addr,
 }
@@ -50,23 +51,37 @@ impl Trace {
     /// Maximum contiguous segments (i.e. embedded taken branches + 1).
     pub const MAX_SEGMENTS: usize = 3;
 
-    /// Total instructions in the trace.
-    pub(crate) fn len(&self) -> u32 {
-        self.segments.iter().map(|s| s.len).sum()
+    /// An empty trace continuing at `next_pc`.
+    pub fn new(next_pc: Addr) -> Self {
+        Trace {
+            segments: [TraceSegment::default(); Trace::MAX_SEGMENTS],
+            num_segments: 0,
+            next_pc,
+        }
     }
 
-    /// Whether the trace has no segments.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Starting address (first segment's start).
+    /// Appends a segment.
     ///
     /// # Panics
     ///
-    /// Panics if the trace is empty.
-    pub(crate) fn start(&self) -> Addr {
-        self.segments[0].start
+    /// Panics if the trace already holds [`Trace::MAX_SEGMENTS`] segments.
+    pub fn push(&mut self, seg: TraceSegment) {
+        self.segments[self.num_segments] = seg;
+        self.num_segments += 1;
+    }
+
+    /// The segments, in dynamic order.
+    pub fn segments(&self) -> &[TraceSegment] {
+        &self.segments[..self.num_segments]
+    }
+
+    /// Directions of the segment-ending conditional branches, oldest
+    /// first: the trace's direction vector.
+    pub fn cond_dirs(&self) -> impl Iterator<Item = bool> + '_ {
+        self.segments()
+            .iter()
+            .filter(|s| s.end_kind == Some(BranchKind::Cond))
+            .map(|s| s.end_taken)
     }
 }
 
@@ -97,12 +112,12 @@ impl TraceCache {
         TraceCache::new(512, 4)
     }
 
-    fn set_and_tag(&self, start: Addr, dirs: &[bool]) -> (u64, u64) {
+    fn set_and_tag(&self, start: Addr, dirs: impl Iterator<Item = bool>) -> (u64, u64) {
         let word = start.raw() >> 2;
         // Fold the direction vector into the tag so different paths from
         // the same start occupy different ways (path associativity).
         let mut dir_bits = 0u64;
-        for (i, &d) in dirs.iter().enumerate().take(8) {
+        for (i, d) in dirs.enumerate().take(8) {
             dir_bits |= (d as u64) << i;
         }
         (
@@ -119,12 +134,11 @@ impl TraceCache {
         // Try the longest direction prefixes first: a trace with more
         // matching conditionals is the better (longer) fetch.
         for take in (0..=pred_dirs.len().min(8)).rev() {
-            let (set, tag) = self.set_and_tag(start, &pred_dirs[..take]);
+            let dirs = pred_dirs[..take].iter().copied();
+            let (set, tag) = self.set_and_tag(start, dirs.clone());
             if let Some(t) = self.table.lookup(set, tag) {
-                if t.cond_dirs.len() == take
-                    && t.cond_dirs.iter().zip(pred_dirs).all(|(a, b)| a == b)
-                {
-                    return Some(t.clone());
+                if t.cond_dirs().eq(dirs) {
+                    return Some(*t);
                 }
             }
         }
@@ -134,17 +148,16 @@ impl TraceCache {
     /// Installs a trace collected by the fill unit.
     ///
     /// Traces that are empty or longer than [`Trace::MAX_INSTS`] are
-    /// rejected (fill-unit bugs), as are traces with more conditionals than
-    /// the direction-tag can hold.
+    /// rejected (fill-unit bugs).
     pub fn fill(&mut self, trace: Trace) {
-        if trace.is_empty()
-            || trace.len() > Trace::MAX_INSTS
-            || trace.segments.len() > Trace::MAX_SEGMENTS
-            || trace.cond_dirs.len() > 8
-        {
+        let segs = trace.segments();
+        let Some(first) = segs.first() else {
+            return;
+        };
+        if segs.iter().map(|s| s.len).sum::<u32>() > Trace::MAX_INSTS {
             return;
         }
-        let (set, tag) = self.set_and_tag(trace.start(), &trace.cond_dirs);
+        let (set, tag) = self.set_and_tag(first.start, trace.cond_dirs());
         self.table.insert(set, tag, trace);
     }
 }
@@ -153,33 +166,29 @@ impl TraceCache {
 mod tests {
     use super::*;
 
-    fn two_segment_trace() -> Trace {
-        Trace {
-            segments: vec![
-                TraceSegment {
-                    start: Addr::new(0x1000),
-                    len: 6,
-                    end_kind: Some(BranchKind::Cond),
-                    end_taken: true,
-                },
-                TraceSegment {
-                    start: Addr::new(0x2000),
-                    len: 5,
-                    end_kind: Some(BranchKind::Cond),
-                    end_taken: false,
-                },
-            ],
-            cond_dirs: vec![true, false],
-            next_pc: Addr::new(0x2014),
+    fn seg(start: u64, len: u32, taken: bool) -> TraceSegment {
+        TraceSegment {
+            start: Addr::new(start),
+            len,
+            end_kind: Some(BranchKind::Cond),
+            end_taken: taken,
         }
+    }
+
+    fn two_segment_trace() -> Trace {
+        let mut t = Trace::new(Addr::new(0x2014));
+        t.push(seg(0x1000, 6, true));
+        t.push(seg(0x2000, 5, false));
+        t
     }
 
     #[test]
     fn geometry_helpers() {
         let t = two_segment_trace();
-        assert_eq!(t.len(), 11);
-        assert_eq!(t.start(), Addr::new(0x1000));
-        assert!(!t.is_empty());
+        assert_eq!(t.segments().iter().map(|s| s.len).sum::<u32>(), 11);
+        assert_eq!(t.segments()[0].start, Addr::new(0x1000));
+        assert!(t.cond_dirs().eq([true, false]));
+        assert!(Trace::new(Addr::NULL).segments().is_empty());
     }
 
     #[test]
@@ -203,13 +212,10 @@ mod tests {
     fn path_associativity_stores_both_paths() {
         let mut tc = TraceCache::new(64, 4);
         let a = two_segment_trace();
-        let mut b = two_segment_trace();
-        b.cond_dirs = vec![false];
-        b.segments.truncate(1);
-        b.segments[0].end_taken = false;
-        b.next_pc = Addr::new(0x1018);
-        tc.fill(a.clone());
-        tc.fill(b.clone());
+        let mut b = Trace::new(Addr::new(0x1018));
+        b.push(seg(0x1000, 6, false));
+        tc.fill(a);
+        tc.fill(b);
         assert_eq!(tc.lookup(Addr::new(0x1000), &[true, false]), Some(a));
         assert_eq!(tc.lookup(Addr::new(0x1000), &[false, true]), Some(b));
     }
@@ -217,9 +223,10 @@ mod tests {
     #[test]
     fn oversized_traces_are_rejected() {
         let mut tc = TraceCache::new(64, 4);
-        let mut t = two_segment_trace();
-        t.segments[0].len = 20; // 20 + 5 > 16
-        tc.fill(t.clone());
+        let mut t = Trace::new(Addr::new(0x2014));
+        t.push(seg(0x1000, 20, true)); // 20 + 5 > 16
+        t.push(seg(0x2000, 5, false));
+        tc.fill(t);
         assert!(tc.lookup(Addr::new(0x1000), &[true, false]).is_none());
         // A rejected fill does not replace the stored trace of its path.
         tc.fill(two_segment_trace());
@@ -236,7 +243,7 @@ mod tests {
         tc.fill(two_segment_trace());
         let mut updated = two_segment_trace();
         updated.next_pc = Addr::new(0x9999 & !3);
-        tc.fill(updated.clone());
+        tc.fill(updated);
         assert_eq!(tc.lookup(Addr::new(0x1000), &[true, false]), Some(updated));
     }
 }

@@ -1,10 +1,10 @@
 //! The baseline gshare+BTB front-end: one basic block per cycle.
 
 use smt_bpred::{Btb, GlobalHistory, Gshare};
-use smt_isa::{Addr, DynInst, ThreadId};
+use smt_isa::{Addr, DynInst, FetchBlock, ThreadId};
 use smt_workloads::Program;
 
-use super::{classic_block, BlockMeta, PredictedBlock, SpecState};
+use super::{classic_block, train_classic, BranchInfo, SpecState};
 
 /// gshare + BTB (the baseline SMT front-end).
 ///
@@ -43,9 +43,8 @@ impl GshareBtb {
         spec: &mut SpecState,
         program: &Program,
         width: u32,
-    ) -> PredictedBlock {
-        let meta = BlockMeta::capture(spec);
-        let block = classic_block(
+    ) -> FetchBlock {
+        classic_block(
             &mut self.gshare,
             &mut self.btb,
             thread,
@@ -53,27 +52,13 @@ impl GshareBtb {
             spec,
             program,
             width,
-        );
-        PredictedBlock {
-            block,
-            meta,
-            trace_group: None,
-        }
+        )
     }
 
     /// Trains gshare and the BTB with a committed branch predicted under
-    /// `hist`.
-    pub(crate) fn train_resolve(&mut self, hist: GlobalHistory, di: &DynInst) {
-        if di.is_cond_branch() {
-            // Every correct-path conditional ends a block under this engine,
-            // so each one was genuinely predicted.
-            self.gshare.update(di.pc, hist, di.taken);
-        }
-        if di.taken {
-            #[expect(clippy::expect_used, reason = "update only sees branches")]
-            let kind = di.class.branch_kind().expect("branch");
-            self.btb.record_taken(di.pc, di.next_pc, kind);
-        }
+    /// `hist` ([`train_classic`]).
+    pub(crate) fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
+        train_classic(&mut self.gshare, &mut self.btb, info, hist, di);
     }
 }
 
@@ -99,8 +84,7 @@ mod tests {
         let prog = program();
         let mut e = engine();
         let mut spec = SpecState::new(GshareBtb::HIST_BITS, prog.entry());
-        let pb = e.predict_block(0, prog.entry(), &mut spec, &prog, 8);
-        let b = &pb.block;
+        let b = e.predict_block(0, prog.entry(), &mut spec, &prog, 8);
         assert!(b.len >= 1 && b.len <= 8);
         // The block must not cross a cache line.
         assert!(b.start.line(LINE_BYTES) == b.last_pc().line(LINE_BYTES));
@@ -122,8 +106,7 @@ mod tests {
         let mut spec = SpecState::new(GshareBtb::HIST_BITS, prog.entry());
         let mut pc = prog.entry();
         for _ in 0..200 {
-            let pb = e.predict_block(0, pc, &mut spec, &prog, 8);
-            pc = pb.block.next_fetch;
+            pc = e.predict_block(0, pc, &mut spec, &prog, 8).next_fetch;
             // Stay in (or be clamped back into) the program.
             assert!(prog.contains(prog.clamp(pc)));
         }

@@ -2,9 +2,9 @@
 //! never-taken branches.
 
 use smt_bpred::{Ftb, GlobalHistory, Gskew, ObservedEnd};
-use smt_isa::{Addr, BranchKind, DynInst, ThreadId};
+use smt_isa::{Addr, BranchKind, DynInst, FetchBlock, ThreadId};
 
-use super::{branch_block, sequential_block, BlockMeta, BranchInfo, PredictedBlock, SpecState};
+use super::{branch_block, sequential_block, BranchInfo, SpecState};
 
 /// gskew + FTB: the fetch target buffer stores learned *fetch blocks* whose
 /// interiors may embed never-taken branches, so blocks routinely run past
@@ -46,9 +46,8 @@ impl GskewFtb {
         pc: Addr,
         spec: &mut SpecState,
         width: u32,
-    ) -> PredictedBlock {
-        let meta = BlockMeta::capture(spec);
-        let block = match self.ftb.lookup(pc) {
+    ) -> FetchBlock {
+        match self.ftb.lookup(pc) {
             Some(p) => {
                 let len = p.len.max(1);
                 match p.end {
@@ -81,11 +80,6 @@ impl GskewFtb {
                 }
             }
             None => sequential_block(thread, pc, width),
-        };
-        PredictedBlock {
-            block,
-            meta,
-            trace_group: None,
         }
     }
 
@@ -138,9 +132,10 @@ mod tests {
         let mut e = engine();
         let mut spec = SpecState::new(GskewFtb::HIST_BITS, prog.entry());
         let pc = prog.entry();
-        let pb = e.predict_block(0, pc, &mut spec, 8);
-        assert_eq!(pb.block.len, 8, "FTB cold miss fetches a width block");
-        assert!(pb.block.end_branch.is_none());
+        let hist = spec.hist;
+        let b = e.predict_block(0, pc, &mut spec, 8);
+        assert_eq!(b.len, 8, "FTB cold miss fetches a width block");
+        assert!(b.end_branch.is_none());
 
         // Train: a taken branch 3 instructions in.
         let di = DynInst {
@@ -161,9 +156,9 @@ mod tests {
             spec_taken: false,
             decode_redirect: false,
         };
-        e.train_resolve(&info, pb.meta.hist, &di);
-        let pb2 = e.predict_block(0, pc, &mut spec, 8);
-        assert_eq!(pb2.block.len, 3, "FTB learned the block extent");
-        assert_eq!(pb2.block.end_branch.unwrap().pc, di.pc);
+        e.train_resolve(&info, hist, &di);
+        let b2 = e.predict_block(0, pc, &mut spec, 8);
+        assert_eq!(b2.len, 3, "FTB learned the block extent");
+        assert_eq!(b2.end_branch.unwrap().pc, di.pc);
     }
 }

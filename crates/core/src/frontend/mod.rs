@@ -14,9 +14,11 @@
 //! * [`TraceCache`] — the related-work comparator: a trace cache over a
 //!   gshare+BTB core fetch unit.
 //!
-//! Engines own all predictor training, driven by the back end at branch
-//! resolve ([`FrontEnd::train_resolve`]) and at commit
-//! ([`Stream::train_commit`], [`TraceCache::fill_commit`]).
+//! The pipeline reaches the engines through three hooks only:
+//! [`FrontEnd::predict_blocks_into`] at prediction, [`FrontEnd::repair`] on
+//! a squash and [`FrontEnd::retire`] at commit, which trains every engine
+//! (resolve-time predictor updates, the stream predictor and the trace
+//! cache's fill unit) from the committed path.
 
 mod gshare_btb;
 mod gskew_ftb;
@@ -28,7 +30,9 @@ pub use gskew_ftb::GskewFtb;
 pub(crate) use stream::Stream;
 pub(crate) use trace_cache::TraceCache;
 
-use smt_bpred::{Btb, GlobalHistory, Gshare, RasCheckpoint, ReturnStack, StreamPath};
+use smt_bpred::{
+    Btb, GlobalHistory, Gshare, ObservedStream, RasCheckpoint, ReturnStack, StreamPath,
+};
 use smt_isa::{Addr, BranchKind, DynInst, EndBranch, FetchBlock, ThreadId};
 use smt_mem::CacheConfig;
 use smt_workloads::Program;
@@ -80,9 +84,37 @@ impl SpecState {
     }
 }
 
+/// Per-thread committed-path registers: the architectural twins of the
+/// speculative stream and history registers, advanced by
+/// [`FrontEnd::retire`] once per committed instruction.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CommitPath {
+    /// Start of the stream currently being committed.
+    pub stream_start: Addr,
+    /// Committed instructions in the current stream so far.
+    pub stream_len: u32,
+    /// Path of committed streams.
+    pub path: StreamPath,
+    /// Committed block-end history (mirrors the speculative history
+    /// discipline: only block-ending conditionals shift in).
+    pub hist_end: u64,
+}
+
+impl CommitPath {
+    /// Fresh registers for a thread entering at `entry`.
+    pub(crate) fn new(entry: Addr) -> Self {
+        CommitPath {
+            stream_start: entry,
+            stream_len: 0,
+            path: StreamPath::new(),
+            hist_end: 0,
+        }
+    }
+}
+
 /// Checkpoints captured when a block is predicted, used to repair the
 /// speculative state when a branch in that block squashes.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct BlockMeta {
     /// History before the block's end-branch prediction was shifted in.
     pub hist: GlobalHistory,
@@ -200,6 +232,26 @@ pub(crate) fn classic_block(
     }
 }
 
+/// Trains a [`classic_block`] fetch unit with a committed branch predicted
+/// under `hist`: gshare learns the direction of a block-ending
+/// conditional, the BTB the target of a taken branch.
+pub(crate) fn train_classic(
+    gshare: &mut Gshare,
+    btb: &mut Btb,
+    info: &BranchInfo,
+    hist: GlobalHistory,
+    di: &DynInst,
+) {
+    if info.is_end && di.is_cond_branch() {
+        gshare.update(di.pc, hist, di.taken);
+    }
+    if di.taken {
+        #[expect(clippy::expect_used, reason = "training only sees branches")]
+        let kind = di.class.branch_kind().expect("branch");
+        btb.record_taken(di.pc, di.next_pc, kind);
+    }
+}
+
 /// A plain sequential block: `len` instructions, falls through.
 pub(crate) fn sequential_block(thread: ThreadId, pc: Addr, len: u32) -> FetchBlock {
     let len = len.max(1);
@@ -259,15 +311,12 @@ pub(crate) fn branch_block(
 ///   prediction stage. May mutate the engine's tables (e.g. allocation
 ///   hints) and *must* speculatively update `spec` (history shift, RAS
 ///   push/pop, stream path) exactly as the emitted blocks imply, because
-///   the returned [`BlockMeta`] checkpoints are what
+///   the [`BlockMeta`] checkpoints it captures are what
 ///   [`repair`](FrontEnd::repair) later restores.
-/// * [`train_resolve`](FrontEnd::train_resolve) — called by the back end
-///   once per committed correct-path branch, with the prediction-time
-///   checkpoints and the actual outcome. Mutates predictor tables only.
-/// * [`Stream::train_commit`] — called at commit when a taken branch
-///   closes an architectural instruction stream, on the stream arm only.
-/// * [`TraceCache::fill_commit`] — called once per committed instruction,
-///   on the trace-cache arm only.
+/// * [`retire`](FrontEnd::retire) — called by the commit stage once per
+///   committed (correct-path) instruction, with the prediction-time
+///   history of its block and the actual outcome. Mutates predictor
+///   tables and the thread's committed-path registers only.
 /// * [`repair`](FrontEnd::repair) — called on a squash. Restores `spec`
 ///   from the `meta` checkpoint, then applies the *actual* outcome of the
 ///   squashing branch (`di`). Never touches predictor tables (training
@@ -316,8 +365,9 @@ impl FrontEnd {
     /// simulator, so each block is written once and the steady-state
     /// prediction stage performs no heap allocation.
     ///
-    /// Every engine emits one block except the trace cache, which on a hit
-    /// emits up to `max_blocks` segments of one trace.
+    /// Every engine emits one block, checkpointed here before the engine
+    /// updates `spec`, except the trace cache on a hit, which emits up to
+    /// `max_blocks` segments of one trace with a checkpoint each.
     #[expect(clippy::too_many_arguments, reason = "writes straight into the FTQ")]
     pub(crate) fn predict_blocks_into(
         &mut self,
@@ -329,31 +379,76 @@ impl FrontEnd {
         max_blocks: usize,
         out: &mut VecDeque<PredictedBlock>,
     ) {
-        match self {
-            FrontEnd::GshareBtb(e) => {
-                out.push_back(e.predict_block(thread, pc, spec, program, width))
-            }
-            FrontEnd::GskewFtb(e) => out.push_back(e.predict_block(thread, pc, spec, width)),
-            FrontEnd::Stream(e) => out.push_back(e.predict_block(thread, pc, spec, width)),
-            FrontEnd::TraceCache(e) => {
-                e.predict_trace(thread, pc, spec, program, width, max_blocks.max(1), out);
+        if let FrontEnd::TraceCache(e) = self {
+            if e.predict_trace(thread, pc, spec, max_blocks.max(1), out) {
+                return;
             }
         }
+        let meta = BlockMeta::capture(spec);
+        let block = match self {
+            FrontEnd::GshareBtb(e) => e.predict_block(thread, pc, spec, program, width),
+            FrontEnd::GskewFtb(e) => e.predict_block(thread, pc, spec, width),
+            FrontEnd::Stream(e) => e.predict_block(thread, pc, spec, width),
+            FrontEnd::TraceCache(e) => e.predict_block(thread, pc, spec, program, width),
+        };
+        out.push_back(PredictedBlock {
+            block,
+            meta,
+            trace_group: None,
+        });
     }
 
-    /// Trains the engine with a resolved correct-path branch.
+    /// Retires one committed instruction `di` of the thread whose
+    /// committed-path registers are `cp`: feeds the trace cache's fill
+    /// unit, advances the block-end history and the stream registers, and
+    /// trains the predictors.
     ///
-    /// Called by the back end when the branch commits. `info` and `hist`
-    /// carry the prediction-time state (`hist` is the history the direction
-    /// prediction was made under); `di` the actual outcome. The stream
-    /// front-end trains on completed streams instead
-    /// ([`Stream::train_commit`]).
-    pub(crate) fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
-        match self {
-            FrontEnd::GshareBtb(e) => e.train_resolve(hist, di),
-            FrontEnd::GskewFtb(e) => e.train_resolve(info, hist, di),
-            FrontEnd::Stream(_) => {}
-            FrontEnd::TraceCache(e) => e.train_resolve(info, hist, di),
+    /// `branch` is `di`'s branch record with the history its block was
+    /// predicted under, present whenever fetch attached one (every branch,
+    /// and a mispredicted non-branch). A committed branch trains the
+    /// engine's direction and target predictors; a taken one closes the
+    /// committed stream, which trains the stream predictor.
+    pub(crate) fn retire(
+        &mut self,
+        di: &DynInst,
+        branch: Option<(BranchInfo, GlobalHistory)>,
+        cp: &mut CommitPath,
+    ) {
+        if let FrontEnd::TraceCache(e) = self {
+            e.fill_commit(di, cp.hist_end);
+        }
+        if di.is_cond_branch() && branch.is_some_and(|(info, _)| info.is_end) {
+            cp.hist_end = (cp.hist_end << 1) | di.taken as u64;
+        }
+        cp.stream_len += 1;
+        if !di.is_branch() {
+            return;
+        }
+        if let Some((info, hist)) = branch {
+            match self {
+                FrontEnd::GshareBtb(e) => e.train_resolve(&info, hist, di),
+                FrontEnd::GskewFtb(e) => e.train_resolve(&info, hist, di),
+                FrontEnd::Stream(_) => {}
+                FrontEnd::TraceCache(e) => e.train_resolve(&info, hist, di),
+            }
+        }
+        if di.taken {
+            if let FrontEnd::Stream(e) = self {
+                #[expect(clippy::expect_used, reason = "di is a branch")]
+                let kind = di.class.branch_kind().expect("branch");
+                e.train_commit(
+                    cp.stream_start,
+                    &cp.path,
+                    ObservedStream {
+                        len: cp.stream_len,
+                        kind,
+                        target: di.next_pc,
+                    },
+                );
+            }
+            cp.path.push(cp.stream_start);
+            cp.stream_start = di.next_pc;
+            cp.stream_len = 0;
         }
     }
 

@@ -2,9 +2,9 @@
 //! direction predictor.
 
 use smt_bpred::{ObservedStream, StreamPath, StreamPredictor};
-use smt_isa::{Addr, BranchKind, ThreadId};
+use smt_isa::{Addr, BranchKind, FetchBlock, ThreadId};
 
-use super::{branch_block, sequential_block, BlockMeta, PredictedBlock, SpecState};
+use super::{branch_block, sequential_block, SpecState};
 
 /// The paper's stream fetch unit: a cascaded predictor of *instruction
 /// streams* (taken-target to next taken branch). Stream-ending branches are
@@ -38,9 +38,8 @@ impl Stream {
         pc: Addr,
         spec: &mut SpecState,
         width: u32,
-    ) -> PredictedBlock {
-        let meta = BlockMeta::capture(spec);
-        let block = match self.predictor.predict(pc, &spec.path) {
+    ) -> FetchBlock {
+        match self.predictor.predict(pc, &spec.path) {
             Some(p) => {
                 let len = p.len.max(1);
                 match p.end {
@@ -66,11 +65,6 @@ impl Stream {
                 }
             }
             None => sequential_block(thread, pc, width),
-        };
-        PredictedBlock {
-            block,
-            meta,
-            trace_group: None,
         }
     }
 
@@ -104,8 +98,8 @@ mod tests {
         let mut spec = SpecState::new(16, prog.entry());
         let pc = prog.entry();
         // Cold: sequential width block.
-        let pb = e.predict_block(0, pc, &mut spec, 16);
-        assert_eq!(pb.block.len, 16);
+        let b = e.predict_block(0, pc, &mut spec, 16);
+        assert_eq!(b.len, 16);
         // Commit-side training: a 24-instruction stream ending in a taken
         // branch to 0x40_2000.
         e.train_commit(
@@ -118,10 +112,10 @@ mod tests {
             },
         );
         let mut spec2 = SpecState::new(16, prog.entry());
-        let pb2 = e.predict_block(0, pc, &mut spec2, 16);
-        assert_eq!(pb2.block.len, 24, "stream longer than the fetch width");
-        assert_eq!(pb2.block.next_fetch, Addr::new(0x40_2000));
-        assert!(pb2.block.end_branch.unwrap().predicted_taken);
+        let b2 = e.predict_block(0, pc, &mut spec2, 16);
+        assert_eq!(b2.len, 24, "stream longer than the fetch width");
+        assert_eq!(b2.next_fetch, Addr::new(0x40_2000));
+        assert!(b2.end_branch.unwrap().predicted_taken);
     }
 
     #[test]

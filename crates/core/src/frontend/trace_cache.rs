@@ -2,13 +2,14 @@
 //! a gshare+BTB core fetch unit, with a commit-side fill unit.
 
 use smt_bpred::{Btb, GlobalHistory, Gshare, Trace, TraceCache as TraceStore, TraceSegment};
-use smt_isa::{Addr, BranchKind, DynInst, InstClass, ThreadId, MAX_THREADS};
+use smt_isa::{Addr, BranchKind, DynInst, FetchBlock, InstClass, Presized, ThreadId, MAX_THREADS};
 use smt_workloads::Program;
 
 use std::collections::VecDeque;
 
 use super::{
-    branch_block, classic_block, sequential_block, BlockMeta, BranchInfo, PredictedBlock, SpecState,
+    branch_block, classic_block, sequential_block, train_classic, BlockMeta, BranchInfo,
+    PredictedBlock, SpecState,
 };
 
 /// The fill unit's per-thread collection buffer: committed instructions
@@ -17,8 +18,9 @@ use super::{
 /// predictor trained.
 #[derive(Clone, Debug, Default)]
 struct FillBuffer {
-    /// `(pc, class, taken, next_pc)` of buffered committed instructions.
-    entries: Vec<(Addr, InstClass, bool, Addr)>,
+    /// `(pc, class, taken, next_pc)` of buffered committed instructions,
+    /// pre-sized to one trace line.
+    entries: Presized<Vec<(Addr, InstClass, bool, Addr)>>,
     /// Committed end-conditional history at the start of the buffer.
     start_hist: u64,
     /// Taken branches buffered so far.
@@ -73,24 +75,30 @@ impl TraceCache {
             gshare: core(),
             btb: Btb::hpca2004(),
             next_group: 1,
-            fill: vec![FillBuffer::default(); MAX_THREADS],
+            fill: vec![
+                FillBuffer {
+                    entries: Presized::vec(Trace::MAX_INSTS as usize),
+                    ..FillBuffer::default()
+                };
+                MAX_THREADS
+            ],
         }
     }
 
     /// Trace prediction: way-select by the multiple-branch direction
-    /// vector; on a hit emit the trace's segments, on a miss fall back to
-    /// the core fetch unit. Appends to `out`.
-    #[expect(clippy::too_many_arguments, reason = "writes straight into the FTQ")]
+    /// vector and, on a hit, append the trace's segments (up to
+    /// `max_blocks`) to `out`, each with its own checkpoint. Returns whether
+    /// the trace cache hit; on a miss nothing is emitted and `spec` is
+    /// untouched, and the core fetch unit ([`TraceCache::predict_block`])
+    /// supplies the block.
     pub(crate) fn predict_trace(
         &mut self,
         thread: ThreadId,
         pc: Addr,
         spec: &mut SpecState,
-        program: &Program,
-        width: u32,
         max_blocks: usize,
         out: &mut VecDeque<PredictedBlock>,
-    ) {
+    ) -> bool {
         // Multiple-branch prediction: up to 3 segment-end directions,
         // indexed by (start + i, incrementally updated history).
         let mut dirs = [false; 3];
@@ -99,89 +107,83 @@ impl TraceCache {
             *d = self.multi.predict(pc.add_insts(i as u64), h);
             h.push(*d);
         }
-        let hit = self.tc.lookup(pc, &dirs);
-        match hit {
-            Some(trace) => {
-                let group = self.next_group;
-                self.next_group += 1;
-                let nseg = trace.segments.len().min(max_blocks);
-                for (si, seg) in trace.segments.iter().take(nseg).enumerate() {
-                    let meta = BlockMeta::capture(spec);
-                    let next_start = if si + 1 < trace.segments.len() {
-                        trace.segments[si + 1].start
-                    } else {
-                        trace.next_pc
-                    };
-                    let block = match seg.end_kind {
-                        Some(kind) => {
-                            let taken = seg.end_taken;
-                            let end_pc = seg.start.add_insts(seg.len as u64 - 1);
-                            // The trace embodies the path: targets come from
-                            // the stored next segment, while the RAS is kept
-                            // in sync for later core-fetch predictions.
-                            match kind {
-                                BranchKind::Cond => spec.hist.push(taken),
-                                BranchKind::Call => spec.ras.push(end_pc.add_insts(1)),
-                                BranchKind::Return if taken => {
-                                    let _ = spec.ras.pop();
-                                }
-                                _ => {}
-                            }
-                            let target = if taken { next_start } else { Addr::NULL };
-                            branch_block(thread, seg.start, seg.len, kind, taken, target)
+        let Some(trace) = self.tc.lookup(pc, &dirs) else {
+            return false;
+        };
+        let group = self.next_group;
+        self.next_group += 1;
+        let segments = trace.segments();
+        for (si, seg) in segments.iter().take(max_blocks).enumerate() {
+            let meta = BlockMeta::capture(spec);
+            let next_start = match segments.get(si + 1) {
+                Some(next) => next.start,
+                None => trace.next_pc,
+            };
+            let block = match seg.end_kind {
+                Some(kind) => {
+                    let taken = seg.end_taken;
+                    let end_pc = seg.start.add_insts(seg.len as u64 - 1);
+                    // The trace embodies the path: targets come from the
+                    // stored next segment, while the RAS is kept in sync
+                    // for later core-fetch predictions.
+                    match kind {
+                        BranchKind::Cond => spec.hist.push(taken),
+                        BranchKind::Call => spec.ras.push(end_pc.add_insts(1)),
+                        BranchKind::Return if taken => {
+                            let _ = spec.ras.pop();
                         }
-                        None => sequential_block(thread, seg.start, seg.len),
-                    };
-                    out.push_back(PredictedBlock {
-                        block,
-                        meta,
-                        trace_group: Some(group),
-                    });
+                        _ => {}
+                    }
+                    let target = if taken { next_start } else { Addr::NULL };
+                    branch_block(thread, seg.start, seg.len, kind, taken, target)
                 }
-            }
-            None => {
-                let meta = BlockMeta::capture(spec);
-                let block = classic_block(
-                    &mut self.gshare,
-                    &mut self.btb,
-                    thread,
-                    pc,
-                    spec,
-                    program,
-                    width,
-                );
-                out.push_back(PredictedBlock {
-                    block,
-                    meta,
-                    trace_group: None,
-                });
-            }
+                None => sequential_block(thread, seg.start, seg.len),
+            };
+            out.push_back(PredictedBlock {
+                block,
+                meta,
+                trace_group: Some(group),
+            });
         }
+        true
     }
 
-    /// Trains the core fetch unit with a committed branch predicted under
-    /// `hist` in the block `info` describes.
+    /// The core fetch unit's block on a trace miss: a classical gshare+BTB
+    /// basic block, speculatively updating `spec`.
+    pub(crate) fn predict_block(
+        &mut self,
+        thread: ThreadId,
+        pc: Addr,
+        spec: &mut SpecState,
+        program: &Program,
+        width: u32,
+    ) -> FetchBlock {
+        classic_block(
+            &mut self.gshare,
+            &mut self.btb,
+            thread,
+            pc,
+            spec,
+            program,
+            width,
+        )
+    }
+
+    /// Trains the core fetch unit like gshare+BTB ([`train_classic`]);
+    /// the trace store and the multiple-branch predictor are trained by the
+    /// fill unit at commit.
     pub(crate) fn train_resolve(&mut self, info: &BranchInfo, hist: GlobalHistory, di: &DynInst) {
-        // The core fetch unit trains like gshare+BTB; the trace cache
-        // itself and the multiple-branch predictor are trained by the fill
-        // unit at commit.
-        if info.is_end && di.is_cond_branch() {
-            self.gshare.update(di.pc, hist, di.taken);
-        }
-        if di.taken {
-            #[expect(clippy::expect_used, reason = "update only sees branches")]
-            let kind = di.class.branch_kind().expect("branch");
-            self.btb.record_taken(di.pc, di.next_pc, kind);
-        }
+        train_classic(&mut self.gshare, &mut self.btb, info, hist, di);
     }
 
     /// Feeds one committed instruction to the fill unit, into the buffer
-    /// of its thread. `commit_hist_end` is the thread's committed
-    /// end-conditional history *before* this instruction.
-    pub(crate) fn fill_commit(&mut self, di: &DynInst, commit_hist_end: u64) {
+    /// of its thread. `hist_end` is the thread's committed block-end
+    /// history ([`CommitPath::hist_end`](super::CommitPath)) *before* this
+    /// instruction.
+    pub(crate) fn fill_commit(&mut self, di: &DynInst, hist_end: u64) {
         let fill = &mut self.fill[di.thread];
         if fill.entries.is_empty() {
-            fill.start_hist = commit_hist_end;
+            fill.start_hist = hist_end;
             fill.taken_branches = 0;
         }
         fill.entries.push((di.pc, di.class, di.taken, di.next_pc));
@@ -195,23 +197,18 @@ impl TraceCache {
         }
 
         // Build segments: split after every taken control transfer.
-        let mut segments: Vec<TraceSegment> = Vec::with_capacity(Trace::MAX_SEGMENTS);
-        let mut cond_dirs: Vec<bool> = Vec::new();
-        let mut seg_start = fill.entries[0].0;
+        let entries = &fill.entries;
+        let mut trace = Trace::new(entries[entries.len() - 1].3);
+        let mut seg_start = entries[0].0;
         let mut seg_len = 0u32;
-        for (i, &(pc, class, taken, next_pc)) in fill.entries.iter().enumerate() {
+        for (i, &(pc, class, taken, next_pc)) in entries.iter().enumerate() {
             seg_len += 1;
-            let last = i == fill.entries.len() - 1;
-            let taken_branch = class.is_branch() && taken;
-            if taken_branch || last {
-                let end_kind = class.branch_kind();
-                if end_kind == Some(BranchKind::Cond) {
-                    cond_dirs.push(taken);
-                }
-                segments.push(TraceSegment {
+            let last = i == entries.len() - 1;
+            if (class.is_branch() && taken) || last {
+                trace.push(TraceSegment {
                     start: seg_start,
                     len: seg_len,
-                    end_kind,
+                    end_kind: class.branch_kind(),
                     end_taken: taken,
                 });
                 seg_start = next_pc;
@@ -220,9 +217,7 @@ impl TraceCache {
                 debug_assert_eq!(next_pc, pc.add_insts(1), "trace segment contiguity");
             }
         }
-        #[expect(clippy::expect_used, reason = "fill buffer checked non-empty")]
-        let next_pc = fill.entries.last().expect("non-empty").3;
-        let start = fill.entries[0].0;
+        let start = entries[0].0;
         let start_hist = fill.start_hist;
         fill.entries.clear();
         fill.taken_branches = 0;
@@ -234,15 +229,11 @@ impl TraceCache {
         for i in (0..Self::HIST_BITS).rev() {
             h.push((start_hist >> i) & 1 == 1);
         }
-        for (i, &d) in cond_dirs.iter().enumerate().take(3) {
+        for (i, d) in trace.cond_dirs().enumerate() {
             self.multi.update(start.add_insts(i as u64), h, d);
             h.push(d);
         }
-        self.tc.fill(Trace {
-            segments,
-            cond_dirs,
-            next_pc,
-        });
+        self.tc.fill(trace);
     }
 }
 
@@ -262,29 +253,20 @@ mod tests {
         TraceCache::hpca2004()
     }
 
-    fn predict_blocks(
-        e: &mut TraceCache,
-        pc: Addr,
-        spec: &mut SpecState,
-        prog: &Program,
-        width: u32,
-        max_blocks: usize,
-    ) -> VecDeque<PredictedBlock> {
-        let mut out = VecDeque::new();
-        e.predict_trace(0, pc, spec, prog, width, max_blocks, &mut out);
-        out
-    }
-
     #[test]
     fn misses_fall_back_to_core_fetch() {
         let prog = program();
         let mut e = engine();
         let mut spec = SpecState::new(TraceCache::HIST_BITS, prog.entry());
-        let pbs = predict_blocks(&mut e, prog.entry(), &mut spec, &prog, 16, 4);
-        assert_eq!(pbs.len(), 1, "cold trace cache must fall back");
-        assert!(pbs[0].trace_group.is_none());
+        let mut out = VecDeque::new();
+        assert!(
+            !e.predict_trace(0, prog.entry(), &mut spec, 4, &mut out),
+            "cold trace cache must miss"
+        );
+        assert!(out.is_empty(), "a miss emits nothing");
         // Fallback blocks obey the classical single-basic-block limit.
-        assert!(pbs[0].block.len <= 16);
+        let b = e.predict_block(0, prog.entry(), &mut spec, &prog, 16);
+        assert!(b.len <= 16);
     }
 
     #[test]
@@ -335,7 +317,8 @@ mod tests {
 
         // The filled trace is now fetchable in one multi-block prediction.
         let mut spec = SpecState::new(TraceCache::HIST_BITS, base);
-        let pbs = predict_blocks(&mut e, base, &mut spec, &prog, 16, 4);
+        let mut pbs = VecDeque::new();
+        assert!(e.predict_trace(0, base, &mut spec, 4, &mut pbs));
         assert!(pbs.len() >= 2, "trace hit must emit its segments");
         let group = pbs[0].trace_group.expect("trace blocks carry a group");
         assert!(pbs.iter().all(|p| p.trace_group == Some(group)));

@@ -168,7 +168,7 @@ pub struct SimStats {
     /// gshare+BTB, where every conditional ends a block, counts 1.1–2.4%
     /// of its committed conditionals on the ILP workloads, and the block
     /// engines should compare against the block-end history
-    /// `commit_hist_end` instead (ROADMAP item 3).
+    /// `CommitPath::hist_end` instead (ROADMAP item 4).
     pub hist_mismatches: u64,
     /// Long-latency-load FLUSH events (Tullsen & Brown mechanism).
     pub flushes: u64,

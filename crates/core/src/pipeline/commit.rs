@@ -1,11 +1,10 @@
-//! The commit stage: in-order retirement, predictor training (resolve- and
-//! commit-time), stream bookkeeping, and the trace-cache fill unit.
+//! The commit stage: in-order retirement, the front end's retire hook
+//! (predictor training, committed-path registers, the trace-cache fill
+//! unit) and the branch statistics.
 
-use smt_bpred::ObservedStream;
 use smt_isa::InstClass;
 
 use crate::config::COMMIT_WIDTH;
-use crate::frontend::FrontEnd;
 
 use super::{PipelineCtx, STALL_DCACHE_MISS};
 
@@ -54,64 +53,27 @@ pub(crate) fn commit(ctx: &mut PipelineCtx) -> bool {
                 ctx.mem.store(addr, now);
             }
 
-            // Trace-cache fill unit.
-            if let FrontEnd::TraceCache(tc) = &mut ctx.frontend {
-                tc.fill_commit(&di, ctx.threads[tid].commit_hist_end);
-            }
-            if di.is_cond_branch() && binfo.map(|b| b.is_end).unwrap_or(false) {
-                let th = &mut ctx.threads[tid];
-                th.commit_hist_end = (th.commit_hist_end << 1) | di.taken as u64;
-            }
-
-            // Branch training and stream bookkeeping.
-            ctx.threads[tid].commit_stream_len += 1;
-            if di.is_branch() {
-                if let Some(info) = &binfo {
-                    // The slot cannot have been reused: the instruction
-                    // left the window this very cycle, and fetch runs
-                    // after commit within the tick.
-                    let meta_hist = ctx.threads[tid].meta(seq).hist;
-                    ctx.frontend.train_resolve(info, meta_hist, &di);
-                    if di.is_cond_branch() {
-                        ctx.stats.cond_branches += 1;
-                        if info.spec_taken != di.taken {
-                            ctx.stats.cond_mispredicts += 1;
-                        }
-                        if info.is_end {
-                            let bits = meta_hist.width().min(16);
-                            let mask = (1u64 << bits) - 1;
-                            if meta_hist.bits() & mask != ctx.threads[tid].commit_hist & mask {
-                                ctx.stats.hist_mismatches += 1;
-                            }
+            // The slot cannot have been reused: the instruction left the
+            // window this very cycle, and fetch runs after commit within
+            // the tick.
+            let branch = binfo.map(|info| (info, ctx.threads[tid].meta(seq).hist));
+            let th = &mut ctx.threads[tid];
+            ctx.frontend.retire(&di, branch, &mut th.committed);
+            if di.is_cond_branch() {
+                if let Some((info, meta_hist)) = branch {
+                    ctx.stats.cond_branches += 1;
+                    if info.spec_taken != di.taken {
+                        ctx.stats.cond_mispredicts += 1;
+                    }
+                    if info.is_end {
+                        let bits = meta_hist.width().min(16);
+                        let mask = (1u64 << bits) - 1;
+                        if meta_hist.bits() & mask != th.commit_hist & mask {
+                            ctx.stats.hist_mismatches += 1;
                         }
                     }
                 }
-                if di.is_cond_branch() {
-                    let th = &mut ctx.threads[tid];
-                    th.commit_hist = (th.commit_hist << 1) | di.taken as u64;
-                }
-                if di.taken {
-                    let kind = di.class.branch_kind().expect("branch");
-                    let (start_addr, path, len) = {
-                        let th = &ctx.threads[tid];
-                        (th.commit_stream_start, th.cpath, th.commit_stream_len)
-                    };
-                    if let FrontEnd::Stream(s) = &mut ctx.frontend {
-                        s.train_commit(
-                            start_addr,
-                            &path,
-                            ObservedStream {
-                                len,
-                                kind,
-                                target: di.next_pc,
-                            },
-                        );
-                    }
-                    let th = &mut ctx.threads[tid];
-                    th.cpath.push(start_addr);
-                    th.commit_stream_start = di.next_pc;
-                    th.commit_stream_len = 0;
-                }
+                th.commit_hist = (th.commit_hist << 1) | di.taken as u64;
             }
         }
         if budget == 0 {

@@ -156,7 +156,7 @@ fn blocker(ctx: &PipelineCtx, class: InstClass, dest: Option<ArchReg>) -> Option
 /// The dispatch stage: renames registers and moves instructions from the
 /// rename latch into the issue queues, in order per thread, bounded by the
 /// shared ROB, the per-queue capacities, and the free physical registers.
-/// Acts when an entry dispatches or evaporates.
+/// Acts when an entry dispatches.
 pub(crate) fn dispatch(ctx: &mut PipelineCtx) -> bool {
     let now = ctx.cycle;
     let mut budget = DECODE_WIDTH;
@@ -168,26 +168,22 @@ pub(crate) fn dispatch(ctx: &mut PipelineCtx) -> bool {
         if budget == 0 || stalled[e.tid] {
             return true;
         }
-        // The window entry may have been squashed since renaming began.
-        // Liveness comes from the control column; the payload column is
-        // only read once the seq is known live.
-        let Some((class, dest, srcs, mem_addr, wrong_path)) = ({
+        // `rollback` purges the front FIFO in the same call that pops the
+        // window, so every entry here is still live in its window.
+        let (class, dest, srcs, mem_addr, wrong_path) = {
             let w = &ctx.threads[e.tid].window;
-            w.ctl(e.seq).map(|_| {
-                let di = w.di(e.seq);
-                (
-                    di.class,
-                    di.dest,
-                    di.srcs,
-                    di.mem.map_or(Addr::NULL, |m| m.addr),
-                    di.wrong_path,
-                )
-            })
-        }) else {
-            // The entry evaporates: it left the pre-issue structures
-            // without moving to an issue queue.
-            ctx.preissue[e.tid] -= 1;
-            return false;
+            assert!(
+                w.ctl(e.seq).is_some(),
+                "front FIFO entry outlived its window entry"
+            );
+            let di = w.di(e.seq);
+            (
+                di.class,
+                di.dest,
+                di.srcs,
+                di.mem.map_or(Addr::NULL, |m| m.addr),
+                di.wrong_path,
+            )
         };
         if let Some(bit) = blocker(ctx, class, dest) {
             ctx.note_stall(e.tid, bit);

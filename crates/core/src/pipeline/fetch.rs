@@ -238,14 +238,17 @@ fn fetch_from(
 /// Delivers `n` instructions from `tid`'s FTQ head into the window and
 /// the fetch buffer, consulting the oracle walker.
 ///
-/// The on-oracle prefix of the delivery is decoded in bulk
+/// An instruction has one of two sources. On an undiverged thread the
+/// walker stands at the delivery pc, and the on-oracle prefix of the
+/// delivery is decoded in bulk
 /// ([`next_block`](smt_workloads::Walker::next_block)) straight into the
 /// window's payload column — the very slots the pushes below claim — so a
 /// delivered instruction is written once and never staged through scratch.
 /// The walker stops the bulk run after the first redirecting instruction,
 /// which is exactly where this loop either finishes the block (correctly
-/// predicted end branch) or detects a misprediction and diverges — so the
-/// per-position results are identical to single-stepping.
+/// predicted end branch) or detects a misprediction and diverges. Every
+/// instruction past the bulk run is therefore on a diverged thread and is
+/// synthesized as wrong path.
 fn deliver(ctx: &mut PipelineCtx, tid: usize, n: u32) {
     let now = ctx.cycle;
     let th = &mut ctx.threads[tid];
@@ -253,9 +256,15 @@ fn deliver(ctx: &mut PipelineCtx, tid: usize, n: u32) {
     // checkpoint stays in the FTQ head until a branch needs it recorded.
     let consumed = th.ftq_consumed;
     let block = th.ftq.front().expect("caller checked").block;
-    let first_pc = block.start.add_insts(u64::from(consumed));
     let first_seq = th.next_seq;
-    let bulk = if !th.diverged && th.walker.pc() == first_pc {
+    let bulk = if th.diverged {
+        0
+    } else {
+        debug_assert_eq!(
+            th.walker.pc(),
+            block.start.add_insts(u64::from(consumed)),
+            "an undiverged thread's walker stands at the delivery pc"
+        );
         // The n payload slots are dead (the window has room for n pushes),
         // but may wrap the ring. Continue into the wrapped half only if the
         // first half filled completely without ending at a redirecting
@@ -268,8 +277,6 @@ fn deliver(ctx: &mut PipelineCtx, tid: usize, n: u32) {
         } else {
             k
         }
-    } else {
-        0
     };
     for i in 0..n {
         let idx_in_block = consumed + i;
@@ -283,17 +290,13 @@ fn deliver(ctx: &mut PipelineCtx, tid: usize, n: u32) {
         };
 
         let seq = th.next_seq;
-        let bulk_hit = (i as usize) < bulk;
-        let on_oracle = bulk_hit || (!th.diverged && th.walker.pc() == pc);
-        let di = if bulk_hit {
+        let on_oracle = (i as usize) < bulk;
+        let di = if on_oracle {
             // The bulk decode already wrote this instruction in place.
             debug_assert_eq!(th.window.di(seq).pc, pc);
             *th.window.di(seq)
-        } else if on_oracle {
-            let di = th.walker.next_inst();
-            th.window.set_di(seq, di);
-            di
         } else {
+            debug_assert!(th.diverged, "wrong-path synthesis on an undiverged thread");
             let (spec_taken, spec_target) = if is_end {
                 let eb = block.end_branch.expect("is_end");
                 (eb.predicted_taken, eb.predicted_target)

@@ -9,7 +9,7 @@
 //!
 //! The prediction stage and the fetch stage are decoupled through per-thread
 //! fetch target queues (the paper's §4 modification of SMTSIM, after
-//! Reinman et al. and Falcón et al. [7]); the fetch policy (ICOUNT) selects
+//! Reinman et al. and Falcón et al. \[7\]); the fetch policy (ICOUNT) selects
 //! both the thread the predictor serves and the FTQ(s) the fetch stage
 //! drains. The fetch stage implements both architectures of the paper:
 //! **1.X** (Figure 1: one thread per cycle, single I-cache port) and **2.X**

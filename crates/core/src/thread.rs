@@ -4,11 +4,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use smt_bpred::StreamPath;
 use smt_isa::{Addr, Cycle, InstIdx, Presized, ThreadId};
 use smt_workloads::{Program, Walker};
 
-use crate::frontend::{BlockMeta, PredictedBlock, SpecState};
+use crate::frontend::{BlockMeta, CommitPath, PredictedBlock, SpecState};
 use crate::window::{PhysReg, Window};
 
 /// All per-thread state.
@@ -18,6 +17,9 @@ pub(crate) struct ThreadState {
     pub walker: Walker,
     /// Speculative front-end state (history, RAS, stream path).
     pub spec: SpecState,
+    /// Committed-path registers (stream start, length and path, block-end
+    /// history), advanced by `FrontEnd::retire`.
+    pub committed: CommitPath,
     /// Next block start the prediction stage will use.
     pub next_fetch_pc: Addr,
     /// Whether fetch has diverged from the oracle (wrong path).
@@ -45,18 +47,9 @@ pub(crate) struct ThreadState {
     /// Sequence number of the oldest unresolved mispredicted correct-path
     /// branch (at most one can exist: fetch diverges at the first one).
     pub pending_redirect: Option<u64>,
-    /// Commit-side stream tracking: path of committed streams.
-    pub cpath: StreamPath,
-    /// Start of the stream currently being committed.
-    pub commit_stream_start: Addr,
-    /// Committed instructions in the current stream so far.
-    pub commit_stream_len: u32,
-    /// Shadow architectural history of committed conditional outcomes
-    /// (validation/debugging aid).
+    /// Shadow architectural history of committed conditional outcomes,
+    /// the reference of `SimStats::hist_mismatches`.
     pub commit_hist: u64,
-    /// Committed end-conditional history (mirrors the speculative history
-    /// discipline: only block-ending conditionals shift in).
-    pub commit_hist_end: u64,
     /// Under STALL/FLUSH policies: fetch is gated until this cycle because
     /// a long-latency load is outstanding.
     pub mem_stall_until: Option<Cycle>,
@@ -64,13 +57,15 @@ pub(crate) struct ThreadState {
     /// MISSCOUNT metric); expired entries are drained lazily.
     pub outstanding_misses: Presized<Vec<Cycle>>,
     /// Block checkpoints for in-flight instructions carrying a
-    /// [`BranchInfo`], indexed by `seq & meta_mask`. The capacity exceeds
-    /// the window bound, and window sequence numbers are contiguous, so a
-    /// live instruction's slot cannot be reused before it retires or
-    /// squashes. Slots of instructions without a `binfo` are stale garbage
-    /// and never read. Keeping the checkpoints out of [`InFlight`] keeps
-    /// the window entries small: pushes, pops, and the commit path never
-    /// copy the ~100-byte checkpoint.
+    /// [`BranchInfo`](crate::frontend::BranchInfo), indexed by
+    /// `seq & meta_mask`. The capacity exceeds the window bound, and window
+    /// sequence numbers are contiguous, so a live instruction's slot cannot
+    /// be reused before it retires or squashes. Slots of instructions
+    /// without a `binfo` are stale garbage and never read. Keeping the
+    /// checkpoints out of the window's columns
+    /// ([`InFlightCtl`](crate::window::InFlightCtl)) keeps the window
+    /// entries small: pushes, pops, and the commit path never copy the
+    /// ~100-byte checkpoint.
     meta_ring: Vec<BlockMeta>,
     /// Power-of-two mask for `meta_ring` indexing.
     meta_mask: u64,
@@ -97,6 +92,7 @@ impl ThreadState {
         ThreadState {
             walker: Walker::new(program, id),
             spec: SpecState::new(hist_bits, entry),
+            committed: CommitPath::new(entry),
             next_fetch_pc: entry,
             diverged: false,
             iblock_until: None,
@@ -106,11 +102,7 @@ impl ThreadState {
             next_seq: 0,
             rename_map: Vec::new(),
             pending_redirect: None,
-            cpath: StreamPath::new(),
-            commit_stream_start: entry,
-            commit_stream_len: 0,
             commit_hist: 0,
-            commit_hist_end: 0,
             mem_stall_until: None,
             outstanding_misses: Presized::default(),
             meta_ring: Vec::new(),
@@ -133,7 +125,7 @@ impl ThreadState {
         // collide between two live instructions (window seqs are
         // contiguous). The placeholder fill is deterministic and never read.
         let cap = (window_cap + 1).next_power_of_two();
-        self.meta_ring = vec![BlockMeta::capture(&self.spec); cap];
+        self.meta_ring = vec![BlockMeta::default(); cap];
         self.meta_mask = cap as u64 - 1;
     }
 

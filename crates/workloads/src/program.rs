@@ -170,18 +170,6 @@ impl Program {
         Some((u64::from(dist), &self.insts[start + dist as usize]))
     }
 
-    /// Distance (in instructions) from static index `id` to the first
-    /// branch at or after it, or `None` if the rest of the program is
-    /// straight-line code. `Some(0)` means `id` itself is a branch.
-    ///
-    /// O(1): read from the precomputed block-extent table. This is what
-    /// lets [`crate::Walker::next_block`] decode a whole straight-line run
-    /// with one bounds check and no per-instruction class dispatch.
-    pub(crate) fn dist_to_branch(&self, id: StaticInstId) -> Option<u32> {
-        let dist = self.branch_dist[id as usize];
-        (dist != NO_BRANCH).then_some(dist)
-    }
-
     /// Iterates over the static instructions.
     #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = &StaticInst> {
@@ -337,12 +325,6 @@ mod tests {
                     .map(|(d, inst)| (d, inst.id));
                 assert_eq!(got, linear(pc, max), "start {idx}, max {max}");
             }
-        }
-        // dist_to_branch agrees with the (max-unbounded) lookup.
-        for idx in (0..u32::try_from(p.len()).unwrap()).step_by(13) {
-            let pc = p.base().add_insts(u64::from(idx));
-            let via_scan = p.first_branch_at_or_after(pc, u64::MAX).map(|(d, _)| d);
-            assert_eq!(p.dist_to_branch(idx).map(u64::from), via_scan, "id {idx}");
         }
     }
 

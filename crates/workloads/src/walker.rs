@@ -2,10 +2,12 @@
 //!
 //! A [`Walker`] owns the architectural sequencing state of one thread — the
 //! program counter, per-static-instruction occurrence counters, and the call
-//! stack — and produces the thread's dynamic instruction stream one
-//! instruction at a time. The simulator's fetch stage *advances the walker
-//! only for correct-path instructions*; after a predicted branch diverges
-//! from the oracle, subsequent instructions are synthesized as wrong-path
+//! stack — and produces the thread's dynamic instruction stream, one
+//! instruction ([`Walker::next_inst`]) or one straight-line run
+//! ([`Walker::next_block`]) at a time, through one decode step. The
+//! simulator's fetch stage *advances the walker only for correct-path
+//! instructions*; after a predicted branch diverges from the oracle,
+//! subsequent instructions are synthesized as wrong-path
 //! ([`Walker::wrong_path`]) without touching the walker, so recovery after a
 //! squash is simply "resume fetching at [`Walker::pc`]".
 
@@ -21,7 +23,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use smt_isa::{Addr, BranchKind, DynInst, InstClass, MemAccess, Presized, ThreadId};
+use smt_isa::{Addr, BranchKind, DynInst, InstClass, MemAccess, Presized, StaticInstId, ThreadId};
 
 use crate::behavior::Behavior;
 use crate::program::Program;
@@ -183,16 +185,70 @@ impl Walker {
     /// over/underflows — both indicate a malformed program, which the
     /// builder's construction rules out.
     pub fn next_inst(&mut self) -> DynInst {
-        let inst = *self
-            .program
+        let id = self.id_at_pc();
+        self.step(id)
+    }
+
+    /// Produces up to `min(max, out.len())` correct-path instructions into
+    /// `out` in one call, returning the number written.
+    ///
+    /// Decoding stops early after any instruction whose `next_pc` is not
+    /// the sequential successor (a taken branch or other control transfer),
+    /// so each call yields one *straight-line fetch run*. Every instruction
+    /// goes through the same decode step as [`Walker::next_inst`], so the
+    /// result — the instructions, every architectural side effect
+    /// (counters, call stack, path history, undo log) and the final
+    /// [`Walker::pc`] — is exactly what the same number of `next_inst`
+    /// calls would produce, and [`Walker::rollback`] works across
+    /// bulk-produced instructions unchanged. Proven by
+    /// `next_block_equals_repeated_next_inst`.
+    ///
+    /// Within a run the static ids are consecutive, so only the first
+    /// instruction is looked up by address.
+    ///
+    /// # Panics
+    ///
+    /// As [`Walker::next_inst`], if the PC left the program or the call
+    /// stack over/underflows.
+    pub fn next_block(&mut self, out: &mut [DynInst], max: usize) -> usize {
+        let cap = max.min(out.len());
+        if cap == 0 {
+            return 0;
+        }
+        let first = self.id_at_pc();
+        for (k, slot) in out[..cap].iter_mut().enumerate() {
+            #[expect(clippy::cast_possible_truncation, reason = "k < the fetch width")]
+            let di = self.step(first + k as u32);
+            *slot = di;
+            if di.next_pc != di.pc.add_insts(1) {
+                return k + 1;
+            }
+        }
+        cap
+    }
+
+    /// Static id of the instruction at [`Walker::pc`].
+    fn id_at_pc(&self) -> StaticInstId {
+        self.program
             .inst_at(self.pc)
-            .unwrap_or_else(|| panic!("correct-path pc {} outside program", self.pc));
-        let n = self.counters[inst.id as usize];
-        self.counters[inst.id as usize] = n + 1;
+            .unwrap_or_else(|| panic!("correct-path pc {} outside program", self.pc))
+            .id
+    }
+
+    /// The one correct-path decode step: runs static instruction `id`,
+    /// which stands at [`Walker::pc`]. Bumps its occurrence counter,
+    /// resolves its branch or memory address, logs the undo record,
+    /// advances the PC and builds the [`DynInst`].
+    #[inline(always)]
+    fn step(&mut self, id: StaticInstId) -> DynInst {
+        let inst = self.program.inst(id);
+        debug_assert_eq!(inst.addr, self.pc, "decode step off the walker's pc");
+        let n = self.counters[id as usize];
+        self.counters[id as usize] = n + 1;
 
         let mut undo = UndoRecord {
-            pc_before: self.pc,
-            static_id: inst.id,
+            pc_before: inst.addr,
+            static_id: id,
             path_hist_before: self.path_hist,
             stack_op: StackOp::None,
         };
@@ -201,7 +257,7 @@ impl Walker {
         let mut mem = None;
         let next_pc = match inst.class {
             InstClass::Branch(BranchKind::Cond) => {
-                let behavior = match self.program.behavior(inst.id) {
+                let behavior = match self.program.behavior(id) {
                     Behavior::Branch(b) => b,
                     other => panic!("cond branch {} with behavior {other:?}", inst.addr),
                 };
@@ -239,13 +295,13 @@ impl Walker {
             }
             InstClass::Branch(BranchKind::Indirect) => {
                 taken = true;
-                match self.program.behavior(inst.id) {
+                match self.program.behavior(id) {
                     Behavior::Indirect(ib) => ib.target(n),
                     other => panic!("indirect branch {} with behavior {other:?}", inst.addr),
                 }
             }
             InstClass::Load | InstClass::Store => {
-                let m = match self.program.behavior(inst.id) {
+                let m = match self.program.behavior(id) {
                     Behavior::Mem(m) => m,
                     other => panic!("mem inst {} with behavior {other:?}", inst.addr),
                 };
@@ -262,7 +318,7 @@ impl Walker {
         self.undo.push(undo);
         DynInst {
             thread: self.thread,
-            static_id: inst.id,
+            static_id: id,
             pc: inst.addr,
             class: inst.class,
             dest: inst.dest,
@@ -272,98 +328,6 @@ impl Walker {
             next_pc,
             wrong_path: false,
         }
-    }
-
-    /// Produces up to `min(max, out.len())` correct-path instructions into
-    /// `out` in one call, returning the number written.
-    ///
-    /// Decoding stops early after any instruction whose `next_pc` is not
-    /// the sequential successor (a taken branch or other control transfer),
-    /// so each call yields one *straight-line fetch run*. The result — the
-    /// instructions, every architectural side effect (counters, call stack,
-    /// path history, undo log) and the final [`Walker::pc`] — is exactly
-    /// what the same number of [`Walker::next_inst`] calls would produce;
-    /// [`Walker::rollback`] works across bulk-produced instructions
-    /// unchanged. Proven by `next_block_equals_repeated_next_inst`.
-    ///
-    /// The fast path: the program's precomputed block-extent table
-    /// (`Program::dist_to_branch`) identifies the whole non-branch run up
-    /// front, which amortizes the per-instruction `inst_at` bounds check
-    /// and skips behaviour dispatch for everything but loads and stores.
-    /// Branches fall back to the full [`Walker::next_inst`] logic.
-    ///
-    /// # Panics
-    ///
-    /// As [`Walker::next_inst`], if the PC left the program or the call
-    /// stack over/underflows.
-    pub fn next_block(&mut self, out: &mut [DynInst], max: usize) -> usize {
-        let cap = max.min(out.len());
-        let mut produced = 0usize;
-        while produced < cap {
-            let first = *self
-                .program
-                .inst_at(self.pc)
-                .unwrap_or_else(|| panic!("correct-path pc {} outside program", self.pc));
-            let to_end = self.program.len() - first.id as usize;
-            // Length of the straight-line (branch-free) run starting here:
-            // up to the next branch, or to the end of the program.
-            let straight = match self.program.dist_to_branch(first.id) {
-                Some(d) => d as usize,
-                None => to_end,
-            };
-            if straight == 0 {
-                // A branch heads the run: take the full decode path.
-                let di = self.next_inst();
-                out[produced] = di;
-                produced += 1;
-                if di.next_pc != di.pc.add_insts(1) {
-                    break;
-                }
-                continue;
-            }
-            let run = straight.min(cap - produced);
-            for k in 0..run {
-                #[expect(clippy::cast_possible_truncation, reason = "k < run ≤ the fetch width")]
-                let id = first.id + k as u32;
-                let inst = *self.program.inst(id);
-                let n = self.counters[id as usize];
-                self.counters[id as usize] = n + 1;
-                let mem = match inst.class {
-                    InstClass::Load | InstClass::Store => {
-                        let m = match self.program.behavior(id) {
-                            Behavior::Mem(m) => m,
-                            other => panic!("mem inst {} with behavior {other:?}", inst.addr),
-                        };
-                        Some(MemAccess {
-                            addr: m.address(n),
-                            chased: m.is_chase(),
-                        })
-                    }
-                    _ => None,
-                };
-                self.undo.push(UndoRecord {
-                    pc_before: inst.addr,
-                    static_id: id,
-                    path_hist_before: self.path_hist,
-                    stack_op: StackOp::None,
-                });
-                out[produced + k] = DynInst {
-                    thread: self.thread,
-                    static_id: id,
-                    pc: inst.addr,
-                    class: inst.class,
-                    dest: inst.dest,
-                    srcs: inst.srcs,
-                    mem,
-                    taken: false,
-                    next_pc: inst.fall_through(),
-                    wrong_path: false,
-                };
-            }
-            self.pc = first.addr.add_insts(run as u64);
-            produced += run;
-        }
-        produced
     }
 
     /// Rolls the walker back by `n` instructions, exactly undoing the last

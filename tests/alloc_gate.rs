@@ -10,11 +10,6 @@
 //! allocates or races with the test harness's other worker threads): each
 //! test only observes allocations made on its own thread, which is exactly
 //! the thread its simulator steps on.
-//!
-//! The trace-cache engine is deliberately outside the gate: its fill unit
-//! builds `Trace` objects (segment/direction vectors) at line-close by
-//! design, which is inherent to that related-work comparator rather than to
-//! the paper's three fetch engines measured by the figures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,15 +95,11 @@ fn assert_steady_state_allocation_free(engine: FetchEngineKind, policy: FetchPol
     );
 }
 
-/// The paper's three fetch engines under the 1.X architecture (one thread,
-/// one I-cache port per cycle).
+/// Every fetch engine, the trace cache included, under the 1.X
+/// architecture (one thread, one I-cache port per cycle).
 #[test]
 fn steady_state_is_allocation_free_1x() {
-    for engine in [
-        FetchEngineKind::GshareBtb,
-        FetchEngineKind::GskewFtb,
-        FetchEngineKind::Stream,
-    ] {
+    for engine in FetchEngineKind::all_with_trace_cache() {
         assert_steady_state_allocation_free(engine, FetchPolicy::icount(1, 8));
     }
 }
@@ -117,11 +108,7 @@ fn steady_state_is_allocation_free_1x() {
 /// ports, bank-conflict logic and merge).
 #[test]
 fn steady_state_is_allocation_free_2x() {
-    for engine in [
-        FetchEngineKind::GshareBtb,
-        FetchEngineKind::GskewFtb,
-        FetchEngineKind::Stream,
-    ] {
+    for engine in FetchEngineKind::all_with_trace_cache() {
         assert_steady_state_allocation_free(engine, FetchPolicy::icount(2, 8));
     }
 }
@@ -196,11 +183,7 @@ fn event_skip_heavy_steady_state_is_allocation_free() {
 /// allocate freely — only the forked loop is under the gate.
 #[test]
 fn cloned_steady_state_is_allocation_free() {
-    for engine in [
-        FetchEngineKind::GshareBtb,
-        FetchEngineKind::GskewFtb,
-        FetchEngineKind::Stream,
-    ] {
+    for engine in FetchEngineKind::all_with_trace_cache() {
         let policy = FetchPolicy::icount(2, 8);
         let mut sim = build(engine, policy);
         sim.run_cycles(WARMUP_CYCLES);

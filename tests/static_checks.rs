@@ -3,7 +3,8 @@
 //!
 //! 1. `Cargo.lock` contains only workspace members (the zero-external-
 //!    dependency policy, checked mechanically);
-//! 2. the simulator core keeps its pipeline decomposition;
+//! 2. the simulator core keeps its pipeline decomposition, and its stages
+//!    reach the fetch engines only through `FrontEnd`'s methods;
 //! 3. every configuration the experiment suite simulates passes the
 //!    semantic validator with zero errors;
 //! 4. `SimConfig` keeps exactly the knobs an experiment varies;
@@ -106,6 +107,27 @@ fn core_pipeline_decomposition_is_pinned() {
             lines <= 800,
             "pipeline/{name} grew to {lines} lines (ceiling 800)"
         );
+    }
+}
+
+/// The `FrontEnd` enum is the whole engine contract: no stage under
+/// `pipeline/` matches on, or builds, one of its variants, so a new engine
+/// hook goes through a `FrontEnd` method instead of an `if let` on one arm.
+#[test]
+fn pipeline_names_no_front_end_variant() {
+    let dir = workspace_root().join("crates/core/src/pipeline");
+    for entry in std::fs::read_dir(&dir).expect("read pipeline/") {
+        let path = entry.expect("dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("read stage module");
+        for (i, line) in text.lines().enumerate() {
+            assert!(
+                !line.contains("FrontEnd::"),
+                "{}:{}: a pipeline stage names a `FrontEnd` variant: {}",
+                path.display(),
+                i + 1,
+                line.trim()
+            );
+        }
     }
 }
 
